@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short bench bench-json bench-sim bench-sweep bench-obs repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
+.PHONY: all build test test-short bench repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
 
 all: build test
 
@@ -16,16 +16,6 @@ test-short:
 # Regenerate every paper table/figure as benchmarks (deliverable d).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable campaign throughput (points/sec at 1 vs N workers).
-bench-json:
-	$(GO) test -json -bench BenchmarkCampaignPoints -benchtime=1x -run '^$$' ./internal/campaign > BENCH_campaign.json
-
-# Machine-readable simulator-throughput checkpoint: the event-horizon
-# fast path vs the single-tick reference stepper, on the default and the
-# sparse workload (benchstat-comparable; docs/simulator.md).
-bench-sim:
-	$(GO) test -json -bench 'BenchmarkSimulateHyperperiodMPCP(Reference|Sparse|SparseReference)?$$' -benchtime=2s -run '^$$' . > BENCH_sim.json
 
 # Full acceptance-ratio campaign (MPCP vs DPCP vs hybrid), resumable.
 sweep:
@@ -48,19 +38,6 @@ sweep-spinvssuspend:
 sweepd-smoke:
 	$(GO) test -race -count=1 -run 'TestSweepdEndToEnd' ./cmd/rtsweepd
 	$(GO) test -race -count=1 -run 'TestExecutorEquivalence|TestLeaseFaultInjection' ./internal/dist
-
-# Machine-readable distributed-sweep cache checkpoint: the same grid
-# cold vs against a warm content-addressed cache (docs/distributed.md).
-bench-sweep:
-	$(GO) test -json -bench 'Benchmark(Cached|Uncached)Sweep$$' -benchtime=2s -run '^$$' ./internal/dist > BENCH_sweep.json
-
-# Machine-readable tracing-overhead checkpoint: the simulator benchmark
-# with spans off (must stay identical to BENCH_sim.json's base — a nil
-# tracer is free) and on, plus the raw span-emission micro-benchmarks
-# (docs/observability.md).
-bench-obs:
-	$(GO) test -json -bench 'BenchmarkSimulateHyperperiodMPCP(Spans)?$$' -benchtime=2s -run '^$$' . > BENCH_obs.json
-	$(GO) test -json -bench 'BenchmarkSpan(Disabled|Streamed)$$' -benchtime=2s -run '^$$' ./internal/obs/span >> BENCH_obs.json
 
 # Observability gate (CI runs this): a loopback rtsweepd sweep with span
 # streaming on every process, merged into a Chrome trace-event timeline

@@ -31,12 +31,6 @@ func WithDPCPAnalysis() AnalysisOption {
 	return func(o *analysis.Options) { o.Kind = analysis.KindDPCP }
 }
 
-// ForDPCP computes the bounds for the message-based protocol of [8].
-//
-// Deprecated: renamed WithDPCPAnalysis for consistency with the other
-// option constructors.
-func ForDPCP() AnalysisOption { return WithDPCPAnalysis() }
-
 // WithDeferredPenalty includes the deferred-execution scheduling penalty
 // of Section 5.1 in each task's bound.
 func WithDeferredPenalty() AnalysisOption {
@@ -49,13 +43,6 @@ func WithGcsAtCeilingAnalysis() AnalysisOption {
 	return func(o *analysis.Options) { o.GcsAtCeiling = true }
 }
 
-// AnalyzeGcsAtCeiling mirrors the WithGcsAtCeiling protocol variant in the
-// analysis.
-//
-// Deprecated: renamed WithGcsAtCeilingAnalysis for consistency with the
-// other option constructors.
-func AnalyzeGcsAtCeiling() AnalysisOption { return WithGcsAtCeilingAnalysis() }
-
 // WithDPCPSyncProc mirrors WithSyncProc for the DPCP analysis.
 func WithDPCPSyncProc(s SemID, p ProcID) AnalysisOption {
 	return func(o *analysis.Options) {
@@ -67,7 +54,7 @@ func WithDPCPSyncProc(s SemID, p ProcID) AnalysisOption {
 }
 
 // BlockingBounds computes the worst-case blocking bound B_i of every task
-// under the shared-memory protocol (or DPCP with ForDPCP).
+// under the shared-memory protocol (or DPCP with WithDPCPAnalysis).
 func BlockingBounds(sys *System, opts ...AnalysisOption) (map[TaskID]*Bound, error) {
 	o := analysis.Options{Kind: analysis.KindMPCP}
 	for _, opt := range opts {

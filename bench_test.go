@@ -118,7 +118,7 @@ func BenchmarkSimulateHyperperiodMPCP(b *testing.B) {
 
 // BenchmarkSimulateHyperperiodMPCPReference is the same workload on the
 // single-tick reference stepper — the baseline the event-horizon fast
-// path is measured against (BENCH_sim.json tracks the pair).
+// path is measured against.
 func BenchmarkSimulateHyperperiodMPCPReference(b *testing.B) {
 	sys, err := mpcp.GenerateWorkload(mpcp.DefaultWorkload(1))
 	if err != nil {
@@ -181,10 +181,10 @@ func BenchmarkSimulateHyperperiodMPCPSparseReference(b *testing.B) {
 
 // BenchmarkSimulateHyperperiodMPCPSpans is the tracing-on counterpart
 // of BenchmarkSimulateHyperperiodMPCP: the same workload with sim.init
-// and sim.run spans streamed to a discarded JSONL sink. BENCH_obs.json
-// tracks this pair — the base benchmark doubles as the tracing-off
-// baseline, which must stay unchanged because a nil tracer short-
-// circuits before any span work (docs/observability.md).
+// and sim.run spans streamed to a discarded JSONL sink. The base
+// benchmark doubles as the tracing-off baseline, which must stay
+// unchanged because a nil tracer short-circuits before any span work
+// (docs/observability.md).
 func BenchmarkSimulateHyperperiodMPCPSpans(b *testing.B) {
 	sys, err := mpcp.GenerateWorkload(mpcp.DefaultWorkload(1))
 	if err != nil {

@@ -14,10 +14,11 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
-	"mpcp/internal/cli"
 	"mpcp/internal/config"
 	"mpcp/internal/obs"
+	"mpcp/internal/registry"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
 	"mpcp/internal/trace"
@@ -34,7 +35,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rtsim", flag.ContinueOnError)
 	var (
 		configPath = fs.String("config", "", "path to the JSON workload description (required)")
-		protoName  = fs.String("protocol", "mpcp", "protocol: "+cli.ProtocolNames)
+		protoName  = fs.String("protocol", "mpcp", "protocol: "+strings.Join(registry.Names(), ", "))
 		horizon    = fs.Int("horizon", 0, "ticks to simulate (0 = one hyperperiod)")
 		gantt      = fs.Bool("gantt", false, "print a per-processor execution chart")
 		ganttTo    = fs.Int("gantt-to", 60, "last tick of the chart")
@@ -58,7 +59,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p, err := cli.ResolveProtocolFor(*protoName, sys)
+	p, err := registry.New(*protoName, registry.Opts{Sys: sys})
 	if err != nil {
 		return err
 	}
@@ -75,17 +76,19 @@ func run(args []string, out io.Writer) error {
 
 	log := trace.New()
 	cfg := sim.Config{
-		Horizon: *horizon, Trace: log, ReferenceStepper: *reference,
+		Horizon: *horizon, Sink: log, ReferenceStepper: *reference,
 		ReleaseSeed: *relSeed, Overload: policy,
 	}
 	var streamFile *os.File
+	var stream *trace.StreamSink
 	if *streamOut != "" {
 		f, err := os.Create(*streamOut)
 		if err != nil {
 			return err
 		}
 		streamFile = f
-		cfg.Sink = trace.NewStreamSink(f)
+		stream = trace.NewStreamSink(f)
+		cfg.Sink = trace.MultiSink(log, stream)
 	}
 	engine, err := sim.New(sys, p, cfg)
 	if err != nil {
@@ -93,7 +96,7 @@ func run(args []string, out io.Writer) error {
 	}
 	res, err := engine.Run()
 	if streamFile != nil {
-		if cerr := cfg.Sink.Close(); cerr != nil && err == nil {
+		if cerr := stream.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 		if cerr := streamFile.Close(); cerr != nil && err == nil {

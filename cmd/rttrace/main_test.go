@@ -25,7 +25,7 @@ func writeTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 200, Trace: log})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 200, Sink: log})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestHybridFacade(t *testing.T) {
 	if res.AnyMiss || res.Deadlock {
 		t.Fatal("hybrid run misbehaved")
 	}
-	if vs := mpcp.CheckMutex(tr); len(vs) > 0 {
+	if vs := tr.CheckMutex(); len(vs) > 0 {
 		t.Errorf("mutex: %v", vs)
 	}
 }
@@ -79,7 +79,7 @@ func TestTraceJSONFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := mpcp.WriteTraceJSON(tr, &buf); err != nil {
+	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"events"`) {
@@ -199,7 +199,7 @@ func TestImmediatePCPFacade(t *testing.T) {
 	if res.AnyMiss || res.Deadlock {
 		t.Error("immediate PCP misbehaved")
 	}
-	if vs := mpcp.CheckMutex(tr); len(vs) > 0 {
+	if vs := tr.CheckMutex(); len(vs) > 0 {
 		t.Errorf("mutex: %v", vs)
 	}
 }
@@ -208,11 +208,11 @@ func TestAnalyzeDPCPWithSyncProcOption(t *testing.T) {
 	sys := buildTwoProc(t)
 	// Assigning the global semaphore's analysis duties to processor 1
 	// shifts the agent-preemption factor off processor 0.
-	b0, err := mpcp.BlockingBounds(sys, mpcp.ForDPCP(), mpcp.WithDPCPSyncProc(1, 0))
+	b0, err := mpcp.BlockingBounds(sys, mpcp.WithDPCPAnalysis(), mpcp.WithDPCPSyncProc(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := mpcp.BlockingBounds(sys, mpcp.ForDPCP(), mpcp.WithDPCPSyncProc(1, 1))
+	b1, err := mpcp.BlockingBounds(sys, mpcp.WithDPCPAnalysis(), mpcp.WithDPCPSyncProc(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

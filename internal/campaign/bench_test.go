@@ -22,9 +22,9 @@ func benchSpec() *Spec {
 }
 
 // BenchmarkCampaignPoints measures campaign throughput (points/sec) at 1
-// worker vs all CPUs — the headline number for the parallel engine. Run
-// `make bench-json` for machine-readable output in BENCH_campaign.json.
-// The multi-worker case is floored at 2 so the pool is exercised even on
+// worker vs all CPUs — the headline number for the parallel engine. The
+// repository benchmark (`python3 perfbench/run.py`) measures end-to-end
+// campaign throughput. The multi-worker case is floored at 2 so the pool is exercised even on
 // single-CPU machines (where no actual speedup is possible).
 func BenchmarkCampaignPoints(b *testing.B) {
 	multi := runtime.NumCPU()

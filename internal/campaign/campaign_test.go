@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -108,6 +109,60 @@ func TestResume(t *testing.T) {
 	}
 	if skipped != 2 {
 		t.Errorf("resume skipped %d points, want 2", skipped)
+	}
+}
+
+// crashingExecutor evaluates the first n points it is given, then fails
+// as a process killed mid-campaign would: Run returns before rewriting
+// the result file, leaving the appended checkpoint as the crash left it.
+type crashingExecutor struct{ n int }
+
+func (c crashingExecutor) Execute(spec *Spec, points []Point, collect func(*PointResult)) error {
+	if err := (&LocalPool{Workers: 1}).Execute(spec, points[:c.n], collect); err != nil {
+		return err
+	}
+	return errors.New("simulated crash")
+}
+
+// TestResumeAfterTornTail: a resumed run that appends after a torn last
+// line must not fuse its first record with the fragment, so a second
+// resume restores every point the first one completed.
+func TestResumeAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.jsonl")
+	part := filepath.Join(dir, "part.jsonl")
+
+	mustRun(t, testSpec(), Options{Workers: 4, ResultsPath: full})
+	want, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(want), "\n")
+	torn := lines[0] + lines[1][:len(lines[1])/2]
+	if err := os.WriteFile(part, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first resume completes two points, then crashes.
+	if _, err := Run(testSpec(), Options{ResultsPath: part, Resume: true, Executor: crashingExecutor{n: 2}}); err == nil {
+		t.Fatal("crashing executor did not abort the run")
+	}
+	var skipped int
+	mustRun(t, testSpec(), Options{
+		Workers:     4,
+		ResultsPath: part,
+		Resume:      true,
+		Progress:    func(p Progress) { skipped = p.Skipped },
+	})
+	if skipped != 3 {
+		t.Errorf("second resume skipped %d points, want 3 (one before the tear, two appended after it)", skipped)
+	}
+	got, err := os.ReadFile(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed result file differs from uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -144,13 +146,13 @@ func Run(spec *Spec, opts Options) (*Campaign, error) {
 				return nil, fmt.Errorf("campaign: %w", err)
 			}
 		}
-		flags := os.O_CREATE | os.O_WRONLY
+		var f *os.File
+		var err error
 		if opts.Resume {
-			flags |= os.O_APPEND
+			f, err = OpenAppend(opts.ResultsPath)
 		} else {
-			flags |= os.O_TRUNC
+			f, err = os.OpenFile(opts.ResultsPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		}
-		f, err := os.OpenFile(opts.ResultsPath, flags, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
@@ -266,6 +268,29 @@ func writeResult(w *bufio.Writer, r *PointResult) error {
 		return err
 	}
 	return w.WriteByte('\n')
+}
+
+// OpenAppend opens the JSONL checkpoint at path for appending, creating
+// it if missing. A crash mid-append can leave the last line torn; that
+// unterminated tail is cut off first, so the next record starts on a line
+// of its own instead of fusing with the fragment into a line no restore
+// can parse.
+func OpenAppend(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(f)
+	if err == nil {
+		if keep := bytes.LastIndexByte(data, '\n') + 1; keep < len(data) {
+			err = f.Truncate(int64(keep))
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("trim torn tail of %s: %w", path, err)
+	}
+	return f, nil
 }
 
 // loadResults reads a JSONL checkpoint, keeping the last entry per key

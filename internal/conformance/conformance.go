@@ -22,7 +22,6 @@ import (
 	"hash/fnv"
 
 	"mpcp/internal/campaign"
-	"mpcp/internal/cli"
 	"mpcp/internal/registry"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -187,7 +186,7 @@ func makeProtocol(name string, sys *task.System) (sim.Protocol, error) {
 	if name == "broken" {
 		return brokenProtocol{}, nil
 	}
-	return cli.ResolveProtocolFor(name, sys)
+	return registry.New(name, registry.Opts{Sys: sys})
 }
 
 func knownProtocol(name string) bool {

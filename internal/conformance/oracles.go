@@ -62,7 +62,7 @@ func simulateCfg(name string, sys *task.System, cfg sim.Config) *runOut {
 		return &runOut{err: err}
 	}
 	log := trace.New()
-	cfg.Trace = log
+	cfg.Sink = log
 	e, err := sim.New(sys, p, cfg)
 	if err != nil {
 		return &runOut{err: err}

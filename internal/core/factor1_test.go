@@ -61,7 +61,7 @@ func TestFactorOneAdversarial(t *testing.T) {
 	}
 
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 200, Trace: log, RetainJobs: true})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 200, Sink: log, RetainJobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestVSHandoverPreemption(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 60, Trace: log, RetainJobs: true})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 60, Sink: log, RetainJobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

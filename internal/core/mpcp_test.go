@@ -140,7 +140,7 @@ func TestExample4Invariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	res := run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 200, Trace: log, RetainJobs: true})
+	res := run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 200, Sink: log, RetainJobs: true})
 
 	if res.Deadlock {
 		t.Fatalf("deadlock at t=%d", res.DeadlockAt)
@@ -165,7 +165,7 @@ func TestGcsNotPreemptedByArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 60, Trace: log})
+	run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 60, Sink: log})
 
 	// On processor 0: J2 (tau2) locks SG2 at t=1 and computes in its gcs
 	// during [1,3). J1 (tau1) arrives at t=2 but must not run until the
@@ -204,7 +204,7 @@ func TestPriorityOrderedGrant(t *testing.T) {
 	}
 
 	log := trace.New()
-	run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 30, Trace: log})
+	run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 30, Sink: log})
 
 	var grants []task.ID
 	for _, e := range log.EventsOfKind(trace.EvGrant) {
@@ -240,7 +240,7 @@ func TestFIFOQueueAblation(t *testing.T) {
 	}
 
 	log := trace.New()
-	run(t, sys, core.New(core.Options{FIFOQueues: true}), sim.Config{Horizon: 30, Trace: log})
+	run(t, sys, core.New(core.Options{FIFOQueues: true}), sim.Config{Horizon: 30, Sink: log})
 
 	var grants []task.ID
 	for _, e := range log.EventsOfKind(trace.EvGrant) {
@@ -279,7 +279,7 @@ func TestUniprocessorReduction(t *testing.T) {
 	}
 
 	logM := trace.New()
-	resM := run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 100, Trace: logM})
+	resM := run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 100, Sink: logM})
 
 	// Under PCP, J1 requesting S1 at t=3 is blocked by ceiling of S2
 	// (held by J3) only if ceiling(S2) >= P1; here only J3 uses S2, so
@@ -320,7 +320,7 @@ func TestPcpCeilingBlocking(t *testing.T) {
 	}
 
 	log := trace.New()
-	res := run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 60, Trace: log})
+	res := run(t, sys, core.New(core.Options{}), sim.Config{Horizon: 60, Sink: log})
 
 	// J2 must experience a ceiling block: it requests sb at t=2 while J3
 	// holds sa whose ceiling P1 >= P2.

@@ -32,7 +32,7 @@ func spinScenario(t *testing.T) *task.System {
 func TestSuspendLetsLowerPriorityRun(t *testing.T) {
 	sys := spinScenario(t)
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 60, Trace: log, RetainJobs: true})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 60, Sink: log, RetainJobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSuspendLetsLowerPriorityRun(t *testing.T) {
 func TestSpinHoldsProcessor(t *testing.T) {
 	sys := spinScenario(t)
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{Wait: core.Spin}), sim.Config{Horizon: 60, Trace: log, RetainJobs: true})
+	e, err := sim.New(sys, core.New(core.Options{Wait: core.Spin}), sim.Config{Horizon: 60, Sink: log, RetainJobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestGcsAtCeilingRunsHigher(t *testing.T) {
 	// gcs's while preserving Theorem 2; both variants satisfy it.
 	for _, p := range []*core.Protocol{core.New(core.Options{}), core.New(core.Options{GcsAtCeiling: true})} {
 		log := trace.New()
-		e, err := sim.New(sys, p, sim.Config{Horizon: 280, Trace: log})
+		e, err := sim.New(sys, p, sim.Config{Horizon: 280, Sink: log})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestNestedGlobalRuntime(t *testing.T) {
 		t.Error("nested globals accepted without AllowNestedGlobal")
 	}
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{AllowNestedGlobal: true}), sim.Config{Horizon: 300, Trace: log})
+	e, err := sim.New(sys, core.New(core.Options{AllowNestedGlobal: true}), sim.Config{Horizon: 300, Sink: log})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -383,6 +384,58 @@ func TestCheckpointResume(t *testing.T) {
 
 	got := mergedJSONL(t, client2, sub2.JobID, sub2.Units)
 	if !bytes.Equal(got, want) {
+		t.Errorf("resumed output differs from single-process run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCheckpointResumeAfterTornTail: a coordinator that restarts on a
+// checkpoint whose last line a crash tore must not fuse its next record
+// with the fragment, so a second restart restores every unit ingested
+// after the tear.
+func TestCheckpointResumeAfterTornTail(t *testing.T) {
+	dataDir := t.TempDir()
+	spec := testSpec()
+	want := localJSONL(t, spec)
+
+	// crashAfter starts a coordinator on dataDir, submits the sweep,
+	// ingests n shards and closes the coordinator as a crash would.
+	crashAfter := func(n int) *SubmitResponse {
+		srv := NewServer(ServerOptions{ShardSize: 1, DataDir: dataDir})
+		ts := httptest.NewServer(srv.Handler())
+		client := &Client{BaseURL: ts.URL}
+		sub := submitSweep(t, client, spec)
+		mw := newManualWorker(t, client)
+		for i := 0; i < n; i++ {
+			mw.step("w")
+		}
+		ts.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		return sub
+	}
+
+	sub := crashAfter(2)
+	path := filepath.Join(dataDir, "jobs", sub.JobID+".jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if err := os.WriteFile(path, []byte(lines[0]+lines[1][:len(lines[1])/2]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if sub := crashAfter(2); sub.Resumed != 1 {
+		t.Fatalf("first restart resumed %d units, want 1 (the line before the tear)", sub.Resumed)
+	}
+	_, client := newTestServer(t, ServerOptions{ShardSize: 1, DataDir: dataDir})
+	sub = submitSweep(t, client, spec)
+	if sub.Resumed != 3 {
+		t.Fatalf("second restart resumed %d units, want 3 (one before the tear, two appended after it)", sub.Resumed)
+	}
+	newManualWorker(t, client).drain("w")
+	if got := mergedJSONL(t, client, sub.JobID, sub.Units); !bytes.Equal(got, want) {
 		t.Errorf("resumed output differs from single-process run:\n%s\nvs\n%s", got, want)
 	}
 }

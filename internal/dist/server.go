@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"mpcp/internal/campaign"
 	"mpcp/internal/obs"
 	"mpcp/internal/obs/span"
 )
@@ -319,7 +320,7 @@ func (s *Server) openCheckpoint(j *job) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := campaign.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}

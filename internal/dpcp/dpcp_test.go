@@ -45,7 +45,7 @@ func TestGcsExecutesOnSyncProcessor(t *testing.T) {
 	sys, g := twoProcShared(t)
 	log := trace.New()
 	p := dpcp.New(dpcp.Options{Assign: map[task.SemID]task.ProcID{g: 1}})
-	res := run(t, sys, p, sim.Config{Horizon: 240, Trace: log})
+	res := run(t, sys, p, sim.Config{Horizon: 240, Sink: log})
 
 	if p.SyncProc(g) != 1 {
 		t.Fatalf("sync proc = %d, want 1", p.SyncProc(g))
@@ -111,7 +111,7 @@ func TestAgentPreemptsSyncProcTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	run(t, sys, dpcp.New(dpcp.Options{}), sim.Config{Horizon: 280, Trace: log})
+	run(t, sys, dpcp.New(dpcp.Options{}), sim.Config{Horizon: 280, Sink: log})
 
 	// τ3's agent arrives at t=1 on P0 while τ1 executes; ticks 1..3 on P0
 	// must belong to τ3's gcs.
@@ -133,7 +133,7 @@ func TestMutualExclusionUnderContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	res := run(t, sys, dpcp.New(dpcp.Options{}), sim.Config{Trace: log})
+	res := run(t, sys, dpcp.New(dpcp.Options{}), sim.Config{Sink: log})
 	if res.Deadlock {
 		t.Fatal("deadlock")
 	}
@@ -148,7 +148,7 @@ func TestExample3UnderDPCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	res := run(t, sys, dpcp.New(dpcp.Options{}), sim.Config{Horizon: 400, Trace: log})
+	res := run(t, sys, dpcp.New(dpcp.Options{}), sim.Config{Horizon: 400, Sink: log})
 	if res.Deadlock {
 		t.Fatal("deadlock")
 	}

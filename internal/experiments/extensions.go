@@ -250,7 +250,7 @@ func E16AperiodicServer() (*Table, error) {
 
 		const horizon = 5400
 		log := trace.New()
-		e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: horizon, Trace: log})
+		e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: horizon, Sink: log})
 		if err != nil {
 			return nil, err
 		}

@@ -61,7 +61,7 @@ func E1RemoteBlocking() (*Table, error) {
 		return nil, err
 	}
 	log := trace.New()
-	eng, err := sim.New(sysFig, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 24, Trace: log})
+	eng, err := sim.New(sysFig, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 24, Sink: log})
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func E2InheritanceInsufficient() (*Table, error) {
 		return nil, err
 	}
 	logInh := trace.New()
-	engInh, err := sim.New(sysFig, proto.NewInherit(), sim.Config{Horizon: 24, Trace: logInh})
+	engInh, err := sim.New(sysFig, proto.NewInherit(), sim.Config{Horizon: 24, Sink: logInh})
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func E2InheritanceInsufficient() (*Table, error) {
 		return nil, err
 	}
 	logMp := trace.New()
-	engMp, err := sim.New(sysFig2, core.New(core.Options{}), sim.Config{Horizon: 24, Trace: logMp})
+	engMp, err := sim.New(sysFig2, core.New(core.Options{}), sim.Config{Horizon: 24, Sink: logMp})
 	if err != nil {
 		return nil, err
 	}

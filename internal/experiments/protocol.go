@@ -20,7 +20,7 @@ func E6Example4Trace() (*Table, error) {
 		return nil, err
 	}
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 40, Trace: log})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 40, Sink: log})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func E8GcsPreemptionInvariant() (*Table, error) {
 			return nil, err
 		}
 		log := trace.New()
-		e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Trace: log})
+		e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Sink: log})
 		if err != nil {
 			return nil, err
 		}

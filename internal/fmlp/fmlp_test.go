@@ -70,7 +70,7 @@ func TestSplit(t *testing.T) {
 func TestShortSpinsLongSuspends(t *testing.T) {
 	sys, s, l := shortLongSystem(t)
 	log := trace.New()
-	res := run(t, sys, fmlp.New(fmlp.Options{}), sim.Config{Horizon: 600, Trace: log, RetainJobs: true})
+	res := run(t, sys, fmlp.New(fmlp.Options{}), sim.Config{Horizon: 600, Sink: log, RetainJobs: true})
 	if res.Deadlock {
 		t.Fatal("deadlock")
 	}
@@ -104,7 +104,7 @@ func TestGcsNeverPreempted(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	res := run(t, sys, fmlp.New(fmlp.Options{}), sim.Config{Trace: log})
+	res := run(t, sys, fmlp.New(fmlp.Options{}), sim.Config{Sink: log})
 	if res.Deadlock {
 		t.Fatal("deadlock")
 	}

@@ -16,7 +16,7 @@ import (
 func runLog(t *testing.T, sys *task.System, p sim.Protocol) *trace.Log {
 	t.Helper()
 	log := trace.New()
-	e, err := sim.New(sys, p, sim.Config{Trace: log})
+	e, err := sim.New(sys, p, sim.Config{Sink: log})
 	if err != nil {
 		t.Fatal(err)
 	}

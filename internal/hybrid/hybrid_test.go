@@ -60,7 +60,7 @@ func TestMixedModesCoexist(t *testing.T) {
 		Assign: map[task.SemID]task.ProcID{gB: 1},
 	})
 	log := trace.New()
-	res := run(t, sys, p, sim.Config{Horizon: 300, Trace: log})
+	res := run(t, sys, p, sim.Config{Horizon: 300, Sink: log})
 	if res.Deadlock || res.AnyMiss {
 		t.Fatalf("deadlock=%v miss=%v", res.Deadlock, res.AnyMiss)
 	}
@@ -87,7 +87,7 @@ func TestAllSharedEqualsMPCPBehaviour(t *testing.T) {
 	sys, _, _ := mixedSystem(t)
 	p := hybrid.New(hybrid.Options{})
 	log := trace.New()
-	res := run(t, sys, p, sim.Config{Horizon: 300, Trace: log})
+	res := run(t, sys, p, sim.Config{Horizon: 300, Sink: log})
 	if res.Deadlock || res.AnyMiss {
 		t.Fatal("hybrid all-shared misbehaved")
 	}
@@ -103,7 +103,7 @@ func TestRemoteGcsRunsOnSyncProc(t *testing.T) {
 		Assign: map[task.SemID]task.ProcID{gA: 0, gB: 1},
 	})
 	log := trace.New()
-	run(t, sys, p, sim.Config{Horizon: 300, Trace: log})
+	run(t, sys, p, sim.Config{Horizon: 300, Sink: log})
 
 	// With both semaphores remote, every gcs tick runs on its assigned
 	// sync processor. Since task bodies interleave gA then gB sections,
@@ -152,7 +152,7 @@ func TestHybridOnRandomWorkloads(t *testing.T) {
 			}
 		}
 		log := trace.New()
-		res := run(t, sys, hybrid.New(hybrid.Options{Remote: remote}), sim.Config{Trace: log})
+		res := run(t, sys, hybrid.New(hybrid.Options{Remote: remote}), sim.Config{Sink: log})
 		if res.Deadlock {
 			t.Errorf("seed %d: deadlock", seed)
 		}

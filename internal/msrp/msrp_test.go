@@ -72,7 +72,7 @@ func TestGcsNeverPreempted(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	res := run(t, sys, sim.Config{Trace: log})
+	res := run(t, sys, sim.Config{Sink: log})
 	if res.Deadlock {
 		t.Fatal("deadlock")
 	}

@@ -45,7 +45,7 @@ func protocols(sys *task.System) map[string]sim.Protocol {
 func crossCheck(t *testing.T, name string, sys *task.System, proto sim.Protocol) {
 	t.Helper()
 	log := trace.New()
-	e, err := sim.New(sys, proto, sim.Config{Trace: log, RetainJobs: true})
+	e, err := sim.New(sys, proto, sim.Config{Sink: log, RetainJobs: true})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -179,7 +179,7 @@ func TestMeasuredBlockingWithinBound(t *testing.T) {
 				continue
 			}
 			log := trace.New()
-			e, err := sim.New(sys, tc.proto(), sim.Config{Trace: log})
+			e, err := sim.New(sys, tc.proto(), sim.Config{Sink: log})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,7 +92,7 @@ func TestCollectTraceAvionics(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Trace: log})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Sink: log})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func overloadedRun(t *testing.T, policy sim.OverloadPolicy) (*sim.Result, *obs.S
 	}
 	log := trace.New()
 	e, err := sim.New(sys, proto.NewNone(proto.FIFOOrder), sim.Config{
-		Horizon: 300, Trace: log, Overload: policy,
+		Horizon: 300, Sink: log, Overload: policy,
 	})
 	if err != nil {
 		t.Fatalf("new engine: %v", err)

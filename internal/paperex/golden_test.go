@@ -28,7 +28,7 @@ func TestExample4GoldenTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 40, Trace: log})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 40, Sink: log})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func runImmediate(t *testing.T, sys *task.System, cfg sim.Config) *sim.Result {
 func TestImmediateNeverBlocksAtRequest(t *testing.T) {
 	sys := classicPCP(t)
 	log := trace.New()
-	res := runImmediate(t, sys, sim.Config{Horizon: 120, Trace: log})
+	res := runImmediate(t, sys, sim.Config{Horizon: 120, Sink: log})
 
 	// The defining property: no job ever blocks at a lock request.
 	if evs := log.EventsOfKind(trace.EvBlockLocal); len(evs) != 0 {
@@ -123,7 +123,7 @@ func TestImmediatePriorityRestoredAfterNesting(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	runImmediate(t, sys, sim.Config{Horizon: 140, Trace: log})
+	runImmediate(t, sys, sim.Config{Horizon: 140, Sink: log})
 
 	// After the low task leaves both sections (by t=4) it must be back at
 	// base priority, so the high and mid arrivals at t=10 preempt it.

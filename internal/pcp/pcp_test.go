@@ -51,7 +51,7 @@ func classicPCP(t *testing.T) *task.System {
 func TestCeilingBlockingPreventsChainedBlocking(t *testing.T) {
 	sys := classicPCP(t)
 	log := trace.New()
-	res := run(t, sys, sim.Config{Horizon: 120, Trace: log, RetainJobs: true})
+	res := run(t, sys, sim.Config{Horizon: 120, Sink: log, RetainJobs: true})
 
 	// The high-priority task can be blocked by at most one lower-priority
 	// critical section (here τ3's 5-tick section on s1).
@@ -76,7 +76,7 @@ func TestCeilingBlockingPreventsChainedBlocking(t *testing.T) {
 func TestInheritanceAccelersHolder(t *testing.T) {
 	sys := classicPCP(t)
 	log := trace.New()
-	run(t, sys, sim.Config{Horizon: 120, Trace: log})
+	run(t, sys, sim.Config{Horizon: 120, Sink: log})
 
 	// When τ1 arrives at t=4 and requests s1 (held by τ3), τ3 must
 	// inherit P1 and run instead of τ2.

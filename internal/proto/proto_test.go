@@ -106,7 +106,7 @@ func TestFIFOVersusPriorityWakeup(t *testing.T) {
 
 	grants := func(p sim.Protocol) []task.ID {
 		log := trace.New()
-		run(t, build(), p, sim.Config{Horizon: 40, Trace: log})
+		run(t, build(), p, sim.Config{Horizon: 40, Sink: log})
 		var out []task.ID
 		for _, e := range log.EventsOfKind(trace.EvGrant) {
 			out = append(out, e.Task)
@@ -164,7 +164,7 @@ func TestInheritanceTransitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	run(t, sys, proto.NewInherit(), sim.Config{Horizon: 120, Trace: log})
+	run(t, sys, proto.NewInherit(), sim.Config{Horizon: 120, Sink: log})
 
 	saw := false
 	for _, e := range log.EventsOfKind(trace.EvInherit) {

@@ -63,6 +63,58 @@ func TestEveryDescriptorConstructs(t *testing.T) {
 	}
 }
 
+// TestNewByName: the command-line names and aliases the tools accept,
+// including the empty default, build a named protocol.
+func TestNewByName(t *testing.T) {
+	names := []string{
+		"mpcp", "mpcp-spin", "mpcp-fifo", "mpcp-ceil", "mpcp-nested",
+		"dpcp", "pcp", "none", "none-prio", "inherit", "msrp", "fmlp+", "",
+	}
+	for _, n := range names {
+		p, err := registry.New(n, registry.Opts{})
+		if err != nil {
+			t.Errorf("New(%q): %v", n, err)
+			continue
+		}
+		if p == nil || p.Name() == "" {
+			t.Errorf("New(%q): empty protocol", n)
+		}
+	}
+}
+
+// TestNewCaseInsensitive: New accepts every registered name in upper
+// case.
+func TestNewCaseInsensitive(t *testing.T) {
+	for _, d := range registry.All() {
+		if _, err := registry.New(strings.ToUpper(d.Name), registry.Opts{}); err != nil {
+			t.Errorf("New(%q): %v", strings.ToUpper(d.Name), err)
+		}
+	}
+}
+
+// TestNewUnknown: New rejects a name no descriptor registers.
+func TestNewUnknown(t *testing.T) {
+	if _, err := registry.New("bogus", registry.Opts{}); err == nil {
+		t.Error("unknown protocol accepted")
+	}
+}
+
+// TestNewFreshInstances: New returns a fresh instance per call, since
+// protocol state is per-run.
+func TestNewFreshInstances(t *testing.T) {
+	for _, d := range registry.All() {
+		a, errA := registry.New(d.Name, registry.Opts{})
+		b, errB := registry.New(d.Name, registry.Opts{})
+		if errA != nil || errB != nil {
+			t.Errorf("New(%q): %v, %v", d.Name, errA, errB)
+			continue
+		}
+		if a == b {
+			t.Errorf("New(%q) returned the same instance twice", d.Name)
+		}
+	}
+}
+
 // TestAnalyzableDescriptorsAnalyze: every protocol claiming a bound
 // produces one for every task of a multiprocessor workload.
 func TestAnalyzableDescriptorsAnalyze(t *testing.T) {

@@ -33,7 +33,7 @@ func buildWithServer(t *testing.T) (*task.System, task.ID) {
 func simulate(t *testing.T, sys *task.System, horizon int) *trace.Log {
 	t.Helper()
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: horizon, Trace: log})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: horizon, Sink: log})
 	if err != nil {
 		t.Fatal(err)
 	}

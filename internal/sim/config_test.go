@@ -46,7 +46,7 @@ func TestStopOnMissAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	e, err := sim.New(sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 10000, Trace: log, StopOnMiss: true})
+	e, err := sim.New(sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 10000, Sink: log, StopOnMiss: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,54 +59,6 @@ func TestStopOnMissAborts(t *testing.T) {
 	}
 	if h := log.Horizon(); h > 100 {
 		t.Errorf("run continued to t=%d after the first miss", h)
-	}
-}
-
-func TestKeepRunningOnDeadlock(t *testing.T) {
-	const s1, s2 = task.SemID(1), task.SemID(2)
-	sys := task.NewSystem(2)
-	sys.AddSem(&task.Semaphore{ID: s1})
-	sys.AddSem(&task.Semaphore{ID: s2})
-	sys.AddTask(&task.Task{ID: 1, Proc: 0, Period: 300, Priority: 2,
-		Body: []task.Segment{task.Lock(s1), task.Compute(2), task.Lock(s2), task.Compute(1), task.Unlock(s2), task.Unlock(s1)}})
-	// Task 2 computes inside its first section until after task 1 (which
-	// waits behind task 3's first job) has locked s1, then requests s1.
-	sys.AddTask(&task.Task{ID: 2, Proc: 1, Period: 300, Priority: 1,
-		Body: []task.Segment{task.Lock(s2), task.Compute(6), task.Lock(s1), task.Compute(1), task.Unlock(s1), task.Unlock(s2)}})
-	// An unrelated task that keeps running after the deadlock.
-	sys.AddTask(&task.Task{ID: 3, Proc: 0, Period: 50, Priority: 3,
-		Body: []task.Segment{task.Compute(5)}})
-	if err := sys.Validate(task.ValidateOptions{AllowNestedGlobal: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Default: detection stops the run.
-	e1, err := sim.New(sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := e1.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With task 3 running periodically the processors are not all idle
-	// simultaneously very often, but the deadlocked pair never finishes.
-	if r1.Stats[1].Finished != 0 || r1.Stats[2].Finished != 0 {
-		t.Fatal("deadlocked tasks finished?")
-	}
-
-	// KeepRunning: the run continues to the horizon and the healthy task
-	// completes all its jobs.
-	e2, err := sim.New(sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 300, KeepRunningOnDeadlock: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Stats[3].Finished != 6 {
-		t.Errorf("healthy task finished %d jobs, want 6", r2.Stats[3].Finished)
 	}
 }
 

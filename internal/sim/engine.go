@@ -86,16 +86,11 @@ type Config struct {
 	// hyperperiod past the largest release offset.
 	Horizon int
 
-	// Trace receives the event log; nil disables tracing.
-	Trace *trace.Log
-
-	// Sink, when set, receives every trace record as it is produced, in
-	// addition to Trace (if any). A streaming sink lets long-horizon runs
-	// emit a full trace without buffering it in memory. The engine never
-	// closes the sink; a sink write error aborts the run. Note that
-	// *trace.Log itself implements trace.Sink, so Sink subsumes Trace —
-	// Trace remains for callers that want the in-memory log back on the
-	// Result.
+	// Sink receives every trace record as it is produced; nil disables
+	// tracing. A *trace.Log buffers the run in memory; a streaming sink
+	// lets long-horizon runs emit a full trace without buffering it;
+	// trace.MultiSink does both. The engine never closes the sink; a sink
+	// write error aborts the run.
 	Sink trace.Sink
 
 	// RetainJobs keeps every job instance in the Result for per-job
@@ -104,11 +99,6 @@ type Config struct {
 
 	// StopOnMiss aborts the run at the first deadline miss.
 	StopOnMiss bool
-
-	// StopOnDeadlock aborts when every processor is idle while blocked or
-	// suspended jobs remain (which can never recover). Defaults on; the
-	// field disables it when set.
-	KeepRunningOnDeadlock bool
 
 	// ReleaseSeed overrides the system's ReleaseSeed as the key for the
 	// sporadic-gap and release-jitter draws; 0 keeps the system's seed.
@@ -142,7 +132,6 @@ type Result struct {
 	Stats map[task.ID]*TaskStats
 	Procs []*ProcStats // indexed by processor
 	Jobs  []*Job       // populated when Config.RetainJobs
-	Trace *trace.Log
 
 	// TicksSkipped counts the ticks the event-horizon fast path
 	// synthesized in bulk instead of stepping individually. It is always 0
@@ -210,7 +199,6 @@ type Engine struct {
 	taskIx   map[task.ID]int
 	seq      uint64
 
-	log      *trace.Log
 	sink     trace.Sink
 	sinkErr  error
 	result   *Result
@@ -227,17 +215,12 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = sys.MaxOffset() + sys.Hyperperiod()
 	}
-	log := cfg.Trace
-	if log == nil {
-		log = trace.NewDisabled()
-	}
 	e := &Engine{
 		sys:    sys,
 		proto:  proto,
 		cfg:    cfg,
 		procs:  make([]*Job, sys.NumProcs),
 		taskIx: make(map[task.ID]int, len(sys.Tasks)),
-		log:    log,
 		sink:   cfg.Sink,
 		result: &Result{
 			Protocol:   proto.Name(),
@@ -245,7 +228,6 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 			DeadlockAt: -1,
 			Stats:      make(map[task.ID]*TaskStats, len(sys.Tasks)),
 			Procs:      make([]*ProcStats, sys.NumProcs),
-			Trace:      log,
 		},
 	}
 	for i := range e.result.Procs {
@@ -270,14 +252,12 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// emit records a trace event in the buffered log and forwards it to the
-// configured sink, latching the first sink error (which aborts the run at
-// the next Step boundary — a trace with silent holes is worse than a
-// failed run).
+// emit forwards a trace event to the configured sink, latching the first
+// sink error (which aborts the run at the next Step boundary — a trace
+// with silent holes is worse than a failed run).
 //
 //rtlint:hotpath
 func (e *Engine) emit(ev trace.Event) {
-	e.log.Add(ev)
 	if e.sink != nil && e.sinkErr == nil {
 		if err := e.sink.Event(ev); err != nil {
 			e.sinkErr = fmt.Errorf("sim: trace sink: %w", err)
@@ -289,7 +269,6 @@ func (e *Engine) emit(ev trace.Event) {
 //
 //rtlint:hotpath
 func (e *Engine) emitExec(x trace.Exec) {
-	e.log.AddExec(x)
 	if e.sink != nil && e.sinkErr == nil {
 		if err := e.sink.Exec(x); err != nil {
 			e.sinkErr = fmt.Errorf("sim: trace sink: %w", err)
@@ -302,9 +281,6 @@ func (e *Engine) Sys() *task.System { return e.sys }
 
 // Now returns the current tick.
 func (e *Engine) Now() int { return e.now }
-
-// Log returns the trace log (possibly disabled).
-func (e *Engine) Log() *trace.Log { return e.log }
 
 // Run executes the simulation to completion and returns its result. It
 // is equivalent to calling Step until done. Run (or the final Step) can
@@ -359,7 +335,7 @@ func (e *Engine) Step() (done bool, err error) {
 	e.accountWaiting()
 	e.checkDeadlines()
 	stop := (e.cfg.StopOnMiss && e.result.AnyMiss)
-	if !e.cfg.KeepRunningOnDeadlock && e.detectDeadlock() {
+	if e.detectDeadlock() {
 		e.result.Deadlock = true
 		e.result.DeadlockAt = e.now
 		stop = true

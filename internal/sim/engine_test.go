@@ -43,7 +43,7 @@ func mustRun(t *testing.T, sys *task.System, p sim.Protocol, cfg sim.Config) *si
 func TestPreemptiveFixedPriorityScheduling(t *testing.T) {
 	sys := uniproc(t)
 	log := trace.New()
-	res := mustRun(t, sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 20, Trace: log})
+	res := mustRun(t, sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 20, Sink: log})
 
 	// High-priority task runs first: ticks 0..2; low runs 3..7.
 	for tick := 0; tick < 3; tick++ {
@@ -85,7 +85,7 @@ func TestPreemptionMidJob(t *testing.T) {
 		t.Fatalf("validate: %v", err)
 	}
 	log := trace.New()
-	mustRun(t, sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 12, Trace: log})
+	mustRun(t, sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 12, Sink: log})
 
 	want := []task.ID{2, 2, 1, 1, 2, 2, 2, 2}
 	for tick, w := range want {

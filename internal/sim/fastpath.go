@@ -111,7 +111,7 @@ func (e *Engine) fastForward(q int) int {
 	// Exec records, tick-major then processor-ascending, matching the
 	// per-tick reference interleaving. Skippable only when nobody is
 	// listening.
-	if e.log.Enabled() || e.sink != nil {
+	if e.sink != nil {
 		for dt := 0; dt < q; dt++ {
 			t := e.now + dt
 			for p, j := range e.procs {

@@ -14,13 +14,20 @@ import (
 	"mpcp/internal/workload"
 )
 
+// tracedResult is a run's result together with the trace it recorded.
+type tracedResult struct {
+	*sim.Result
+	log *trace.Log
+}
+
 // runBoth executes the same system/protocol twice — fast path and
 // reference stepper — with full traces and retained jobs.
-func runBoth(t *testing.T, sys *task.System, mk func() sim.Protocol, cfg sim.Config) (fast, ref *sim.Result) {
+func runBoth(t *testing.T, sys *task.System, mk func() sim.Protocol, cfg sim.Config) (fast, ref tracedResult) {
 	t.Helper()
-	one := func(reference bool) *sim.Result {
+	one := func(reference bool) tracedResult {
+		log := trace.New()
 		c := cfg
-		c.Trace = trace.New()
+		c.Sink = log
 		c.RetainJobs = true
 		c.ReferenceStepper = reference
 		e, err := sim.New(sys, mk(), c)
@@ -31,7 +38,7 @@ func runBoth(t *testing.T, sys *task.System, mk func() sim.Protocol, cfg sim.Con
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return tracedResult{res, log}
 	}
 	return one(false), one(true)
 }
@@ -40,19 +47,19 @@ func runBoth(t *testing.T, sys *task.System, mk func() sim.Protocol, cfg sim.Con
 // log, the execution matrix (byte-for-byte via the stable JSON export),
 // statistics, processor counters and verdicts. TicksSkipped is the one
 // intentional difference.
-func diffRuns(t *testing.T, fast, ref *sim.Result) {
+func diffRuns(t *testing.T, fast, ref tracedResult) {
 	t.Helper()
-	if !reflect.DeepEqual(fast.Trace.Events, ref.Trace.Events) {
+	if !reflect.DeepEqual(fast.log.Events, ref.log.Events) {
 		t.Error("event logs differ")
 	}
-	if !reflect.DeepEqual(fast.Trace.Execs, ref.Trace.Execs) {
+	if !reflect.DeepEqual(fast.log.Execs, ref.log.Execs) {
 		t.Error("execution matrices differ")
 	}
 	var bFast, bRef bytes.Buffer
-	if err := fast.Trace.WriteJSON(&bFast); err != nil {
+	if err := fast.log.WriteJSON(&bFast); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Trace.WriteJSON(&bRef); err != nil {
+	if err := ref.log.WriteJSON(&bRef); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bFast.Bytes(), bRef.Bytes()) {

@@ -75,7 +75,7 @@ func TestQuickArbitraryBodiesUnderMPCP(t *testing.T) {
 			return true // structurally invalid bodies are out of scope here
 		}
 		log := trace.New()
-		e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 800, Trace: log})
+		e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 800, Sink: log})
 		if err != nil {
 			return false
 		}

@@ -33,7 +33,7 @@ func sporadicSystem(t *testing.T) *task.System {
 func tracedRun(t *testing.T, sys *task.System, cfg sim.Config) (*sim.Result, *trace.Log) {
 	t.Helper()
 	log := trace.New()
-	cfg.Trace = log
+	cfg.Sink = log
 	res := mustRun(t, sys, proto.NewNone(proto.FIFOOrder), cfg)
 	return res, log
 }

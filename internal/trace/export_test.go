@@ -18,7 +18,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 600, Trace: log})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 600, Sink: log})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,8 @@ func TestStreamRoundTrip(t *testing.T) {
 // TestStreamedSimByteIdenticalToBuffered is the acceptance check for the
 // streaming sink: a simulation writing through a StreamSink, replayed
 // into a buffered Log, must produce byte-identical WriteJSON output to
-// the Log that recorded the same run directly.
+// the Log that recorded the same run directly, and a zero-value Log must
+// record exactly what a Log from trace.New does.
 func TestStreamedSimByteIdenticalToBuffered(t *testing.T) {
 	sys, err := workload.Generate(workload.Default(11))
 	if err != nil {
@@ -122,7 +123,7 @@ func TestStreamedSimByteIdenticalToBuffered(t *testing.T) {
 	log := trace.New()
 	var stream bytes.Buffer
 	sink := trace.NewStreamSink(&stream)
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 800, Trace: log, Sink: sink})
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 800, Sink: trace.MultiSink(log, sink)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +150,21 @@ func TestStreamedSimByteIdenticalToBuffered(t *testing.T) {
 	}
 	if !bytes.Equal(direct.Bytes(), viaStream.Bytes()) {
 		t.Error("streamed trace replay differs from buffered log")
+	}
+
+	// A zero-value Log is ready to use: as the sink it records the same
+	// run as one from trace.New.
+	var zero trace.Log
+	e, err = sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 800, Sink: &zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero.Events, log.Events) || !reflect.DeepEqual(zero.Execs, log.Execs) {
+		t.Errorf("zero-value Log recorded %d events, %d execs; trace.New recorded %d, %d",
+			len(zero.Events), len(zero.Execs), len(log.Events), len(log.Execs))
 	}
 }
 

@@ -109,33 +109,16 @@ type Exec struct {
 type Log struct {
 	Events []Event
 	Execs  []Exec
-
-	enabled bool
 }
 
-// New returns an enabled log.
-func New() *Log { return &Log{enabled: true} }
+// New returns an empty log.
+func New() *Log { return &Log{} }
 
-// NewDisabled returns a log that drops everything, for benchmarks where
-// recording would dominate.
-func NewDisabled() *Log { return &Log{} }
+// Add appends an event.
+func (l *Log) Add(e Event) { l.Events = append(l.Events, e) }
 
-// Enabled reports whether the log records anything.
-func (l *Log) Enabled() bool { return l.enabled }
-
-// Add appends an event if the log is enabled.
-func (l *Log) Add(e Event) {
-	if l.enabled {
-		l.Events = append(l.Events, e)
-	}
-}
-
-// AddExec appends an execution tick if the log is enabled.
-func (l *Log) AddExec(x Exec) {
-	if l.enabled {
-		l.Execs = append(l.Execs, x)
-	}
-}
+// AddExec appends an execution tick.
+func (l *Log) AddExec(x Exec) { l.Execs = append(l.Execs, x) }
 
 // EventsOfKind returns the events of the given kind in time order.
 func (l *Log) EventsOfKind(k EventKind) []Event {

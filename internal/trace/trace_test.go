@@ -20,18 +20,6 @@ func sampleLog() *trace.Log {
 	return l
 }
 
-func TestDisabledLogDropsEverything(t *testing.T) {
-	l := trace.NewDisabled()
-	l.Add(trace.Event{Time: 1, Kind: trace.EvRelease})
-	l.AddExec(trace.Exec{Time: 1})
-	if len(l.Events) != 0 || len(l.Execs) != 0 {
-		t.Error("disabled log recorded entries")
-	}
-	if l.Enabled() {
-		t.Error("disabled log claims enabled")
-	}
-}
-
 func TestEventFiltering(t *testing.T) {
 	l := sampleLog()
 	if got := len(l.EventsOfKind(trace.EvLock)); got != 1 {

@@ -93,7 +93,7 @@ func TestSimulateAllProtocols(t *testing.T) {
 					t.Errorf("task %v finished no jobs", tk.Name)
 				}
 			}
-			if vs := mpcp.CheckMutex(tr); len(vs) > 0 {
+			if vs := tr.CheckMutex(); len(vs) > 0 {
 				t.Errorf("mutex violations: %v", vs)
 			}
 			if len(res.Jobs) == 0 {
@@ -120,7 +120,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 		t.Errorf("tiny workload should be schedulable: %+v", rep)
 	}
 	// DPCP analysis also runs.
-	if _, err := mpcp.Analyze(sys, mpcp.ForDPCP()); err != nil {
+	if _, err := mpcp.Analyze(sys, mpcp.WithDPCPAnalysis()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,7 +142,7 @@ func TestGanttFacade(t *testing.T) {
 	if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithTrace(tr), mpcp.WithHorizon(30)); err != nil {
 		t.Fatal(err)
 	}
-	chart := mpcp.Gantt(tr, sys, 0, 20)
+	chart := tr.Gantt(sys, 0, 20)
 	if !strings.Contains(chart, "P0") || !strings.Contains(chart, "P1") {
 		t.Errorf("chart missing processor rows:\n%s", chart)
 	}

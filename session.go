@@ -6,6 +6,7 @@ import (
 	"mpcp/internal/obs"
 	"mpcp/internal/obs/span"
 	"mpcp/internal/sim"
+	"mpcp/internal/trace"
 )
 
 // Session is a handle on one simulation run. Start prepares it; Run
@@ -16,6 +17,7 @@ import (
 // shared between goroutines.
 type Session struct {
 	eng     *sim.Engine
+	log     *trace.Log
 	metrics *obs.Registry
 	run     *span.Active
 	done    bool
@@ -28,14 +30,22 @@ func Start(sys *System, p Protocol, opts ...SimOption) (*Session, error) {
 	for _, opt := range opts {
 		opt(&s)
 	}
+	cfg := s.cfg
+	if s.log != nil {
+		if cfg.Sink != nil {
+			cfg.Sink = trace.MultiSink(s.log, cfg.Sink)
+		} else {
+			cfg.Sink = s.log
+		}
+	}
 	init := s.tracer.Start(s.spanParent, "sim.init", p.Name())
-	e, err := sim.New(sys, p, s.cfg)
+	e, err := sim.New(sys, p, cfg)
 	init.End()
 	if err != nil {
 		return nil, err
 	}
 	run := s.tracer.Start(s.spanParent, "sim.run", p.Name())
-	return &Session{eng: e, metrics: s.metrics, run: run}, nil
+	return &Session{eng: e, log: s.log, metrics: s.metrics, run: run}, nil
 }
 
 // Step advances the simulation and reports whether the run has completed
@@ -76,12 +86,7 @@ func (s *Session) Result() *SimResult { return s.eng.Result() }
 
 // Trace returns the event log configured with WithTrace, or nil when the
 // session records no trace.
-func (s *Session) Trace() *Trace {
-	if l := s.eng.Log(); l.Enabled() {
-		return l
-	}
-	return nil
-}
+func (s *Session) Trace() *Trace { return s.log }
 
 // Metrics returns the registry configured with WithMetrics, or nil. The
 // run's metrics are in place once the session completes.
@@ -105,7 +110,7 @@ func (s *Session) finish() {
 	}
 	res := s.eng.Result()
 	obs.CollectSimSpeed(s.metrics, res.Horizon, res.TicksSkipped)
-	if l := s.Trace(); l != nil {
-		obs.CollectTrace(s.metrics, l, s.eng.Sys(), res.Horizon)
+	if s.log != nil {
+		obs.CollectTrace(s.metrics, s.log, s.eng.Sys(), res.Horizon)
 	}
 }

@@ -188,7 +188,7 @@ func TestSessionSink(t *testing.T) {
 }
 
 // TestSessionTraceNilWithoutWithTrace: a session without WithTrace
-// reports no trace rather than a disabled placeholder log.
+// reports no trace.
 func TestSessionTraceNilWithoutWithTrace(t *testing.T) {
 	sess, err := mpcp.Start(buildTwoProc(t), mpcp.MPCP())
 	if err != nil {
@@ -199,63 +199,5 @@ func TestSessionTraceNilWithoutWithTrace(t *testing.T) {
 	}
 	if sess.Trace() != nil {
 		t.Error("Trace() non-nil without WithTrace")
-	}
-}
-
-// TestDeprecatedAliases pins every deprecated facade name to its
-// replacement: same behavior, byte-identical output.
-func TestDeprecatedAliases(t *testing.T) {
-	sys := buildTwoProc(t)
-
-	// Analysis option renames.
-	oldD, err := mpcp.BlockingBounds(sys, mpcp.ForDPCP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newD, err := mpcp.BlockingBounds(sys, mpcp.WithDPCPAnalysis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldD, newD) {
-		t.Error("ForDPCP and WithDPCPAnalysis bounds differ")
-	}
-	oldC, err := mpcp.BlockingBounds(sys, mpcp.AnalyzeGcsAtCeiling())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newC, err := mpcp.BlockingBounds(sys, mpcp.WithGcsAtCeilingAnalysis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldC, newC) {
-		t.Error("AnalyzeGcsAtCeiling and WithGcsAtCeilingAnalysis bounds differ")
-	}
-
-	// Package-level trace helpers vs Trace methods.
-	tr := mpcp.NewTrace()
-	if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithTrace(tr)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mpcp.CheckMutex(tr), tr.CheckMutex()) {
-		t.Error("CheckMutex alias diverges from the method")
-	}
-	if !reflect.DeepEqual(mpcp.CheckGcsPreemption(tr, sys.NumProcs), tr.CheckGcsPreemption(sys.NumProcs)) {
-		t.Error("CheckGcsPreemption alias diverges from the method")
-	}
-	if mpcp.TraceSummary(tr) != tr.Summary() {
-		t.Error("TraceSummary alias diverges from the method")
-	}
-	if mpcp.Gantt(tr, sys, 0, 40) != tr.Gantt(sys, 0, 40) {
-		t.Error("Gantt alias diverges from the method")
-	}
-	var a, b bytes.Buffer
-	if err := mpcp.WriteTraceJSON(tr, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("WriteTraceJSON alias diverges from the method")
 	}
 }

@@ -50,9 +50,11 @@ const (
 )
 
 // simSettings is the resolved configuration of a Session: the engine
-// config plus the facade-level extras (metrics registry, span tracer).
+// config plus the facade-level extras (trace log, metrics registry, span
+// tracer).
 type simSettings struct {
 	cfg        sim.Config
+	log        *trace.Log
 	metrics    *obs.Registry
 	tracer     *span.Tracer
 	spanParent span.Context
@@ -69,7 +71,7 @@ func WithHorizon(ticks int) SimOption {
 
 // WithTrace records the full event log and execution matrix into log.
 func WithTrace(log *Trace) SimOption {
-	return func(s *simSettings) { s.cfg.Trace = log }
+	return func(s *simSettings) { s.log = log }
 }
 
 // WithJobs retains every job instance in the result for per-job
@@ -164,39 +166,5 @@ func Simulate(sys *System, p Protocol, opts ...SimOption) (*SimResult, error) {
 	return s.Run()
 }
 
-// CheckMutex verifies mutual exclusion over a recorded trace.
-//
-// Deprecated: use the Trace method: log.CheckMutex().
-func CheckMutex(log *Trace) []Violation { return log.CheckMutex() }
-
-// CheckGcsPreemption verifies that no global critical section was
-// preempted by non-critical code (the mechanism behind Theorem 2).
-//
-// Deprecated: use the Trace method: log.CheckGcsPreemption(numProcs).
-func CheckGcsPreemption(log *Trace, numProcs int) []Violation {
-	return log.CheckGcsPreemption(numProcs)
-}
-
-// TraceSummary returns per-kind event counts and execution totals of a
-// recorded trace.
-//
-// Deprecated: use the Trace method: log.Summary().
-func TraceSummary(log *Trace) string { return log.Summary() }
-
-// Gantt renders a per-processor execution chart of a recorded trace
-// between the given ticks ('G' marks global critical sections, 'L' local
-// ones).
-//
-// Deprecated: use the Trace method: log.Gantt(sys, from, to).
-func Gantt(log *Trace, sys *System, from, to int) string {
-	return log.Gantt(sys, from, to)
-}
-
-// WriteTraceJSON serializes a recorded trace in the stable JSON format
-// (for external plotting or diffing tools).
-//
-// Deprecated: use the Trace method: log.WriteJSON(w).
-func WriteTraceJSON(log *Trace, w io.Writer) error { return log.WriteJSON(w) }
-
-// ReadTraceJSON loads a trace written by WriteTraceJSON.
+// ReadTraceJSON loads a trace written by Trace.WriteJSON.
 func ReadTraceJSON(r io.Reader) (*Trace, error) { return trace.ReadJSON(r) }
