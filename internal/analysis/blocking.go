@@ -1,9 +1,10 @@
 // Package analysis implements the schedulability side of the paper: the
 // five worst-case blocking factors of Section 5.1, the deferred-execution
 // penalty, the per-processor rate-monotonic schedulability condition of
-// Theorem 3, and a response-time iteration refinement. A parallel set of
-// bounds for the message-based protocol of [8] supports the Section 5.2
-// comparison.
+// Theorem 3, and a response-time iteration refinement. The same
+// per-semaphore factor composition also bounds the message-based
+// protocol of [8], for the Section 5.2 comparison, and the per-semaphore
+// mix of both of the Section 6 variation.
 package analysis
 
 import (
@@ -127,35 +128,43 @@ var (
 )
 
 // Bounds computes the per-task blocking bound under the selected protocol.
+// Both protocols run the one per-semaphore composition of compose: MPCP
+// with every global semaphore handled in place, DPCP with every global
+// semaphore remote.
 func Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
-	if !sys.Validated() {
-		return nil, ErrNotValidated
+	if err := checkAnalyzable(sys); err != nil {
+		return nil, err
 	}
-	if opts.Kind == 0 {
-		opts.Kind = KindMPCP
+	var remote map[task.SemID]bool
+	switch opts.Kind {
+	case 0, KindMPCP:
+	case KindDPCP:
+		remote = make(map[task.SemID]bool)
+		for _, sem := range sys.Sems {
+			if sem.Global {
+				remote[sem.ID] = true
+			}
+		}
+	default:
+		return nil, fmt.Errorf("analysis: unknown kind %v", opts.Kind)
+	}
+	return compose(sys, opts, remote), nil
+}
+
+// checkAnalyzable rejects systems the blocking factors do not cover:
+// unvalidated ones, and ones with nested global critical sections.
+func checkAnalyzable(sys *task.System) error {
+	if !sys.Validated() {
+		return ErrNotValidated
 	}
 	for _, t := range sys.Tasks {
 		for _, cs := range sys.CriticalSections(t.ID) {
 			if cs.Global && (cs.Nested || !cs.Outermost) {
-				return nil, fmt.Errorf("%w: task %d semaphore %d", ErrNestedGlobal, t.ID, cs.Sem)
+				return fmt.Errorf("%w: task %d semaphore %d", ErrNestedGlobal, t.ID, cs.Sem)
 			}
 		}
 	}
-	switch opts.Kind {
-	case KindMPCP:
-		return mpcpBounds(sys, opts), nil
-	case KindDPCP:
-		return dpcpBounds(sys, opts), nil
-	default:
-		return nil, fmt.Errorf("analysis: unknown kind %v", opts.Kind)
-	}
-}
-
-func ceilDiv(a, b int) int {
-	if b <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
+	return nil
 }
 
 // interferes bounds how many jobs of tj can interfere in a window of w
@@ -165,7 +174,11 @@ func ceilDiv(a, b int) int {
 // monotone: widening tj's minimum interarrival never increases it, which
 // the interarrival-monotonicity conformance oracle certifies end to end.
 func interferes(w int, tj *task.Task) int {
-	return ceilDiv(w+tj.Jitter, tj.EffectiveMinInterarrival())
+	t := tj.EffectiveMinInterarrival()
+	if t <= 0 {
+		return 0
+	}
+	return (w + tj.Jitter + t - 1) / t
 }
 
 // Interferes exposes the interference bound to protocol-specific
@@ -174,29 +187,60 @@ func interferes(w int, tj *task.Task) int {
 // and inherits its monotonicity property.
 func Interferes(w int, tj *task.Task) int { return interferes(w, tj) }
 
-// mpcpBounds implements the five factors of Section 5.1.
-func mpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
-	tbl := ceiling.Compute(sys, opts.GcsAtCeiling)
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
+// remoteGcs is one gcs on a remote semaphore, as queued on its
+// synchronization processor.
+type remoteGcs struct {
+	owner *task.Task
+	cs    task.CriticalSection
+}
 
+// compose computes every task's worst-case blocking by composing per-
+// semaphore factor contributions (Section 5.1 for semaphores handled in
+// place, Section 5.2 for remote ones, mixed per semaphore as in the
+// Section 6 variation). A request on a shared-memory semaphore
+// contributes the MPCP factors: held-by-lower, remote preemption on the
+// semaphore, gcs preemption on blocking processors, and lower-priority
+// local gcs boosts. A request on a remote semaphore contributes the DPCP
+// factors: service queueing on its synchronization processor, and agent
+// preemption on the processor that hosts the agents. Local semaphores
+// contribute factor 1 in both modes. With remote empty the result is the
+// MPCP bound; with every global semaphore remote it is the DPCP bound.
+func compose(sys *task.System, opts Options, remote map[task.SemID]bool) map[task.ID]*Bound {
+	tbl := ceiling.Compute(sys, opts.GcsAtCeiling)
+	assign := dpcpAssign(sys, opts.DPCPAssign, remote)
+
+	// Per-call indexes: each task's global and local sections, the tasks
+	// of every processor, and remote gcs's by synchronization processor.
+	gcs := make(map[task.ID][]task.CriticalSection, len(sys.Tasks))
+	lcs := make(map[task.ID][]task.CriticalSection, len(sys.Tasks))
+	byProc := make(map[task.ProcID][]*task.Task, sys.NumProcs)
+	bySync := make(map[task.ProcID][]remoteGcs)
+	for _, t := range sys.Tasks {
+		gcs[t.ID] = sys.GlobalSections(t.ID)
+		lcs[t.ID] = sys.LocalSections(t.ID)
+		byProc[t.Proc] = append(byProc[t.Proc], t)
+		for _, cs := range gcs[t.ID] {
+			if remote[cs.Sem] {
+				sp := assign[cs.Sem]
+				bySync[sp] = append(bySync[sp], remoteGcs{owner: t, cs: cs})
+			}
+		}
+	}
+
+	out := make(map[task.ID]*Bound, len(sys.Tasks))
 	for _, ti := range sys.Tasks {
 		b := &Bound{Task: ti.ID}
-		gcsI := sys.GlobalSections(ti.ID)
-		ng := len(gcsI)
-		shared := make(map[task.SemID]bool, len(gcsI))
-		for _, cs := range gcsI {
-			shared[cs.Sem] = true
-		}
+		ng := len(gcs[ti.ID]) // every global request can suspend, in either mode
 
 		// Factor 1: (NG_i + 1) opportunities to be blocked by one local
 		// critical section of a lower-priority job whose ceiling reaches
 		// P_i.
 		maxLcs := 0
-		for _, tk := range sys.TasksOn(ti.Proc) {
+		for _, tk := range byProc[ti.Proc] {
 			if tk.Priority >= ti.Priority {
 				continue
 			}
-			for _, cs := range sys.LocalSections(tk.ID) {
+			for _, cs := range lcs[tk.ID] {
 				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > maxLcs {
 					maxLcs = cs.Duration
 				}
@@ -204,17 +248,32 @@ func mpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
 		}
 		b.LocalBlocking = (ng + 1) * maxLcs
 
-		// Factor 2: per gcs request, the semaphore may be held by the
-		// longest lower-priority gcs on the same semaphore.
-		for _, cs := range gcsI {
+		// Factor 2: each request can wait for one lower-priority gcs —
+		// the longest holder of a shared-memory semaphore, or the longest
+		// gcs in service on a remote semaphore's synchronization
+		// processor.
+		shm := make(map[task.SemID]bool, ng)
+		syncProcs := make(map[task.ProcID]bool)
+		for _, cs := range gcs[ti.ID] {
 			worst := 0
-			for _, tk := range sys.Tasks {
-				if tk.ID == ti.ID || tk.Priority >= ti.Priority {
-					continue
+			if remote[cs.Sem] {
+				sp := assign[cs.Sem]
+				syncProcs[sp] = true
+				for _, rg := range bySync[sp] {
+					if rg.owner.ID != ti.ID && rg.owner.Priority < ti.Priority && rg.cs.Duration > worst {
+						worst = rg.cs.Duration
+					}
 				}
-				for _, other := range sys.GlobalSections(tk.ID) {
-					if other.Sem == cs.Sem && other.Duration > worst {
-						worst = other.Duration
+			} else {
+				shm[cs.Sem] = true
+				for _, tk := range sys.Tasks {
+					if tk.ID == ti.ID || tk.Priority >= ti.Priority {
+						continue
+					}
+					for _, other := range gcs[tk.ID] {
+						if other.Sem == cs.Sem && other.Duration > worst {
+							worst = other.Duration
+						}
 					}
 				}
 			}
@@ -222,15 +281,16 @@ func mpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
 		}
 
 		// Factor 3: higher-priority jobs on other processors requesting
-		// the same semaphores precede us; each can do so once per release
-		// within T_i.
+		// our shared-memory semaphores precede us, and higher-priority
+		// gcs's on the synchronization processors we use delay our
+		// agents; each can do so once per release within T_i.
 		for _, tj := range sys.Tasks {
 			if tj.Proc == ti.Proc || tj.Priority <= ti.Priority {
 				continue
 			}
 			dur := 0
-			for _, cs := range sys.GlobalSections(tj.ID) {
-				if shared[cs.Sem] {
+			for _, cs := range gcs[tj.ID] {
+				if shm[cs.Sem] {
 					dur += cs.Duration
 				}
 			}
@@ -238,41 +298,37 @@ func mpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
 				b.RemotePreemption += interferes(ti.Period, tj) * dur
 			}
 		}
-
-		// Factor 4: on each blocking processor, higher-priority gcs's
-		// preempt the gcs directly blocking us.
-		type blockerInfo struct {
-			minPrio int
-			found   bool
+		for sp := range syncProcs {
+			for _, rg := range bySync[sp] {
+				if rg.owner.ID != ti.ID && rg.owner.Priority > ti.Priority {
+					b.RemotePreemption += interferes(ti.Period, rg.owner) * rg.cs.Duration
+				}
+			}
 		}
-		blockProcs := make(map[task.ProcID]*blockerInfo)
+
+		// Factor 4: on each processor holding a lower-priority gcs that
+		// can block one of our shared-memory requests, gcs's executing
+		// above the lowest such blocker preempt it.
+		blockProcs := make(map[task.ProcID]int) // proc -> min blocker gcs prio
 		for _, tk := range sys.Tasks {
 			if tk.Proc == ti.Proc || tk.Priority >= ti.Priority {
 				continue
 			}
-			for _, cs := range sys.GlobalSections(tk.ID) {
-				if !shared[cs.Sem] {
+			for _, cs := range gcs[tk.ID] {
+				if !shm[cs.Sem] {
 					continue
 				}
 				prio := tbl.GcsPrio[ceiling.Key{Task: tk.ID, Sem: cs.Sem}]
-				bi := blockProcs[tk.Proc]
-				if bi == nil {
-					bi = &blockerInfo{minPrio: prio, found: true}
-					blockProcs[tk.Proc] = bi
-				} else if prio < bi.minPrio {
-					bi.minPrio = prio
+				if cur, ok := blockProcs[tk.Proc]; !ok || prio < cur {
+					blockProcs[tk.Proc] = prio
 				}
 			}
 		}
-		for proc, bi := range blockProcs {
-			if !bi.found {
-				continue
-			}
-			for _, tl := range sys.TasksOn(proc) {
+		for proc, minPrio := range blockProcs {
+			for _, tl := range byProc[proc] {
 				dur := 0
-				for _, cs := range sys.GlobalSections(tl.ID) {
-					prio := tbl.GcsPrio[ceiling.Key{Task: tl.ID, Sem: cs.Sem}]
-					if prio > bi.minPrio {
+				for _, cs := range gcs[tl.ID] {
+					if !remote[cs.Sem] && tbl.GcsPrio[ceiling.Key{Task: tl.ID, Sem: cs.Sem}] > minPrio {
 						dur += cs.Duration
 					}
 				}
@@ -282,36 +338,39 @@ func mpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
 			}
 		}
 
-		// Factor 5: gcs's of lower-priority local jobs run above our
-		// priority. Each lower-priority task τk contributes at most
-		// min(NG_i + 1, 2·NG_k) sections of its longest gcs.
-		for _, tk := range sys.TasksOn(ti.Proc) {
+		// Factor 5: gcs's of lower-priority local jobs on shared-memory
+		// semaphores run above our priority — each such τk at most
+		// min(NG_i + 1, 2·NG_k) times its longest one — and agents of
+		// other tasks executing on our processor (when it doubles as a
+		// synchronization processor) preempt us at ceiling priority
+		// regardless of task priorities.
+		for _, tk := range byProc[ti.Proc] {
 			if tk.Priority >= ti.Priority {
 				continue
 			}
-			ngk := len(sys.GlobalSections(tk.ID))
-			if ngk == 0 {
-				continue
-			}
-			maxGcs := 0
-			for _, cs := range sys.GlobalSections(tk.ID) {
+			ngk, maxGcs := 0, 0
+			for _, cs := range gcs[tk.ID] {
+				if remote[cs.Sem] {
+					continue
+				}
+				ngk++
 				if cs.Duration > maxGcs {
 					maxGcs = cs.Duration
 				}
 			}
-			count := ng + 1
-			if 2*ngk < count {
-				count = 2 * ngk
+			if ngk > 0 {
+				b.LowerLocalGcs += min(ng+1, 2*ngk) * maxGcs
 			}
-			b.LowerLocalGcs += count * maxGcs
+		}
+		for _, rg := range bySync[ti.Proc] {
+			if rg.owner.ID != ti.ID {
+				b.LowerLocalGcs += interferes(ti.Period, rg.owner) * rg.cs.Duration
+			}
 		}
 
 		if opts.DeferredPenalty {
-			for _, tj := range sys.TasksOn(ti.Proc) {
-				if tj.Priority <= ti.Priority {
-					continue
-				}
-				if len(sys.GlobalSections(tj.ID)) > 0 {
+			for _, tj := range byProc[ti.Proc] {
+				if tj.Priority > ti.Priority && len(gcs[tj.ID]) > 0 {
 					b.DeferredPenalty += tj.WCET()
 				}
 			}
@@ -324,130 +383,22 @@ func mpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
 	return out
 }
 
-// dpcpAssign resolves the synchronization processor of each global
-// semaphore exactly as internal/dpcp does.
-func dpcpAssign(sys *task.System, explicit map[task.SemID]task.ProcID) map[task.SemID]task.ProcID {
-	out := make(map[task.SemID]task.ProcID)
+// dpcpAssign resolves the synchronization processor of each remote
+// semaphore exactly as internal/dpcp does: the explicit assignment, else
+// the lowest-numbered accessor processor.
+func dpcpAssign(sys *task.System, explicit map[task.SemID]task.ProcID, remote map[task.SemID]bool) map[task.SemID]task.ProcID {
+	out := make(map[task.SemID]task.ProcID, len(remote))
 	for _, sem := range sys.Sems {
-		if !sem.Global {
+		if !sem.Global || !remote[sem.ID] {
 			continue
 		}
 		if p, ok := explicit[sem.ID]; ok {
 			out[sem.ID] = p
 			continue
 		}
-		procs := sys.AccessorProcs(sem.ID)
-		if len(procs) > 0 {
+		if procs := sys.AccessorProcs(sem.ID); len(procs) > 0 {
 			out[sem.ID] = procs[0]
 		}
-	}
-	return out
-}
-
-// dpcpBounds computes the analogous decomposition for the message-based
-// protocol: contention happens on synchronization processors, where every
-// gcs executes at the global ceiling of its semaphore.
-func dpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
-	assign := dpcpAssign(sys, opts.DPCPAssign)
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
-
-	// gcs's grouped by synchronization processor.
-	type remoteGcs struct {
-		owner *task.Task
-		cs    task.CriticalSection
-	}
-	bySync := make(map[task.ProcID][]remoteGcs)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.GlobalSections(t.ID) {
-			bySync[assign[cs.Sem]] = append(bySync[assign[cs.Sem]], remoteGcs{owner: t, cs: cs})
-		}
-	}
-
-	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID}
-		gcsI := sys.GlobalSections(ti.ID)
-		ng := len(gcsI)
-		syncProcs := make(map[task.ProcID]bool)
-		for _, cs := range gcsI {
-			syncProcs[assign[cs.Sem]] = true
-		}
-
-		// Factor 1: identical local PCP blocking.
-		tbl := ceiling.Compute(sys, true)
-		maxLcs := 0
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.LocalSections(tk.ID) {
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > maxLcs {
-					maxLcs = cs.Duration
-				}
-			}
-		}
-		b.LocalBlocking = (ng + 1) * maxLcs
-
-		// Factor 2 analog: each of our requests can wait for one
-		// lower-priority gcs in service on the same sync processor.
-		for _, cs := range gcsI {
-			sp := assign[cs.Sem]
-			worst := 0
-			for _, rg := range bySync[sp] {
-				if rg.owner.ID == ti.ID || rg.owner.Priority >= ti.Priority {
-					continue
-				}
-				if rg.cs.Duration > worst {
-					worst = rg.cs.Duration
-				}
-			}
-			b.GlobalHeldByLower += worst
-		}
-
-		// Factor 3 analog: higher-priority gcs's on the sync processors we
-		// use delay our agents.
-		for sp := range syncProcs {
-			perOwner := make(map[task.ID]int)
-			for _, rg := range bySync[sp] {
-				if rg.owner.ID == ti.ID || rg.owner.Priority <= ti.Priority {
-					continue
-				}
-				perOwner[rg.owner.ID] += rg.cs.Duration
-			}
-			for owner, dur := range perOwner {
-				tj := sys.TaskByID(owner)
-				b.RemotePreemption += interferes(ti.Period, tj) * dur
-			}
-		}
-
-		// Factor 5 analog: agents of other tasks executing on our own
-		// processor (when it doubles as a synchronization processor)
-		// preempt us at ceiling priority regardless of task priorities.
-		perOwner := make(map[task.ID]int)
-		for _, rg := range bySync[ti.Proc] {
-			if rg.owner.ID == ti.ID {
-				continue
-			}
-			perOwner[rg.owner.ID] += rg.cs.Duration
-		}
-		for owner, dur := range perOwner {
-			tk := sys.TaskByID(owner)
-			b.LowerLocalGcs += interferes(ti.Period, tk) * dur
-		}
-
-		if opts.DeferredPenalty {
-			for _, tj := range sys.TasksOn(ti.Proc) {
-				if tj.Priority <= ti.Priority {
-					continue
-				}
-				if len(sys.GlobalSections(tj.ID)) > 0 {
-					b.DeferredPenalty += tj.WCET()
-				}
-			}
-		}
-
-		b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
-			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
-		out[ti.ID] = b
 	}
 	return out
 }

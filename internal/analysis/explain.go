@@ -99,8 +99,14 @@ func Explain(sys *task.System, id task.ID, opts Options) (string, error) {
 			}
 		}
 		if dur > 0 {
-			fmt.Fprintf(&w, "   task %d on P%d: ceil(%d/%d)=%d release(s) x %d gcs ticks\n",
-				tj.ID, tj.Proc, ti.Period, tj.Period, ceilDiv(ti.Period, tj.Period), dur)
+			// The window is T_i widened by tj's release jitter, over tj's
+			// minimum interarrival: the count interferes charges.
+			window := fmt.Sprint(ti.Period)
+			if tj.Jitter > 0 {
+				window = fmt.Sprintf("(%d+%d)", ti.Period, tj.Jitter)
+			}
+			fmt.Fprintf(&w, "   task %d on P%d: ceil(%s/%d)=%d release(s) x %d gcs ticks\n",
+				tj.ID, tj.Proc, window, tj.EffectiveMinInterarrival(), interferes(ti.Period, tj), dur)
 		}
 	}
 

@@ -10,56 +10,74 @@ import (
 	"mpcp/internal/workload"
 )
 
+// degenerateConfigs are the workload shapes the degenerate-hybrid tests
+// run over: periodic, sporadic and jittered releases, so the equality
+// covers the jitter-aware interference count too.
+func degenerateConfigs(seed int64) map[string]workload.Config {
+	sporadic, jittered := workload.Default(seed), workload.Default(seed)
+	sporadic.Sporadic = true
+	jittered.MaxJitterFrac = 0.2
+	return map[string]workload.Config{
+		"periodic": workload.Default(seed),
+		"sporadic": sporadic,
+		"jittered": jittered,
+	}
+}
+
 // TestHybridBoundsDegenerateToMPCP: with no remote semaphores the hybrid
-// bounds equal the MPCP bounds exactly.
+// bounds equal the MPCP bounds exactly, factor by factor.
 func TestHybridBoundsDegenerateToMPCP(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		sys, err := workload.Generate(workload.Default(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := analysis.HybridBounds(sys, analysis.HybridOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range m {
-			if m[id].Total != h[id].Total {
-				t.Errorf("seed %d task %d: hybrid %d != mpcp %d", seed, id, h[id].Total, m[id].Total)
+		for name, cfg := range degenerateConfigs(seed) {
+			sys, err := workload.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := analysis.HybridBounds(sys, analysis.HybridOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range m {
+				if *m[id] != *h[id] {
+					t.Errorf("%s seed %d task %d: hybrid %+v != mpcp %+v", name, seed, id, *h[id], *m[id])
+				}
 			}
 		}
 	}
 }
 
 // TestHybridBoundsDegenerateToDPCP: with every global semaphore remote
-// (default assignment), the hybrid bounds equal the DPCP bounds.
+// (default assignment), the hybrid bounds equal the DPCP bounds, factor
+// by factor.
 func TestHybridBoundsDegenerateToDPCP(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		sys, err := workload.Generate(workload.Default(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		remote := make(map[task.SemID]bool)
-		for _, sem := range sys.Sems {
-			if sem.Global {
-				remote[sem.ID] = true
+		for name, cfg := range degenerateConfigs(seed) {
+			sys, err := workload.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		d, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindDPCP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := analysis.HybridBounds(sys, analysis.HybridOptions{Remote: remote})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range d {
-			if d[id].Total != h[id].Total {
-				t.Errorf("seed %d task %d: hybrid %d != dpcp %d (%+v vs %+v)",
-					seed, id, h[id].Total, d[id].Total, h[id], d[id])
+			remote := make(map[task.SemID]bool)
+			for _, sem := range sys.Sems {
+				if sem.Global {
+					remote[sem.ID] = true
+				}
+			}
+			d, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindDPCP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := analysis.HybridBounds(sys, analysis.HybridOptions{Remote: remote})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range d {
+				if *d[id] != *h[id] {
+					t.Errorf("%s seed %d task %d: hybrid %+v != dpcp %+v", name, seed, id, *h[id], *d[id])
+				}
 			}
 		}
 	}

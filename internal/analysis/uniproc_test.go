@@ -3,6 +3,8 @@ package analysis_test
 import (
 	"fmt"
 	"math"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"mpcp/internal/core"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
+	"mpcp/internal/workload"
 )
 
 func uniSystem(t *testing.T) *task.System {
@@ -202,6 +205,36 @@ func TestExplainMatchesBounds(t *testing.T) {
 	want := fmt.Sprintf("B = %d ticks", bounds[1].Total)
 	if !strings.Contains(out, want) {
 		t.Errorf("explanation missing %q:\n%s", want, out)
+	}
+
+	// On a jittered multiprocessor system the printed factor-3 terms
+	// (releases x gcs ticks per remote task) multiply out to the
+	// RemotePreemption the same output reports.
+	cfg := workload.Default(3)
+	cfg.MaxJitterFrac = 0.2
+	jsys, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jbounds, err := analysis.Bounds(jsys, analysis.Options{Kind: analysis.KindMPCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := regexp.MustCompile(`=(\d+) release\(s\) x (\d+) gcs ticks`)
+	for _, tk := range jsys.Tasks {
+		out, err := analysis.Explain(jsys, tk.ID, analysis.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, m := range term.FindAllStringSubmatch(out, -1) {
+			n, _ := strconv.Atoi(m[1])
+			d, _ := strconv.Atoi(m[2])
+			sum += n * d
+		}
+		if sum != jbounds[tk.ID].RemotePreemption {
+			t.Errorf("task %d: factor-3 terms sum to %d, bound is %d:\n%s", tk.ID, sum, jbounds[tk.ID].RemotePreemption, out)
+		}
 	}
 }
 

@@ -63,15 +63,6 @@ func (r *PointResult) Failures() int {
 	return n
 }
 
-// AcceptanceRatio is the fraction of trials admitted by the
-// response-time test — the y-axis of an acceptance-ratio curve.
-func (r *PointResult) AcceptanceRatio() float64 {
-	if r.Trials == 0 {
-		return 0
-	}
-	return float64(r.SchedResponse) / float64(r.Trials)
-}
-
 // Campaign is a completed (or resumed-to-completion) run: the spec plus
 // one result per point, in spec order.
 type Campaign struct {

@@ -17,9 +17,7 @@
 package conformance
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"mpcp/internal/campaign"
 	"mpcp/internal/registry"
@@ -105,22 +103,12 @@ func (r *Report) Failures() int {
 	return n
 }
 
-// TrialSeed derives the workload seed for one trial of one protocol. Like
-// campaign.Spec.TrialSeed it depends only on the base seed and the trial
-// identity, never on worker count or execution order.
+// TrialSeed derives the workload seed for one trial of one protocol. It
+// is campaign.Spec.TrialSeed with the protocol name as the point key, so
+// it depends only on the base seed and the trial identity, never on
+// worker count or execution order.
 func TrialSeed(base int64, protocol string, trial int) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(base))
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(protocol))
-	binary.LittleEndian.PutUint64(buf[:], uint64(trial))
-	_, _ = h.Write(buf[:])
-	seed := int64(h.Sum64() &^ (1 << 63)) // keep non-negative
-	if seed == 0 {
-		seed = 1
-	}
-	return seed
+	return (&campaign.Spec{BaseSeed: base}).TrialSeed(campaign.Point{Key: protocol}, trial)
 }
 
 // BaseWorkload returns the default workload shape for one protocol,

@@ -165,15 +165,6 @@ func (p *Protocol) GlobalCeiling(s task.SemID) int { return p.tbl.GlobalCeil[s] 
 // Ceilings exposes the full priority structure computed at Init.
 func (p *Protocol) Ceilings() *ceiling.Table { return p.tbl }
 
-// LocalCeiling returns the priority ceiling of local semaphore s on
-// processor proc.
-func (p *Protocol) LocalCeiling(proc task.ProcID, s task.SemID) int {
-	if l := p.locals[proc]; l != nil {
-		return l.Ceiling(s)
-	}
-	return 0
-}
-
 // GcsPriority returns the fixed execution priority of the gcs of task id
 // guarded by semaphore s (Section 4.4's P_G + P_h).
 func (p *Protocol) GcsPriority(id task.ID, s task.SemID) int {

@@ -70,12 +70,12 @@ func TestCacheVersionBump(t *testing.T) {
 	}
 }
 
-// TestCacheEngineVersionPin: the registry-era engine is version "2" —
-// results cached by the pre-registry engine ("1") are orphaned, and
-// any semantics-changing engine edit must bump this again.
+// TestCacheEngineVersionPin: the one-composition engine is version "3"
+// — results cached by earlier engines ("1", "2") are orphaned, and any
+// semantics-changing engine edit must bump this again.
 func TestCacheEngineVersionPin(t *testing.T) {
-	if EngineVersion != "2" {
-		t.Fatalf("EngineVersion = %q, want \"2\" (bump this pin deliberately with the const)", EngineVersion)
+	if EngineVersion != "3" {
+		t.Fatalf("EngineVersion = %q, want \"3\" (bump this pin deliberately with the const)", EngineVersion)
 	}
 }
 

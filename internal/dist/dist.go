@@ -43,8 +43,10 @@ import (
 //
 // History: "1" pre-registry engine; "2" protocol registry with the
 // spin-lock protocols (msrp, fmlp) and registry-canonicalized campaign
-// protocol names.
-const EngineVersion = "2"
+// protocol names; "3" one per-semaphore blocking composition for mpcp,
+// dpcp and hybrid, which raises hybrid bounds on sporadic and jittered
+// task sets to the jitter-aware arrival bound.
+const EngineVersion = "3"
 
 // Job kinds understood by the default runner registry.
 const (

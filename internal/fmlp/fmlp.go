@@ -145,10 +145,6 @@ func (p *Protocol) setLocalPrio(e *sim.Engine, j *sim.Job, prio int) {
 	e.SetEffPrio(j, prio)
 }
 
-// BoostPriority returns the fixed boost level shared by short-resource
-// spinners and long-resource holders.
-func (p *Protocol) BoostPriority() int { return p.npPrio }
-
 // OnRelease implements sim.Protocol.
 func (p *Protocol) OnRelease(e *sim.Engine, j *sim.Job) {
 	e.SetEffPrio(j, j.BasePrio)

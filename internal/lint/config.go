@@ -32,7 +32,8 @@ func (s Scoped) Applies(importPath string) bool {
 // Scopes mirror the contracts, not the whole tree:
 //
 //   - determinism guards the deterministic result path: the tick
-//     simulator and its release queue, the task model (whose validation
+//     simulator and its release queue, the suspension-based protocols
+//     that drive it (pcp, core, dpcp, hybrid), the task model (whose validation
 //     and ceiling inputs seed every derived table), the conformance
 //     engine, the campaign engine, the workload generators and the
 //     distributed sweep service (whose merged output must be
@@ -74,6 +75,10 @@ func DefaultSuite() []Scoped {
 			Analyzer: NewDeterminism(DeterminismConfig{AllowGoroutinesIn: []string{"pool.go"}}),
 			Prefixes: []string{
 				"mpcp/internal/sim",
+				"mpcp/internal/pcp",
+				"mpcp/internal/core",
+				"mpcp/internal/dpcp",
+				"mpcp/internal/hybrid",
 				"mpcp/internal/relq",
 				"mpcp/internal/task",
 				"mpcp/internal/conformance",

@@ -97,10 +97,6 @@ func (p *Protocol) setLocalPrio(e *sim.Engine, j *sim.Job, prio int) {
 	e.SetEffPrio(j, prio)
 }
 
-// NonPreemptivePriority returns the fixed effective priority at which
-// jobs spin on and execute global critical sections.
-func (p *Protocol) NonPreemptivePriority() int { return p.npPrio }
-
 // OnRelease implements sim.Protocol.
 func (p *Protocol) OnRelease(e *sim.Engine, j *sim.Job) {
 	e.SetEffPrio(j, j.BasePrio)

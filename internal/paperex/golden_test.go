@@ -23,22 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 //
 // after verifying the new trace still satisfies every E6 check.
 func TestExample4GoldenTrace(t *testing.T) {
-	sys, err := paperex.Example4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 40, Sink: log})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := log.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := example4Trace(t)
 
 	golden := filepath.Join("testdata", "example4_mpcp_trace.json")
 	if *updateGolden {
@@ -58,6 +43,41 @@ func TestExample4GoldenTrace(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Error("Example 4 trace changed; if intentional, re-verify E6 and run with -update")
 	}
+}
+
+// TestExample4TraceDeterministic: repeated runs of Example 4 produce the
+// same trace. Two jobs blocked on one local semaphore are readied in the
+// order they blocked, never in map iteration order.
+func TestExample4TraceDeterministic(t *testing.T) {
+	first := example4Trace(t)
+	for run := 1; run < 30; run++ {
+		if !bytes.Equal(example4Trace(t).Bytes(), first.Bytes()) {
+			t.Fatalf("run %d: Example 4 trace differs from the first run", run)
+		}
+	}
+}
+
+// example4Trace simulates Example 4 under the shared-memory protocol and
+// returns its trace as JSON.
+func example4Trace(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	sys, err := paperex.Example4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := trace.New()
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 40, Sink: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := log.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
 }
 
 // TestExample4GoldenStillValid re-checks the protocol invariants on the

@@ -25,8 +25,11 @@ type Local struct {
 	proc task.ProcID
 	ceil map[task.SemID]int
 
-	held      []heldSem
-	blockedBy map[*sim.Job]*sim.Job // blocked job -> holder that blocks it
+	held []heldSem
+	// blocked lists the locally blocked jobs, each with the holder that
+	// blocks it, in the order they blocked. Unlock readies them in that
+	// order, which keeps the trace a function of the workload alone.
+	blocked []blockedJob
 
 	// setPrio applies a recomputed local effective priority; the owner
 	// decides whether it wins over other concerns (e.g. gcs priorities).
@@ -36,6 +39,10 @@ type Local struct {
 type heldSem struct {
 	sem    task.SemID
 	holder *sim.Job
+}
+
+type blockedJob struct {
+	job, holder *sim.Job
 }
 
 // NewLocal builds the per-processor PCP state for proc. Ceilings are the
@@ -48,10 +55,9 @@ func NewLocal(sys *task.System, proc task.ProcID, setPrio func(e *sim.Engine, j 
 		setPrio = func(e *sim.Engine, j *sim.Job, prio int) { e.SetEffPrio(j, prio) }
 	}
 	l := &Local{
-		proc:      proc,
-		ceil:      make(map[task.SemID]int),
-		blockedBy: make(map[*sim.Job]*sim.Job),
-		setPrio:   setPrio,
+		proc:    proc,
+		ceil:    make(map[task.SemID]int),
+		setPrio: setPrio,
 	}
 	for _, sem := range sys.Sems {
 		if sem.Global {
@@ -69,12 +75,6 @@ func NewLocal(sys *task.System, proc task.ProcID, setPrio func(e *sim.Engine, j 
 	return l
 }
 
-// Manages reports whether this Local owns semaphore s.
-func (l *Local) Manages(s task.SemID) bool {
-	_, ok := l.ceil[s]
-	return ok
-}
-
 // Ceiling returns the priority ceiling of local semaphore s (0 if not
 // managed here).
 func (l *Local) Ceiling(s task.SemID) int { return l.ceil[s] }
@@ -89,7 +89,8 @@ func (l *Local) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 		e.CompleteLock(j, s)
 		return true
 	}
-	l.blockedBy[j] = blocker
+	l.DropJob(j)
+	l.blocked = append(l.blocked, blockedJob{job: j, holder: blocker})
 	e.BlockLocal(j, blockerSem)
 	l.Recompute(e)
 	return false
@@ -105,10 +106,10 @@ func (l *Local) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 			break
 		}
 	}
-	for b := range l.blockedBy {
-		delete(l.blockedBy, b)
-		e.MakeReady(b) // re-attempts its Lock segment when scheduled
+	for _, b := range l.blocked {
+		e.MakeReady(b.job) // re-attempts its Lock segment when scheduled
 	}
+	l.blocked = l.blocked[:0]
 	l.Recompute(e)
 }
 
@@ -147,9 +148,9 @@ func (l *Local) Recompute(e *sim.Engine) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for blocked, holder := range l.blockedBy {
-			if eff[blocked] > eff[holder] {
-				eff[holder] = eff[blocked]
+		for _, b := range l.blocked {
+			if eff[b.job] > eff[b.holder] {
+				eff[b.holder] = eff[b.job]
 				changed = true
 			}
 		}
@@ -161,7 +162,12 @@ func (l *Local) Recompute(e *sim.Engine) {
 
 // DropJob clears any bookkeeping for a finished job.
 func (l *Local) DropJob(j *sim.Job) {
-	delete(l.blockedBy, j)
+	for i, b := range l.blocked {
+		if b.job == j {
+			l.blocked = append(l.blocked[:i], l.blocked[i+1:]...)
+			return
+		}
+	}
 }
 
 // Protocol is standalone uniprocessor PCP: every semaphore must be local

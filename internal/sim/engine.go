@@ -925,11 +925,3 @@ func (e *Engine) JumpTo(j *Job, pc int) {
 // ActiveJobs returns all released unfinished jobs (including agents).
 // The returned slice is the engine's own; callers must not mutate it.
 func (e *Engine) ActiveJobs() []*Job { return e.active }
-
-// RunningOn returns the job that executed on p in the most recent tick.
-func (e *Engine) RunningOn(p task.ProcID) *Job {
-	if int(p) < len(e.procs) {
-		return e.procs[p]
-	}
-	return nil
-}

@@ -112,16 +112,6 @@ func (j *Job) StatsTask() task.ID {
 	return j.Task.ID
 }
 
-// Holds reports whether the job currently holds semaphore s.
-func (j *Job) Holds(s task.SemID) bool {
-	for _, h := range j.Held {
-		if h == s {
-			return true
-		}
-	}
-	return false
-}
-
 // MeasuredBlocking returns the job's total observed waiting that the paper
 // counts as blocking B: local blocking, global suspension, busy-waiting
 // and priority-inversion displacement. Preemption by higher-base-priority
