@@ -1,38 +1,32 @@
 package mpcp
 
 import (
-	"mpcp/internal/hybrid"
+	"mpcp/internal/core"
 	"mpcp/internal/server"
-	"mpcp/internal/sim"
-	"mpcp/internal/task"
 )
 
 // HybridOption configures the mixed shared-memory/message-based protocol
 // (the variation proposed in the paper's conclusion).
-type HybridOption func(*hybrid.Options)
+type HybridOption func(remote map[SemID]bool, assign map[SemID]ProcID)
 
 // WithRemoteSem handles global semaphore s message-based (its critical
 // sections execute as agents on processor p at the global ceiling); all
 // other global semaphores use the shared-memory rules.
 func WithRemoteSem(s SemID, p ProcID) HybridOption {
-	return func(o *hybrid.Options) {
-		if o.Remote == nil {
-			o.Remote = make(map[SemID]bool)
-			o.Assign = make(map[SemID]ProcID)
-		}
-		o.Remote[s] = true
-		o.Assign[s] = p
+	return func(remote map[SemID]bool, assign map[SemID]ProcID) {
+		remote[s] = true
+		assign[s] = p
 	}
 }
 
 // Hybrid returns the mixed protocol. With no options it behaves like the
 // shared-memory protocol.
-func Hybrid(opts ...HybridOption) *hybrid.Protocol {
-	var o hybrid.Options
+func Hybrid(opts ...HybridOption) *core.Protocol {
+	remote, assign := make(map[SemID]bool), make(map[SemID]ProcID)
 	for _, opt := range opts {
-		opt(&o)
+		opt(remote, assign)
 	}
-	return hybrid.New(o)
+	return core.NewHybrid(remote, assign)
 }
 
 // Aperiodic service (Section 3.1), re-exported.
@@ -72,10 +66,3 @@ func GenerateAperiodicStream(seed int64, horizon int, meanInterarrival float64, 
 // AddTask inserts a pre-built task (e.g. from PollingServerTask) into a
 // Builder-produced system; call Revalidate afterwards.
 func AddTask(sys *System, t *Task) { sys.AddTask(t) }
-
-// Compile-time checks that the extension protocols satisfy the simulator
-// interface.
-var (
-	_ sim.Protocol = (*hybrid.Protocol)(nil)
-	_              = task.ID(0)
-)

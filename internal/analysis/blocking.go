@@ -55,7 +55,8 @@ type Options struct {
 
 	// DPCPAssign maps global semaphores to synchronization processors for
 	// KindDPCP; unset semaphores default to their lowest-numbered
-	// accessor processor, matching internal/dpcp.
+	// accessor processor, as in the simulated protocol (ceiling.SyncProcs
+	// resolves both).
 	DPCPAssign map[task.SemID]task.ProcID
 }
 
@@ -148,7 +149,7 @@ func Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
 	default:
 		return nil, fmt.Errorf("analysis: unknown kind %v", opts.Kind)
 	}
-	return compose(sys, opts, remote), nil
+	return compose(sys, opts, remote)
 }
 
 // checkAnalyzable rejects systems the blocking factors do not cover:
@@ -205,9 +206,12 @@ type remoteGcs struct {
 // preemption on the processor that hosts the agents. Local semaphores
 // contribute factor 1 in both modes. With remote empty the result is the
 // MPCP bound; with every global semaphore remote it is the DPCP bound.
-func compose(sys *task.System, opts Options, remote map[task.SemID]bool) map[task.ID]*Bound {
+func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[task.ID]*Bound, error) {
+	assign, err := ceiling.SyncProcs(sys, func(s task.SemID) bool { return remote[s] }, opts.DPCPAssign)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
 	tbl := ceiling.Compute(sys, opts.GcsAtCeiling)
-	assign := dpcpAssign(sys, opts.DPCPAssign, remote)
 
 	// Per-call indexes: each task's global and local sections, the tasks
 	// of every processor, and remote gcs's by synchronization processor.
@@ -380,27 +384,7 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) map[tas
 			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
 		out[ti.ID] = b
 	}
-	return out
-}
-
-// dpcpAssign resolves the synchronization processor of each remote
-// semaphore exactly as internal/dpcp does: the explicit assignment, else
-// the lowest-numbered accessor processor.
-func dpcpAssign(sys *task.System, explicit map[task.SemID]task.ProcID, remote map[task.SemID]bool) map[task.SemID]task.ProcID {
-	out := make(map[task.SemID]task.ProcID, len(remote))
-	for _, sem := range sys.Sems {
-		if !sem.Global || !remote[sem.ID] {
-			continue
-		}
-		if p, ok := explicit[sem.ID]; ok {
-			out[sem.ID] = p
-			continue
-		}
-		if procs := sys.AccessorProcs(sem.ID); len(procs) > 0 {
-			out[sem.ID] = procs[0]
-		}
-	}
-	return out
+	return out, nil
 }
 
 // TaskReport is the per-task outcome of a schedulability test.

@@ -5,7 +5,6 @@ import (
 
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
@@ -251,7 +250,7 @@ func TestDPCPBoundSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		e, err := sim.New(sys, dpcp.New(dpcp.Options{}), sim.Config{})
+		e, err := sim.New(sys, core.NewDPCP(nil), sim.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
@@ -84,7 +83,7 @@ func TestResponseBoundDominatesSimulationDPCP(t *testing.T) {
 			continue
 		}
 		checked++
-		e, err := sim.New(sys, dpcp.New(dpcp.Options{}), sim.Config{})
+		e, err := sim.New(sys, core.NewDPCP(nil), sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,7 @@ package analysis
 import "mpcp/internal/task"
 
 // HybridOptions configures the blocking analysis of the mixed protocol
-// (the Section 6 variation implemented by internal/hybrid): each global
+// (the Section 6 variation that internal/core simulates): each global
 // semaphore is either handled in place under the shared-memory rules or
 // remotely under the message-based rules.
 type HybridOptions struct {
@@ -28,5 +28,5 @@ func HybridBounds(sys *task.System, opts HybridOptions) (map[task.ID]*Bound, err
 	if err := checkAnalyzable(sys); err != nil {
 		return nil, err
 	}
-	return compose(sys, Options{DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty}, opts.Remote), nil
+	return compose(sys, Options{DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty}, opts.Remote)
 }

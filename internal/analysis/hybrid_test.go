@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"mpcp/internal/analysis"
-	"mpcp/internal/hybrid"
+	"mpcp/internal/core"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
@@ -103,7 +103,7 @@ func TestHybridBoundsSoundAgainstSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := sim.New(sys, hybrid.New(hybrid.Options{Remote: remote}), sim.Config{})
+		e, err := sim.New(sys, core.NewHybrid(remote, nil), sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,5 +134,31 @@ func TestHybridBoundsRejectNested(t *testing.T) {
 	}
 	if _, err := analysis.HybridBounds(sys, analysis.HybridOptions{}); err == nil {
 		t.Error("nested global sections accepted")
+	}
+}
+
+// TestRemoteBoundsRejectInvalidSyncProc: an assignment to a processor
+// the system does not have is rejected by both remote-semaphore
+// analyses, as the simulated protocol rejects it.
+func TestRemoteBoundsRejectInvalidSyncProc(t *testing.T) {
+	const g = task.SemID(1)
+	sys := task.NewSystem(2)
+	sys.AddSem(&task.Semaphore{ID: g})
+	sys.AddTask(&task.Task{ID: 1, Proc: 0, Period: 20, Priority: 2,
+		Body: []task.Segment{task.Compute(1), task.Lock(g), task.Compute(2), task.Unlock(g)}})
+	sys.AddTask(&task.Task{ID: 2, Proc: 1, Period: 30, Priority: 1,
+		Body: []task.Segment{task.Lock(g), task.Compute(3), task.Unlock(g)}})
+	if err := sys.Validate(task.ValidateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	assign := map[task.SemID]task.ProcID{g: 7}
+	if _, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindDPCP, DPCPAssign: assign}); err == nil {
+		t.Error("Bounds(KindDPCP) accepted synchronization processor 7 on a 2-processor system")
+	}
+	if _, err := analysis.HybridBounds(sys, analysis.HybridOptions{Remote: map[task.SemID]bool{g: true}, Assign: assign}); err == nil {
+		t.Error("HybridBounds accepted synchronization processor 7 on a 2-processor system")
+	}
+	if _, err := sim.New(sys, core.NewDPCP(assign), sim.Config{Horizon: 10}); err == nil {
+		t.Error("the simulated protocol accepted synchronization processor 7 on a 2-processor system")
 	}
 }

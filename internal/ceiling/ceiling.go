@@ -2,13 +2,18 @@
 // highest assigned priority in the system), P_G (the base priority ceiling
 // for global semaphores, strictly greater than P_H), the local and global
 // priority ceilings of every semaphore, and the fixed execution priority
-// of every global critical section. Both protocol implementations
-// (internal/core, internal/dpcp) and the blocking analysis
-// (internal/analysis) derive their numbers from this one table, so the
+// of every global critical section, plus the synchronization processor
+// of every remotely handled global semaphore. The protocol
+// implementation (internal/core) and the blocking analysis
+// (internal/analysis) derive their numbers from this one package, so the
 // worked examples of Tables 4-1 and 4-2 check a single source of truth.
 package ceiling
 
-import "mpcp/internal/task"
+import (
+	"fmt"
+
+	"mpcp/internal/task"
+)
 
 // Key identifies the gcs of one task on one semaphore.
 type Key struct {
@@ -80,4 +85,32 @@ func Compute(sys *task.System, atCeiling bool) *Table {
 		}
 	}
 	return t
+}
+
+// SyncProcs resolves the synchronization processor of every global
+// semaphore for which remote reports true: its explicit assignment if it
+// has one, else the lowest-numbered processor that accesses it. A remote
+// semaphore that no task uses and that has no assignment needs no
+// processor and is left out. An assignment outside the system's
+// processors is an error.
+func SyncProcs(sys *task.System, remote func(task.SemID) bool, explicit map[task.SemID]task.ProcID) (map[task.SemID]task.ProcID, error) {
+	out := make(map[task.SemID]task.ProcID)
+	for _, sem := range sys.Sems {
+		if !sem.Global || !remote(sem.ID) {
+			continue
+		}
+		proc, ok := explicit[sem.ID]
+		if !ok {
+			procs := sys.AccessorProcs(sem.ID)
+			if len(procs) == 0 {
+				continue
+			}
+			proc = procs[0]
+		}
+		if proc < 0 || int(proc) >= sys.NumProcs {
+			return nil, fmt.Errorf("semaphore %d assigned to invalid processor %d", sem.ID, proc)
+		}
+		out[sem.ID] = proc
+	}
+	return out, nil
 }

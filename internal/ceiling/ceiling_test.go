@@ -113,3 +113,43 @@ func TestSemWithNoUsersSkipped(t *testing.T) {
 		t.Error("unused semaphore got a ceiling")
 	}
 }
+
+// TestSyncProcs: a remote semaphore runs on its explicit assignment,
+// else on its lowest-numbered accessor; local, non-remote and unused
+// semaphores get none; an out-of-range assignment is an error.
+func TestSyncProcs(t *testing.T) {
+	const gA, gB, gUnused, local = task.SemID(1), task.SemID(2), task.SemID(3), task.SemID(4)
+	sys := task.NewSystem(3)
+	for _, s := range []task.SemID{gA, gB, gUnused, local} {
+		sys.AddSem(&task.Semaphore{ID: s})
+	}
+	sys.AddTask(&task.Task{ID: 1, Proc: 2, Period: 50, Priority: 2,
+		Body: []task.Segment{task.Lock(gA), task.Compute(1), task.Unlock(gA), task.Lock(gB), task.Compute(1), task.Unlock(gB)}})
+	sys.AddTask(&task.Task{ID: 2, Proc: 1, Period: 60, Priority: 1,
+		Body: []task.Segment{task.Lock(gA), task.Compute(1), task.Unlock(gA), task.Lock(gB), task.Compute(1), task.Unlock(gB),
+			task.Lock(local), task.Compute(1), task.Unlock(local)}})
+	if err := sys.Validate(task.ValidateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	all := func(task.SemID) bool { return true }
+
+	got, err := ceiling.SyncProcs(sys, all, map[task.SemID]task.ProcID{gB: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[task.SemID]task.ProcID{gA: 1, gB: 0}
+	if len(got) != len(want) || got[gA] != want[gA] || got[gB] != want[gB] {
+		t.Errorf("SyncProcs = %v, want %v", got, want)
+	}
+
+	got, err = ceiling.SyncProcs(sys, func(s task.SemID) bool { return s == gB }, nil)
+	if err != nil || len(got) != 1 || got[gB] != 1 {
+		t.Errorf("SyncProcs(gB only) = %v, %v; want map[%d:1]", got, err, gB)
+	}
+
+	for _, bad := range []task.ProcID{-1, 3} {
+		if _, err := ceiling.SyncProcs(sys, all, map[task.SemID]task.ProcID{gA: bad}); err == nil {
+			t.Errorf("SyncProcs accepted processor %d on a 3-processor system", bad)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 
 	"mpcp/internal/analysis"
+	"mpcp/internal/ceiling"
 	"mpcp/internal/obs"
 	"mpcp/internal/registry"
 	"mpcp/internal/sim"
@@ -617,28 +618,6 @@ func renameProcs(sys *task.System) (*task.System, func(task.ProcID) task.ProcID,
 	return out, rename, nil
 }
 
-// defaultDPCPAssign mirrors the analysis default: every global semaphore
-// is served by its lowest-numbered accessor processor.
-func defaultDPCPAssign(sys *task.System) map[task.SemID]task.ProcID {
-	out := make(map[task.SemID]task.ProcID)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.GlobalSections(t.ID) {
-			procs := sys.AccessorProcs(cs.Sem)
-			if len(procs) == 0 {
-				continue
-			}
-			min := procs[0]
-			for _, p := range procs[1:] {
-				if p < min {
-					min = p
-				}
-			}
-			out[cs.Sem] = min
-		}
-	}
-	return out
-}
-
 // checkProcRenaming: relabeling processors must not change the analysis —
 // per-task blocking bounds and schedulability verdicts are functions of
 // the assignment structure, not of processor numbers. (Trace-level
@@ -655,7 +634,10 @@ func checkProcRenaming(c *trialCtx) []string {
 	}
 	var a1, a2 map[task.SemID]task.ProcID
 	if c.protocol == "dpcp" {
-		a1 = defaultDPCPAssign(c.sys)
+		a1, err = ceiling.SyncProcs(c.sys, func(task.SemID) bool { return true }, nil)
+		if err != nil {
+			return []string{fmt.Sprintf("sync processor assignment: %v", err)}
+		}
 		a2 = make(map[task.SemID]task.ProcID, len(a1))
 		for s, p := range a1 {
 			a2[s] = rename(p)

@@ -1,23 +1,37 @@
-// Package core implements the paper's primary contribution: the
-// shared-memory synchronization protocol of Section 5 (known in the later
-// literature as the multiprocessor priority ceiling protocol, MPCP).
+// Package core implements the paper's global-semaphore protocols as one
+// per-semaphore protocol: the shared-memory synchronization protocol of
+// Section 5 (known in the later literature as the multiprocessor
+// priority ceiling protocol, MPCP), the message-based protocol of [8]
+// (the distributed priority ceiling protocol, DPCP), and the mix of the
+// two that the paper's conclusion proposes: "the shared memory and
+// message-based protocols can be mixed to reduce critical blocking
+// factors and/or support nested critical sections."
 //
-// The protocol composes three mechanisms:
+// Local semaphores are managed by the uniprocessor priority ceiling
+// protocol on each processor (rule 2), reusing internal/pcp. Each global
+// semaphore is handled in one of two ways, fixed at Init:
 //
-//  1. Local semaphores are managed by the uniprocessor priority ceiling
-//     protocol on each processor (rule 2), reusing internal/pcp.
-//  2. Global semaphores are acquired by an atomic operation on shared
-//     memory (rule 5). A failed request enqueues the job in a
-//     priority-ordered queue keyed by its normal priority (rule 6), and a
-//     release hands the semaphore to the highest-priority waiter (rule 7).
-//  3. Every global critical section executes at a fixed, preassigned
-//     priority strictly above every task's assigned priority: the gcs of a
-//     job of task τ guarded by S_G runs at P_G + P_h, where P_G is the
-//     base priority ceiling (> P_H, the highest task priority in the
-//     system) and P_h is the highest priority of tasks on *other*
-//     processors that may lock S_G (Section 4.4). This realizes priority
-//     inheritance "in advance" with no dynamic priority changes, which is
-//     the paper's implementability argument.
+//   - In place (shared memory). The semaphore is acquired by an atomic
+//     operation on shared memory (rule 5). A failed request enqueues the
+//     job in a priority-ordered queue keyed by its normal priority (rule
+//     6), and a release hands the semaphore to the highest-priority
+//     waiter (rule 7). The gcs executes on the requester's processor at
+//     a fixed, preassigned priority strictly above every task's assigned
+//     priority: the gcs of a job of task τ guarded by S_G runs at
+//     P_G + P_h, where P_G is the base priority ceiling (> P_H, the
+//     highest task priority in the system) and P_h is the highest
+//     priority of tasks on *other* processors that may lock S_G (Section
+//     4.4). This realizes priority inheritance "in advance" with no
+//     dynamic priority changes, which is the paper's implementability
+//     argument.
+//   - Remotely (message based). The semaphore is assigned to one
+//     synchronization processor; a requester suspends, and its gcs
+//     executes there as an agent running at the global priority ceiling
+//     of the semaphore. Requests are served one at a time in priority
+//     order.
+//
+// New builds MPCP (every global semaphore in place), NewDPCP builds DPCP
+// (every global semaphore remote) and NewHybrid builds the mix.
 package core
 
 import (
@@ -45,8 +59,8 @@ const (
 	Spin
 )
 
-// Options configures protocol variants; the zero value is the paper's
-// protocol exactly.
+// Options configures the shared-memory protocol's variants; the zero
+// value is the paper's protocol exactly.
 type Options struct {
 	// Wait selects suspension (default) or busy-waiting at a busy global
 	// semaphore.
@@ -68,79 +82,118 @@ type Options struct {
 	AllowNestedGlobal bool
 }
 
-// Protocol is the shared-memory synchronization protocol. Build with New;
-// the zero value is not usable.
+// Protocol is the per-semaphore global-semaphore protocol. Build with
+// New, NewDPCP or NewHybrid; the zero value is not usable.
 type Protocol struct {
+	name string
 	opts Options
+
+	// remote lists the message-based semaphores; allRemote makes every
+	// global semaphore message-based. assign holds explicit
+	// synchronization processors.
+	remote    map[task.SemID]bool
+	allRemote bool
+	assign    map[task.SemID]task.ProcID
 
 	tbl *ceiling.Table // P_H, P_G, ceilings, gcs priorities (Section 4)
 
-	locals map[task.ProcID]*pcp.Local
+	locals []*pcp.Local
 	gsems  map[task.SemID]*gsem
+	csAt   map[csKey]task.CriticalSection // gcs's on remote semaphores
 
 	// prioStack tracks pre-gcs effective priorities per job so nested
 	// global sections (when allowed) restore correctly.
 	prioStack map[*sim.Job][]int
 }
 
+// gsem is one global semaphore. holder is the job in its gcs; for a
+// remote semaphore it is the job whose agent is executing.
 type gsem struct {
+	remote  bool
+	proc    task.ProcID // synchronization processor (remote only)
 	holder  *sim.Job
 	waiters pqueue.Queue[*sim.Job]
+}
+
+type csKey struct {
+	task  task.ID
+	start int
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
 
 // New returns the shared-memory protocol with the given options.
 func New(opts Options) *Protocol {
-	if opts.Wait == 0 {
-		opts.Wait = Suspend
+	name := "mpcp"
+	if opts.Wait == Spin {
+		name += "+spin"
 	}
-	return &Protocol{opts: opts}
+	if opts.FIFOQueues {
+		name += "+fifo"
+	}
+	if opts.GcsAtCeiling {
+		name += "+ceilprio"
+	}
+	return &Protocol{name: name, opts: opts}
+}
+
+// NewDPCP returns the message-based protocol of [8]: every global
+// semaphore is remote, and every gcs runs at its semaphore's global
+// ceiling. assign maps semaphores to synchronization processors;
+// unassigned ones default to their lowest-numbered accessor processor.
+func NewDPCP(assign map[task.SemID]task.ProcID) *Protocol {
+	return &Protocol{name: "dpcp", opts: Options{GcsAtCeiling: true}, allRemote: true, assign: assign}
+}
+
+// NewHybrid returns the mixed protocol: the global semaphores in remote
+// are message-based, assigned as in NewDPCP, and all others use the
+// shared-memory rules.
+func NewHybrid(remote map[task.SemID]bool, assign map[task.SemID]task.ProcID) *Protocol {
+	return &Protocol{name: "hybrid", remote: remote, assign: assign}
 }
 
 // Name implements sim.Protocol.
-func (p *Protocol) Name() string {
-	name := "mpcp"
-	if p.opts.Wait == Spin {
-		name += "+spin"
-	}
-	if p.opts.FIFOQueues {
-		name += "+fifo"
-	}
-	if p.opts.GcsAtCeiling {
-		name += "+ceilprio"
-	}
-	return name
-}
+func (p *Protocol) Name() string { return p.name }
 
 // Init implements sim.Protocol. It computes P_H, P_G, the global priority
 // ceilings and the per-(task, semaphore) gcs execution priorities of
-// Section 4.4.
+// Section 4.4, and resolves each remote semaphore's synchronization
+// processor.
 func (p *Protocol) Init(e *sim.Engine) error {
 	sys := e.Sys()
 	p.tbl = ceiling.Compute(sys, p.opts.GcsAtCeiling)
+	procs, err := ceiling.SyncProcs(sys, func(s task.SemID) bool { return p.allRemote || p.remote[s] }, p.assign)
+	if err != nil {
+		return fmt.Errorf("%s: %w", p.name, err)
+	}
 	p.gsems = make(map[task.SemID]*gsem)
+	p.csAt = make(map[csKey]task.CriticalSection)
 	p.prioStack = make(map[*sim.Job][]int)
 	for _, sem := range sys.Sems {
 		if sem.Global {
-			p.gsems[sem.ID] = &gsem{}
+			g := &gsem{}
+			g.proc, g.remote = procs[sem.ID]
+			p.gsems[sem.ID] = g
 		}
 	}
 
-	if !p.opts.AllowNestedGlobal {
-		for _, t := range sys.Tasks {
-			for _, cs := range sys.CriticalSections(t.ID) {
-				if cs.Global && (cs.Nested || !cs.Outermost) {
-					return fmt.Errorf("core: task %d has a nested global critical section on semaphore %d; enable AllowNestedGlobal", t.ID, cs.Sem)
-				}
+	for _, t := range sys.Tasks {
+		for _, cs := range sys.CriticalSections(t.ID) {
+			if !cs.Global {
+				continue
+			}
+			if !p.opts.AllowNestedGlobal && (cs.Nested || !cs.Outermost) {
+				return fmt.Errorf("%s: task %d has a nested global critical section on semaphore %d", p.name, t.ID, cs.Sem)
+			}
+			if p.gsems[cs.Sem].remote {
+				p.csAt[csKey{task: t.ID, start: cs.StartSeg}] = cs
 			}
 		}
 	}
 
-	p.locals = make(map[task.ProcID]*pcp.Local, sys.NumProcs)
-	for i := 0; i < sys.NumProcs; i++ {
-		proc := task.ProcID(i)
-		p.locals[proc] = pcp.NewLocal(sys, proc, p.setLocalPrio)
+	p.locals = make([]*pcp.Local, sys.NumProcs)
+	for i := range p.locals {
+		p.locals[i] = pcp.NewLocal(sys, task.ProcID(i), p.setLocalPrio)
 	}
 	return nil
 }
@@ -153,10 +206,6 @@ func (p *Protocol) setLocalPrio(e *sim.Engine, j *sim.Job, prio int) {
 	}
 	e.SetEffPrio(j, prio)
 }
-
-// BaseCeiling returns P_G, the base priority ceiling for global
-// semaphores.
-func (p *Protocol) BaseCeiling() int { return p.tbl.PG }
 
 // GlobalCeiling returns the global priority ceiling of semaphore s
 // (0 if s is not a global semaphore known to the protocol).
@@ -171,6 +220,15 @@ func (p *Protocol) GcsPriority(id task.ID, s task.SemID) int {
 	return p.tbl.GcsPrio[ceiling.Key{Task: id, Sem: s}]
 }
 
+// SyncProc returns the synchronization processor of semaphore s and
+// whether s is handled remotely at all.
+func (p *Protocol) SyncProc(s task.SemID) (task.ProcID, bool) {
+	if g := p.gsems[s]; g != nil && g.remote {
+		return g.proc, true
+	}
+	return 0, false
+}
+
 // OnRelease implements sim.Protocol (rule 1: a job uses its assigned
 // priority unless it is within a critical section).
 func (p *Protocol) OnRelease(e *sim.Engine, j *sim.Job) {
@@ -183,6 +241,9 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 	g, isGlobal := p.gsems[s]
 	if !isGlobal {
 		return p.locals[j.Proc].TryLock(e, j, s)
+	}
+	if g.remote {
+		return p.requestRemote(e, j, s, g)
 	}
 
 	if g.holder == nil {
@@ -226,11 +287,60 @@ func (p *Protocol) enterGcs(e *sim.Engine, j *sim.Job, s task.SemID, prev int) {
 	}
 }
 
+// requestRemote sends j's request for remote semaphore s to its
+// synchronization processor. The requester always suspends: its gcs runs
+// as an agent now if s is free, else when its turn in the queue comes.
+func (p *Protocol) requestRemote(e *sim.Engine, j *sim.Job, s task.SemID, g *gsem) bool {
+	e.SuspendGlobal(j, s)
+	if g.holder != nil {
+		g.waiters.Push(j, j.BasePrio)
+		return false
+	}
+	p.startAgent(e, g, j)
+	return false
+}
+
+// startAgent launches the gcs of parent on the synchronization processor
+// at the global priority ceiling of its semaphore, per [8].
+func (p *Protocol) startAgent(e *sim.Engine, g *gsem, parent *sim.Job) {
+	cs := p.csAt[csKey{task: parent.Task.ID, start: parent.PC}]
+	g.holder = parent
+	interior := parent.Body[cs.StartSeg+1 : cs.EndSeg]
+	prio := p.tbl.GlobalCeil[cs.Sem]
+	agent := e.SpawnAgent(parent, interior, g.proc, prio, func(agent *sim.Job) {
+		p.agentDone(e, g, agent, cs)
+	})
+	parent.ActiveAgent = agent
+	e.Grant(parent, cs.Sem, prio)
+}
+
+// agentDone resumes the parent past its gcs and starts the next queued
+// request, if any.
+func (p *Protocol) agentDone(e *sim.Engine, g *gsem, agent *sim.Job, cs task.CriticalSection) {
+	parent := agent.Parent
+	parent.ActiveAgent = nil
+	e.JumpTo(parent, cs.EndSeg+1)
+	e.SetEffPrio(parent, parent.BasePrio)
+	e.MakeReady(parent)
+	p.locals[parent.Proc].Recompute(e)
+
+	next, ok := g.waiters.Pop()
+	if !ok {
+		g.holder = nil
+		return
+	}
+	p.startAgent(e, g, next)
+}
+
 // Unlock implements sim.Protocol.
 func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	g, isGlobal := p.gsems[s]
 	if !isGlobal {
 		p.locals[j.Proc].Unlock(e, j, s)
+		return
+	}
+	if g.remote {
+		//rtlint:allow protocontract remote sections run as agents and never reach the requester's unlock; agentDone releases the semaphore
 		return
 	}
 
@@ -267,7 +377,8 @@ func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	e.MakeReady(next)
 }
 
-// OnFinish implements sim.Protocol.
+// OnFinish implements sim.Protocol. Agents never reach it: the engine
+// finishes them through agentDone.
 func (p *Protocol) OnFinish(e *sim.Engine, j *sim.Job) {
 	delete(p.prioStack, j)
 	p.locals[j.Proc].DropJob(j)

@@ -106,7 +106,7 @@ func TestTable42GcsPriorities(t *testing.T) {
 	if _, err := sim.New(sys, p, sim.Config{Horizon: 1}); err != nil {
 		t.Fatal(err)
 	}
-	PG := p.BaseCeiling()
+	PG := p.Ceilings().PG
 	P := paperex.PriorityOf
 
 	cases := []struct {

@@ -6,7 +6,6 @@ import (
 
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
 	"mpcp/internal/shmem"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
@@ -55,7 +54,7 @@ func E10ProtocolComparison() (*Table, error) {
 			if resM.AnyMiss {
 				missM++
 			}
-			resD, err := runSim(sys, dpcp.New(dpcp.Options{}), 0)
+			resD, err := runSim(sys, core.NewDPCP(nil), 0)
 			if err != nil {
 				return nil, err
 			}

@@ -6,7 +6,6 @@ import (
 	"mpcp/internal/alloc"
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
-	"mpcp/internal/hybrid"
 	"mpcp/internal/server"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -45,7 +44,7 @@ func E14HybridProtocol() (*Table, error) {
 			}
 		}
 		worst := func(remote map[task.SemID]bool) (int, int, bool, error) {
-			res, err := runSim(sys, hybrid.New(hybrid.Options{Remote: remote}), 0)
+			res, err := runSim(sys, core.NewHybrid(remote, nil), 0)
 			if err != nil {
 				return 0, 0, false, err
 			}

@@ -6,7 +6,6 @@ import (
 	"mpcp/internal/alloc"
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
 )
@@ -47,7 +46,7 @@ func E19DedicatedSyncProc() (*Table, error) {
 				return nil, err
 			} else if ok {
 				admitShared++
-				res, err := runSim(sys, dpcp.New(dpcp.Options{}), 0)
+				res, err := runSim(sys, core.NewDPCP(nil), 0)
 				if err != nil {
 					return nil, err
 				}
@@ -67,7 +66,7 @@ func E19DedicatedSyncProc() (*Table, error) {
 				return nil, err
 			} else if ok {
 				admitDedicated++
-				res, err := runSim(sysB, dpcp.New(dpcp.Options{Assign: assign}), 0)
+				res, err := runSim(sysB, core.NewDPCP(assign), 0)
 				if err != nil {
 					return nil, err
 				}

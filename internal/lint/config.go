@@ -33,8 +33,8 @@ func (s Scoped) Applies(importPath string) bool {
 //
 //   - determinism guards the deterministic result path: the tick
 //     simulator and its release queue, the suspension-based protocols
-//     that drive it (pcp, core, dpcp, hybrid), the task model (whose validation
-//     and ceiling inputs seed every derived table), the conformance
+//     that drive it (pcp, core), the task model (whose validation and
+//     ceiling inputs seed every derived table), the conformance
 //     engine, the campaign engine, the workload generators and the
 //     distributed sweep service (whose merged output must be
 //     byte-identical to a local run). The campaign worker pool (pool.go)
@@ -77,8 +77,6 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/sim",
 				"mpcp/internal/pcp",
 				"mpcp/internal/core",
-				"mpcp/internal/dpcp",
-				"mpcp/internal/hybrid",
 				"mpcp/internal/relq",
 				"mpcp/internal/task",
 				"mpcp/internal/conformance",
@@ -111,8 +109,6 @@ func DefaultSuite() []Scoped {
 			Prefixes: []string{
 				"mpcp/internal/proto",
 				"mpcp/internal/pcp",
-				"mpcp/internal/dpcp",
-				"mpcp/internal/hybrid",
 				"mpcp/internal/core",
 				"mpcp/internal/msrp",
 				"mpcp/internal/fmlp",

@@ -6,8 +6,6 @@ import (
 	"mpcp/internal/analysis"
 	"mpcp/internal/config"
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
-	"mpcp/internal/hybrid"
 	"mpcp/internal/obs"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -34,8 +32,8 @@ func protocols(sys *task.System) map[string]sim.Protocol {
 	return map[string]sim.Protocol{
 		"mpcp":      core.New(core.Options{}),
 		"mpcp-spin": core.New(core.Options{Wait: core.Spin}),
-		"dpcp":      dpcp.New(dpcp.Options{}),
-		"hybrid":    hybrid.New(hybrid.Options{Remote: remote}),
+		"dpcp":      core.NewDPCP(nil),
+		"hybrid":    core.NewHybrid(remote, nil),
 	}
 }
 
@@ -155,7 +153,7 @@ func TestMeasuredBlockingWithinBound(t *testing.T) {
 		proto func() sim.Protocol
 	}{
 		{analysis.KindMPCP, 0.45, func() sim.Protocol { return core.New(core.Options{}) }},
-		{analysis.KindDPCP, 0.35, func() sim.Protocol { return dpcp.New(dpcp.Options{}) }},
+		{analysis.KindDPCP, 0.35, func() sim.Protocol { return core.NewDPCP(nil) }},
 	}
 	for _, tc := range cases {
 		checked := 0

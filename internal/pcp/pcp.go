@@ -6,9 +6,10 @@
 // processor; otherwise it blocks and the offending holder inherits its
 // priority.
 //
-// The package exposes two layers: Local, the per-processor machinery that
-// internal/core (MPCP) and internal/dpcp embed, and Protocol, a standalone
-// sim.Protocol for workloads whose semaphores are all local.
+// The package exposes two layers: Local, the per-processor machinery
+// that internal/core (MPCP, DPCP and their hybrid) embeds, and Protocol,
+// a standalone sim.Protocol for workloads whose semaphores are all
+// local.
 package pcp
 
 import (

@@ -21,9 +21,7 @@ import (
 
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
 	"mpcp/internal/fmlp"
-	"mpcp/internal/hybrid"
 	"mpcp/internal/msrp"
 	"mpcp/internal/pcp"
 	"mpcp/internal/proto"
@@ -263,7 +261,7 @@ var descriptors = []Descriptor{
 			RenameInvariant:   true,
 			HasBound:          true,
 		},
-		New: func(o Opts) (sim.Protocol, error) { return dpcp.New(dpcp.Options{Assign: o.DPCPAssign}), nil },
+		New: func(o Opts) (sim.Protocol, error) { return core.NewDPCP(o.DPCPAssign), nil },
 		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
 			return analysis.Bounds(sys, analysis.Options{Kind: analysis.KindDPCP, DeferredPenalty: o.DeferredPenalty, DPCPAssign: o.DPCPAssign})
 		},
@@ -278,7 +276,7 @@ var descriptors = []Descriptor{
 			HasBound:          true,
 		},
 		New: func(o Opts) (sim.Protocol, error) {
-			return hybrid.New(hybrid.Options{Remote: hybridRemote(o.Sys, o.RemoteSems), Assign: o.DPCPAssign}), nil
+			return core.NewHybrid(hybridRemote(o.Sys, o.RemoteSems), o.DPCPAssign), nil
 		},
 		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
 			return analysis.HybridBounds(sys, analysis.HybridOptions{Remote: hybridRemote(sys, o.RemoteSems), Assign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty})

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
 	"mpcp/internal/proto"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -44,7 +43,7 @@ func BenchmarkEngine4x4MPCP(b *testing.B) {
 }
 
 func BenchmarkEngine4x4DPCP(b *testing.B) {
-	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return dpcp.New(dpcp.Options{}) })
+	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return core.NewDPCP(nil) })
 }
 
 func BenchmarkEngine4x4None(b *testing.B) {

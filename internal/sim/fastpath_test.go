@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
 	"mpcp/internal/proto"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -90,7 +89,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 	}{
 		{"mpcp", func() sim.Protocol { return core.New(core.Options{}) }},
 		{"mpcp-spin", func() sim.Protocol { return core.New(core.Options{Wait: core.Spin}) }},
-		{"dpcp", func() sim.Protocol { return dpcp.New(dpcp.Options{}) }},
+		{"dpcp", func() sim.Protocol { return core.NewDPCP(nil) }},
 		{"none", func() sim.Protocol { return proto.NewNone(proto.FIFOOrder) }},
 	}
 	for _, p := range protos {

@@ -2,7 +2,6 @@ package mpcp
 
 import (
 	"mpcp/internal/core"
-	"mpcp/internal/dpcp"
 	"mpcp/internal/fmlp"
 	"mpcp/internal/msrp"
 	"mpcp/internal/pcp"
@@ -54,27 +53,22 @@ func MPCP(opts ...MPCPOption) *core.Protocol {
 }
 
 // DPCPOption configures the message-based baseline.
-type DPCPOption func(*dpcp.Options)
+type DPCPOption func(assign map[SemID]ProcID)
 
 // WithSyncProc assigns global semaphore s to synchronization processor p.
 func WithSyncProc(s SemID, p ProcID) DPCPOption {
-	return func(o *dpcp.Options) {
-		if o.Assign == nil {
-			o.Assign = make(map[SemID]ProcID)
-		}
-		o.Assign[s] = p
-	}
+	return func(assign map[SemID]ProcID) { assign[s] = p }
 }
 
 // DPCP returns the message-based multiprocessor protocol of [8]: global
 // critical sections execute on designated synchronization processors at
 // the global priority ceilings of their semaphores.
-func DPCP(opts ...DPCPOption) *dpcp.Protocol {
-	var o dpcp.Options
+func DPCP(opts ...DPCPOption) *core.Protocol {
+	assign := make(map[SemID]ProcID)
 	for _, opt := range opts {
-		opt(&o)
+		opt(assign)
 	}
-	return dpcp.New(o)
+	return core.NewDPCP(assign)
 }
 
 // PCP returns the uniprocessor priority ceiling protocol; every semaphore
