@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short bench repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
+.PHONY: all build test test-short bench bench-ab repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
 
 all: build test
 
@@ -16,6 +16,14 @@ test-short:
 # Regenerate every paper table/figure as benchmarks (deliverable d).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Same-machine A/B of the repository benchmark against revision REV:
+# alternating pairs of python3 perfbench/run.py on REV (a git worktree
+# under .bench_build/ab/) and on this tree. BENCH_AB_FLAGS passes e.g.
+# "--seconds 15 --workloads sweep-sim --seed 2" (scripts/bench_ab.py -h).
+bench-ab:
+	@test -n "$(REV)" || { echo "usage: make bench-ab REV=<rev> [BENCH_AB_FLAGS=...]"; exit 2; }
+	python3 scripts/bench_ab.py --rev $(REV) $(BENCH_AB_FLAGS)
 
 # Full acceptance-ratio campaign (MPCP vs DPCP vs hybrid), resumable.
 sweep:

@@ -60,7 +60,7 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 
 	// maxDur[q][s]: longest global critical section on semaphore s
 	// issued from processor q.
-	maxDur := make(map[task.ProcID]map[task.SemID]int)
+	maxDur := make([]map[task.SemID]int, sys.NumProcs)
 	for _, t := range sys.Tasks {
 		for _, cs := range sys.GlobalSections(t.ID) {
 			m := maxDur[t.Proc]
@@ -78,7 +78,7 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 	rawSpin := func(proc task.ProcID, s task.SemID) int {
 		total := 0
 		for q, m := range maxDur {
-			if q != proc {
+			if task.ProcID(q) != proc {
 				total += m[s]
 			}
 		}
@@ -102,9 +102,9 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 	// global semaphore accessed from q.
 	grantDelay := func(q task.ProcID, s task.SemID) int {
 		total := 0
-		for s2 := range maxDur[q] {
-			if s2 != s {
-				total += npSpan(q, s2)
+		for _, sem := range sys.Sems {
+			if sem.ID != s {
+				total += npSpan(q, sem.ID)
 			}
 		}
 		return total
@@ -139,10 +139,10 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 				// Factor 3 slot: FIFO spin, one section plus grant
 				// delay per other processor.
 				for q, m := range maxDur {
-					if q == ti.Proc || m[cs.Sem] == 0 {
+					if task.ProcID(q) == ti.Proc || m[cs.Sem] == 0 {
 						continue
 					}
-					b.RemotePreemption += m[cs.Sem] + grantDelay(q, cs.Sem)
+					b.RemotePreemption += m[cs.Sem] + grantDelay(task.ProcID(q), cs.Sem)
 				}
 				continue
 			}

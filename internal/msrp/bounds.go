@@ -55,7 +55,7 @@ func Bounds(sys *task.System) (map[task.ID]*analysis.Bound, error) {
 
 	// maxDur[q][s]: longest global critical section on semaphore s
 	// issued from processor q.
-	maxDur := make(map[task.ProcID]map[task.SemID]int)
+	maxDur := make([]map[task.SemID]int, sys.NumProcs)
 	for _, t := range sys.Tasks {
 		for _, cs := range sys.GlobalSections(t.ID) {
 			m := maxDur[t.Proc]
@@ -73,7 +73,7 @@ func Bounds(sys *task.System) (map[task.ID]*analysis.Bound, error) {
 	spinReq := func(t *task.Task, s task.SemID) int {
 		total := 0
 		for proc, m := range maxDur {
-			if proc == t.Proc {
+			if task.ProcID(proc) == t.Proc {
 				continue
 			}
 			total += m[s]

@@ -136,16 +136,22 @@ func (l *Local) highestCeilingHeldByOthers(j *sim.Job) (task.SemID, *sim.Job) {
 
 // Recompute reestablishes the transitive inheritance fixpoint among jobs
 // on this processor: a holder inherits the highest priority of the jobs it
-// blocks.
+// blocks. With no job blocked, every job simply gets its base priority.
 func (l *Local) Recompute(e *sim.Engine) {
-	eff := make(map[*sim.Job]int)
-	var jobs []*sim.Job
-	for _, j := range e.ActiveJobs() {
-		if j.Proc != l.proc || j.IsAgent() {
-			continue
+	jobs := e.ActiveOn(l.proc)
+	if len(l.blocked) == 0 {
+		for _, j := range jobs {
+			if !j.IsAgent() {
+				l.setPrio(e, j, j.BasePrio)
+			}
 		}
-		jobs = append(jobs, j)
-		eff[j] = j.BasePrio
+		return
+	}
+	eff := make(map[*sim.Job]int, len(jobs))
+	for _, j := range jobs {
+		if !j.IsAgent() {
+			eff[j] = j.BasePrio
+		}
 	}
 	for changed := true; changed; {
 		changed = false
@@ -157,7 +163,9 @@ func (l *Local) Recompute(e *sim.Engine) {
 		}
 	}
 	for _, j := range jobs {
-		l.setPrio(e, j, eff[j])
+		if !j.IsAgent() {
+			l.setPrio(e, j, eff[j])
+		}
 	}
 }
 

@@ -162,3 +162,26 @@ func TestBlockedAtMostOneCriticalSection(t *testing.T) {
 		t.Errorf("τ1 blocked %d ticks, want <= 6 (one critical section)", b)
 	}
 }
+
+// TestRecomputeUnblockedAllocatesNothing: with no job blocked locally
+// (the common case on every lock, unlock and finish), Recompute sets
+// base priorities straight from the processor's job list.
+func TestRecomputeUnblockedAllocatesNothing(t *testing.T) {
+	sys := classicPCP(t)
+	e, err := sim.New(sys, pcp.New(), sim.Config{Horizon: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Now() < 5 {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(e.ActiveOn(0)); n < 2 {
+		t.Fatalf("%d active jobs at t=%d, want at least 2", n, e.Now())
+	}
+	l := pcp.NewLocal(sys, 0, nil)
+	if allocs := testing.AllocsPerRun(100, func() { l.Recompute(e) }); allocs != 0 {
+		t.Errorf("Recompute with no blocked job: %v allocs/op, want 0", allocs)
+	}
+}

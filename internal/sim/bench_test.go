@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"mpcp/internal/core"
+	"mpcp/internal/fmlp"
+	"mpcp/internal/msrp"
 	"mpcp/internal/proto"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -48,6 +50,16 @@ func BenchmarkEngine4x4DPCP(b *testing.B) {
 
 func BenchmarkEngine4x4None(b *testing.B) {
 	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return proto.NewNone(proto.FIFOOrder) })
+}
+
+// BenchmarkEngine4x4MSRP and BenchmarkEngine4x4FMLP cover the spin-lock
+// protocols, the spinning half of the sweep-sim benchmark workload.
+func BenchmarkEngine4x4MSRP(b *testing.B) {
+	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return msrp.New() })
+}
+
+func BenchmarkEngine4x4FMLP(b *testing.B) {
+	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return fmlp.New(fmlp.Options{}) })
 }
 
 func BenchmarkEngine8x8MPCP(b *testing.B) {

@@ -1,0 +1,17 @@
+package sim
+
+import "mpcp/internal/task"
+
+// DispatchPick returns the job the dispatcher would run on processor p if
+// settle made no further progress. cached reports whether p is clean, in
+// which case j is settle's cached pick and the next settle skips p; on a
+// dirty processor j is a fresh scan of p's job list.
+func (e *Engine) DispatchPick(p task.ProcID) (j *Job, cached bool) {
+	if e.dirty[p] {
+		return e.pickRunnable(p), false
+	}
+	return e.picks[p], true
+}
+
+// ReadySeq returns j's FCFS tie-break sequence number.
+func ReadySeq(j *Job) uint64 { return j.readySeq }

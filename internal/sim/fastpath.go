@@ -151,6 +151,7 @@ func (e *Engine) fastForward(q int) int {
 		if j.SegLeft == 0 && j.PC < len(j.Body) {
 			j.PC++
 			e.loadSegment(j)
+			e.dirty[p] = true
 		}
 	}
 	// Waiting-time accounting, q ticks at once.
