@@ -4,7 +4,8 @@
 // Theorem 3, and a response-time iteration refinement. The same
 // per-semaphore factor composition also bounds the message-based
 // protocol of [8], for the Section 5.2 comparison, and the per-semaphore
-// mix of both of the Section 6 variation.
+// mix of both of the Section 6 variation. MSRPBounds and FMLPBounds
+// bound the spin-lock protocols on the same factor slots.
 package analysis
 
 import (
@@ -182,11 +183,51 @@ func interferes(w int, tj *task.Task) int {
 	return (w + tj.Jitter + t - 1) / t
 }
 
-// Interferes exposes the interference bound to protocol-specific
-// analyses outside this package (internal/msrp, internal/fmlp), so
-// every registered analysis shares the same jitter-aware arrival curve
-// and inherits its monotonicity property.
-func Interferes(w int, tj *task.Task) int { return interferes(w, tj) }
+// sections indexes a system's critical sections for one analysis call:
+// each task's global and local sections, and the tasks of every
+// processor.
+type sections struct {
+	gcs, lcs map[task.ID][]task.CriticalSection
+	byProc   [][]*task.Task
+}
+
+func indexSections(sys *task.System) *sections {
+	ix := &sections{
+		gcs:    make(map[task.ID][]task.CriticalSection, len(sys.Tasks)),
+		lcs:    make(map[task.ID][]task.CriticalSection, len(sys.Tasks)),
+		byProc: make([][]*task.Task, sys.NumProcs),
+	}
+	for _, t := range sys.Tasks {
+		ix.gcs[t.ID] = sys.GlobalSections(t.ID)
+		ix.lcs[t.ID] = sys.LocalSections(t.ID)
+		ix.byProc[t.Proc] = append(ix.byProc[t.Proc], t)
+	}
+	return ix
+}
+
+// pcpBlocking is factor 1's unit: the longest local critical section of
+// a lower-priority job on ti's processor whose ceiling reaches P_i, the
+// one section the uniprocessor PCP can block ti for per opportunity.
+func (ix *sections) pcpBlocking(tbl *ceiling.Table, ti *task.Task) int {
+	longest := 0
+	for _, tk := range ix.byProc[ti.Proc] {
+		if tk.Priority >= ti.Priority {
+			continue
+		}
+		for _, cs := range ix.lcs[tk.ID] {
+			if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > longest {
+				longest = cs.Duration
+			}
+		}
+	}
+	return longest
+}
+
+// sum sets Total to the sum of the factors and the penalty.
+func (b *Bound) sum() {
+	b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
+		b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
+}
 
 // remoteGcs is one gcs on a remote semaphore, as queued on its
 // synchronization processor.
@@ -213,16 +254,12 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 	}
 	tbl := ceiling.Compute(sys, opts.GcsAtCeiling)
 
-	// Per-call indexes: each task's global and local sections, the tasks
-	// of every processor, and remote gcs's by synchronization processor.
-	gcs := make(map[task.ID][]task.CriticalSection, len(sys.Tasks))
-	lcs := make(map[task.ID][]task.CriticalSection, len(sys.Tasks))
-	byProc := make(map[task.ProcID][]*task.Task, sys.NumProcs)
-	bySync := make(map[task.ProcID][]remoteGcs)
+	// Per-call indexes: the sections index, and remote gcs's by
+	// synchronization processor.
+	ix := indexSections(sys)
+	gcs, byProc := ix.gcs, ix.byProc
+	bySync := make([][]remoteGcs, sys.NumProcs)
 	for _, t := range sys.Tasks {
-		gcs[t.ID] = sys.GlobalSections(t.ID)
-		lcs[t.ID] = sys.LocalSections(t.ID)
-		byProc[t.Proc] = append(byProc[t.Proc], t)
 		for _, cs := range gcs[t.ID] {
 			if remote[cs.Sem] {
 				sp := assign[cs.Sem]
@@ -230,6 +267,13 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 			}
 		}
 	}
+
+	// Per-task scratch, indexed by processor: the synchronization
+	// processors ti's requests use, and on each processor the lowest gcs
+	// priority of a lower-priority job that can block ti.
+	usesSync := make([]bool, sys.NumProcs)
+	blockers := make([]bool, sys.NumProcs)
+	minBlocker := make([]int, sys.NumProcs)
 
 	out := make(map[task.ID]*Bound, len(sys.Tasks))
 	for _, ti := range sys.Tasks {
@@ -239,30 +283,19 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 		// Factor 1: (NG_i + 1) opportunities to be blocked by one local
 		// critical section of a lower-priority job whose ceiling reaches
 		// P_i.
-		maxLcs := 0
-		for _, tk := range byProc[ti.Proc] {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range lcs[tk.ID] {
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > maxLcs {
-					maxLcs = cs.Duration
-				}
-			}
-		}
-		b.LocalBlocking = (ng + 1) * maxLcs
+		b.LocalBlocking = (ng + 1) * ix.pcpBlocking(tbl, ti)
 
 		// Factor 2: each request can wait for one lower-priority gcs —
 		// the longest holder of a shared-memory semaphore, or the longest
 		// gcs in service on a remote semaphore's synchronization
 		// processor.
 		shm := make(map[task.SemID]bool, ng)
-		syncProcs := make(map[task.ProcID]bool)
+		clear(usesSync)
 		for _, cs := range gcs[ti.ID] {
 			worst := 0
 			if remote[cs.Sem] {
 				sp := assign[cs.Sem]
-				syncProcs[sp] = true
+				usesSync[sp] = true
 				for _, rg := range bySync[sp] {
 					if rg.owner.ID != ti.ID && rg.owner.Priority < ti.Priority && rg.cs.Duration > worst {
 						worst = rg.cs.Duration
@@ -302,7 +335,10 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 				b.RemotePreemption += interferes(ti.Period, tj) * dur
 			}
 		}
-		for sp := range syncProcs {
+		for sp, uses := range usesSync {
+			if !uses {
+				continue
+			}
 			for _, rg := range bySync[sp] {
 				if rg.owner.ID != ti.ID && rg.owner.Priority > ti.Priority {
 					b.RemotePreemption += interferes(ti.Period, rg.owner) * rg.cs.Duration
@@ -313,7 +349,7 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 		// Factor 4: on each processor holding a lower-priority gcs that
 		// can block one of our shared-memory requests, gcs's executing
 		// above the lowest such blocker preempt it.
-		blockProcs := make(map[task.ProcID]int) // proc -> min blocker gcs prio
+		clear(blockers)
 		for _, tk := range sys.Tasks {
 			if tk.Proc == ti.Proc || tk.Priority >= ti.Priority {
 				continue
@@ -323,16 +359,19 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 					continue
 				}
 				prio := tbl.GcsPrio[ceiling.Key{Task: tk.ID, Sem: cs.Sem}]
-				if cur, ok := blockProcs[tk.Proc]; !ok || prio < cur {
-					blockProcs[tk.Proc] = prio
+				if !blockers[tk.Proc] || prio < minBlocker[tk.Proc] {
+					blockers[tk.Proc], minBlocker[tk.Proc] = true, prio
 				}
 			}
 		}
-		for proc, minPrio := range blockProcs {
+		for proc, blocked := range blockers {
+			if !blocked {
+				continue
+			}
 			for _, tl := range byProc[proc] {
 				dur := 0
 				for _, cs := range gcs[tl.ID] {
-					if !remote[cs.Sem] && tbl.GcsPrio[ceiling.Key{Task: tl.ID, Sem: cs.Sem}] > minPrio {
+					if !remote[cs.Sem] && tbl.GcsPrio[ceiling.Key{Task: tl.ID, Sem: cs.Sem}] > minBlocker[proc] {
 						dur += cs.Duration
 					}
 				}
@@ -380,8 +419,7 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 			}
 		}
 
-		b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
-			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
+		b.sum()
 		out[ti.ID] = b
 	}
 	return out, nil

@@ -3,7 +3,8 @@
 // for global semaphores, strictly greater than P_H), the local and global
 // priority ceilings of every semaphore, and the fixed execution priority
 // of every global critical section, plus the synchronization processor
-// of every remotely handled global semaphore. The protocol
+// of every remotely handled global semaphore, and FMLP+'s split of the
+// global semaphores into short and long ones. The protocol
 // implementation (internal/core) and the blocking analysis
 // (internal/analysis) derive their numbers from this one package, so the
 // worked examples of Tables 4-1 and 4-2 check a single source of truth.
@@ -113,4 +114,35 @@ func SyncProcs(sys *task.System, remote func(task.SemID) bool, explicit map[task
 		out[sem.ID] = proc
 	}
 	return out, nil
+}
+
+// ShortMax is FMLP+'s inclusive length cutoff, in ticks, between short
+// and long global semaphores.
+const ShortMax = 4
+
+// Split classifies the global semaphores of sys into FMLP+'s short and
+// long groups: a semaphore is short when its longest critical section
+// over all users is at most ShortMax ticks.
+func Split(sys *task.System) (short, long map[task.SemID]bool) {
+	short = make(map[task.SemID]bool)
+	long = make(map[task.SemID]bool)
+	maxDur := make(map[task.SemID]int)
+	for _, t := range sys.Tasks {
+		for _, cs := range sys.GlobalSections(t.ID) {
+			if cs.Duration > maxDur[cs.Sem] {
+				maxDur[cs.Sem] = cs.Duration
+			}
+		}
+	}
+	for _, sem := range sys.Sems {
+		if !sem.Global {
+			continue
+		}
+		if maxDur[sem.ID] <= ShortMax {
+			short[sem.ID] = true
+		} else {
+			long[sem.ID] = true
+		}
+	}
+	return short, long
 }

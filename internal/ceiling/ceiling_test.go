@@ -153,3 +153,36 @@ func TestSyncProcs(t *testing.T) {
 		}
 	}
 }
+
+// TestSplit: a global semaphore is short when its longest section over
+// all users is at most ceiling.ShortMax ticks, inclusive at the cutoff.
+func TestSplit(t *testing.T) {
+	for _, tc := range []struct {
+		durs      [2]int
+		wantShort bool
+	}{
+		{[2]int{2, 1}, true},
+		{[2]int{4, 3}, true},  // at the cutoff
+		{[2]int{5, 1}, false}, // one user past the cutoff decides
+		{[2]int{7, 9}, false},
+	} {
+		const g, l = task.SemID(1), task.SemID(2)
+		sys := task.NewSystem(2)
+		sys.AddSem(&task.Semaphore{ID: g})
+		sys.AddSem(&task.Semaphore{ID: l})
+		for i, d := range tc.durs {
+			sys.AddTask(&task.Task{ID: task.ID(i + 1), Proc: task.ProcID(i), Period: 50, Priority: 2 - i,
+				Body: []task.Segment{task.Lock(g), task.Compute(d), task.Unlock(g), task.Lock(l), task.Compute(9), task.Unlock(l)}})
+		}
+		if err := sys.Validate(task.ValidateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		short, long := ceiling.Split(sys)
+		if short[g] != tc.wantShort || long[g] == tc.wantShort {
+			t.Errorf("sections %v: short=%t long=%t, want short=%t", tc.durs, short[g], long[g], tc.wantShort)
+		}
+		if short[l] || !long[l] {
+			t.Errorf("sections %v: the 9-tick semaphore is not long", tc.durs)
+		}
+	}
+}

@@ -30,8 +30,19 @@
 //     of the semaphore. Requests are served one at a time in priority
 //     order.
 //
+// Two more settings of the in-place record give the spin-lock designs
+// of the later literature (Brandenburg, arXiv 1909.09600): FIFO queues
+// and a non-preemptive execution level P_G + P_H + 1, strictly above
+// every gcs priority, held from the request on. Under MSRP (Gai, Lipari
+// & Di Natale, RTSS 2001) every waiter spins at that level; under FMLP+
+// (Block et al., RTCSA 2007) waiters spin on short semaphores and
+// suspend on long ones (ceiling.Split), and the holder is boosted to
+// the level on grant. A spinning or critical job is never preemptable,
+// so at most one job per processor has an outstanding global request.
+//
 // New builds MPCP (every global semaphore in place), NewDPCP builds DPCP
-// (every global semaphore remote) and NewHybrid builds the mix.
+// (every global semaphore remote), NewHybrid builds the mix, and
+// NewMSRP and NewFMLP build the spin-lock designs.
 package core
 
 import (
@@ -95,21 +106,30 @@ type Protocol struct {
 	allRemote bool
 	assign    map[task.SemID]task.ProcID
 
-	tbl *ceiling.Table // P_H, P_G, ceilings, gcs priorities (Section 4)
+	// nonPreempt runs a job at npPrio from its global request on, and
+	// suspendLong makes waiters suspend on long semaphores.
+	nonPreempt  bool
+	suspendLong bool
+
+	tbl    *ceiling.Table // P_H, P_G, ceilings, gcs priorities (Section 4)
+	npPrio int            // P_G + P_H + 1, above every gcs priority
 
 	locals []*pcp.Local
 	gsems  map[task.SemID]*gsem
 	csAt   map[csKey]task.CriticalSection // gcs's on remote semaphores
 
 	// prioStack tracks pre-gcs effective priorities per job so nested
-	// global sections (when allowed) restore correctly.
-	prioStack map[*sim.Job][]int
+	// global sections (when allowed) restore correctly. Emptied stacks
+	// go to freeStacks for the next job's first request.
+	prioStack  map[*sim.Job][]int
+	freeStacks [][]int
 }
 
 // gsem is one global semaphore. holder is the job in its gcs; for a
 // remote semaphore it is the job whose agent is executing.
 type gsem struct {
 	remote  bool
+	spin    bool        // waiters on another processor busy-wait
 	proc    task.ProcID // synchronization processor (remote only)
 	holder  *sim.Job
 	waiters pqueue.Queue[*sim.Job]
@@ -152,6 +172,19 @@ func NewHybrid(remote map[task.SemID]bool, assign map[task.SemID]task.ProcID) *P
 	return &Protocol{name: "hybrid", remote: remote, assign: assign}
 }
 
+// NewMSRP returns MSRP: FIFO queues, and a job spins and executes its
+// gcs at the non-preemptive level from its request on.
+func NewMSRP() *Protocol {
+	return &Protocol{name: "msrp", opts: Options{Wait: Spin, FIFOQueues: true}, nonPreempt: true}
+}
+
+// NewFMLP returns FMLP+: MSRP's rules on short semaphores; on long
+// ones a waiter suspends in FIFO order and is boosted to the
+// non-preemptive level when granted.
+func NewFMLP() *Protocol {
+	return &Protocol{name: "fmlp", opts: Options{Wait: Spin, FIFOQueues: true}, nonPreempt: true, suspendLong: true}
+}
+
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return p.name }
 
@@ -162,6 +195,7 @@ func (p *Protocol) Name() string { return p.name }
 func (p *Protocol) Init(e *sim.Engine) error {
 	sys := e.Sys()
 	p.tbl = ceiling.Compute(sys, p.opts.GcsAtCeiling)
+	p.npPrio = p.tbl.PG + p.tbl.PH + 1
 	procs, err := ceiling.SyncProcs(sys, func(s task.SemID) bool { return p.allRemote || p.remote[s] }, p.assign)
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.name, err)
@@ -169,9 +203,13 @@ func (p *Protocol) Init(e *sim.Engine) error {
 	p.gsems = make(map[task.SemID]*gsem)
 	p.csAt = make(map[csKey]task.CriticalSection)
 	p.prioStack = make(map[*sim.Job][]int)
+	var long map[task.SemID]bool
+	if p.suspendLong {
+		_, long = ceiling.Split(sys)
+	}
 	for _, sem := range sys.Sems {
 		if sem.Global {
-			g := &gsem{}
+			g := &gsem{spin: p.opts.Wait == Spin && !long[sem.ID]}
 			g.proc, g.remote = procs[sem.ID]
 			p.gsems[sem.ID] = g
 		}
@@ -199,9 +237,10 @@ func (p *Protocol) Init(e *sim.Engine) error {
 }
 
 // setLocalPrio applies locally recomputed (PCP-inherited) priorities, but
-// never overrides the fixed priority of a job inside a gcs (rule 3).
+// never overrides the fixed priority of a job inside a gcs (rule 3), nor
+// the non-preemptive level of a spinning job.
 func (p *Protocol) setLocalPrio(e *sim.Engine, j *sim.Job, prio int) {
-	if j.GCS > 0 {
+	if j.GCS > 0 || (p.nonPreempt && j.State == sim.StateSpinning) {
 		return
 	}
 	e.SetEffPrio(j, prio)
@@ -261,13 +300,13 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 		key = 0
 	}
 	g.waiters.Push(j, key)
-	p.prioStack[j] = append(p.prioStack[j], j.EffPrio)
-	if p.opts.Wait == Spin && g.holder.Proc != j.Proc {
+	p.pushPrio(j, j.EffPrio)
+	if g.spin && g.holder.Proc != j.Proc {
 		e.SpinGlobal(j, s)
-		// Busy-wait at the gcs priority so the spin cannot be preempted
-		// by non-critical code, mirroring the non-preemptible busy-wait
-		// of Section 5.4.
-		e.SetEffPrio(j, p.tbl.GcsPrio[ceiling.Key{Task: j.Task.ID, Sem: s}])
+		// Busy-wait at the gcs priority (or the non-preemptive level) so
+		// the spin cannot be preempted by non-critical code, mirroring
+		// the non-preemptible busy-wait of Section 5.4.
+		e.SetEffPrio(j, p.gcsPrio(j, s))
 	} else {
 		e.SuspendGlobal(j, s)
 	}
@@ -279,11 +318,37 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 // scheduling once this is set). prev is the effective priority to restore
 // when the gcs ends.
 func (p *Protocol) enterGcs(e *sim.Engine, j *sim.Job, s task.SemID, prev int) {
-	p.prioStack[j] = append(p.prioStack[j], prev)
+	p.pushPrio(j, prev)
 	e.CompleteLock(j, s)
-	prio := p.tbl.GcsPrio[ceiling.Key{Task: j.Task.ID, Sem: s}]
-	if prio > j.EffPrio {
+	if prio := p.gcsPrio(j, s); prio > j.EffPrio {
 		e.SetEffPrio(j, prio)
+	}
+}
+
+// gcsPrio is the level j waits and executes at on in-place semaphore
+// s: the non-preemptive level, or the gcs priority of Section 4.4.
+func (p *Protocol) gcsPrio(j *sim.Job, s task.SemID) int {
+	if p.nonPreempt {
+		return p.npPrio
+	}
+	return p.tbl.GcsPrio[ceiling.Key{Task: j.Task.ID, Sem: s}]
+}
+
+// pushPrio records prev on j's priority stack, starting an empty stack
+// from freeStacks.
+func (p *Protocol) pushPrio(j *sim.Job, prev int) {
+	st, ok := p.prioStack[j]
+	if n := len(p.freeStacks); !ok && n > 0 {
+		st, p.freeStacks = p.freeStacks[n-1], p.freeStacks[:n-1]
+	}
+	p.prioStack[j] = append(st, prev)
+}
+
+// dropStack forgets j's priority stack and keeps its storage.
+func (p *Protocol) dropStack(j *sim.Job) {
+	if st, ok := p.prioStack[j]; ok {
+		delete(p.prioStack, j)
+		p.freeStacks = append(p.freeStacks, st[:0])
 	}
 }
 
@@ -348,8 +413,8 @@ func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	if st := p.prioStack[j]; len(st) > 0 {
 		prev := st[len(st)-1]
 		p.prioStack[j] = st[:len(st)-1]
-		if len(p.prioStack[j]) == 0 {
-			delete(p.prioStack, j)
+		if len(st) == 1 {
+			p.dropStack(j)
 		}
 		e.SetEffPrio(j, prev)
 	} else {
@@ -380,7 +445,7 @@ func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 // OnFinish implements sim.Protocol. Agents never reach it: the engine
 // finishes them through agentDone.
 func (p *Protocol) OnFinish(e *sim.Engine, j *sim.Job) {
-	delete(p.prioStack, j)
+	p.dropStack(j)
 	p.locals[j.Proc].DropJob(j)
 	p.locals[j.Proc].Recompute(e)
 }

@@ -45,7 +45,8 @@ import (
 // spin-lock protocols (msrp, fmlp) and registry-canonicalized campaign
 // protocol names; "3" one per-semaphore blocking composition for mpcp,
 // dpcp and hybrid, which raises hybrid bounds on sporadic and jittered
-// task sets to the jitter-aware arrival bound.
+// task sets to the jitter-aware arrival bound. Building msrp and fmlp
+// from internal/core changed no output and kept "3".
 const EngineVersion = "3"
 
 // Job kinds understood by the default runner registry.

@@ -33,8 +33,9 @@ func (s Scoped) Applies(importPath string) bool {
 //
 //   - determinism guards the deterministic result path: the tick
 //     simulator and its release queue, the protocols that drive it
-//     (pcp, core, msrp, fmlp), the task model (whose validation and
-//     ceiling inputs seed every derived table), the conformance
+//     (pcp, core), the task model (whose validation and ceiling inputs
+//     seed every derived table), the ceiling table and the blocking
+//     bounds computed from it (ceiling, analysis), the conformance
 //     engine, the campaign engine, the workload generators and the
 //     distributed sweep service (whose merged output must be
 //     byte-identical to a local run). The campaign worker pool (pool.go)
@@ -78,10 +79,10 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/sim",
 				"mpcp/internal/pcp",
 				"mpcp/internal/core",
-				"mpcp/internal/msrp",
-				"mpcp/internal/fmlp",
 				"mpcp/internal/relq",
 				"mpcp/internal/task",
+				"mpcp/internal/ceiling",
+				"mpcp/internal/analysis",
 				"mpcp/internal/conformance",
 				"mpcp/internal/campaign",
 				"mpcp/internal/workload",
@@ -113,8 +114,6 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/proto",
 				"mpcp/internal/pcp",
 				"mpcp/internal/core",
-				"mpcp/internal/msrp",
-				"mpcp/internal/fmlp",
 			},
 		},
 		{

@@ -21,8 +21,6 @@ import (
 
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
-	"mpcp/internal/fmlp"
-	"mpcp/internal/msrp"
 	"mpcp/internal/pcp"
 	"mpcp/internal/proto"
 	"mpcp/internal/sim"
@@ -109,10 +107,6 @@ type Opts struct {
 	// (dpcp, hybrid); unset entries default to the lowest-numbered
 	// accessor processor.
 	DPCPAssign map[task.SemID]task.ProcID
-
-	// ShortMax overrides the FMLP+ short/long cutoff (ticks); zero
-	// keeps fmlp.DefaultShortMax.
-	ShortMax int
 }
 
 // AnalyzeOpts parameterizes a registered blocking analysis.
@@ -128,10 +122,6 @@ type AnalyzeOpts struct {
 	// RemoteSems is the hybrid protocol's message-based group; nil
 	// derives DefaultRemoteSems from the analyzed system.
 	RemoteSems map[task.SemID]bool
-
-	// ShortMax overrides the FMLP+ short/long cutoff; zero keeps the
-	// default.
-	ShortMax int
 }
 
 // Descriptor is one registered protocol.
@@ -291,9 +281,9 @@ var descriptors = []Descriptor{
 			DeadlockFree:      true,
 			HasBound:          true,
 		},
-		New: func(Opts) (sim.Protocol, error) { return msrp.New(), nil },
+		New: func(Opts) (sim.Protocol, error) { return core.NewMSRP(), nil },
 		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-			return msrp.Bounds(sys)
+			return analysis.MSRPBounds(sys)
 		},
 	},
 	{
@@ -307,9 +297,9 @@ var descriptors = []Descriptor{
 			TickScaleDependent: true,
 			HasBound:           true,
 		},
-		New: func(o Opts) (sim.Protocol, error) { return fmlp.New(fmlp.Options{ShortMax: o.ShortMax}), nil },
+		New: func(Opts) (sim.Protocol, error) { return core.NewFMLP(), nil },
 		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-			return fmlp.Bounds(sys, o.ShortMax, o.DeferredPenalty)
+			return analysis.FMLPBounds(sys, o.DeferredPenalty)
 		},
 	},
 	{

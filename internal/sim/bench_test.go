@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"mpcp/internal/core"
-	"mpcp/internal/fmlp"
-	"mpcp/internal/msrp"
 	"mpcp/internal/proto"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -55,11 +53,11 @@ func BenchmarkEngine4x4None(b *testing.B) {
 // BenchmarkEngine4x4MSRP and BenchmarkEngine4x4FMLP cover the spin-lock
 // protocols, the spinning half of the sweep-sim benchmark workload.
 func BenchmarkEngine4x4MSRP(b *testing.B) {
-	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return msrp.New() })
+	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return core.NewMSRP() })
 }
 
 func BenchmarkEngine4x4FMLP(b *testing.B) {
-	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return fmlp.New(fmlp.Options{}) })
+	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return core.NewFMLP() })
 }
 
 func BenchmarkEngine8x8MPCP(b *testing.B) {

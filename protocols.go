@@ -2,8 +2,6 @@ package mpcp
 
 import (
 	"mpcp/internal/core"
-	"mpcp/internal/fmlp"
-	"mpcp/internal/msrp"
 	"mpcp/internal/pcp"
 	"mpcp/internal/proto"
 	"mpcp/internal/registry"
@@ -101,30 +99,14 @@ func PriorityInheritance() *proto.Inherit { return proto.NewInherit() }
 // order at busy global semaphores, so a global critical section is
 // never preempted and at most one request per processor is ever
 // queued.
-func MSRP() *msrp.Protocol { return msrp.New() }
-
-// FMLPOption configures the FMLP+ protocol.
-type FMLPOption func(*fmlp.Options)
-
-// WithShortMax sets the short/long cutoff in ticks: semaphores whose
-// longest critical section is at most n ticks are short (jobs spin),
-// the rest are long (jobs suspend and are priority-boosted on grant).
-// Zero keeps fmlp.DefaultShortMax.
-func WithShortMax(n int) FMLPOption {
-	return func(o *fmlp.Options) { o.ShortMax = n }
-}
+func MSRP() *core.Protocol { return core.NewMSRP() }
 
 // FMLP returns the FIFO multiprocessor locking protocol in its FMLP+
 // form (Block et al., RTCSA 2007; Brandenburg's suspension-aware
-// refinement): short resources spin, long resources suspend, all
+// refinement): short resources (longest critical section at most 4
+// ticks) spin, long resources suspend and are boosted on grant, all
 // queues are FIFO.
-func FMLP(opts ...FMLPOption) *fmlp.Protocol {
-	var o fmlp.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return fmlp.New(o)
-}
+func FMLP() *core.Protocol { return core.NewFMLP() }
 
 // ProtocolInfo describes one registered protocol: its canonical
 // command-line name, accepted aliases, a one-line summary and its

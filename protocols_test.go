@@ -69,7 +69,6 @@ func TestSpinProtocolFacade(t *testing.T) {
 	}{
 		{"msrp", MSRP()},
 		{"fmlp", FMLP()},
-		{"fmlp-short-cutoff", FMLP(WithShortMax(1))},
 	} {
 		res, err := Simulate(sys, tc.proto)
 		if err != nil {
