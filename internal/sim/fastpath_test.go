@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -184,5 +185,117 @@ func TestFastPathStreamIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(stream(false), stream(true)) {
 		t.Error("streamed traces are not byte-identical")
+	}
+}
+
+// failSink accepts its first n records into log, then fails every write.
+type failSink struct {
+	n    int
+	log  trace.Log
+	last int // Time of the record that failed
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (s *failSink) full(t int) bool {
+	if s.n == 0 {
+		s.last = t
+		return true
+	}
+	s.n--
+	return false
+}
+
+func (s *failSink) Event(ev trace.Event) error {
+	if s.full(ev.Time) {
+		return errSinkFull
+	}
+	s.log.Add(ev)
+	return nil
+}
+
+func (s *failSink) Exec(x trace.Exec) error {
+	if s.full(x.Time) {
+		return errSinkFull
+	}
+	s.log.AddExec(x)
+	return nil
+}
+
+func (s *failSink) Close() error { return nil }
+
+// TestFastPathSinkFailsMidSpan: a sink that fails after k records stops
+// both steppers at the same tick with the same records written and the
+// same statistics, for every k up to the run's record count. Some k
+// fail on an Exec record the fast path synthesizes inside a coasted
+// span, which cuts that span short.
+func TestFastPathSinkFailsMidSpan(t *testing.T) {
+	cfg := workload.Default(7)
+	cfg.NumProcs = 3
+	cfg.TasksPerProc = 3
+	cfg.UtilPerProc = 0.3
+	sys, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simCfg := sim.Config{Horizon: 200, RetainJobs: true}
+	full := trace.New()
+	c := simCfg
+	c.Sink = full
+	e, err := sim.New(sys, core.New(core.Options{}), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	records := len(full.Events) + len(full.Execs)
+	midSpan := 0
+	for k := 0; k < records; k++ {
+		type stop struct {
+			now   int
+			sink  *failSink
+			res   *sim.Result
+			start int // tick the failing Step began at
+		}
+		run := func(reference bool) stop {
+			sink := &failSink{n: k}
+			c := simCfg
+			c.Sink = sink
+			c.ReferenceStepper = reference
+			e, err := sim.New(sys, core.New(core.Options{}), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				start := e.Now()
+				done, err := e.Step()
+				if done {
+					if !errors.Is(err, errSinkFull) {
+						t.Fatalf("k=%d reference=%v: run ended with %v, want the sink error", k, reference, err)
+					}
+					return stop{e.Now(), sink, e.Result(), start}
+				}
+			}
+		}
+		fast, ref := run(false), run(true)
+		if fast.now != ref.now {
+			t.Errorf("k=%d: fast path stopped at t=%d, reference at t=%d", k, fast.now, ref.now)
+		}
+		if !reflect.DeepEqual(fast.sink.log, ref.sink.log) {
+			t.Errorf("k=%d: records written differ", k)
+		}
+		if !reflect.DeepEqual(fast.res.Stats, ref.res.Stats) || !reflect.DeepEqual(fast.res.Procs, ref.res.Procs) {
+			t.Errorf("k=%d: statistics differ", k)
+		}
+		if !reflect.DeepEqual(fast.res.Jobs, ref.res.Jobs) {
+			t.Errorf("k=%d: job accounts differ", k)
+		}
+		if fast.sink.last > fast.start {
+			midSpan++
+		}
+	}
+	if midSpan == 0 {
+		t.Error("no sink failure landed inside a coasted span")
 	}
 }
