@@ -53,7 +53,7 @@ func run(args []string, out, errw io.Writer) int {
 		horizon  = fs.Int("horizon", 0, "simulation horizon in ticks (0 = one hyperperiod past the largest offset)")
 		replay   = fs.String("replay", "", "replay one repro file and exit")
 		server   = fs.String("server", "", "run the trials on an rtsweepd coordinator at this URL instead of in-process")
-		sporadic = fs.Bool("sporadic", false, "force every trial onto a sporadic+jittered workload shape (release-model smoke gate; use with the multiprocessor protocols)")
+		sporadic = fs.Bool("sporadic", false, "force every trial onto a sporadic+jittered workload shape (release-model smoke gate; uniprocessor-only protocols get it on one processor)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

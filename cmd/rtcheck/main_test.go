@@ -33,6 +33,25 @@ func TestRunCleanProtocols(t *testing.T) {
 	}
 }
 
+// TestRunSporadicDefaultProtocols: the forced sporadic+jittered shape
+// passes on the default protocol list, uniprocessor-only pcp included
+// (it is given the shape on one processor with local semaphores only),
+// and a clean run writes no repro.
+func TestRunSporadicDefaultProtocols(t *testing.T) {
+	dir := t.TempDir()
+	var out, errw bytes.Buffer
+	code := run([]string{"-sporadic", "-trials", "5", "-seed", "1", "-repro-dir", dir}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s\nstdout: %s", code, errw.String(), out.String())
+	}
+	if !strings.Contains(out.String(), "pcp            trials=5 failures=0") {
+		t.Errorf("pcp does not pass under -sporadic:\n%s", out.String())
+	}
+	if repros, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(repros) > 0 {
+		t.Errorf("clean run wrote %d repros", len(repros))
+	}
+}
+
 // TestRunDeterministicAcrossWorkers: stdout and the JSON report must be
 // byte-identical for -workers 1 and -workers 8.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {

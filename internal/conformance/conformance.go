@@ -58,7 +58,8 @@ type Options struct {
 	// past the largest offset.
 	Horizon int
 	// Workload overrides the per-protocol default workload shape; the
-	// seed field is replaced per trial.
+	// seed field is replaced per trial. Uniprocessor-only protocols get
+	// its release model on one processor with local semaphores only.
 	Workload *workload.Config
 }
 
@@ -134,13 +135,7 @@ func BaseWorkload(protocol string, seed int64) workload.Config {
 	caps := capsFor(protocol)
 	switch {
 	case caps.UniprocOnly:
-		cfg.NumProcs = 1
-		cfg.TasksPerProc = 5
-		cfg.UtilPerProc = 0.6
-		cfg.GlobalSems = 0
-		cfg.LocalSemsPerProc = 3
-		cfg.GcsPerTask = [2]int{0, 0}
-		cfg.LcsPerTask = [2]int{1, 2}
+		uniproc(&cfg)
 		cfg.Stagger = true
 	case caps.UsesAgents:
 		cfg.NumProcs = 3
@@ -154,6 +149,19 @@ func BaseWorkload(protocol string, seed int64) workload.Config {
 		cfg.Stagger = seed%2 == 0
 	}
 	return cfg
+}
+
+// uniproc reshapes cfg onto one processor with local semaphores only,
+// leaving its release model alone: the shape uniprocessor-only
+// protocols need, with or without a workload override.
+func uniproc(cfg *workload.Config) {
+	cfg.NumProcs = 1
+	cfg.TasksPerProc = 5
+	cfg.UtilPerProc = 0.6
+	cfg.GlobalSems = 0
+	cfg.LocalSemsPerProc = 3
+	cfg.GcsPerTask = [2]int{0, 0}
+	cfg.LcsPerTask = [2]int{1, 2}
 }
 
 // capsFor returns the registered capabilities of a protocol. The
@@ -270,6 +278,9 @@ func runTrial(opts Options, base int64, sp trialSpec) TrialResult {
 	if opts.Workload != nil {
 		cfg = *opts.Workload
 		cfg.Seed = res.Seed
+		if capsFor(sp.protocol).UniprocOnly {
+			uniproc(&cfg)
+		}
 	} else {
 		cfg = BaseWorkload(sp.protocol, res.Seed)
 	}

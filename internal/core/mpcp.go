@@ -231,7 +231,7 @@ func (p *Protocol) Init(e *sim.Engine) error {
 
 	p.locals = make([]*pcp.Local, sys.NumProcs)
 	for i := range p.locals {
-		p.locals[i] = pcp.NewLocal(sys, task.ProcID(i), p.setLocalPrio)
+		p.locals[i] = pcp.NewLocal(p.tbl, task.ProcID(i), p.setLocalPrio)
 	}
 	return nil
 }

@@ -33,8 +33,9 @@ func (s Scoped) Applies(importPath string) bool {
 //
 //   - determinism guards the deterministic result path: the tick
 //     simulator and its release queue, the protocols that drive it
-//     (pcp, core), the task model (whose validation and ceiling inputs
-//     seed every derived table), the ceiling table and the blocking
+//     (pcp, core, and proto's baselines none, none-prio and inherit),
+//     the task model (whose validation and ceiling inputs seed every
+//     derived table), the ceiling table and the blocking
 //     bounds computed from it (ceiling, analysis), the conformance
 //     engine, the campaign engine, the workload generators and the
 //     distributed sweep service (whose merged output must be
@@ -79,6 +80,7 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/sim",
 				"mpcp/internal/pcp",
 				"mpcp/internal/core",
+				"mpcp/internal/proto",
 				"mpcp/internal/relq",
 				"mpcp/internal/task",
 				"mpcp/internal/ceiling",

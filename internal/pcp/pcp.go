@@ -15,6 +15,7 @@ package pcp
 import (
 	"fmt"
 
+	"mpcp/internal/ceiling"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
 )
@@ -24,7 +25,7 @@ import (
 // owning protocol composes it with its own global rules.
 type Local struct {
 	proc task.ProcID
-	ceil map[task.SemID]int
+	ceil map[task.SemID]int // shared ceiling.Table.LocalCeil; read-only
 
 	held []heldSem
 	// blocked lists the locally blocked jobs, each with the holder that
@@ -46,39 +47,17 @@ type blockedJob struct {
 	job, holder *sim.Job
 }
 
-// NewLocal builds the per-processor PCP state for proc. Ceilings are the
-// priority of the highest-priority task that may lock each semaphore
-// (Section 4.4's definition for local semaphores). setPrio is invoked for
-// every priority recomputation; pass nil for the default, which calls
-// Engine.SetEffPrio directly.
-func NewLocal(sys *task.System, proc task.ProcID, setPrio func(e *sim.Engine, j *sim.Job, prio int)) *Local {
+// NewLocal builds the per-processor PCP state for proc over the local
+// ceilings of tbl: the priority of the highest-priority task that may
+// lock each local semaphore (Section 4.4's definition). setPrio is
+// invoked for every priority recomputation; pass nil for the default,
+// which calls Engine.SetEffPrio directly.
+func NewLocal(tbl *ceiling.Table, proc task.ProcID, setPrio func(e *sim.Engine, j *sim.Job, prio int)) *Local {
 	if setPrio == nil {
 		setPrio = func(e *sim.Engine, j *sim.Job, prio int) { e.SetEffPrio(j, prio) }
 	}
-	l := &Local{
-		proc:    proc,
-		ceil:    make(map[task.SemID]int),
-		setPrio: setPrio,
-	}
-	for _, sem := range sys.Sems {
-		if sem.Global {
-			continue
-		}
-		procs := sys.AccessorProcs(sem.ID)
-		if len(procs) != 1 || procs[0] != proc {
-			continue
-		}
-		users := sys.TasksUsing(sem.ID)
-		if len(users) > 0 {
-			l.ceil[sem.ID] = users[0].Priority // users sorted by descending priority
-		}
-	}
-	return l
+	return &Local{proc: proc, ceil: tbl.LocalCeil, setPrio: setPrio}
 }
-
-// Ceiling returns the priority ceiling of local semaphore s (0 if not
-// managed here).
-func (l *Local) Ceiling(s task.SemID) int { return l.ceil[s] }
 
 // TryLock applies the ceiling test for job j requesting s. On success the
 // lock is completed and true is returned; on failure j is blocked, the
@@ -184,7 +163,7 @@ func (l *Local) DropJob(j *sim.Job) {
 // Section 2 review behaviour and as the degenerate n=1 case the
 // shared-memory protocol reduces to.
 type Protocol struct {
-	locals map[task.ProcID]*Local
+	locals []*Local
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
@@ -203,9 +182,10 @@ func (p *Protocol) Init(e *sim.Engine) error {
 			return fmt.Errorf("pcp: semaphore %d is global; use the MPCP or DPCP protocol", sem.ID)
 		}
 	}
-	p.locals = make(map[task.ProcID]*Local, sys.NumProcs)
-	for i := 0; i < sys.NumProcs; i++ {
-		p.locals[task.ProcID(i)] = NewLocal(sys, task.ProcID(i), nil)
+	tbl := ceiling.Compute(sys, false)
+	p.locals = make([]*Local, sys.NumProcs)
+	for i := range p.locals {
+		p.locals[i] = NewLocal(tbl, task.ProcID(i), nil)
 	}
 	return nil
 }

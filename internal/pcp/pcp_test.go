@@ -3,6 +3,7 @@ package pcp_test
 import (
 	"testing"
 
+	"mpcp/internal/ceiling"
 	"mpcp/internal/pcp"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -180,7 +181,7 @@ func TestRecomputeUnblockedAllocatesNothing(t *testing.T) {
 	if n := len(e.ActiveOn(0)); n < 2 {
 		t.Fatalf("%d active jobs at t=%d, want at least 2", n, e.Now())
 	}
-	l := pcp.NewLocal(sys, 0, nil)
+	l := pcp.NewLocal(ceiling.Compute(sys, false), 0, nil)
 	if allocs := testing.AllocsPerRun(100, func() { l.Recompute(e) }); allocs != 0 {
 		t.Errorf("Recompute with no blocked job: %v allocs/op, want 0", allocs)
 	}

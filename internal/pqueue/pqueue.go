@@ -1,5 +1,7 @@
-// Package pqueue provides the priority-ordered queues used throughout the
-// library: semaphore wait queues, ready queues and the release calendar.
+// Package pqueue provides the priority-ordered semaphore wait queues of
+// the protocols and of the shared-memory model. The release calendar is
+// internal/relq, and the simulator's dispatcher scans each processor's
+// active jobs instead of keeping a ready queue.
 //
 // The paper requires that "jobs suspended on a semaphore are signaled in
 // priority order" (Section 5, rule 7) and that ties are broken FCFS

@@ -178,6 +178,8 @@ func (p *Inherit) OnFinish(e *sim.Engine, j *sim.Job) {
 
 // recompute reestablishes the transitive inheritance fixpoint:
 // eff(j) = max(base(j), eff of every job waiting on a semaphore j holds).
+// The fixpoint does not depend on the order semaphores are visited in;
+// system order keeps the loop deterministic all the same.
 func (p *Inherit) recompute(e *sim.Engine) {
 	jobs := e.ActiveJobs()
 	eff := make(map[*sim.Job]int, len(jobs))
@@ -186,7 +188,8 @@ func (p *Inherit) recompute(e *sim.Engine) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, st := range p.sems {
+		for _, sem := range e.Sys().Sems {
+			st := p.sems[sem.ID]
 			if st.holder == nil {
 				continue
 			}

@@ -206,7 +206,6 @@ type Engine struct {
 	releases relq.Queue  // calendar of pending releases, (time, task index)
 	rel      relq.Source // seed-keyed sporadic-gap and jitter draws
 	nextIdx  []int       // per-task next instance index
-	taskIx   map[task.ID]int
 	seq      uint64
 
 	sink     trace.Sink
@@ -233,7 +232,6 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 		onProc: make([][]*Job, sys.NumProcs),
 		dirty:  make([]bool, sys.NumProcs),
 		picks:  make([]*Job, sys.NumProcs),
-		taskIx: make(map[task.ID]int, len(sys.Tasks)),
 		sink:   cfg.Sink,
 		result: &Result{
 			Protocol:   proto.Name(),
@@ -261,7 +259,6 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 		e.onProc[p] = make([]*Job, 0, n)
 	}
 	for i, t := range sys.Tasks {
-		e.taskIx[t.ID] = i
 		if r0 := t.Offset + e.rel.Jit(i, 0, t.Jitter); r0 < cfg.Horizon {
 			e.releases.Push(relq.Entry{Time: r0, Idx: i, Arrival: t.Offset})
 		}
@@ -318,8 +315,9 @@ func (e *Engine) Run() (*Result, error) {
 	}
 }
 
-// Step advances the simulation by one tick and reports whether the run
-// has completed (horizon reached, stop-on-miss triggered, or deadlock
+// Step advances the simulation by one tick, then on the fast path over
+// the quiet span that follows it, and reports whether the run has
+// completed (horizon reached, stop-on-miss triggered, or deadlock
 // detected). Interleaving Step with Result() supports interactive and
 // incremental tooling; after done the engine must not be stepped again.
 //
@@ -352,19 +350,25 @@ func (e *Engine) Step() (done bool, err error) {
 			}
 		}
 	}
-	e.dispatchAndAdvance()
-	e.accountWaiting()
-	e.checkDeadlines()
-	stop := (e.cfg.StopOnMiss && e.result.AnyMiss)
-	if e.detectDeadlock() {
+	busy := e.dispatch()
+	e.advance(1)
+	next, waiting := e.checkDeadlines()
+	stop := e.cfg.StopOnMiss && e.result.AnyMiss
+	if waiting && !busy {
+		// Deadlock: unlocks come only from executing jobs, and new
+		// releases cannot free held semaphores either.
 		e.result.Deadlock = true
 		e.result.DeadlockAt = e.now
 		stop = true
 	}
 	e.now++
+	q := 0
 	if !stop && !e.cfg.ReferenceStepper && e.now < e.cfg.Horizon && e.sinkErr == nil {
-		e.coast()
+		q = e.coast(next)
 	}
+	// Job states and processor occupancy are frozen over the coasted
+	// span, so the dispatched tick and the span wait alike.
+	e.chargeWaiting(1 + q)
 	if stop || e.now >= e.cfg.Horizon {
 		return e.finishRun()
 	}
@@ -725,15 +729,15 @@ func (e *Engine) pickRunnable(p task.ProcID) *Job {
 	return best
 }
 
-// dispatchAndAdvance runs settle's pick on each processor, records
-// execution, and advances compute segments by one tick.
+// dispatch puts settle's pick on each processor for tick now,
+// recording, processor by processor, the preemption and start events
+// and the tick's Exec record. It reports whether any processor is busy.
 //
 //rtlint:hotpath
-func (e *Engine) dispatchAndAdvance() {
+func (e *Engine) dispatch() (busy bool) {
 	for p, j := range e.picks {
 		proc := task.ProcID(p)
-		prev := e.procs[p]
-		if j != prev {
+		if prev := e.procs[p]; j != prev {
 			if prev != nil && prev.State == StateReady {
 				e.result.Procs[p].Preemptions++
 				e.emit(trace.Event{Time: e.now, Kind: trace.EvPreempt, Task: prev.StatsTask(), Job: prev.Index, Proc: proc})
@@ -743,30 +747,51 @@ func (e *Engine) dispatchAndAdvance() {
 			}
 		}
 		e.procs[p] = j
+		if j != nil {
+			busy = true
+			e.emitRun(e.now, proc, j)
+		}
+	}
+	return busy
+}
+
+// emitRun records that j occupies processor p at tick t. A spinning job
+// executes no critical-section code.
+//
+//rtlint:hotpath
+func (e *Engine) emitRun(t int, p task.ProcID, j *Job) {
+	x := trace.Exec{Time: t, Proc: p, Task: j.StatsTask(), Job: j.Index}
+	if j.State != StateSpinning {
+		x.InCS = j.CSDepth > 0
+		x.InGCS = j.GCS > 0
+	}
+	e.emitExec(x)
+}
+
+// advance runs every processor's occupant for q ticks: it charges the
+// processor counters and spin time, and moves a ready occupant q ticks
+// through its compute segment (settle guarantees one; a coasted span
+// ends by the segment's last tick), past the segment when it ends.
+//
+//rtlint:hotpath
+func (e *Engine) advance(q int) {
+	for p, j := range e.procs {
 		ps := e.result.Procs[p]
 		if j == nil {
-			ps.IdleTicks++
+			ps.IdleTicks += q
 			continue
 		}
-		ps.BusyTicks++
+		ps.BusyTicks += q
 		if j.GCS > 0 {
-			ps.GcsTicks++
+			ps.GcsTicks += q
 		}
 		if j.State == StateSpinning {
-			ps.SpinTicks++
-			j.SpinTicks++
-			e.emitExec(trace.Exec{Time: e.now, Proc: proc, Task: j.StatsTask(), Job: j.Index, InCS: false, InGCS: false})
+			ps.SpinTicks += q
+			j.SpinTicks += q
 			continue
 		}
-		// Ready job at a compute segment (settle guarantees this).
-		e.emitExec(trace.Exec{
-			Time: e.now, Proc: proc, Task: j.StatsTask(), Job: j.Index,
-			InCS: j.CSDepth > 0, InGCS: j.GCS > 0,
-		})
-		if j.SegLeft > 0 {
-			j.SegLeft--
-		}
-		if j.SegLeft == 0 && j.PC < len(j.Body) {
+		j.SegLeft -= q
+		if j.SegLeft <= 0 && j.PC < len(j.Body) {
 			j.PC++
 			e.loadSegment(j)
 			e.dirty[p] = true
@@ -774,11 +799,12 @@ func (e *Engine) dispatchAndAdvance() {
 	}
 }
 
-// accountWaiting charges this tick to the waiting statistics of every
-// non-running active job.
+// chargeWaiting charges q ticks to the waiting statistics of every
+// non-running active job, classified by its state and by who occupies
+// the processors.
 //
 //rtlint:hotpath
-func (e *Engine) accountWaiting() {
+func (e *Engine) chargeWaiting(q int) {
 	for _, j := range e.active {
 		if j.IsAgent() {
 			continue
@@ -788,20 +814,20 @@ func (e *Engine) accountWaiting() {
 			// Finished and aborted jobs leave the active set immediately;
 			// one that is still visible here accrues nothing.
 		case StateBlocked:
-			j.BlockedTicks++
+			j.BlockedTicks += q
 		case StateSuspended:
 			if j.ActiveAgent != nil && e.procs[int(j.ActiveAgent.Proc)] == j.ActiveAgent {
 				// The suspended job's own gcs is executing remotely on its
 				// behalf: that is work, not blocking.
-				j.RemoteExecTicks++
+				j.RemoteExecTicks += q
 			} else {
-				j.SuspendedTicks++
+				j.SuspendedTicks += q
 			}
 		case StateSpinning:
 			if e.procs[int(j.Proc)] != j {
 				// Spinning but displaced from the processor: still waiting
 				// on the global semaphore.
-				j.SuspendedTicks++
+				j.SuspendedTicks += q
 			}
 		case StateReady:
 			running := e.procs[int(j.Proc)]
@@ -811,7 +837,7 @@ func (e *Engine) accountWaiting() {
 			if running == nil {
 				// Should not happen: a ready job on an idle processor
 				// would have been picked. Count as inversion defensively.
-				j.InversionTicks++
+				j.InversionTicks += q
 				continue
 			}
 			base := running.BasePrio
@@ -819,9 +845,9 @@ func (e *Engine) accountWaiting() {
 				base = running.Parent.BasePrio
 			}
 			if base < j.BasePrio {
-				j.InversionTicks++
+				j.InversionTicks += q
 			} else {
-				j.PreemptTicks++
+				j.PreemptTicks += q
 			}
 		}
 	}
@@ -877,10 +903,19 @@ func (e *Engine) abortJob(j *Job) {
 	e.proto.OnFinish(e, j)
 }
 
+// checkDeadlines records the jobs whose deadline passes at the end of
+// tick now. It returns the earliest deadline still unmissed (the horizon
+// if none is earlier), where a coasted span must end, and whether any
+// job is blocked or suspended.
+//
 //rtlint:hotpath
-func (e *Engine) checkDeadlines() {
+func (e *Engine) checkDeadlines() (next int, waiting bool) {
+	next = e.cfg.Horizon
 	t := e.now + 1
 	for _, j := range e.active {
+		if j.State == StateBlocked || j.State == StateSuspended {
+			waiting = true
+		}
 		if j.IsAgent() || j.Missed {
 			continue
 		}
@@ -889,28 +924,11 @@ func (e *Engine) checkDeadlines() {
 			e.result.AnyMiss = true
 			e.result.Stats[j.Task.ID].Missed++
 			e.emit(trace.Event{Time: e.now, Kind: trace.EvDeadlineMiss, Task: j.Task.ID, Job: j.Index, Proc: j.Proc})
+		} else if j.AbsDeadline < next {
+			next = j.AbsDeadline
 		}
 	}
-}
-
-// detectDeadlock reports true when no processor is executing anything and
-// blocked or suspended jobs remain: unlocks can only come from executing
-// jobs, so such a state can never make progress (new releases cannot free
-// held semaphores either).
-//
-//rtlint:hotpath
-func (e *Engine) detectDeadlock() bool {
-	for _, r := range e.procs {
-		if r != nil {
-			return false
-		}
-	}
-	for _, j := range e.active {
-		if j.State == StateBlocked || j.State == StateSuspended {
-			return true
-		}
-	}
-	return false
+	return next, waiting
 }
 
 // --- Services for protocols -------------------------------------------
