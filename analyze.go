@@ -77,9 +77,10 @@ func Analyze(sys *System, opts ...AnalysisOption) (*SchedReport, error) {
 }
 
 // ExplainBound renders a human-readable, factor-by-factor account of a
-// task's worst-case blocking under the shared-memory protocol: which
-// semaphores, sections and tasks contribute and how often. The headline
-// number matches BlockingBounds.
+// task's worst-case blocking under the selected analysis (the
+// shared-memory protocol by default, DPCP with WithDPCPAnalysis): which
+// tasks, sections, agents and semaphores contribute and how often. The
+// headline number matches BlockingBounds with the same options.
 func ExplainBound(sys *System, id TaskID, opts ...AnalysisOption) (string, error) {
 	o := analysis.Options{Kind: analysis.KindMPCP}
 	for _, opt := range opts {

@@ -22,9 +22,9 @@ import (
 	"mpcp/internal/task"
 )
 
-// explainKinds maps the registry protocols whose bounds come from the
-// internal/analysis factor engine — the only ones analysis.Explain can
-// narrate term-by-term — to that engine's configuration.
+// explainKinds maps the registry protocols whose bounds come from
+// analysis.Bounds — mpcp, mpcp-ceil and dpcp, the ones analysis.Explain
+// narrates term by term — to its configuration.
 var explainKinds = map[string]analysis.Options{
 	"mpcp":      {Kind: analysis.KindMPCP},
 	"dpcp":      {Kind: analysis.KindDPCP},
@@ -45,7 +45,7 @@ func run(args []string, out io.Writer) error {
 		kindName   = fs.String("kind", "mpcp", "protocol whose blocking analysis to run: "+strings.Join(registry.Analyzable(), ", "))
 		penalty    = fs.Bool("penalty", true, "include the deferred-execution penalty")
 		ceilings   = fs.Bool("ceilings", false, "print the Section 4 priority structure")
-		explain    = fs.Int("explain", 0, "print a factor-by-factor explanation of this task's bound (MPCP)")
+		explain    = fs.Int("explain", 0, "print a factor-by-factor explanation of this task's bound (mpcp, mpcp-ceil or dpcp)")
 		hyperbolic = fs.Bool("hyperbolic", false, "also run the sharper hyperbolic utilization test")
 	)
 	if err := fs.Parse(args); err != nil {

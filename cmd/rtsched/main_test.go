@@ -66,6 +66,24 @@ func TestRunExplain(t *testing.T) {
 	}
 }
 
+func TestRunExplainDPCP(t *testing.T) {
+	// Task 1's dpcp table row gives B = 27; the explanation's headline
+	// must be that bound, not the mpcp one.
+	var out strings.Builder
+	if err := run([]string{"-config", cfgPath, "-kind", "dpcp", "-explain", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{
+		"\n1      0     17      100     27 ",
+		"Worst-case blocking of task 1 (inner-loop), priority 7 on P0: B = 27 ticks\n",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output missing %q:\n%s", want, s)
+		}
+	}
+}
+
 func TestRunExplainUnknown(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-config", cfgPath, "-explain", "42"}, &out); err == nil {

@@ -10,10 +10,11 @@ package alloc
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 
+	"mpcp/internal/analysis"
 	"mpcp/internal/task"
 )
 
@@ -42,28 +43,20 @@ func (s Spec) utilization() float64 {
 	return float64(s.wcet()) / float64(s.Period)
 }
 
-// sems returns the set of semaphores the spec accesses.
-func (s Spec) sems() map[task.SemID]bool {
-	out := make(map[task.SemID]bool)
+// sems returns the semaphores the spec accesses, in ascending ID.
+func (s Spec) sems() []task.SemID {
+	var out []task.SemID
 	for _, seg := range s.Body {
 		if seg.Kind == task.SegLock {
-			out[seg.Sem] = true
+			out = append(out, seg.Sem)
 		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ErrNoFit is returned when the heuristics cannot place every task.
 var ErrNoFit = errors.New("alloc: task set does not fit on the given processors")
-
-// llBound returns Liu & Layland's least upper bound n(2^{1/n}-1).
-func llBound(n int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	f := float64(n)
-	return f * (math.Pow(2, 1/f) - 1)
-}
 
 // FirstFitRM binds tasks to numProcs processors by decreasing utilization,
 // placing each on the first processor where the Liu-Layland bound still
@@ -80,7 +73,7 @@ func FirstFitRM(specs []Spec, numProcs int) (map[task.ID]task.ProcID, error) {
 	for _, sp := range order {
 		placed := false
 		for p := 0; p < numProcs; p++ {
-			if util[p]+sp.utilization() <= llBound(count[p]+1) {
+			if util[p]+sp.utilization() <= analysis.LiuLaylandBound(count[p]+1) {
 				util[p] += sp.utilization()
 				count[p]++
 				binding[sp.ID] = task.ProcID(p)
@@ -115,7 +108,7 @@ func ResourceAffinity(specs []Spec, numProcs int) (map[task.ID]task.ProcID, erro
 	for _, g := range groups {
 		placed := false
 		for p := 0; p < numProcs; p++ {
-			if util[p]+groupUtil(g) <= llBound(count[p]+len(g)) {
+			if util[p]+groupUtil(g) <= analysis.LiuLaylandBound(count[p]+len(g)) {
 				for _, sp := range g {
 					binding[sp.ID] = task.ProcID(p)
 				}
@@ -134,7 +127,7 @@ func ResourceAffinity(specs []Spec, numProcs int) (map[task.ID]task.ProcID, erro
 	for _, sp := range leftovers {
 		placed := false
 		for p := 0; p < numProcs; p++ {
-			if util[p]+sp.utilization() <= llBound(count[p]+1) {
+			if util[p]+sp.utilization() <= analysis.LiuLaylandBound(count[p]+1) {
 				util[p] += sp.utilization()
 				count[p]++
 				binding[sp.ID] = task.ProcID(p)
@@ -166,12 +159,18 @@ func groupBySharing(specs []Spec) [][]Spec {
 		parent[sp.ID] = sp.ID
 	}
 	bySem := make(map[task.SemID][]task.ID)
+	var semIDs []task.SemID
 	for _, sp := range specs {
-		for sem := range sp.sems() {
+		for _, sem := range sp.sems() {
+			if _, seen := bySem[sem]; !seen {
+				semIDs = append(semIDs, sem)
+			}
 			bySem[sem] = append(bySem[sem], sp.ID)
 		}
 	}
-	for _, ids := range bySem {
+	slices.Sort(semIDs)
+	for _, sem := range semIDs {
+		ids := bySem[sem]
 		for i := 1; i < len(ids); i++ {
 			union(ids[0], ids[i])
 		}
@@ -285,7 +284,7 @@ func SharingGraphDOT(specs []Spec, sems []*task.Semaphore) string {
 			label = fmt.Sprintf("T%d", sp.ID)
 		}
 		fmt.Fprintf(&b, "  %q [shape=ellipse];\n", label)
-		for sem := range sp.sems() {
+		for _, sem := range sp.sems() {
 			name, ok := names[sem]
 			if !ok {
 				name = fmt.Sprintf("S%d", sem)

@@ -151,3 +151,26 @@ func TestSharingGraphDOT(t *testing.T) {
 		}
 	}
 }
+
+func TestSharingGraphDOTStable(t *testing.T) {
+	// One task locks four semaphores out of ID order; its edges follow
+	// ascending semaphore ID on every call.
+	specs := []alloc.Spec{spec(1, 100, 20, 4, 2, 3, 1)}
+	var sems []*task.Semaphore
+	for id := task.SemID(1); id <= 4; id++ {
+		sems = append(sems, &task.Semaphore{ID: id})
+	}
+	want := alloc.SharingGraphDOT(specs, sems)
+	edges := `"T1" -- "S1";
+  "T1" -- "S2";
+  "T1" -- "S3";
+  "T1" -- "S4";`
+	if !strings.Contains(want, edges) {
+		t.Fatalf("edges not in semaphore order:\n%s", want)
+	}
+	for i := 0; i < 20; i++ {
+		if got := alloc.SharingGraphDOT(specs, sems); got != want {
+			t.Fatalf("call %d differs:\n%s\nfirst:\n%s", i, got, want)
+		}
+	}
+}

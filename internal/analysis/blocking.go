@@ -11,7 +11,6 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"mpcp/internal/ceiling"
@@ -134,6 +133,12 @@ var (
 // with every global semaphore handled in place, DPCP with every global
 // semaphore remote.
 func Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
+	return kindBounds(sys, opts, nil)
+}
+
+// kindBounds is Bounds with compose's charges recorded in log (nil
+// records nothing).
+func kindBounds(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error) {
 	if err := checkAnalyzable(sys); err != nil {
 		return nil, err
 	}
@@ -150,7 +155,7 @@ func Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
 	default:
 		return nil, fmt.Errorf("analysis: unknown kind %v", opts.Kind)
 	}
-	return compose(sys, opts, remote)
+	return compose(sys, opts, remote, log)
 }
 
 // checkAnalyzable rejects systems the blocking factors do not cover:
@@ -208,15 +213,16 @@ func indexSections(sys *task.System) *sections {
 // pcpBlocking is factor 1's unit: the longest local critical section of
 // a lower-priority job on ti's processor whose ceiling reaches P_i, the
 // one section the uniprocessor PCP can block ti for per opportunity.
-func (ix *sections) pcpBlocking(tbl *ceiling.Table, ti *task.Task) int {
-	longest := 0
+// With no such section it returns the zero section.
+func (ix *sections) pcpBlocking(tbl *ceiling.Table, ti *task.Task) task.CriticalSection {
+	var longest task.CriticalSection
 	for _, tk := range ix.byProc[ti.Proc] {
 		if tk.Priority >= ti.Priority {
 			continue
 		}
 		for _, cs := range ix.lcs[tk.ID] {
-			if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > longest {
-				longest = cs.Duration
+			if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > longest.Duration {
+				longest = cs
 			}
 		}
 	}
@@ -229,11 +235,56 @@ func (b *Bound) sum() {
 		b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
 }
 
+// term is one charge compose adds to a bound: count × ticks on one
+// factor, attributed to the task whose sections or execution are charged.
+type term struct {
+	factor int     // 1–5 as in Section 5.1; 6 is the deferred penalty
+	task   task.ID // the charged task
+	sem    task.SemID
+	onSem  bool // sem names the charged critical section's semaphore
+	agent  bool // the section runs as an agent on a synchronization processor
+	count  int
+	ticks  int
+}
+
+// termLog records, per task, the terms compose charges to its bound, in
+// charge order. A nil log records nothing: Bounds and HybridBounds pass
+// nil, Explain a fresh one.
+type termLog map[task.ID][]term
+
+// charge adds t to b's factor and records it under b's task.
+func (l termLog) charge(b *Bound, t term) {
+	f := &b.DeferredPenalty // factor 6
+	switch t.factor {
+	case 1:
+		f = &b.LocalBlocking
+	case 2:
+		f = &b.GlobalHeldByLower
+	case 3:
+		f = &b.RemotePreemption
+	case 4:
+		f = &b.BlockingProcGcs
+	case 5:
+		f = &b.LowerLocalGcs
+	}
+	*f += t.count * t.ticks
+	if l != nil {
+		l[b.Task] = append(l[b.Task], t)
+	}
+}
+
 // remoteGcs is one gcs on a remote semaphore, as queued on its
 // synchronization processor.
 type remoteGcs struct {
 	owner *task.Task
 	cs    task.CriticalSection
+}
+
+// agentTerm charges rg's agent to factor once per release of its owner
+// within T_i.
+func (rg remoteGcs) agentTerm(factor int, ti *task.Task) term {
+	return term{factor: factor, task: rg.owner.ID, sem: rg.cs.Sem, onSem: true, agent: true,
+		count: interferes(ti.Period, rg.owner), ticks: rg.cs.Duration}
 }
 
 // compose computes every task's worst-case blocking by composing per-
@@ -247,7 +298,9 @@ type remoteGcs struct {
 // preemption on the processor that hosts the agents. Local semaphores
 // contribute factor 1 in both modes. With remote empty the result is the
 // MPCP bound; with every global semaphore remote it is the DPCP bound.
-func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[task.ID]*Bound, error) {
+// Every term goes through log.charge, so a non-nil log holds exactly the
+// terms each bound sums.
+func compose(sys *task.System, opts Options, remote map[task.SemID]bool, log termLog) (map[task.ID]*Bound, error) {
 	assign, err := ceiling.SyncProcs(sys, func(s task.SemID) bool { return remote[s] }, opts.DPCPAssign)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
@@ -283,7 +336,9 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 		// Factor 1: (NG_i + 1) opportunities to be blocked by one local
 		// critical section of a lower-priority job whose ceiling reaches
 		// P_i.
-		b.LocalBlocking = (ng + 1) * ix.pcpBlocking(tbl, ti)
+		if cs := ix.pcpBlocking(tbl, ti); cs.Duration > 0 {
+			log.charge(b, term{factor: 1, task: cs.Task, sem: cs.Sem, onSem: true, count: ng + 1, ticks: cs.Duration})
+		}
 
 		// Factor 2: each request can wait for one lower-priority gcs —
 		// the longest holder of a shared-memory semaphore, or the longest
@@ -292,13 +347,13 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 		shm := make(map[task.SemID]bool, ng)
 		clear(usesSync)
 		for _, cs := range gcs[ti.ID] {
-			worst := 0
+			var worst task.CriticalSection
 			if remote[cs.Sem] {
 				sp := assign[cs.Sem]
 				usesSync[sp] = true
 				for _, rg := range bySync[sp] {
-					if rg.owner.ID != ti.ID && rg.owner.Priority < ti.Priority && rg.cs.Duration > worst {
-						worst = rg.cs.Duration
+					if rg.owner.ID != ti.ID && rg.owner.Priority < ti.Priority && rg.cs.Duration > worst.Duration {
+						worst = rg.cs
 					}
 				}
 			} else {
@@ -308,13 +363,15 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 						continue
 					}
 					for _, other := range gcs[tk.ID] {
-						if other.Sem == cs.Sem && other.Duration > worst {
-							worst = other.Duration
+						if other.Sem == cs.Sem && other.Duration > worst.Duration {
+							worst = other
 						}
 					}
 				}
 			}
-			b.GlobalHeldByLower += worst
+			if worst.Duration > 0 {
+				log.charge(b, term{factor: 2, task: worst.Task, sem: worst.Sem, onSem: true, agent: remote[cs.Sem], count: 1, ticks: worst.Duration})
+			}
 		}
 
 		// Factor 3: higher-priority jobs on other processors requesting
@@ -332,7 +389,7 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 				}
 			}
 			if dur > 0 {
-				b.RemotePreemption += interferes(ti.Period, tj) * dur
+				log.charge(b, term{factor: 3, task: tj.ID, count: interferes(ti.Period, tj), ticks: dur})
 			}
 		}
 		for sp, uses := range usesSync {
@@ -341,7 +398,7 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 			}
 			for _, rg := range bySync[sp] {
 				if rg.owner.ID != ti.ID && rg.owner.Priority > ti.Priority {
-					b.RemotePreemption += interferes(ti.Period, rg.owner) * rg.cs.Duration
+					log.charge(b, rg.agentTerm(3, ti))
 				}
 			}
 		}
@@ -376,7 +433,7 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 					}
 				}
 				if dur > 0 {
-					b.BlockingProcGcs += interferes(ti.Period, tl) * dur
+					log.charge(b, term{factor: 4, task: tl.ID, count: interferes(ti.Period, tl), ticks: dur})
 				}
 			}
 		}
@@ -391,30 +448,31 @@ func compose(sys *task.System, opts Options, remote map[task.SemID]bool) (map[ta
 			if tk.Priority >= ti.Priority {
 				continue
 			}
-			ngk, maxGcs := 0, 0
+			ngk := 0
+			var longest task.CriticalSection
 			for _, cs := range gcs[tk.ID] {
 				if remote[cs.Sem] {
 					continue
 				}
 				ngk++
-				if cs.Duration > maxGcs {
-					maxGcs = cs.Duration
+				if cs.Duration > longest.Duration {
+					longest = cs
 				}
 			}
 			if ngk > 0 {
-				b.LowerLocalGcs += min(ng+1, 2*ngk) * maxGcs
+				log.charge(b, term{factor: 5, task: tk.ID, sem: longest.Sem, onSem: true, count: min(ng+1, 2*ngk), ticks: longest.Duration})
 			}
 		}
 		for _, rg := range bySync[ti.Proc] {
 			if rg.owner.ID != ti.ID {
-				b.LowerLocalGcs += interferes(ti.Period, rg.owner) * rg.cs.Duration
+				log.charge(b, rg.agentTerm(5, ti))
 			}
 		}
 
 		if opts.DeferredPenalty {
 			for _, tj := range byProc[ti.Proc] {
 				if tj.Priority > ti.Priority && len(gcs[tj.ID]) > 0 {
-					b.DeferredPenalty += tj.WCET()
+					log.charge(b, term{factor: 6, task: tj.ID, count: 1, ticks: tj.WCET()})
 				}
 			}
 		}
@@ -489,10 +547,8 @@ func Schedulability(sys *task.System, bounds map[task.ID]*Bound, opts Options) (
 			for j := 0; j <= i; j++ {
 				lhs += float64(tasks[j].WCET()) / float64(tasks[j].EffectiveMinInterarrival())
 			}
-			n := float64(i + 1)
-			rhs := n * (math.Pow(2, 1/n) - 1)
-			tr.UtilLHS, tr.UtilRHS = lhs, rhs
-			tr.UtilOK = lhs <= rhs+1e-12
+			tr.UtilLHS, tr.UtilRHS = lhs, LiuLaylandBound(i+1)
+			tr.UtilOK = lhs <= tr.UtilRHS+1e-12
 			if !tr.UtilOK {
 				rep.SchedulableUtil = false
 			}

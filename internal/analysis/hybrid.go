@@ -28,5 +28,5 @@ func HybridBounds(sys *task.System, opts HybridOptions) (map[task.ID]*Bound, err
 	if err := checkAnalyzable(sys); err != nil {
 		return nil, err
 	}
-	return compose(sys, Options{DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty}, opts.Remote)
+	return compose(sys, Options{DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty}, opts.Remote, nil)
 }

@@ -78,7 +78,7 @@ func MSRPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 	out := make(map[task.ID]*Bound, len(sys.Tasks))
 	for _, ti := range sys.Tasks {
 		b := &Bound{Task: ti.ID}
-		b.LocalBlocking = ix.pcpBlocking(tbl, ti)
+		b.LocalBlocking = ix.pcpBlocking(tbl, ti).Duration
 		for _, cs := range ix.gcs[ti.ID] {
 			b.RemotePreemption += maxDur.spin(ti.Proc, cs.Sem)
 		}
@@ -194,7 +194,7 @@ func FMLPBounds(sys *task.System, deferredPenalty bool) (map[task.ID]*Bound, err
 				}
 			}
 		}
-		b.LocalBlocking = (nLong + 1) * ix.pcpBlocking(tbl, ti)
+		b.LocalBlocking = (nLong + 1) * ix.pcpBlocking(tbl, ti).Duration
 
 		for _, tj := range ix.byProc[ti.Proc] {
 			if tj.ID == ti.ID {

@@ -19,23 +19,11 @@ func PCPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 		return nil, ErrNotValidated
 	}
 	tbl := ceiling.Compute(sys, false)
+	ix := indexSections(sys)
 	out := make(map[task.ID]*Bound, len(sys.Tasks))
 	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID}
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.CriticalSections(tk.ID) {
-				if cs.Global {
-					continue
-				}
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > b.LocalBlocking {
-					b.LocalBlocking = cs.Duration
-				}
-			}
-		}
-		b.Total = b.LocalBlocking
+		b := &Bound{Task: ti.ID, LocalBlocking: ix.pcpBlocking(tbl, ti).Duration}
+		b.sum()
 		out[ti.ID] = b
 	}
 	return out, nil

@@ -182,60 +182,94 @@ func TestSchedulabilityLossMetric(t *testing.T) {
 	}
 }
 
-func TestExplainMatchesBounds(t *testing.T) {
-	sys := uniSystem(t)
-	for _, tk := range sys.Tasks {
-		out, err := analysis.Explain(sys, tk.ID, analysis.Options{DeferredPenalty: true})
-		if err != nil {
-			t.Fatalf("explain %d: %v", tk.ID, err)
-		}
-		if out == "" {
-			t.Fatalf("empty explanation for %d", tk.ID)
-		}
-	}
-	// Check the headline number matches Bounds for a contended task.
-	bounds, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := analysis.Explain(sys, 1, analysis.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("B = %d ticks", bounds[1].Total)
-	if !strings.Contains(out, want) {
-		t.Errorf("explanation missing %q:\n%s", want, out)
-	}
+// explainFactor matches a factor heading of Explain's output; explainTerm
+// one of the count x ticks terms listed under it.
+var (
+	explainFactor = regexp.MustCompile(`^(\d)\. .*: (\d+)$`)
+	explainTerm   = regexp.MustCompile(`^   .*: (\d+) x (\d+) ticks$`)
+)
 
-	// On a jittered multiprocessor system the printed factor-3 terms
-	// (releases x gcs ticks per remote task) multiply out to the
-	// RemotePreemption the same output reports.
-	cfg := workload.Default(3)
-	cfg.MaxJitterFrac = 0.2
-	jsys, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestExplainMatchesBounds checks, for the three kinds Explain narrates,
+// with and without the deferred penalty, on periodic and jittered
+// systems and the uniprocessor fixture, that every task's headline is Bounds' Total, that each factor
+// heading is the bound's factor, and that the terms listed under it
+// multiply out to that factor.
+func TestExplainMatchesBounds(t *testing.T) {
+	kinds := map[string]analysis.Options{
+		"mpcp":      {Kind: analysis.KindMPCP},
+		"mpcp-ceil": {Kind: analysis.KindMPCP, GcsAtCeiling: true},
+		"dpcp":      {Kind: analysis.KindDPCP},
 	}
-	jbounds, err := analysis.Bounds(jsys, analysis.Options{Kind: analysis.KindMPCP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	term := regexp.MustCompile(`=(\d+) release\(s\) x (\d+) gcs ticks`)
-	for _, tk := range jsys.Tasks {
-		out, err := analysis.Explain(jsys, tk.ID, analysis.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := 0
-		for _, m := range term.FindAllStringSubmatch(out, -1) {
-			n, _ := strconv.Atoi(m[1])
-			d, _ := strconv.Atoi(m[2])
-			sum += n * d
-		}
-		if sum != jbounds[tk.ID].RemotePreemption {
-			t.Errorf("task %d: factor-3 terms sum to %d, bound is %d:\n%s", tk.ID, sum, jbounds[tk.ID].RemotePreemption, out)
+	systems := []*task.System{uniSystem(t)}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, jitter := range []float64{0, 0.2} {
+			cfg := workload.Default(seed)
+			cfg.MaxJitterFrac = jitter
+			sys, err := workload.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			systems = append(systems, sys)
 		}
 	}
+	for name, base := range kinds {
+		for _, penalty := range []bool{false, true} {
+			opts := base
+			opts.DeferredPenalty = penalty
+			for si, sys := range systems {
+				bounds, err := analysis.Bounds(sys, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tk := range sys.Tasks {
+					out, err := analysis.Explain(sys, tk.ID, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := checkExplain(out, bounds[tk.ID], penalty); err != nil {
+						t.Errorf("%s penalty=%v system %d task %d: %v:\n%s", name, penalty, si, tk.ID, err, out)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkExplain parses one explanation against its bound.
+func checkExplain(out string, b *analysis.Bound, penalty bool) error {
+	if want := fmt.Sprintf("B = %d ticks\n", b.Total); !strings.Contains(out, want) {
+		return fmt.Errorf("headline lacks %q", want)
+	}
+	factors := b.Factors()
+	seen := 0
+	sums := make([]int, len(factors))
+	for _, line := range strings.Split(out, "\n") {
+		if m := explainFactor.FindStringSubmatch(line); m != nil {
+			seen++
+			idx, _ := strconv.Atoi(m[1])
+			ticks, _ := strconv.Atoi(m[2])
+			if idx != seen || seen > len(factors) || ticks != factors[seen-1].Ticks {
+				return fmt.Errorf("heading %d %q does not match the bound", seen, line)
+			}
+		} else if m := explainTerm.FindStringSubmatch(line); m != nil && seen > 0 {
+			count, _ := strconv.Atoi(m[1])
+			ticks, _ := strconv.Atoi(m[2])
+			sums[seen-1] += count * ticks
+		}
+	}
+	want := len(factors)
+	if !penalty {
+		want--
+	}
+	if seen != want {
+		return fmt.Errorf("%d factor headings, want %d", seen, want)
+	}
+	for i, f := range factors {
+		if sums[i] != f.Ticks {
+			return fmt.Errorf("factor %d terms sum to %d, bound is %d", i+1, sums[i], f.Ticks)
+		}
+	}
+	return nil
 }
 
 func TestExplainUnknownTask(t *testing.T) {

@@ -36,7 +36,8 @@ func (s Scoped) Applies(importPath string) bool {
 //     (pcp, core, and proto's baselines none, none-prio and inherit),
 //     the task model (whose validation and ceiling inputs seed every
 //     derived table), the ceiling table and the blocking
-//     bounds computed from it (ceiling, analysis), the conformance
+//     bounds computed from it (ceiling, analysis), the processor
+//     binding heuristics and sharing graph (alloc), the conformance
 //     engine, the campaign engine, the workload generators and the
 //     distributed sweep service (whose merged output must be
 //     byte-identical to a local run). The campaign worker pool (pool.go)
@@ -85,6 +86,7 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/task",
 				"mpcp/internal/ceiling",
 				"mpcp/internal/analysis",
+				"mpcp/internal/alloc",
 				"mpcp/internal/conformance",
 				"mpcp/internal/campaign",
 				"mpcp/internal/workload",

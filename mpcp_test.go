@@ -1,10 +1,12 @@
 package mpcp_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mpcp"
+	"mpcp/internal/config"
 )
 
 func buildTwoProc(t *testing.T) *mpcp.System {
@@ -122,6 +124,31 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	// DPCP analysis also runs.
 	if _, err := mpcp.Analyze(sys, mpcp.WithDPCPAnalysis()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestExplainBoundDPCPHeadline(t *testing.T) {
+	sys, err := config.Load("testdata/avionics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Host nav-database (semaphore 1) on P2 rather than its default
+	// synchronization processor, so the assignment option must reach the
+	// explanation too.
+	opts := []mpcp.AnalysisOption{mpcp.WithDPCPAnalysis(), mpcp.WithDPCPSyncProc(1, 2)}
+	bounds, err := mpcp.BlockingBounds(sys, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range sys.Tasks {
+		text, err := mpcp.ExplainBound(sys, tk.ID, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		headline, _, _ := strings.Cut(text, "\n")
+		if want := fmt.Sprintf(": B = %d ticks", bounds[tk.ID].Total); !strings.HasSuffix(headline, want) {
+			t.Errorf("task %d: headline %q, want suffix %q", tk.ID, headline, want)
+		}
 	}
 }
 
