@@ -41,7 +41,6 @@ func run(args []string, out io.Writer) error {
 		ganttTo    = fs.Int("gantt-to", 60, "last tick of the chart")
 		events     = fs.Bool("events", false, "print the full event log")
 		checks     = fs.Bool("check", true, "verify mutual exclusion and gcs-preemption invariants")
-		traceOut   = fs.String("trace-out", "", "write the trace as JSON to this file")
 		streamOut  = fs.String("trace-stream", "", "stream the trace as JSONL to this file while running")
 		metricsOut = fs.String("metrics", "", "write a metrics snapshot (responses, semaphores, utilization, blocking attribution) as JSON to this file")
 		reference  = fs.Bool("reference", false, "use the single-tick reference stepper instead of the event-horizon fast path (identical output, slower)")
@@ -142,18 +141,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *checks {
-		bad := false
-		for _, v := range trace.CheckMutex(log) {
-			fmt.Fprintln(out, "mutex violation:", v)
-			bad = true
-		}
-		for _, v := range trace.CheckGcsPreemption(log, sys.NumProcs) {
-			fmt.Fprintln(out, "gcs-preemption violation:", v)
-			bad = true
-		}
-		if !bad {
-			fmt.Fprintln(out, "\ninvariants: mutual exclusion ok, gcs never preempted by non-critical code")
-		}
+		obs.PrintInvariants(out, log, sys.NumProcs)
 	}
 
 	if *gantt {
@@ -166,42 +154,20 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, e)
 		}
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := log.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\ntrace written to %s\n", *traceOut)
-	}
 	if *metricsOut != "" {
 		endTick := res.Horizon
 		if res.Deadlock {
 			endTick = res.DeadlockAt + 1
 		}
 		reg := obs.NewRegistry()
-		obs.CollectTrace(reg, log, sys, endTick)
 		obs.CollectSimSpeed(reg, res.Horizon, res.TicksSkipped)
 		rep, err := obs.Attribute(log, sys, endTick)
 		if err != nil {
 			return err
 		}
-		obs.CollectAttribution(reg, rep)
-		f, err := os.Create(*metricsOut)
-		if err != nil {
+		if err := obs.WriteTraceSnapshot(out, *metricsOut, reg, log, sys, rep); err != nil {
 			return err
 		}
-		if err := reg.Snapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nmetrics snapshot written to %s\n", *metricsOut)
 	}
 	return nil
 }

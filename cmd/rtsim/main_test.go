@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"mpcp/internal/config"
+	"mpcp/internal/core"
 	"mpcp/internal/obs"
+	"mpcp/internal/sim"
 	"mpcp/internal/trace"
 )
 
@@ -48,22 +51,6 @@ func TestRunGanttAndEvents(t *testing.T) {
 	}
 }
 
-func TestRunTraceOut(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.json")
-	var out strings.Builder
-	if err := run([]string{"-config", cfgPath, "-trace-out", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"events"`) {
-		t.Error("trace file malformed")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{}, &out); err == nil {
@@ -82,36 +69,38 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunMetricsAndStream(t *testing.T) {
 	dir := t.TempDir()
-	buffered := filepath.Join(dir, "trace.json")
 	streamed := filepath.Join(dir, "trace.jsonl")
 	metrics := filepath.Join(dir, "metrics.json")
 	var out strings.Builder
 	err := run([]string{"-config", cfgPath, "-horizon", "300",
-		"-trace-out", buffered, "-trace-stream", streamed, "-metrics", metrics}, &out)
+		"-trace-stream", streamed, "-metrics", metrics}, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
-	// The streamed trace replays to the same log the buffered export holds.
-	sf, err := os.Open(streamed)
+	// The stream file holds the same bytes as a direct stream of the run.
+	sys, err := config.Load(cfgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sf.Close()
-	replayed, err := trace.ReadStream(sf)
+	var direct bytes.Buffer
+	sink := trace.NewStreamSink(&direct)
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 300, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var viaStream bytes.Buffer
-	if err := replayed.WriteJSON(&viaStream); err != nil {
+	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := os.ReadFile(buffered)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(direct, viaStream.Bytes()) {
-		t.Error("streamed trace replay differs from -trace-out export")
+	if !bytes.Equal(got, direct.Bytes()) {
+		t.Error("-trace-stream file differs from a direct stream of the same run")
 	}
 
 	mf, err := os.Open(metrics)

@@ -1,7 +1,7 @@
-// Command rttrace renders a trace previously written by rtsim -trace-out
-// or streamed with rtsim -trace-stream: a per-processor Gantt chart,
-// invariant checks, blocking attribution against the Section 5.1
-// taxonomy, and optionally the raw event log.
+// Command rttrace renders a JSONL trace stream written by rtsim
+// -trace-stream: a per-processor Gantt chart, invariant checks, blocking
+// attribution against the Section 5.1 taxonomy, and optionally the raw
+// event log.
 //
 // With -timeline it instead merges span streams (rtsweep -spans,
 // rtsweepd -spans) into Chrome trace-event JSON openable in
@@ -9,8 +9,8 @@
 //
 // Usage:
 //
-//	rttrace -config system.json -trace run.json [-from 0] [-to 60] [-events]
-//	rttrace -config system.json -trace run.json -blocking [-protocol mpcp]
+//	rttrace -config system.json -trace run.jsonl [-from 0] [-to 60] [-events]
+//	rttrace -config system.json -trace run.jsonl -blocking [-protocol mpcp]
 //	rttrace -timeline -out timeline.json coord-spans.jsonl worker-spans.jsonl
 package main
 
@@ -41,7 +41,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rttrace", flag.ContinueOnError)
 	var (
 		configPath = fs.String("config", "", "JSON workload the trace was produced from (required)")
-		tracePath  = fs.String("trace", "", "JSON trace file (required)")
+		tracePath  = fs.String("trace", "", "JSONL trace stream written by rtsim -trace-stream (required)")
 		from       = fs.Int("from", 0, "first tick of the chart")
 		to         = fs.Int("to", 0, "last tick of the chart (0 = trace horizon)")
 		events     = fs.Bool("events", false, "print the event log")
@@ -77,29 +77,20 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintln(out)
 	fmt.Fprint(out, log.Gantt(sys, *from, *to))
 
-	bad := false
-	for _, v := range trace.CheckMutex(log) {
-		fmt.Fprintln(out, "mutex violation:", v)
-		bad = true
-	}
-	for _, v := range trace.CheckGcsPreemption(log, sys.NumProcs) {
-		fmt.Fprintln(out, "gcs-preemption violation:", v)
-		bad = true
-	}
-	if !bad {
-		fmt.Fprintln(out, "\ninvariants: mutual exclusion ok, gcs never preempted by non-critical code")
-	}
+	obs.PrintInvariants(out, log, sys.NumProcs)
 
 	endTick := *horizon
 	if endTick <= 0 {
 		endTick = log.Horizon()
 	}
 
-	if *blocking {
-		rep, err := obs.Attribute(log, sys, endTick)
-		if err != nil {
+	var rep *obs.Report
+	if *blocking || *metricsOut != "" {
+		if rep, err = obs.Attribute(log, sys, endTick); err != nil {
 			return err
 		}
+	}
+	if *blocking {
 		var bounds map[task.ID]*analysis.Bound
 		if *protoName != "" {
 			bounds, err = registry.Analyze(*protoName, sys, registry.AnalyzeOpts{DeferredPenalty: true})
@@ -111,25 +102,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *metricsOut != "" {
-		reg := obs.NewRegistry()
-		obs.CollectTrace(reg, log, sys, endTick)
-		rep, err := obs.Attribute(log, sys, endTick)
-		if err != nil {
+		if err := obs.WriteTraceSnapshot(out, *metricsOut, obs.NewRegistry(), log, sys, rep); err != nil {
 			return err
 		}
-		obs.CollectAttribution(reg, rep)
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := reg.Snapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nmetrics snapshot written to %s\n", *metricsOut)
 	}
 
 	if *events {
@@ -181,17 +156,14 @@ func runTimeline(out io.Writer, outPath string, paths []string) error {
 	return nil
 }
 
-// loadTrace reads either a buffered JSON trace (rtsim -trace-out) or a
-// JSONL stream (rtsim -trace-stream), sniffing the stream header.
+// loadTrace reads a JSONL trace stream (rtsim -trace-stream).
 func loadTrace(path string) (*trace.Log, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if strings.HasPrefix(strings.TrimLeft(string(data), " \t\r\n"), `{"format":"mpcp-trace-stream"`) {
-		return trace.ReadStream(strings.NewReader(string(data)))
-	}
-	return trace.ReadJSON(strings.NewReader(string(data)))
+	defer f.Close()
+	return trace.ReadStream(f)
 }
 
 func printBlocking(out io.Writer, rep *obs.Report, bounds map[task.ID]*analysis.Bound) {

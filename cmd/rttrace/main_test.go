@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"strconv"
-
 	"mpcp/internal/config"
 	"mpcp/internal/core"
 	"mpcp/internal/obs"
@@ -17,28 +15,31 @@ import (
 
 const cfgPath = "../../testdata/avionics.json"
 
-// writeTrace simulates the sample workload and writes its trace JSON.
+// writeTrace streams a 200-tick simulation of the sample workload to a
+// JSONL file and returns its path.
 func writeTrace(t *testing.T) string {
 	t.Helper()
 	sys, err := config.Load(cfgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 200, Sink: log})
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := trace.NewStreamSink(f)
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 200, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "trace.json")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := log.WriteJSON(f); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -79,35 +80,18 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// writeStreamTrace simulates the sample workload through a streaming
-// sink and returns the JSONL path plus the true simulated horizon.
-func writeStreamTrace(t *testing.T) (string, int) {
-	t.Helper()
-	sys, err := config.Load(cfgPath)
-	if err != nil {
-		t.Fatal(err)
+// TestRunRejectsJSONDocument: the JSONL stream is the only trace format.
+// A trace saved as one {"events":[...],"execs":[...]} JSON document, the
+// format older rtsim builds also wrote, is an error, not a chart.
+func TestRunRejectsJSONDocument(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-config", cfgPath, "-trace", filepath.Join("testdata", "document-trace.json")}, &out)
+	if err == nil {
+		t.Fatal("JSON-document trace accepted")
 	}
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	if out.Len() != 0 {
+		t.Errorf("rendered output for a rejected trace:\n%s", out.String())
 	}
-	sink := trace.NewStreamSink(f)
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 200, Sink: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, res.Horizon
 }
 
 func TestRunBlockingAttribution(t *testing.T) {
@@ -143,10 +127,10 @@ func TestRunBlockingBadProtocol(t *testing.T) {
 }
 
 func TestRunStreamedTrace(t *testing.T) {
-	tracePath, horizon := writeStreamTrace(t)
+	tracePath := writeTrace(t)
 	var out strings.Builder
 	err := run([]string{"-config", cfgPath, "-trace", tracePath,
-		"-blocking", "-horizon", strconv.Itoa(horizon)}, &out)
+		"-blocking", "-horizon", "200"}, &out)
 	if err != nil {
 		t.Fatalf("run on streamed trace: %v", err)
 	}

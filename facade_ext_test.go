@@ -2,6 +2,7 @@ package mpcp_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,25 +73,28 @@ func TestPollingServerFacade(t *testing.T) {
 	}
 }
 
+// TestTraceJSONFacade: the facade's trace round trip is WithSink over
+// NewStreamSink, read back with ReadTraceStream.
 func TestTraceJSONFacade(t *testing.T) {
 	sys := buildTwoProc(t)
 	tr := mpcp.NewTrace()
-	if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithTrace(tr), mpcp.WithHorizon(50)); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	sink := mpcp.NewStreamSink(&buf)
+	if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithTrace(tr), mpcp.WithSink(sink), mpcp.WithHorizon(50)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"events"`) {
-		t.Error("json missing events")
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
-	back, err := mpcp.ReadTraceJSON(&buf)
+	if !strings.Contains(buf.String(), `"event"`) {
+		t.Error("stream missing events")
+	}
+	back, err := mpcp.ReadTraceStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Events) != len(tr.Events) {
-		t.Errorf("events %d != %d after round trip", len(back.Events), len(tr.Events))
+	if !reflect.DeepEqual(back, tr) {
+		t.Errorf("trace changed across the stream round trip: %d events, want %d", len(back.Events), len(tr.Events))
 	}
 }
 

@@ -256,7 +256,7 @@ func checkInvariants(c *trialCtx) []string {
 		return nil
 	}
 	var out []string
-	for _, v := range trace.CheckInvariants(r.log, c.sys.NumProcs) {
+	for _, v := range r.log.CheckInvariants(c.sys.NumProcs) {
 		out = append(out, v.String())
 	}
 	return out
@@ -271,7 +271,7 @@ func checkGcsPreemption(c *trialCtx) []string {
 		return nil
 	}
 	var out []string
-	for _, v := range trace.CheckGcsPreemption(r.log, c.sys.NumProcs) {
+	for _, v := range r.log.CheckGcsPreemption(c.sys.NumProcs) {
 		out = append(out, v.String())
 	}
 	return out
@@ -677,7 +677,7 @@ func checkProcRenaming(c *trialCtx) []string {
 	if rr.err != nil {
 		return append(out, fmt.Sprintf("renamed run failed: %v", rr.err))
 	}
-	for _, v := range trace.CheckInvariants(rr.log, renamed.NumProcs) {
+	for _, v := range rr.log.CheckInvariants(renamed.NumProcs) {
 		out = append(out, "renamed system: "+v.String())
 	}
 	return out

@@ -125,7 +125,7 @@ func TestMutualExclusionUnderContention(t *testing.T) {
 	if res.Deadlock {
 		t.Fatal("deadlock")
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex violation: %v", v)
 	}
 }
@@ -143,7 +143,7 @@ func TestExample3UnderDPCP(t *testing.T) {
 	if res.AnyMiss {
 		t.Error("unexpected miss in Example 4 under DPCP")
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex violation: %v", v)
 	}
 }

@@ -65,7 +65,7 @@ func TestMixedModesCoexist(t *testing.T) {
 	if task1GcsTicks[0] != 6 || task1GcsTicks[1] != 6 {
 		t.Errorf("task 1 gcs ticks per processor = %v, want 6 on P0 and 6 on P1", task1GcsTicks)
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex: %v", v)
 	}
 	if res.Stats[1].Finished == 0 || res.Stats[2].Finished == 0 {
@@ -81,7 +81,7 @@ func TestAllSharedEqualsMPCPBehaviour(t *testing.T) {
 	if res.Deadlock || res.AnyMiss {
 		t.Fatal("hybrid all-shared misbehaved")
 	}
-	for _, v := range trace.CheckGcsPreemption(log, sys.NumProcs) {
+	for _, v := range log.CheckGcsPreemption(sys.NumProcs) {
 		t.Errorf("gcs preemption: %v", v)
 	}
 }
@@ -140,7 +140,7 @@ func TestHybridOnRandomWorkloads(t *testing.T) {
 		if res.Deadlock {
 			t.Errorf("seed %d: deadlock", seed)
 		}
-		for _, v := range trace.CheckMutex(log) {
+		for _, v := range log.CheckMutex() {
 			t.Errorf("seed %d: mutex: %v", seed, v)
 		}
 	}

@@ -148,10 +148,10 @@ func TestExample4Invariants(t *testing.T) {
 	if res.AnyMiss {
 		t.Error("unexpected deadline miss in Example 4")
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex violation: %v", v)
 	}
-	for _, v := range trace.CheckGcsPreemption(log, sys.NumProcs) {
+	for _, v := range log.CheckGcsPreemption(sys.NumProcs) {
 		t.Errorf("gcs preemption violation: %v", v)
 	}
 }
@@ -287,7 +287,7 @@ func TestUniprocessorReduction(t *testing.T) {
 	if b := resM.MaxMeasuredBlocking(1); b != 0 {
 		t.Errorf("J1 blocking = %d, want 0 (ceiling of S2 below P1)", b)
 	}
-	for _, v := range trace.CheckMutex(logM) {
+	for _, v := range logM.CheckMutex() {
 		t.Errorf("mutex violation: %v", v)
 	}
 }
@@ -339,7 +339,7 @@ func TestPcpCeilingBlocking(t *testing.T) {
 	if b := res.MaxMeasuredBlocking(2); b == 0 || b > 6 {
 		t.Errorf("J2 blocking = %d, want in (0, 6]", b)
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex violation: %v", v)
 	}
 }

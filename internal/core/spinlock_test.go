@@ -57,10 +57,10 @@ func checkGcsNeverPreempted(t *testing.T, p *core.Protocol, seed int64) {
 	if res.Deadlock {
 		t.Fatal("deadlock")
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex violation: %v", v)
 	}
-	for _, v := range trace.CheckGcsPreemption(log, sys.NumProcs) {
+	for _, v := range log.CheckGcsPreemption(sys.NumProcs) {
 		t.Errorf("gcs-preemption violation: %v", v)
 	}
 }

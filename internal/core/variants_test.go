@@ -160,7 +160,7 @@ func TestGcsAtCeilingRunsHigher(t *testing.T) {
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if vs := trace.CheckGcsPreemption(log, sys.NumProcs); len(vs) > 0 {
+		if vs := log.CheckGcsPreemption(sys.NumProcs); len(vs) > 0 {
 			t.Errorf("%s: %v", p.Name(), vs)
 		}
 	}
@@ -204,7 +204,7 @@ func TestNestedGlobalRuntime(t *testing.T) {
 	if res.Deadlock {
 		t.Fatal("deadlock despite consistent order")
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex: %v", v)
 	}
 	if res.Stats[1].Finished == 0 || res.Stats[2].Finished == 0 {

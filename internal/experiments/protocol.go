@@ -42,8 +42,8 @@ func E6Example4Trace() (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{name, v})
 	}
-	check("mutual exclusion", len(trace.CheckMutex(log)) == 0)
-	check("no gcs preempted by non-critical code", len(trace.CheckGcsPreemption(log, sys.NumProcs)) == 0)
+	check("mutual exclusion", len(log.CheckMutex()) == 0)
+	check("no gcs preempted by non-critical code", len(log.CheckGcsPreemption(sys.NumProcs)) == 0)
 	check("no deadlock", !res.Deadlock)
 	check("no deadline miss", !res.AnyMiss)
 	check("arrival cannot preempt gcs (t=2, P0)", log.RunningTask(0, 2) == 2)
@@ -164,7 +164,7 @@ func E8GcsPreemptionInvariant() (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			itoa(int(seed)), itoa(sys.NumProcs), itoa(gcsTicks),
-			itoa(len(trace.CheckGcsPreemption(log, sys.NumProcs))),
+			itoa(len(log.CheckGcsPreemption(sys.NumProcs))),
 		})
 	}
 	return t, nil

@@ -37,10 +37,11 @@ func (s Scoped) Applies(importPath string) bool {
 //     the task model (whose validation and ceiling inputs seed every
 //     derived table), the ceiling table and the blocking
 //     bounds computed from it (ceiling, analysis), the processor
-//     binding heuristics and sharing graph (alloc), the conformance
-//     engine, the campaign engine, the workload generators and the
-//     distributed sweep service (whose merged output must be
-//     byte-identical to a local run). The campaign worker pool (pool.go)
+//     binding heuristics and sharing graph (alloc), the trace log and
+//     its JSONL stream (trace, whose bytes TestStepperPinned hashes),
+//     the conformance engine, the campaign engine, the workload
+//     generators and the distributed sweep service (whose merged output
+//     must be byte-identical to a local run). The campaign worker pool (pool.go)
 //     is the one blessed fan-out point; its collector serializes
 //     results back into spec order, which the byte-identical-across-
 //     workers tests verify at runtime. internal/dist itself spawns no
@@ -87,6 +88,7 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/ceiling",
 				"mpcp/internal/analysis",
 				"mpcp/internal/alloc",
+				"mpcp/internal/trace",
 				"mpcp/internal/conformance",
 				"mpcp/internal/campaign",
 				"mpcp/internal/workload",

@@ -216,7 +216,8 @@ func Attribute(l *trace.Log, sys *task.System, endTick int) (*Report, error) {
 	}
 
 	jobs := make(map[jobKey]*jobState)
-	var order []jobKey
+	var order []jobKey   // every released job, in release order
+	var open []*jobState // the jobs of order not yet closed
 	rep := &Report{EndTick: endTick}
 
 	apply := func(e trace.Event) error {
@@ -227,12 +228,14 @@ func Attribute(l *trace.Log, sys *task.System, endTick int) (*Report, error) {
 			if js != nil && js.open {
 				return fmt.Errorf("obs: duplicate release of task %d job %d at t=%d", e.Task, e.Job, e.Time)
 			}
-			jobs[k] = &jobState{
+			js = &jobState{
 				attr:  &JobAttribution{Task: e.Task, Job: e.Job, Release: e.Time, Finish: -1},
 				state: trace.EvReady,
 				open:  true,
 			}
+			jobs[k] = js
 			order = append(order, k)
+			open = append(open, js)
 		case trace.EvReady:
 			if js != nil && js.open {
 				js.state = trace.EvReady
@@ -261,8 +264,9 @@ func Attribute(l *trace.Log, sys *task.System, endTick int) (*Report, error) {
 		return nil
 	}
 
-	classify := func(k jobKey, js *jobState, t int) {
+	classify := func(js *jobState, t int) {
 		a := js.attr
+		k := jobKey{task: a.Task, job: a.Job}
 		home := sys.TaskByID(k.task).Proc
 		cell := cells[home][t]
 		self := cell.valid && cell.task == k.task && cell.job == k.job
@@ -321,11 +325,14 @@ func Attribute(l *trace.Log, sys *task.System, endTick int) (*Report, error) {
 			}
 			evIdx++
 		}
-		for _, k := range order {
-			if js := jobs[k]; js.open {
-				classify(k, js, t)
+		live := open[:0]
+		for _, js := range open {
+			if js.open {
+				classify(js, t)
+				live = append(live, js)
 			}
 		}
+		open = live
 	}
 	// The final settle at the horizon can still complete jobs whose last
 	// compute tick was endTick-1; record those finishes without charging

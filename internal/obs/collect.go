@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mpcp/internal/task"
 	"mpcp/internal/trace"
@@ -151,4 +153,43 @@ func CollectAttribution(reg *Registry, rep *Report) {
 		}
 		reg.Gauge(fmt.Sprintf("max_blocking_ticks{task=%d}", ta.Task)).Set(float64(ta.MaxBlocking))
 	}
+}
+
+// PrintInvariants writes the post-run invariant verdict that rtsim and
+// rttrace print: one line per mutual-exclusion or gcs-preemption
+// violation, or a single all-clear line.
+func PrintInvariants(w io.Writer, l *trace.Log, numProcs int) {
+	bad := false
+	for _, v := range l.CheckMutex() {
+		fmt.Fprintln(w, "mutex violation:", v)
+		bad = true
+	}
+	for _, v := range l.CheckGcsPreemption(numProcs) {
+		fmt.Fprintln(w, "gcs-preemption violation:", v)
+		bad = true
+	}
+	if !bad {
+		fmt.Fprintln(w, "\ninvariants: mutual exclusion ok, gcs never preempted by non-critical code")
+	}
+}
+
+// WriteTraceSnapshot adds the trace's metrics over rep.EndTick ticks and
+// rep's blocking attribution to reg, writes reg's snapshot as JSON to
+// path and names the file on w.
+func WriteTraceSnapshot(w io.Writer, path string, reg *Registry, l *trace.Log, sys *task.System, rep *Report) error {
+	CollectTrace(reg, l, sys, rep.EndTick)
+	CollectAttribution(reg, rep)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := reg.Snapshot().WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nmetrics snapshot written to %s\n", path)
+	return nil
 }

@@ -46,7 +46,7 @@ type streamRecord struct {
 // StreamSink writes spans as JSON Lines: a header record
 // {"format":"mpcp-span-stream","version":1} followed by one
 // {"span":{...}} object per span — the same shape as the simulator's
-// trace streams, so the rttrace tooling can sniff both.
+// trace streams.
 type StreamSink struct {
 	w       *bufio.Writer
 	c       io.Closer

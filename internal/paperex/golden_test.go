@@ -25,7 +25,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestExample4GoldenTrace(t *testing.T) {
 	buf := example4Trace(t)
 
-	golden := filepath.Join("testdata", "example4_mpcp_trace.json")
+	golden := filepath.Join("testdata", "example4_mpcp_trace.jsonl")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -58,23 +58,23 @@ func TestExample4TraceDeterministic(t *testing.T) {
 }
 
 // example4Trace simulates Example 4 under the shared-memory protocol and
-// returns its trace as JSON.
+// returns its trace as a JSONL stream.
 func example4Trace(t *testing.T) *bytes.Buffer {
 	t.Helper()
 	sys, err := paperex.Example4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := trace.New()
-	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 40, Sink: log})
+	var buf bytes.Buffer
+	sink := trace.NewStreamSink(&buf)
+	e, err := sim.New(sys, core.New(core.Options{}), sim.Config{Horizon: 40, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := log.WriteJSON(&buf); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return &buf
@@ -84,19 +84,19 @@ func example4Trace(t *testing.T) *bytes.Buffer {
 // recorded golden itself, so an accidental -update of a broken trace is
 // caught.
 func TestExample4GoldenStillValid(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "example4_mpcp_trace.json"))
+	f, err := os.Open(filepath.Join("testdata", "example4_mpcp_trace.jsonl"))
 	if err != nil {
 		t.Skipf("no golden yet: %v", err)
 	}
 	defer f.Close()
-	log, err := trace.ReadJSON(f)
+	log, err := trace.ReadStream(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := trace.CheckMutex(log); len(vs) != 0 {
+	if vs := log.CheckMutex(); len(vs) != 0 {
 		t.Errorf("golden violates mutual exclusion: %v", vs)
 	}
-	if vs := trace.CheckGcsPreemption(log, 3); len(vs) != 0 {
+	if vs := log.CheckGcsPreemption(3); len(vs) != 0 {
 		t.Errorf("golden violates Theorem 2: %v", vs)
 	}
 	if len(log.EventsOfKind(trace.EvDeadlineMiss)) != 0 {

@@ -31,7 +31,7 @@ func TestImmediateNeverBlocksAtRequest(t *testing.T) {
 	if evs := log.EventsOfKind(trace.EvBlockLocal); len(evs) != 0 {
 		t.Errorf("immediate ceiling produced request blocking: %v", evs)
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex: %v", v)
 	}
 	if res.AnyMiss {

@@ -69,7 +69,7 @@ func TestCeilingBlockingPreventsChainedBlocking(t *testing.T) {
 	if !blocked {
 		t.Error("τ2 should be ceiling-blocked while τ3 holds s1")
 	}
-	for _, v := range trace.CheckMutex(log) {
+	for _, v := range log.CheckMutex() {
 		t.Errorf("mutex: %v", v)
 	}
 }

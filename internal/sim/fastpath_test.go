@@ -44,9 +44,9 @@ func runBoth(t *testing.T, sys *task.System, mk func() sim.Protocol, cfg sim.Con
 }
 
 // diffRuns compares everything the two steppers must agree on: the event
-// log, the execution matrix (byte-for-byte via the stable JSON export),
-// statistics, processor counters and verdicts. TicksSkipped is the one
-// intentional difference.
+// log, the execution matrix, statistics, processor counters and verdicts.
+// TicksSkipped is the one intentional difference. TestFastPathStreamIdentical
+// compares the serialized stream bytes.
 func diffRuns(t *testing.T, fast, ref tracedResult) {
 	t.Helper()
 	if !reflect.DeepEqual(fast.log.Events, ref.log.Events) {
@@ -54,16 +54,6 @@ func diffRuns(t *testing.T, fast, ref tracedResult) {
 	}
 	if !reflect.DeepEqual(fast.log.Execs, ref.log.Execs) {
 		t.Error("execution matrices differ")
-	}
-	var bFast, bRef bytes.Buffer
-	if err := fast.log.WriteJSON(&bFast); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.log.WriteJSON(&bRef); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bFast.Bytes(), bRef.Bytes()) {
-		t.Error("serialized traces are not byte-identical")
 	}
 	if !reflect.DeepEqual(fast.Stats, ref.Stats) {
 		t.Errorf("statistics differ: fast %+v, ref %+v", fast.Stats, ref.Stats)

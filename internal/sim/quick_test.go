@@ -86,7 +86,7 @@ func TestQuickArbitraryBodiesUnderMPCP(t *testing.T) {
 		if res.Deadlock {
 			return false
 		}
-		if len(trace.CheckMutex(log)) != 0 {
+		if len(log.CheckMutex()) != 0 {
 			return false
 		}
 		for _, st := range res.Stats {

@@ -217,7 +217,7 @@ func TestOverloadAbortNeverExecutesPastDeadline(t *testing.T) {
 		if !sawAbort {
 			t.Error("no abort event in the trace")
 		}
-		for _, v := range trace.CheckInvariants(log, sys.NumProcs) {
+		for _, v := range log.CheckInvariants(sys.NumProcs) {
 			t.Errorf("invariant violation under abort policy: %v", v)
 		}
 	}

@@ -1,29 +1,16 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"mpcp/internal/task"
 )
 
-// The JSON export format is a stable contract for external tooling
-// (plotting Gantt charts, diffing runs). Mirror structs carry the field
-// tags so internal renames never break the format.
-//
-// Format v2 note: sem and prio were originally tagged omitempty, which
-// silently dropped semaphore ID 0 and priority 0 on export — a lock event
-// on semaphore 0 became indistinguishable from a non-semaphore event.
-// Both fields are now always emitted. ReadJSON accepts either form (a
-// missing field decodes as 0, exactly what omitempty had dropped), so v1
-// traces remain readable.
-
-type jsonLog struct {
-	Events []jsonEvent `json:"events"`
-	Execs  []jsonExec  `json:"execs"`
-}
-
+// jsonEvent and jsonExec are the wire form of the JSONL stream written by
+// StreamSink: a stable contract for external tooling (plotting Gantt
+// charts, diffing runs). The mirror structs carry the field tags so
+// internal renames never break the format. Sem and prio are always
+// emitted, because semaphore ID 0 and priority 0 are meaningful values.
 type jsonEvent struct {
 	Time int    `json:"t"`
 	Kind string `json:"kind"`
@@ -43,27 +30,13 @@ type jsonExec struct {
 	InGCS bool `json:"inGCS,omitempty"`
 }
 
-var kindNames = map[EventKind]string{
-	EvRelease:       "release",
-	EvStart:         "start",
-	EvPreempt:       "preempt",
-	EvLock:          "lock",
-	EvBlockLocal:    "block-local",
-	EvSuspendGlobal: "suspend-global",
-	EvSpinGlobal:    "spin-global",
-	EvUnlock:        "unlock",
-	EvGrant:         "grant",
-	EvInherit:       "inherit",
-	EvFinish:        "finish",
-	EvDeadlineMiss:  "deadline-miss",
-	EvReady:         "ready",
-	EvAbort:         "abort",
-}
-
+// kindValues inverts EventKind.String over the defined kinds.
 var kindValues = func() map[string]EventKind {
 	m := make(map[string]EventKind, len(kindNames))
 	for k, n := range kindNames {
-		m[n] = k
+		if n != "" {
+			m[n] = EventKind(k)
+		}
 	}
 	return m
 }()
@@ -71,7 +44,7 @@ var kindValues = func() map[string]EventKind {
 // toJSONEvent converts an Event to its wire form.
 func toJSONEvent(e Event) jsonEvent {
 	return jsonEvent{
-		Time: e.Time, Kind: kindNames[e.Kind], Task: int(e.Task),
+		Time: e.Time, Kind: e.Kind.String(), Task: int(e.Task),
 		Job: e.Job, Proc: int(e.Proc), Sem: int(e.Sem), Prio: e.Prio,
 	}
 }
@@ -100,42 +73,4 @@ func fromJSONExec(jx jsonExec) Exec {
 		Time: jx.Time, Proc: task.ProcID(jx.Proc), Task: task.ID(jx.Task),
 		Job: jx.Job, InCS: jx.InCS, InGCS: jx.InGCS,
 	}
-}
-
-// WriteJSON serializes the log.
-func (l *Log) WriteJSON(w io.Writer) error {
-	out := jsonLog{
-		Events: make([]jsonEvent, 0, len(l.Events)),
-		Execs:  make([]jsonExec, 0, len(l.Execs)),
-	}
-	for _, e := range l.Events {
-		out.Events = append(out.Events, toJSONEvent(e))
-	}
-	for _, x := range l.Execs {
-		out.Execs = append(out.Execs, toJSONExec(x))
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// ReadJSON deserializes a log written by WriteJSON.
-func ReadJSON(r io.Reader) (*Log, error) {
-	var in jsonLog
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	l := New()
-	for _, je := range in.Events {
-		e, err := fromJSONEvent(je)
-		if err != nil {
-			return nil, err
-		}
-		l.Add(e)
-	}
-	for _, jx := range in.Execs {
-		l.AddExec(fromJSONExec(jx))
-	}
-	return l, nil
 }

@@ -3,7 +3,6 @@ package trace_test
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"mpcp/internal/core"
@@ -12,6 +11,28 @@ import (
 	"mpcp/internal/workload"
 )
 
+// streamLog writes l through a StreamSink, events first, then execs.
+func streamLog(t *testing.T, l *trace.Log) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	s := trace.NewStreamSink(&buf)
+	for _, e := range l.Events {
+		if err := s.Event(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range l.Execs {
+		if err := s.Exec(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// TestJSONRoundTrip: a simulated run's log survives the JSONL stream.
 func TestJSONRoundTrip(t *testing.T) {
 	sys, err := workload.Generate(workload.Default(21))
 	if err != nil {
@@ -28,43 +49,23 @@ func TestJSONRoundTrip(t *testing.T) {
 	if len(log.Events) == 0 || len(log.Execs) == 0 {
 		t.Fatal("trace empty")
 	}
-
-	var buf bytes.Buffer
-	if err := log.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ReadJSON(&buf)
+	back, err := trace.ReadStream(streamLog(t, log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(log.Events, back.Events) {
-		t.Error("events changed across round trip")
-	}
-	if !reflect.DeepEqual(log.Execs, back.Execs) {
-		t.Error("execs changed across round trip")
+	if !reflect.DeepEqual(log, back) {
+		t.Error("log changed across the stream round trip")
 	}
 }
 
-func TestReadJSONRejectsUnknownKind(t *testing.T) {
-	in := `{"events":[{"t":0,"kind":"teleport","task":1,"job":0,"proc":0}],"execs":[]}`
-	if _, err := trace.ReadJSON(strings.NewReader(in)); err == nil {
-		t.Error("unknown kind accepted")
+// TestStreamEmptyLog: a stream with no records is just its header and
+// reads back as an empty log.
+func TestStreamEmptyLog(t *testing.T) {
+	buf := streamLog(t, trace.New())
+	if got, want := buf.String(), "{\"format\":\"mpcp-trace-stream\",\"version\":1}\n"; got != want {
+		t.Errorf("empty stream = %q, want %q", got, want)
 	}
-}
-
-func TestReadJSONRejectsUnknownFields(t *testing.T) {
-	in := `{"events":[],"execs":[],"bogus":1}`
-	if _, err := trace.ReadJSON(strings.NewReader(in)); err == nil {
-		t.Error("unknown field accepted")
-	}
-}
-
-func TestWriteJSONEmptyLog(t *testing.T) {
-	var buf bytes.Buffer
-	if err := trace.New().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ReadJSON(&buf)
+	back, err := trace.ReadStream(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

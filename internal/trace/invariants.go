@@ -24,38 +24,17 @@ type jobKey struct {
 // combined violations. Protocols that boost global-critical-section
 // priorities should additionally be checked with CheckGcsPreemption; the
 // conformance harness (internal/conformance) applies that split per
-// protocol.
-func CheckInvariants(l *Log, numProcs int) []Violation {
-	out := CheckMutex(l)
-	return append(out, CheckWorkConservation(l, numProcs)...)
-}
-
-// Method forms of the invariant checkers, mirroring the rest of the Log
-// API (Summary, Gantt, WriteJSON). The facade package exposes traces as
-// *Log aliases, so these are what external callers reach for; the
-// package-level functions above remain for internal call sites.
-
-// CheckInvariants is the method form of the package-level CheckInvariants.
-func (l *Log) CheckInvariants(numProcs int) []Violation { return CheckInvariants(l, numProcs) }
-
-// CheckMutex is the method form of the package-level CheckMutex.
-func (l *Log) CheckMutex() []Violation { return CheckMutex(l) }
-
-// CheckGcsPreemption is the method form of the package-level
-// CheckGcsPreemption.
-func (l *Log) CheckGcsPreemption(numProcs int) []Violation { return CheckGcsPreemption(l, numProcs) }
-
-// CheckWorkConservation is the method form of the package-level
-// CheckWorkConservation.
-func (l *Log) CheckWorkConservation(numProcs int) []Violation {
-	return CheckWorkConservation(l, numProcs)
+// protocol. The checkers are Log methods, so the facade's Trace carries
+// them too.
+func (l *Log) CheckInvariants(numProcs int) []Violation {
+	return append(l.CheckMutex(), l.CheckWorkConservation(numProcs)...)
 }
 
 // CheckMutex verifies that no semaphore is ever held by two jobs at once,
 // reconstructing ownership from lock/unlock events. Grant events follow a
 // lock handover and are informational; ownership transfer is encoded as
 // unlock-then-lock at the same tick, which this checker accepts.
-func CheckMutex(l *Log) []Violation {
+func (l *Log) CheckMutex() []Violation {
 	var out []Violation
 	holder := make(map[task.SemID]jobKey)
 	heldBy := make(map[task.SemID]bool)
@@ -97,7 +76,7 @@ func CheckMutex(l *Log) []Violation {
 // where job A runs in a gcs at time t, a different job B runs outside any
 // critical section at t+1, and A later resumes still inside its gcs
 // without having released it in between.
-func CheckGcsPreemption(l *Log, numProcs int) []Violation {
+func (l *Log) CheckGcsPreemption(numProcs int) []Violation {
 	var out []Violation
 	for p := 0; p < numProcs; p++ {
 		ivs := l.Intervals(task.ProcID(p))
@@ -150,7 +129,7 @@ func resumesInGcs(later []Interval, a Interval) bool {
 // ready set and therefore only flags idle ticks during which some job of
 // that processor executed neither before nor at that tick — conservative,
 // but catches gross scheduler bugs.
-func CheckWorkConservation(l *Log, numProcs int) []Violation {
+func (l *Log) CheckWorkConservation(numProcs int) []Violation {
 	// A full reconstruction would duplicate the engine; instead verify a
 	// weaker but still useful property: a processor never idles between
 	// two execution ticks of the same job unless that job blocked,

@@ -29,7 +29,7 @@ func TestCheckGcsPreemptionViolationWithLockEvents(t *testing.T) {
 	l.AddExec(trace.Exec{Time: 3, Proc: 0, Task: 1, Job: 0, InCS: true, InGCS: true})
 	l.Add(trace.Event{Time: 4, Kind: trace.EvUnlock, Task: 1, Job: 0, Proc: 0, Sem: 5})
 
-	vs := trace.CheckGcsPreemption(l, 1)
+	vs := l.CheckGcsPreemption(1)
 	if len(vs) != 1 {
 		t.Fatalf("want 1 violation, got %d: %v", len(vs), vs)
 	}
@@ -50,7 +50,7 @@ func TestCheckGcsPreemptionAllowsLocalCSPreemptor(t *testing.T) {
 	l.AddExec(trace.Exec{Time: 0, Proc: 0, Task: 1, Job: 0, InCS: true, InGCS: true})
 	l.AddExec(trace.Exec{Time: 1, Proc: 0, Task: 2, Job: 0, InCS: true})
 	l.AddExec(trace.Exec{Time: 2, Proc: 0, Task: 1, Job: 0, InCS: true, InGCS: true})
-	if vs := trace.CheckGcsPreemption(l, 1); len(vs) != 0 {
+	if vs := l.CheckGcsPreemption(1); len(vs) != 0 {
 		t.Errorf("local-CS preemptor flagged: %v", vs)
 	}
 }
@@ -59,7 +59,7 @@ func TestCheckGcsPreemptionAllowsLocalCSPreemptor(t *testing.T) {
 func TestCheckMutexDetectsFreeRelease(t *testing.T) {
 	l := trace.New()
 	l.Add(trace.Event{Time: 3, Kind: trace.EvUnlock, Task: 1, Job: 0, Proc: 0, Sem: 3})
-	vs := trace.CheckMutex(l)
+	vs := l.CheckMutex()
 	if len(vs) != 1 {
 		t.Fatalf("want 1 violation, got %d: %v", len(vs), vs)
 	}
@@ -77,7 +77,7 @@ func TestCheckMutexSameJobReacquire(t *testing.T) {
 	l.Add(trace.Event{Time: 0, Kind: trace.EvLock, Task: 1, Job: 0, Proc: 0, Sem: 3})
 	l.Add(trace.Event{Time: 1, Kind: trace.EvLock, Task: 1, Job: 0, Proc: 0, Sem: 3})
 	l.Add(trace.Event{Time: 2, Kind: trace.EvUnlock, Task: 1, Job: 0, Proc: 0, Sem: 3})
-	if vs := trace.CheckMutex(l); len(vs) != 0 {
+	if vs := l.CheckMutex(); len(vs) != 0 {
 		t.Errorf("same-job reacquire flagged: %v", vs)
 	}
 }
@@ -90,7 +90,7 @@ func TestCheckWorkConservationViolationMetadata(t *testing.T) {
 	l.AddExec(trace.Exec{Time: 0, Proc: 0, Task: 4, Job: 1})
 	l.AddExec(trace.Exec{Time: 1, Proc: 0, Task: 4, Job: 1})
 	l.AddExec(trace.Exec{Time: 5, Proc: 0, Task: 4, Job: 1})
-	vs := trace.CheckWorkConservation(l, 1)
+	vs := l.CheckWorkConservation(1)
 	if len(vs) != 1 {
 		t.Fatalf("want 1 violation, got %d: %v", len(vs), vs)
 	}
@@ -110,7 +110,7 @@ func TestCheckWorkConservationAcceptsReadyWake(t *testing.T) {
 	l.Add(trace.Event{Time: 1, Kind: trace.EvSuspendGlobal, Task: 1, Job: 0, Proc: 0, Sem: 7})
 	l.Add(trace.Event{Time: 4, Kind: trace.EvReady, Task: 1, Job: 0, Proc: 0})
 	l.AddExec(trace.Exec{Time: 4, Proc: 0, Task: 1, Job: 0})
-	if vs := trace.CheckWorkConservation(l, 1); len(vs) != 0 {
+	if vs := l.CheckWorkConservation(1); len(vs) != 0 {
 		t.Errorf("explained gap flagged: %v", vs)
 	}
 }

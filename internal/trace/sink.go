@@ -46,12 +46,12 @@ type streamRecord struct {
 
 const streamFormatName = "mpcp-trace-stream"
 
-// StreamSink writes the trace as a JSON Lines stream: a header line
-// naming the format version, then one object per event or execution tick,
-// in emission order. Unlike the buffered Log it holds O(1) memory, which
-// is what makes million-tick horizons tractable. A stream replayed with
-// ReadStream reconstructs a Log whose WriteJSON output is byte-identical
-// to that of a Log that recorded the same run directly.
+// StreamSink writes the trace as a JSON Lines stream, the one serialized
+// trace format: a header line naming the format version, then one object
+// per event or execution tick, in emission order. Unlike the buffered Log
+// it holds O(1) memory, which is what makes million-tick horizons
+// tractable. ReadStream replays a stream into a Log equal to one that
+// recorded the same run directly.
 type StreamSink struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
@@ -106,7 +106,8 @@ func (s *StreamSink) Close() error {
 
 // ReadStream replays a JSONL stream written by StreamSink into a buffered
 // Log, preserving record order. It accepts a missing header (a raw record
-// stream) but rejects an unknown format version.
+// stream) but rejects an unknown format version and an empty input,
+// which holds neither a header nor a record.
 func ReadStream(r io.Reader) (*Log, error) {
 	dec := json.NewDecoder(r)
 	l := New()
@@ -115,6 +116,9 @@ func ReadStream(r io.Reader) (*Log, error) {
 		var rec streamRecord
 		if err := dec.Decode(&rec); err != nil {
 			if err == io.EOF {
+				if first {
+					return nil, fmt.Errorf("trace: stream: empty input")
+				}
 				return l, nil
 			}
 			return nil, fmt.Errorf("trace: stream: %w", err)

@@ -34,87 +34,48 @@ func allKindsLog() *trace.Log {
 	return l
 }
 
-// TestJSONRoundTripAllKinds pins export fidelity for every event kind:
-// semaphore 0 and priority 0 must survive WriteJSON/ReadJSON unchanged.
+// TestJSONRoundTripAllKinds pins the stream's wire form for every event
+// kind: each event line carries explicit sem and prio fields, so
+// semaphore 0 and priority 0 survive the round trip unchanged.
 func TestJSONRoundTripAllKinds(t *testing.T) {
 	l := allKindsLog()
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "omitempty") {
-		t.Fatal("sanity")
-	}
-	// Every event object must carry explicit sem and prio fields.
+	buf := streamLog(t, l)
 	if n := strings.Count(buf.String(), `"sem":`); n != len(l.Events) {
 		t.Errorf("sem field emitted %d times, want %d (omitempty regression)", n, len(l.Events))
 	}
 	if n := strings.Count(buf.String(), `"prio":`); n != len(l.Events) {
 		t.Errorf("prio field emitted %d times, want %d (omitempty regression)", n, len(l.Events))
 	}
-	back, err := trace.ReadJSON(&buf)
+	back, err := trace.ReadStream(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(l.Events, back.Events) {
-		t.Error("events changed across round trip")
-	}
-	if !reflect.DeepEqual(l.Execs, back.Execs) {
-		t.Error("execs changed across round trip")
-	}
-}
-
-// TestReadJSONAcceptsV1Traces: traces written before the format note
-// (sem/prio omitted when zero) must still decode, with zeros restored.
-func TestReadJSONAcceptsV1Traces(t *testing.T) {
-	in := `{"events":[{"t":3,"kind":"lock","task":1,"job":0,"proc":2}],"execs":[]}`
-	l, err := trace.ReadJSON(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Events) != 1 || l.Events[0].Sem != 0 || l.Events[0].Prio != 0 {
-		t.Errorf("v1 trace decoded wrong: %+v", l.Events)
+	if !reflect.DeepEqual(l, back) {
+		t.Error("log changed across round trip")
 	}
 }
 
 // TestStreamRoundTrip replays a streamed log and requires full equality.
 func TestStreamRoundTrip(t *testing.T) {
 	l := allKindsLog()
-	var buf bytes.Buffer
-	s := trace.NewStreamSink(&buf)
-	for _, e := range l.Events {
-		if err := s.Event(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, x := range l.Execs {
-		if err := s.Exec(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	buf := streamLog(t, l)
 	if !strings.HasPrefix(buf.String(), `{"format":"mpcp-trace-stream","version":1}`) {
 		t.Errorf("missing stream header: %q", buf.String()[:60])
 	}
-	back, err := trace.ReadStream(&buf)
+	back, err := trace.ReadStream(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(l.Events, back.Events) {
-		t.Error("events changed across stream round trip")
-	}
-	if !reflect.DeepEqual(l.Execs, back.Execs) {
-		t.Error("execs changed across stream round trip")
+	if !reflect.DeepEqual(l, back) {
+		t.Error("log changed across stream round trip")
 	}
 }
 
 // TestStreamedSimByteIdenticalToBuffered is the acceptance check for the
 // streaming sink: a simulation writing through a StreamSink, replayed
-// into a buffered Log, must produce byte-identical WriteJSON output to
-// the Log that recorded the same run directly, and a zero-value Log must
-// record exactly what a Log from trace.New does.
+// into a buffered Log, must equal the Log that recorded the same run
+// directly, and a zero-value Log must record exactly what a Log from
+// trace.New does.
 func TestStreamedSimByteIdenticalToBuffered(t *testing.T) {
 	sys, err := workload.Generate(workload.Default(11))
 	if err != nil {
@@ -133,22 +94,15 @@ func TestStreamedSimByteIdenticalToBuffered(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if len(log.Events) == 0 || len(log.Execs) == 0 {
+		t.Fatal("trace empty; test too weak")
+	}
 
 	replayed, err := trace.ReadStream(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var direct, viaStream bytes.Buffer
-	if err := log.WriteJSON(&direct); err != nil {
-		t.Fatal(err)
-	}
-	if err := replayed.WriteJSON(&viaStream); err != nil {
-		t.Fatal(err)
-	}
-	if direct.Len() == 0 || direct.String() == "{\"events\":[],\"execs\":[]}\n" {
-		t.Fatal("trace empty; test too weak")
-	}
-	if !bytes.Equal(direct.Bytes(), viaStream.Bytes()) {
+	if !reflect.DeepEqual(log, replayed) {
 		t.Error("streamed trace replay differs from buffered log")
 	}
 
@@ -224,6 +178,7 @@ func TestReadStreamRejects(t *testing.T) {
 		"unknown version": `{"format":"mpcp-trace-stream","version":99}`,
 		"unknown kind":    `{"event":{"t":0,"kind":"teleport","task":1,"job":0,"proc":0,"sem":0,"prio":0}}`,
 		"empty record":    `{}`,
+		"empty input":     "",
 		"late header":     "{\"event\":{\"t\":0,\"kind\":\"start\",\"task\":1,\"job\":0,\"proc\":0,\"sem\":0,\"prio\":0}}\n{\"format\":\"mpcp-trace-stream\",\"version\":1}",
 	}
 	for name, in := range cases {

@@ -34,39 +34,30 @@ const (
 	EvAbort                              // job killed by the abort-on-miss overload policy
 )
 
+// kindNames holds each kind's name, indexed by kind: the String form and
+// the stream's "kind" field.
+var kindNames = [...]string{
+	EvRelease:       "release",
+	EvStart:         "start",
+	EvPreempt:       "preempt",
+	EvLock:          "lock",
+	EvBlockLocal:    "block-local",
+	EvSuspendGlobal: "suspend-global",
+	EvSpinGlobal:    "spin-global",
+	EvUnlock:        "unlock",
+	EvGrant:         "grant",
+	EvInherit:       "inherit",
+	EvFinish:        "finish",
+	EvDeadlineMiss:  "deadline-miss",
+	EvReady:         "ready",
+	EvAbort:         "abort",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvRelease:
-		return "release"
-	case EvStart:
-		return "start"
-	case EvPreempt:
-		return "preempt"
-	case EvLock:
-		return "lock"
-	case EvBlockLocal:
-		return "block-local"
-	case EvSuspendGlobal:
-		return "suspend-global"
-	case EvSpinGlobal:
-		return "spin-global"
-	case EvUnlock:
-		return "unlock"
-	case EvGrant:
-		return "grant"
-	case EvInherit:
-		return "inherit"
-	case EvFinish:
-		return "finish"
-	case EvDeadlineMiss:
-		return "deadline-miss"
-	case EvReady:
-		return "ready"
-	case EvAbort:
-		return "abort"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
+	if k > 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
 // Event is one record in the log. Job identifies a job as task ID plus
@@ -192,6 +183,20 @@ func (l *Log) Gantt(sys *task.System, from, to int) string {
 	}
 	cell := width + 2 // id + mode suffix + space
 
+	// Index the records once, so a full-horizon chart stays linear in
+	// records plus cells. Like ExecAt, the first record for a
+	// (processor, tick) wins.
+	span := max(to-from, 0)
+	grid := make([]*Exec, sys.NumProcs*span)
+	for i := range l.Execs {
+		x := &l.Execs[i]
+		p, t := int(x.Proc), x.Time-from
+		if p < 0 || p >= sys.NumProcs || t < 0 || t >= span || grid[p*span+t] != nil {
+			continue
+		}
+		grid[p*span+t] = x
+	}
+
 	var b strings.Builder
 	b.WriteString("time  ")
 	for t := from; t < to; t++ {
@@ -204,11 +209,10 @@ func (l *Log) Gantt(sys *task.System, from, to int) string {
 	b.WriteString("\n")
 
 	for i := 0; i < sys.NumProcs; i++ {
-		p := task.ProcID(i)
 		b.WriteString(fmt.Sprintf("P%-4d ", i))
 		for t := from; t < to; t++ {
-			x, ok := l.ExecAt(p, t)
-			if !ok {
+			x := grid[i*span+t-from]
+			if x == nil {
 				b.WriteString(strings.Repeat("-", width+1) + " ")
 				continue
 			}
@@ -225,9 +229,8 @@ func (l *Log) Gantt(sys *task.System, from, to int) string {
 	return b.String()
 }
 
-// Timeline returns, for processor p, the sequence of (task, start, end,
-// inGCS) intervals between from and to. Intervals are maximal runs of the
-// same job in the same criticality mode.
+// Interval is a maximal run of one job on one processor in one
+// criticality mode, as returned by Intervals.
 type Interval struct {
 	Task       task.ID
 	Job        int

@@ -76,11 +76,31 @@ func TestGanttRendersModes(t *testing.T) {
 	}
 }
 
+// TestGanttWindow pins the chart's cells inside a window that does not
+// start at 0: the first record of a (processor, tick) wins, as in ExecAt,
+// and records outside the window or on an unknown processor are ignored.
+func TestGanttWindow(t *testing.T) {
+	l := trace.New()
+	l.AddExec(trace.Exec{Time: 1, Proc: 0, Task: 2, Job: 0})
+	l.AddExec(trace.Exec{Time: 2, Proc: 0, Task: 1, Job: 0})
+	l.AddExec(trace.Exec{Time: 2, Proc: 0, Task: 2, Job: 0})
+	l.AddExec(trace.Exec{Time: 3, Proc: 1, Task: 2, Job: 0, InCS: true})
+	l.AddExec(trace.Exec{Time: 3, Proc: 2, Task: 1, Job: 0})
+	l.AddExec(trace.Exec{Time: 4, Proc: 1, Task: 1, Job: 0, InCS: true, InGCS: true})
+	sys := task.NewSystem(2)
+	want := "time           \n" +
+		"P0    1. -- -- \n" +
+		"P1    -- 2L 1G \n"
+	if got := l.Gantt(sys, 2, 5); got != want {
+		t.Errorf("gantt =\n%q\nwant\n%q", got, want)
+	}
+}
+
 func TestCheckMutexDetectsDoubleGrant(t *testing.T) {
 	l := trace.New()
 	l.Add(trace.Event{Time: 0, Kind: trace.EvLock, Task: 1, Job: 0, Sem: 7})
 	l.Add(trace.Event{Time: 1, Kind: trace.EvLock, Task: 2, Job: 0, Sem: 7})
-	vs := trace.CheckMutex(l)
+	vs := l.CheckMutex()
 	if len(vs) != 1 {
 		t.Fatalf("violations = %v, want exactly 1", vs)
 	}
@@ -92,7 +112,7 @@ func TestCheckMutexAcceptsHandover(t *testing.T) {
 	l.Add(trace.Event{Time: 3, Kind: trace.EvUnlock, Task: 1, Job: 0, Sem: 7})
 	l.Add(trace.Event{Time: 3, Kind: trace.EvLock, Task: 2, Job: 0, Sem: 7})
 	l.Add(trace.Event{Time: 5, Kind: trace.EvUnlock, Task: 2, Job: 0, Sem: 7})
-	if vs := trace.CheckMutex(l); len(vs) != 0 {
+	if vs := l.CheckMutex(); len(vs) != 0 {
 		t.Errorf("handover flagged: %v", vs)
 	}
 }
@@ -101,7 +121,7 @@ func TestCheckMutexDetectsWrongReleaser(t *testing.T) {
 	l := trace.New()
 	l.Add(trace.Event{Time: 0, Kind: trace.EvLock, Task: 1, Job: 0, Sem: 7})
 	l.Add(trace.Event{Time: 1, Kind: trace.EvUnlock, Task: 2, Job: 0, Sem: 7})
-	if vs := trace.CheckMutex(l); len(vs) != 1 {
+	if vs := l.CheckMutex(); len(vs) != 1 {
 		t.Errorf("violations = %v, want 1 (wrong releaser)", vs)
 	}
 }
@@ -114,7 +134,7 @@ func TestCheckGcsPreemptionDetects(t *testing.T) {
 	l.AddExec(trace.Exec{Time: 1, Proc: 0, Task: 1, Job: 0, InCS: true, InGCS: true})
 	l.AddExec(trace.Exec{Time: 2, Proc: 0, Task: 2, Job: 0})
 	l.AddExec(trace.Exec{Time: 3, Proc: 0, Task: 1, Job: 0, InCS: true, InGCS: true})
-	vs := trace.CheckGcsPreemption(l, 1)
+	vs := l.CheckGcsPreemption(1)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %v, want 1", vs)
 	}
@@ -125,7 +145,7 @@ func TestCheckGcsPreemptionAllowsGcsOverGcs(t *testing.T) {
 	l.AddExec(trace.Exec{Time: 0, Proc: 0, Task: 1, Job: 0, InCS: true, InGCS: true})
 	l.AddExec(trace.Exec{Time: 1, Proc: 0, Task: 2, Job: 0, InCS: true, InGCS: true}) // higher gcs prio
 	l.AddExec(trace.Exec{Time: 2, Proc: 0, Task: 1, Job: 0, InCS: true, InGCS: true})
-	if vs := trace.CheckGcsPreemption(l, 1); len(vs) != 0 {
+	if vs := l.CheckGcsPreemption(1); len(vs) != 0 {
 		t.Errorf("gcs-over-gcs preemption flagged: %v", vs)
 	}
 }
@@ -136,7 +156,7 @@ func TestCheckGcsPreemptionAllowsCompletion(t *testing.T) {
 	l.Add(trace.Event{Time: 1, Kind: trace.EvUnlock, Task: 1, Job: 0, Sem: 3})
 	l.AddExec(trace.Exec{Time: 1, Proc: 0, Task: 2, Job: 0})
 	l.AddExec(trace.Exec{Time: 2, Proc: 0, Task: 1, Job: 0}) // resumes outside gcs
-	if vs := trace.CheckGcsPreemption(l, 1); len(vs) != 0 {
+	if vs := l.CheckGcsPreemption(1); len(vs) != 0 {
 		t.Errorf("completed gcs flagged: %v", vs)
 	}
 }
@@ -160,7 +180,7 @@ func TestCheckWorkConservationDetectsIdleGap(t *testing.T) {
 	// resumes at t=3: a scheduler bug.
 	l.AddExec(trace.Exec{Time: 0, Proc: 0, Task: 1, Job: 0})
 	l.AddExec(trace.Exec{Time: 3, Proc: 0, Task: 1, Job: 0})
-	if vs := trace.CheckWorkConservation(l, 1); len(vs) != 1 {
+	if vs := l.CheckWorkConservation(1); len(vs) != 1 {
 		t.Errorf("violations = %v, want 1", vs)
 	}
 }
@@ -170,7 +190,7 @@ func TestCheckWorkConservationAllowsWaits(t *testing.T) {
 	l.AddExec(trace.Exec{Time: 0, Proc: 0, Task: 1, Job: 0})
 	l.Add(trace.Event{Time: 1, Kind: trace.EvSuspendGlobal, Task: 1, Job: 0, Sem: 2})
 	l.AddExec(trace.Exec{Time: 3, Proc: 0, Task: 1, Job: 0})
-	if vs := trace.CheckWorkConservation(l, 1); len(vs) != 0 {
+	if vs := l.CheckWorkConservation(1); len(vs) != 0 {
 		t.Errorf("legitimate suspension flagged: %v", vs)
 	}
 }

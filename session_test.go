@@ -8,16 +8,6 @@ import (
 	"mpcp"
 )
 
-// traceBytes serializes a trace through the stable JSON export.
-func traceBytes(t *testing.T, tr *mpcp.Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestSessionRunMatchesSimulate: Simulate is a wrapper over Start+Run, so
 // the two entry points must produce byte-identical traces and equal
 // statistics.
@@ -39,8 +29,8 @@ func TestSessionRunMatchesSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !bytes.Equal(traceBytes(t, tr1), traceBytes(t, sess.Trace())) {
-		t.Error("Simulate and Session.Run traces are not byte-identical")
+	if !reflect.DeepEqual(tr1, sess.Trace()) {
+		t.Error("Simulate and Session.Run traces differ")
 	}
 	if !reflect.DeepEqual(res1.Stats, res2.Stats) {
 		t.Error("Simulate and Session.Run statistics differ")
@@ -182,7 +172,7 @@ func TestSessionSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(traceBytes(t, streamed), traceBytes(t, sess.Trace())) {
+	if !reflect.DeepEqual(streamed, sess.Trace()) {
 		t.Error("streamed trace differs from the buffered log")
 	}
 }

@@ -165,6 +165,3 @@ func Simulate(sys *System, p Protocol, opts ...SimOption) (*SimResult, error) {
 	}
 	return s.Run()
 }
-
-// ReadTraceJSON loads a trace written by Trace.WriteJSON.
-func ReadTraceJSON(r io.Reader) (*Trace, error) { return trace.ReadJSON(r) }
