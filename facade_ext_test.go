@@ -98,6 +98,20 @@ func TestTraceJSONFacade(t *testing.T) {
 	}
 }
 
+func TestPCPBoundsFacadeRejectsGlobal(t *testing.T) {
+	b := mpcp.NewBuilder(2)
+	g := b.Semaphore("g")
+	b.Task("hi", mpcp.TaskSpec{Proc: 0, Period: 100}, mpcp.Lock(g), mpcp.Compute(2), mpcp.Unlock(g))
+	b.Task("lo", mpcp.TaskSpec{Proc: 1, Period: 200}, mpcp.Lock(g), mpcp.Compute(5), mpcp.Unlock(g))
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mpcp.PCPBounds(sys); err == nil || !strings.Contains(err.Error(), "is global") {
+		t.Errorf("PCPBounds with a global semaphore: err = %v, want a global-semaphore error", err)
+	}
+}
+
 func TestPCPBoundsFacade(t *testing.T) {
 	b := mpcp.NewBuilder(1)
 	l := b.Semaphore("l")

@@ -28,5 +28,9 @@ func HybridBounds(sys *task.System, opts HybridOptions) (map[task.ID]*Bound, err
 	if err := checkAnalyzable(sys); err != nil {
 		return nil, err
 	}
-	return compose(sys, Options{DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty}, opts.Remote, nil)
+	remote := make([]bool, len(sys.Sems))
+	for k, sem := range sys.Sems {
+		remote[k] = opts.Remote[sem.ID]
+	}
+	return compose(sys, Options{DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty}, remote, nil)
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 
 	"mpcp/internal/ceiling"
@@ -11,18 +12,23 @@ import (
 // bound the paper reviews in Section 2 (from [10]): a job that never
 // suspends is blocked by at most one critical section of a lower-priority
 // job whose semaphore ceiling is at or above its priority. Every
-// semaphore must be local. Useful for the n=1 degenerate case the
-// shared-memory protocol reduces to, and as the blocking term for
-// processors with no global sharing.
+// semaphore must be local: a global one is an error, since the bound has
+// no term for global critical sections. Useful for the n=1 degenerate
+// case the shared-memory protocol reduces to, and as the blocking term
+// for processors with no global sharing.
 func PCPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 	if !sys.Validated() {
 		return nil, ErrNotValidated
 	}
-	tbl := ceiling.Compute(sys, false)
-	ix := indexSections(sys)
+	for _, sem := range sys.Sems {
+		if sem.Global {
+			return nil, fmt.Errorf("analysis: semaphore %d is global; use the MPCP or DPCP analysis", sem.ID)
+		}
+	}
+	localCeil := ceiling.LocalCeilings(sys)
 	out := make(map[task.ID]*Bound, len(sys.Tasks))
 	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID, LocalBlocking: ix.pcpBlocking(tbl, ti).Duration}
+		b := &Bound{Task: ti.ID, LocalBlocking: pcpBlocking(sys, localCeil, ti).Duration}
 		b.sum()
 		out[ti.ID] = b
 	}
@@ -36,7 +42,9 @@ func PCPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 //
 //	(U_i + B_i/T_i + 1) * Π_{j<i} (U_j + 1) <= 2.
 //
-// It admits strictly more task sets than Theorem 3 while remaining
+// As in Theorem 3, sporadic tasks are charged at their worst-case rate:
+// U_j = C_j/T_j and B_i/T_i divide by the minimum interarrival. It
+// admits strictly more task sets than Theorem 3 while remaining
 // sufficient; the library offers it as a sharper alternative.
 func HyperbolicTest(sys *task.System, bounds map[task.ID]*Bound) (bool, map[task.ID]bool, error) {
 	if !sys.Validated() {
@@ -52,13 +60,15 @@ func HyperbolicTest(sys *task.System, bounds map[task.ID]*Bound) (bool, map[task
 			if bd := bounds[ti.ID]; bd != nil {
 				b = bd.Total
 			}
-			lhs := (ti.Utilization() + float64(b)/float64(ti.Period) + 1) * prod
+			t := float64(ti.EffectiveMinInterarrival())
+			u := float64(ti.WCET()) / t
+			lhs := (u + float64(b)/t + 1) * prod
 			ok := lhs <= 2+1e-12
 			perTask[ti.ID] = ok
 			if !ok {
 				all = false
 			}
-			prod *= ti.Utilization() + 1
+			prod *= u + 1
 		}
 	}
 	return all, perTask, nil

@@ -106,6 +106,37 @@ func TestHyperbolicAdmitsAtLeastTheorem3(t *testing.T) {
 	}
 }
 
+// TestHyperbolicSporadicWitness: τ1 may arrive every 5 ticks, so τ2's
+// response exceeds its period of 10 and both Theorem 3 and the
+// response-time iteration reject the set. The hyperbolic test must too:
+// charged at the period instead of the minimum interarrival, it admitted
+// the set ((0.4+1)·(0.4+1) = 1.96 <= 2).
+func TestHyperbolicSporadicWitness(t *testing.T) {
+	sys := task.NewSystem(1)
+	sys.AddTask(&task.Task{ID: 1, Proc: 0, Period: 10, MinInterarrival: 5, Priority: 2,
+		Body: []task.Segment{task.Compute(4)}})
+	sys.AddTask(&task.Task{ID: 2, Proc: 0, Period: 10, Priority: 1,
+		Body: []task.Segment{task.Compute(4)}})
+	if err := sys.Validate(task.ValidateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	bounds := map[task.ID]*analysis.Bound{}
+	rep, err := analysis.Schedulability(sys, bounds, analysis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SchedulableUtil || rep.SchedulableResponse {
+		t.Fatalf("Theorem 3 %v, response time %v: the witness must be unschedulable", rep.SchedulableUtil, rep.SchedulableResponse)
+	}
+	ok, per, err := analysis.HyperbolicTest(sys, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || !per[1] || per[2] {
+		t.Errorf("hyperbolic verdict %v per task %v, want false with only task 1 admitted", ok, per)
+	}
+}
+
 func TestHyperbolicBoundary(t *testing.T) {
 	// Two tasks with utilization product exactly at the bound:
 	// (U1+1)(U2+1) = 2 with U1 = U2 = sqrt(2)-1 ≈ 0.414.
@@ -168,6 +199,25 @@ func TestPCPBoundsRequireValidation(t *testing.T) {
 	sys.AddTask(&task.Task{ID: 1, Proc: 0, Period: 10, Priority: 1, Body: []task.Segment{task.Compute(1)}})
 	if _, err := analysis.PCPBounds(sys); err == nil {
 		t.Error("unvalidated system accepted")
+	}
+}
+
+// TestPCPBoundsRejectGlobal: the uniprocessor bound has no term for
+// global critical sections, so a system with a global semaphore is an
+// error rather than a bound that leaves its blocking out.
+func TestPCPBoundsRejectGlobal(t *testing.T) {
+	sys := task.NewSystem(2)
+	sys.AddSem(&task.Semaphore{ID: 7})
+	for i, p := range []task.ProcID{0, 1} {
+		sys.AddTask(&task.Task{ID: task.ID(i + 1), Proc: p, Period: 100, Priority: 2 - i,
+			Body: []task.Segment{task.Lock(7), task.Compute(3), task.Unlock(7)}})
+	}
+	if err := sys.Validate(task.ValidateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := analysis.PCPBounds(sys)
+	if err == nil || !strings.Contains(err.Error(), "semaphore 7 is global") {
+		t.Errorf("PCPBounds with a global semaphore: err = %v, want one naming semaphore 7 as global", err)
 	}
 }
 

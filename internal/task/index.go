@@ -1,0 +1,167 @@
+package task
+
+import (
+	"cmp"
+	"slices"
+)
+
+// Index is the position-indexed structure Validate derives from a task
+// set: what every ceiling, blocking bound and schedulability test reads,
+// computed once per validation instead of once per analysis call. A task
+// position is an index into System.Tasks and a semaphore position an
+// index into System.Sems; every critical section carries its
+// semaphore's position in SemPos. An Index is never modified after
+// Validate builds it, and every slice its methods return is shared and
+// read-only, capped so that an append by a caller copies.
+type Index struct {
+	// sections, global and local hold, by task position, every
+	// critical section (in the order their Unlocks appear), the
+	// outermost global ones, and the local ones.
+	sections, global, local [][]CriticalSection
+	// byPrio and inOrder hold, by processor, the tasks bound to it:
+	// by descending priority, and as task positions in system order.
+	byPrio  [][]*Task
+	inOrder [][]int
+	// users holds, by semaphore position, the positions of the tasks
+	// that access it, by descending priority; lowest the lowest
+	// processor they are bound to, -1 for an unused semaphore.
+	users  [][]int
+	lowest []ProcID
+}
+
+// Sections returns the critical sections of the task at position i, in
+// the order their Unlocks appear in its body.
+func (x *Index) Sections(i int) []CriticalSection { return x.sections[i] }
+
+// Global returns the outermost global critical sections of the task at
+// position i.
+func (x *Index) Global(i int) []CriticalSection { return x.global[i] }
+
+// Local returns the critical sections of the task at position i that
+// are guarded by local semaphores.
+func (x *Index) Local(i int) []CriticalSection { return x.local[i] }
+
+// OnProc returns the positions of the tasks bound to processor p, in
+// system order.
+func (x *Index) OnProc(p ProcID) []int { return x.inOrder[p] }
+
+// Users returns the positions of the tasks that access the semaphore at
+// position k, by descending priority.
+func (x *Index) Users(k int) []int { return x.users[k] }
+
+// LowestAccessor returns the lowest-numbered processor from which the
+// semaphore at position k is accessed, or -1 when no task accesses it.
+func (x *Index) LowestAccessor(k int) ProcID { return x.lowest[k] }
+
+// buildIndex derives s's index from the critical sections Validate
+// extracted (all, with task i's at all[ends[i-1]:ends[i]]) and the
+// lowest accessor processor of every semaphore.
+func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID) *Index {
+	n := len(s.Tasks)
+	x := &Index{
+		sections: make([][]CriticalSection, n),
+		global:   make([][]CriticalSection, n),
+		local:    make([][]CriticalSection, n),
+		lowest:   lowest,
+	}
+
+	// Sections: one backing array for the outermost global ones and one
+	// for the local ones, each task's a capped window of it.
+	var nGlobal, nLocal int
+	for _, cs := range all {
+		switch {
+		case !cs.Global:
+			nLocal++
+		case cs.Outermost:
+			nGlobal++
+		}
+	}
+	gflat := make([]CriticalSection, 0, nGlobal)
+	lflat := make([]CriticalSection, 0, nLocal)
+	start := 0
+	for i, end := range ends {
+		g0, l0 := len(gflat), len(lflat)
+		for _, cs := range all[start:end] {
+			switch {
+			case !cs.Global:
+				lflat = append(lflat, cs)
+			case cs.Outermost:
+				gflat = append(gflat, cs)
+			}
+		}
+		x.sections[i] = all[start:end:end]
+		x.global[i] = gflat[g0:len(gflat):len(gflat)]
+		x.local[i] = lflat[l0:len(lflat):len(lflat)]
+		start = end
+	}
+
+	// Processors: group the task positions by processor, then order
+	// each processor's tasks by descending priority.
+	procOf := make([]int, n)
+	for i, t := range s.Tasks {
+		procOf[i] = int(t.Proc)
+	}
+	x.inOrder = groupBy(s.NumProcs, procOf, nil)
+	x.byPrio = make([][]*Task, s.NumProcs)
+	tasks := make([]*Task, n)
+	for p, on := range x.inOrder {
+		byPrio := tasks[:len(on):len(on)]
+		tasks = tasks[len(on):]
+		for j, i := range on {
+			byPrio[j] = s.Tasks[i]
+		}
+		slices.SortFunc(byPrio, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) })
+		x.byPrio[p] = byPrio
+	}
+
+	// Semaphores: one (semaphore, task) pair per task that locks it,
+	// however many of its sections it guards.
+	semOf := make([]int, 0, len(all))
+	taskOf := make([]int, 0, len(all))
+	last := make([]int, len(s.Sems))
+	for i, css := range x.sections {
+		for _, cs := range css {
+			if last[cs.SemPos] != i+1 {
+				last[cs.SemPos] = i + 1
+				semOf = append(semOf, cs.SemPos)
+				taskOf = append(taskOf, i)
+			}
+		}
+	}
+	x.users = groupBy(len(s.Sems), semOf, taskOf)
+	for _, users := range x.users {
+		slices.SortFunc(users, func(a, b int) int { return cmp.Compare(s.Tasks[b].Priority, s.Tasks[a].Priority) })
+	}
+	return x
+}
+
+// groupBy lists owners[j] (j itself when owners is nil) under group
+// keys[j], for every j in order. Every group's list is a capped window
+// of one backing array.
+func groupBy(groups int, keys, owners []int) [][]int {
+	ends := make([]int, groups)
+	for _, g := range keys {
+		ends[g]++
+	}
+	total := 0
+	for g, c := range ends {
+		total += c
+		ends[g] = total - c // the group's start, advanced to its end below
+	}
+	flat := make([]int, total)
+	for j, g := range keys {
+		owner := j
+		if owners != nil {
+			owner = owners[j]
+		}
+		flat[ends[g]] = owner
+		ends[g]++
+	}
+	out := make([][]int, groups)
+	start := 0
+	for g, end := range ends {
+		out[g] = flat[start:end:end]
+		start = end
+	}
+	return out
+}

@@ -157,6 +157,7 @@ type Semaphore struct {
 type CriticalSection struct {
 	Task      ID
 	Sem       SemID
+	SemPos    int  // position of Sem in System.Sems
 	Duration  int  // compute ticks between the Lock and its matching Unlock
 	Outermost bool // not nested inside another critical section
 	Nested    bool // contains another critical section
@@ -181,8 +182,7 @@ type System struct {
 	ReleaseSeed int64
 
 	// Derived by Validate:
-	csByTask  map[ID][]CriticalSection
-	accessBy  map[SemID]map[ProcID]bool
+	ix        *Index
 	validated bool
 }
 
@@ -286,8 +286,11 @@ type ValidateOptions struct {
 }
 
 // Validate checks structural well-formedness, derives which semaphores are
-// global, and extracts every task's critical sections. It must be called
-// (directly or via the facade) before simulation or analysis.
+// global, extracts every task's critical sections and builds the system
+// Index. It must be called (directly or via the facade) before
+// simulation or analysis. Editing a task's Priority, Proc or Body
+// afterwards requires validating again: the index, the ceilings and the
+// analyses read what the last Validate derived.
 func (s *System) Validate(opts ValidateOptions) error {
 	if s.NumProcs <= 0 {
 		return ErrNoProcs
@@ -345,187 +348,241 @@ func (s *System) Validate(opts ValidateOptions) error {
 		}
 	}
 
-	seenSem := make(map[SemID]*Semaphore, len(s.Sems))
-	for _, sem := range s.Sems {
-		if seenSem[sem.ID] != nil {
-			return fmt.Errorf("%w: %d", ErrDuplicateSemID, sem.ID)
-		}
-		seenSem[sem.ID] = sem
+	semPos, err := newSemPositions(s.Sems)
+	if err != nil {
+		return err
 	}
 
-	// Derive which processors access each semaphore.
-	s.accessBy = make(map[SemID]map[ProcID]bool, len(s.Sems))
+	// Derive which processors access each semaphore: the lowest one, and
+	// whether any other does, which makes the semaphore global.
+	lowest := make([]ProcID, len(s.Sems))
+	for k := range lowest {
+		lowest[k] = -1
+	}
+	global := make([]bool, len(s.Sems))
+	locks := 0
 	for _, t := range s.Tasks {
 		for _, seg := range t.Body {
 			if seg.Kind != SegLock && seg.Kind != SegUnlock {
 				continue
 			}
-			if seenSem[seg.Sem] == nil {
+			if seg.Kind == SegLock {
+				locks++
+			}
+			k, ok := semPos.of(seg.Sem)
+			if !ok {
 				return fmt.Errorf("%w: task %d, semaphore %d",
 					ErrUnknownSemaphore, t.ID, seg.Sem)
 			}
-			procs := s.accessBy[seg.Sem]
-			if procs == nil {
-				procs = make(map[ProcID]bool, 2)
-				s.accessBy[seg.Sem] = procs
+			switch low := lowest[k]; {
+			case low < 0:
+				lowest[k] = t.Proc
+			case low != t.Proc:
+				global[k] = true
+				lowest[k] = min(low, t.Proc)
 			}
-			procs[t.Proc] = true
 		}
 	}
-	for _, sem := range s.Sems {
-		sem.Global = len(s.accessBy[sem.ID]) > 1
+	for k, sem := range s.Sems {
+		sem.Global = global[k]
 	}
 
 	// Walk each body: match lock/unlock, extract critical sections.
-	s.csByTask = make(map[ID][]CriticalSection, len(s.Tasks))
-	for _, t := range s.Tasks {
-		css, err := extractCriticalSections(t, seenSem, opts)
-		if err != nil {
+	w := sectionWalker{
+		semPos: semPos,
+		global: global,
+		held:   make([]bool, len(s.Sems)),
+		opts:   opts,
+		out:    make([]CriticalSection, 0, locks),
+	}
+	ends := make([]int, len(s.Tasks))
+	for i, t := range s.Tasks {
+		if err := w.walk(t); err != nil {
 			return err
 		}
-		s.csByTask[t.ID] = css
+		ends[i] = len(w.out)
 	}
 
+	s.ix = buildIndex(s, w.out, ends, lowest)
 	s.validated = true
 	return nil
 }
 
+// semPositions resolves semaphore IDs to positions in System.Sems. When
+// the IDs are 1..n in order, as the workload generator numbers them, a
+// position is the ID less one and no map is built.
+type semPositions struct {
+	n    int
+	byID map[SemID]int // nil when the IDs are 1..n in order
+}
+
+// newSemPositions indexes sems, rejecting a duplicate ID.
+func newSemPositions(sems []*Semaphore) (semPositions, error) {
+	sp := semPositions{n: len(sems)}
+	for k, sem := range sems {
+		if sem.ID != SemID(k+1) {
+			sp.byID = make(map[SemID]int, len(sems))
+			break
+		}
+	}
+	if sp.byID == nil {
+		return sp, nil
+	}
+	for k, sem := range sems {
+		if _, dup := sp.byID[sem.ID]; dup {
+			return sp, fmt.Errorf("%w: %d", ErrDuplicateSemID, sem.ID)
+		}
+		sp.byID[sem.ID] = k
+	}
+	return sp, nil
+}
+
+// of returns the position of semaphore id, and whether there is one.
+func (sp semPositions) of(id SemID) (int, bool) {
+	if sp.byID != nil {
+		k, ok := sp.byID[id]
+		return k, ok
+	}
+	k := int(id) - 1
+	return k, k >= 0 && k < sp.n
+}
+
 type openCS struct {
 	sem      SemID
+	pos      int // of sem in System.Sems
 	startSeg int
 	duration int
 	nested   bool
 }
 
-func extractCriticalSections(t *Task, sems map[SemID]*Semaphore, opts ValidateOptions) ([]CriticalSection, error) {
-	var (
-		stack []openCS
-		out   []CriticalSection
-	)
-	held := make(map[SemID]bool)
+// sectionWalker extracts the critical sections of one body after
+// another into out, reusing its scratch between bodies.
+type sectionWalker struct {
+	semPos semPositions
+	global []bool // by semaphore position
+	held   []bool // by semaphore position; all false between bodies
+	opts   ValidateOptions
+	stack  []openCS
+	out    []CriticalSection
+}
+
+// walk appends t's critical sections to w.out, in the order their
+// Unlocks appear.
+func (w *sectionWalker) walk(t *Task) error {
+	w.stack = w.stack[:0]
 	for i, seg := range t.Body {
 		switch seg.Kind {
 		case SegCompute:
 			if seg.Duration < 0 {
-				return nil, fmt.Errorf("%w: task %d segment %d", ErrNegativeDuration, t.ID, i)
+				return fmt.Errorf("%w: task %d segment %d", ErrNegativeDuration, t.ID, i)
 			}
-			for k := range stack {
-				stack[k].duration += seg.Duration
+			for k := range w.stack {
+				w.stack[k].duration += seg.Duration
 			}
 		case SegLock:
-			if held[seg.Sem] {
-				return nil, fmt.Errorf("%w: task %d, semaphore %d", ErrSelfDeadlock, t.ID, seg.Sem)
+			k, _ := w.semPos.of(seg.Sem)
+			if w.held[k] {
+				return fmt.Errorf("%w: task %d, semaphore %d", ErrSelfDeadlock, t.ID, seg.Sem)
 			}
-			if !opts.AllowNestedGlobal && len(stack) > 0 {
-				inner := sems[seg.Sem].Global
-				outer := sems[stack[len(stack)-1].sem].Global
-				if inner || outer {
-					return nil, fmt.Errorf("%w: task %d, semaphore %d inside %d",
-						ErrNestedGlobal, t.ID, seg.Sem, stack[len(stack)-1].sem)
+			if len(w.stack) > 0 {
+				top := &w.stack[len(w.stack)-1]
+				if !w.opts.AllowNestedGlobal && (w.global[k] || w.global[top.pos]) {
+					return fmt.Errorf("%w: task %d, semaphore %d inside %d",
+						ErrNestedGlobal, t.ID, seg.Sem, top.sem)
 				}
+				top.nested = true
 			}
-			if len(stack) > 0 {
-				stack[len(stack)-1].nested = true
-			}
-			held[seg.Sem] = true
-			stack = append(stack, openCS{sem: seg.Sem, startSeg: i})
+			w.held[k] = true
+			w.stack = append(w.stack, openCS{sem: seg.Sem, pos: k, startSeg: i})
 		case SegUnlock:
-			if len(stack) == 0 || stack[len(stack)-1].sem != seg.Sem {
-				return nil, fmt.Errorf("%w: task %d segment %d unlocks %d",
+			if len(w.stack) == 0 || w.stack[len(w.stack)-1].sem != seg.Sem {
+				return fmt.Errorf("%w: task %d segment %d unlocks %d",
 					ErrUnbalancedLocks, t.ID, i, seg.Sem)
 			}
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			held[seg.Sem] = false
-			out = append(out, CriticalSection{
+			top := w.stack[len(w.stack)-1]
+			w.stack = w.stack[:len(w.stack)-1]
+			k := top.pos
+			w.held[k] = false
+			w.out = append(w.out, CriticalSection{
 				Task:      t.ID,
 				Sem:       top.sem,
+				SemPos:    k,
 				Duration:  top.duration,
-				Outermost: len(stack) == 0,
+				Outermost: len(w.stack) == 0,
 				Nested:    top.nested,
-				Global:    sems[top.sem].Global,
+				Global:    w.global[k],
 				StartSeg:  top.startSeg,
 				EndSeg:    i,
 			})
 		default:
-			return nil, fmt.Errorf("task %d segment %d: unknown kind %v", t.ID, i, seg.Kind)
+			return fmt.Errorf("task %d segment %d: unknown kind %v", t.ID, i, seg.Kind)
 		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("%w: task %d, semaphore %d", ErrHeldAtCompletion, t.ID, stack[len(stack)-1].sem)
+	if len(w.stack) != 0 {
+		return fmt.Errorf("%w: task %d, semaphore %d", ErrHeldAtCompletion, t.ID, w.stack[len(w.stack)-1].sem)
 	}
-	return out, nil
+	return nil
 }
 
 // Validated reports whether Validate has succeeded since the last mutation.
 func (s *System) Validated() bool { return s.validated }
 
-// CriticalSections returns the critical sections of task id, in body order.
-// The System must have been validated.
+// Index returns the position-indexed structure the last successful
+// Validate derived, or nil before one.
+func (s *System) Index() *Index { return s.ix }
+
+// CriticalSections returns the critical sections of task id, in the
+// order their Unlocks appear in its body. The System must have been
+// validated; the slice is shared and read-only.
 func (s *System) CriticalSections(id ID) []CriticalSection {
-	return s.csByTask[id]
+	if i := s.taskPos(id); i >= 0 {
+		return s.ix.Sections(i)
+	}
+	return nil
 }
 
-// GlobalSections returns the outermost global critical sections of task id.
+// GlobalSections returns the outermost global critical sections of task
+// id. The System must have been validated; the slice is shared and
+// read-only.
 func (s *System) GlobalSections(id ID) []CriticalSection {
-	var out []CriticalSection
-	for _, cs := range s.csByTask[id] {
-		if cs.Global && cs.Outermost {
-			out = append(out, cs)
-		}
+	if i := s.taskPos(id); i >= 0 {
+		return s.ix.Global(i)
 	}
-	return out
+	return nil
 }
 
-// LocalSections returns the critical sections of task id that are guarded
-// by local semaphores.
+// LocalSections returns the critical sections of task id that are
+// guarded by local semaphores. The System must have been validated; the
+// slice is shared and read-only.
 func (s *System) LocalSections(id ID) []CriticalSection {
-	var out []CriticalSection
-	for _, cs := range s.csByTask[id] {
-		if !cs.Global {
-			out = append(out, cs)
-		}
+	if i := s.taskPos(id); i >= 0 {
+		return s.ix.Local(i)
 	}
-	return out
+	return nil
 }
 
-// AccessorProcs returns the processors from which semaphore id is accessed.
-func (s *System) AccessorProcs(id SemID) []ProcID {
-	procs := make([]ProcID, 0, len(s.accessBy[id]))
-	for p := range s.accessBy[id] {
-		procs = append(procs, p)
+// taskPos returns the position of task id in the index, or -1 when the
+// system has no index or the index has no such task.
+func (s *System) taskPos(id ID) int {
+	if s.ix == nil {
+		return -1
 	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	return procs
-}
-
-// TasksUsing returns the tasks that access semaphore id, sorted by
-// descending priority.
-func (s *System) TasksUsing(id SemID) []*Task {
-	var out []*Task
-	for _, t := range s.Tasks {
-		for _, cs := range s.csByTask[t.ID] {
-			if cs.Sem == id {
-				out = append(out, t)
-				break
-			}
+	for i, t := range s.Tasks[:min(len(s.Tasks), len(s.ix.sections))] {
+		if t.ID == id {
+			return i
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	return out
+	return -1
 }
 
 // TasksOn returns the tasks bound to processor p, sorted by descending
-// priority.
+// priority. The System must have been validated; the slice is shared and
+// read-only.
 func (s *System) TasksOn(p ProcID) []*Task {
-	var out []*Task
-	for _, t := range s.Tasks {
-		if t.Proc == p {
-			out = append(out, t)
-		}
+	if s.ix == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	return out
+	return s.ix.byPrio[p]
 }
 
 // HighestPriority returns P_H, the highest base priority assigned to any

@@ -218,14 +218,19 @@ func TestAssignRateMonotonicTieBreak(t *testing.T) {
 	}
 }
 
-func TestTasksUsingSortedByPriority(t *testing.T) {
+func TestIndexUsersSortedByPriority(t *testing.T) {
 	sys := validSystem()
+	sys.TaskByID(2).Priority = 3
 	if err := sys.Validate(ValidateOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	users := sys.TasksUsing(2)
-	if len(users) != 2 || users[0].ID != 1 || users[1].ID != 2 {
-		t.Errorf("TasksUsing(2) = %v, want [1 2] by descending priority", users)
+	// Semaphore 2 (position 1) is used by tasks 1 and 2 (positions 0 and
+	// 1); task 2 now has the higher priority.
+	if users := sys.Index().Users(1); len(users) != 2 || users[0] != 1 || users[1] != 0 {
+		t.Errorf("Users(1) = %v, want positions [1 0] by descending priority", users)
+	}
+	if users := sys.Index().Users(0); len(users) != 1 || users[0] != 0 {
+		t.Errorf("Users(0) = %v, want position [0]", users)
 	}
 }
 
@@ -311,15 +316,19 @@ func TestSystemAccessors(t *testing.T) {
 	if err := sys.Validate(ValidateOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if procs := sys.AccessorProcs(2); len(procs) != 2 || procs[0] != 0 || procs[1] != 1 {
-		t.Errorf("AccessorProcs(2) = %v, want [0 1]", procs)
+	ix := sys.Index()
+	if p := ix.LowestAccessor(1); p != 0 {
+		t.Errorf("LowestAccessor of semaphore 2 = %d, want 0", p)
 	}
-	if procs := sys.AccessorProcs(1); len(procs) != 1 || procs[0] != 0 {
-		t.Errorf("AccessorProcs(1) = %v, want [0]", procs)
+	if p := ix.LowestAccessor(0); p != 0 {
+		t.Errorf("LowestAccessor of semaphore 1 = %d, want 0", p)
 	}
 	on0 := sys.TasksOn(0)
 	if len(on0) != 1 || on0[0].ID != 1 {
 		t.Errorf("TasksOn(0) = %v", on0)
+	}
+	if len(on0) != cap(on0) {
+		t.Errorf("TasksOn(0) has spare capacity %d: an append would write into the index", cap(on0)-len(on0))
 	}
 	if got := sys.TaskByID(99); got != nil {
 		t.Errorf("TaskByID(99) = %v, want nil", got)
