@@ -634,13 +634,20 @@ func checkProcRenaming(c *trialCtx) []string {
 	}
 	var a1, a2 map[task.SemID]task.ProcID
 	if c.protocol == "dpcp" {
-		a1, err = ceiling.SyncProcs(c.sys, func(task.SemID) bool { return true }, nil)
+		remote := make([]bool, len(c.sys.Sems))
+		for k := range remote {
+			remote[k] = true
+		}
+		procs, err := ceiling.SyncProcs(c.sys, remote, nil)
 		if err != nil {
 			return []string{fmt.Sprintf("sync processor assignment: %v", err)}
 		}
-		a2 = make(map[task.SemID]task.ProcID, len(a1))
-		for s, p := range a1 {
-			a2[s] = rename(p)
+		a1 = make(map[task.SemID]task.ProcID)
+		a2 = make(map[task.SemID]task.ProcID)
+		for k, p := range procs {
+			if p >= 0 {
+				a1[c.sys.Sems[k].ID], a2[c.sys.Sems[k].ID] = p, rename(p)
+			}
 		}
 	}
 	b1, err1 := analysisBounds(c.protocol, c.sys, a1)
