@@ -265,6 +265,24 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsBadLengths: a non-positive period or a negative
+// critical-section length fails at parse time, naming the point, instead
+// of running and failing every trial of the point.
+func TestParseSpecRejectsBadLengths(t *testing.T) {
+	for _, tc := range []struct {
+		spec, want string
+	}{
+		{`{"protocols":["mpcp"],"utils":[0.5],"procs":[2],"tasks_per_proc":[2],"periods":[0,10],"seeds_per_point":4}`,
+			"campaign: point mpcp/u0.50/m2/n2/cs6: workload: period 0 in the menu is not positive"},
+		{`{"protocols":["mpcp"],"utils":[0.5],"procs":[2],"tasks_per_proc":[2],"cs_max":[-3],"seeds_per_point":4}`,
+			"campaign: point mpcp/u0.50/m2/n2/cs-3: workload: critical-section length bounds [-3 -3] include a negative length"},
+	} {
+		if _, err := ParseSpec([]byte(tc.spec)); err == nil || err.Error() != tc.want {
+			t.Errorf("ParseSpec(%s) = %v, want %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
 // TestSoundness spot-checks the sweep semantics on a completed campaign:
 // no trial admitted by the response-time analysis may miss a deadline in
 // simulation (Theorem 3 soundness, campaign-scale).

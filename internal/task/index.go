@@ -1,10 +1,5 @@
 package task
 
-import (
-	"cmp"
-	"slices"
-)
-
 // Index is the position-indexed structure Validate derives from a task
 // set: what every ceiling, blocking bound and schedulability test reads,
 // computed once per validation instead of once per analysis call. A task
@@ -54,9 +49,10 @@ func (x *Index) Users(k int) []int { return x.users[k] }
 func (x *Index) LowestAccessor(k int) ProcID { return x.lowest[k] }
 
 // buildIndex derives s's index from the critical sections Validate
-// extracted (all, with task i's at all[ends[i-1]:ends[i]]) and the
-// lowest accessor processor of every semaphore.
-func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID) *Index {
+// extracted (all, with task i's at all[ends[i-1]:ends[i]]), the lowest
+// accessor processor of every semaphore and the task positions by
+// descending priority.
+func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID, byPrio []int) *Index {
 	n := len(s.Tasks)
 	x := &Index{
 		sections: make([][]CriticalSection, n),
@@ -95,8 +91,8 @@ func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID) *
 		start = end
 	}
 
-	// Processors: group the task positions by processor, then order
-	// each processor's tasks by descending priority.
+	// Processors: group the task positions by processor, in system
+	// order and, filed from byPrio, by descending priority.
 	procOf := make([]int, n)
 	for i, t := range s.Tasks {
 		procOf[i] = int(t.Proc)
@@ -105,22 +101,22 @@ func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID) *
 	x.byPrio = make([][]*Task, s.NumProcs)
 	tasks := make([]*Task, n)
 	for p, on := range x.inOrder {
-		byPrio := tasks[:len(on):len(on)]
+		x.byPrio[p] = tasks[:0:len(on)]
 		tasks = tasks[len(on):]
-		for j, i := range on {
-			byPrio[j] = s.Tasks[i]
-		}
-		slices.SortFunc(byPrio, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) })
-		x.byPrio[p] = byPrio
+	}
+	for _, i := range byPrio {
+		p := procOf[i]
+		x.byPrio[p] = append(x.byPrio[p], s.Tasks[i])
 	}
 
 	// Semaphores: one (semaphore, task) pair per task that locks it,
-	// however many of its sections it guards.
+	// however many of its sections it guards, filed by descending
+	// priority.
 	semOf := make([]int, 0, len(all))
 	taskOf := make([]int, 0, len(all))
 	last := make([]int, len(s.Sems))
-	for i, css := range x.sections {
-		for _, cs := range css {
+	for _, i := range byPrio {
+		for _, cs := range x.sections[i] {
 			if last[cs.SemPos] != i+1 {
 				last[cs.SemPos] = i + 1
 				semOf = append(semOf, cs.SemPos)
@@ -129,9 +125,6 @@ func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID) *
 		}
 	}
 	x.users = groupBy(len(s.Sems), semOf, taskOf)
-	for _, users := range x.users {
-		slices.SortFunc(users, func(a, b int) int { return cmp.Compare(s.Tasks[b].Priority, s.Tasks[a].Priority) })
-	}
 	return x
 }
 

@@ -2,6 +2,7 @@ package task
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,68 @@ func TestValidateErrors(t *testing.T) {
 			err := c.prep().Validate(ValidateOptions{})
 			if !errors.Is(err, c.want) {
 				t.Errorf("Validate = %v, want %v", err, c.want)
+			}
+		})
+	}
+}
+
+// TestValidateFirstFailureWins pins which error Validate reports when a
+// task set has several faults: the first task in system order with any
+// fault, and for that task a repeated ID before a repeated priority
+// before a bad binding or period. A repeated priority names the first
+// task that has it.
+func TestValidateFirstFailureWins(t *testing.T) {
+	type spec struct {
+		id     ID
+		proc   ProcID
+		period int
+		prio   int
+	}
+	cases := []struct {
+		name  string
+		tasks []spec
+		want  string // "" for a valid system
+	}{
+		{"repeated id", []spec{{3, 0, 5, 1}, {1, 0, 5, 2}, {3, 0, 5, 3}}, "duplicate task id: 3"},
+		{"earliest repeated id", []spec{{5, 0, 5, 1}, {2, 0, 5, 2}, {5, 0, 5, 3}, {2, 0, 5, 4}}, "duplicate task id: 5"},
+		{"repeated priority", []spec{{1, 0, 5, 5}, {2, 0, 5, 7}, {3, 0, 5, 5}, {4, 0, 5, 7}},
+			"duplicate task priority: tasks 1 and 3 share priority 5"},
+		{"earliest repeated priority", []spec{{1, 0, 5, 5}, {2, 0, 5, 7}, {3, 0, 5, 7}, {4, 0, 5, 5}},
+			"duplicate task priority: tasks 2 and 3 share priority 7"},
+		{"repeated rank", []spec{{1, 0, 5, 2}, {2, 0, 5, 1}, {3, 0, 5, 2}},
+			"duplicate task priority: tasks 1 and 3 share priority 2"},
+		{"binding before priority", []spec{{1, 0, 5, 1}, {2, 4, 5, 2}, {3, 0, 5, 1}},
+			"task bound to nonexistent processor: task 2 on processor 4 of 1"},
+		{"priority before id", []spec{{1, 0, 5, 1}, {2, 0, 5, 1}, {1, 0, 5, 3}},
+			"duplicate task priority: tasks 1 and 2 share priority 1"},
+		{"id before priority", []spec{{1, 0, 5, 1}, {1, 0, 5, 1}}, "duplicate task id: 1"},
+		{"priority before period", []spec{{1, 0, 5, 9}, {2, 0, 0, 9}},
+			"duplicate task priority: tasks 1 and 2 share priority 9"},
+		{"decreasing ids", []spec{{3, 0, 5, 30}, {2, 0, 5, 10}, {1, 0, 5, 20}}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSystem(1)
+			for _, sp := range c.tasks {
+				s.AddTask(&Task{ID: sp.id, Proc: sp.proc, Period: sp.period, Priority: sp.prio, Body: []Segment{Compute(1)}})
+			}
+			err := s.Validate(ValidateOptions{})
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != c.want {
+				t.Fatalf("Validate = %q, want %q", got, c.want)
+			}
+			if err != nil {
+				return
+			}
+			var prios []int
+			for _, tk := range s.TasksOn(0) {
+				prios = append(prios, tk.Priority)
+			}
+			if !slices.IsSortedFunc(prios, func(a, b int) int { return b - a }) {
+				t.Errorf("TasksOn priorities %v, want descending", prios)
 			}
 		})
 	}

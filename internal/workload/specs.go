@@ -66,7 +66,8 @@ func GenerateSpecs(cfg SpecsConfig) ([]alloc.Spec, []*task.Semaphore, error) {
 		sems = append(sems, &task.Semaphore{ID: task.SemID(s + 1), Name: fmt.Sprintf("R%d", s+1)})
 	}
 
-	utils := uuniFast(rng, cfg.NumTasks, cfg.TotalUtil)
+	utils := make([]float64, cfg.NumTasks)
+	uuniFast(rng, utils, cfg.TotalUtil)
 	specs := make([]alloc.Spec, 0, cfg.NumTasks)
 	for i := 0; i < cfg.NumTasks; i++ {
 		period := cfg.Periods[rng.Intn(len(cfg.Periods))]

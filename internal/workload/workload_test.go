@@ -125,6 +125,38 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejectsBadLengths: a period menu entry that is not
+// positive, or a negative critical-section length bound, is rejected by
+// Validate itself rather than surfacing later as an invalid generated
+// system.
+func TestConfigValidateRejectsBadLengths(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*workload.Config)
+		want string
+	}{
+		{"zero period", func(c *workload.Config) { c.Periods = []int{0, 10} }, "workload: period 0 in the menu is not positive"},
+		{"negative period", func(c *workload.Config) { c.Periods = []int{100, -5} }, "workload: period -5 in the menu is not positive"},
+		{"negative cs max", func(c *workload.Config) { c.CSTicks = [2]int{-3, -3} }, "workload: critical-section length bounds [-3 -3] include a negative length"},
+		{"negative cs min", func(c *workload.Config) { c.CSTicks = [2]int{-1, 4} }, "workload: critical-section length bounds [-1 4] include a negative length"},
+	} {
+		cfg := workload.Default(1)
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := workload.Generate(cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Generate error = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// Zero-length critical sections remain valid.
+	cfg := workload.Default(1)
+	cfg.CSTicks = [2]int{0, 0}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("zero-length sections: %v", err)
+	}
+}
+
 func TestHyperperiodBounded(t *testing.T) {
 	sys, err := workload.Generate(workload.Default(9))
 	if err != nil {
