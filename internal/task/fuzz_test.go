@@ -1,10 +1,39 @@
 package task
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
 )
+
+// firstTaskFault is the per-task check Validate makes first, kept with
+// maps: a repeated ID, a repeated priority, a bad binding or a bad
+// period, reported for the first task in system order that has one.
+func firstTaskFault(s *System) error {
+	seenTask := make(map[ID]bool, len(s.Tasks))
+	seenPrio := make(map[int]ID, len(s.Tasks))
+	for _, t := range s.Tasks {
+		if seenTask[t.ID] {
+			return fmt.Errorf("%w: %d", ErrDuplicateTaskID, t.ID)
+		}
+		seenTask[t.ID] = true
+		if other, dup := seenPrio[t.Priority]; dup {
+			return fmt.Errorf("%w: tasks %d and %d share priority %d",
+				ErrDuplicatePriority, other, t.ID, t.Priority)
+		}
+		seenPrio[t.Priority] = t.ID
+		if t.Proc < 0 || int(t.Proc) >= s.NumProcs {
+			return fmt.Errorf("%w: task %d on processor %d of %d",
+				ErrBadBinding, t.ID, t.Proc, s.NumProcs)
+		}
+		if t.Period <= 0 {
+			return fmt.Errorf("%w: task %d", ErrBadPeriod, t.ID)
+		}
+	}
+	return nil
+}
 
 // FuzzValidateBody feeds arbitrary segment streams through validation:
 // it must never panic, and whatever it accepts must expose consistent
@@ -69,8 +98,10 @@ func FuzzValidateBody(f *testing.F) {
 }
 
 // FuzzValidateSystem builds a system of 1–4 processors and 1–6 tasks
-// from the input and, whenever Validate accepts it, checks the Index
-// against brute force over Tasks and every body.
+// from the input, checks that Validate reports the first repeated ID or
+// priority as firstTaskFault does, and, whenever Validate accepts the
+// system, checks the Index against brute force over Tasks and every
+// body.
 func FuzzValidateSystem(f *testing.F) {
 	f.Add([]byte{1, 3, 0, 0, 9, 4, 1, 0, 0, 3, 2, 0, 1, 1, 7, 6, 1, 1, 0, 2, 2, 1})
 	f.Add([]byte{3, 5, 1, 1, 2, 3, 4, 5, 6, 7, 1, 2, 1, 3, 0, 4, 2, 3, 6, 1, 2, 0, 5, 2, 2})
@@ -78,6 +109,12 @@ func FuzzValidateSystem(f *testing.F) {
 	f.Add([]byte{2, 4, 1, 0, 8, 1, 1, 0, 2, 2, 1, 1, 2, 1, 3, 0, 1, 2, 3, 9, 1, 2, 2, 2})
 	// A global section nested in a local one, under AllowNestedGlobal.
 	f.Add([]byte{1, 1, 0, 1, 0, 0, 5, 1, 0, 1, 1, 0, 3, 2, 1, 2, 0, 0, 3, 1, 1, 0, 2, 2, 1, 1})
+	// Three tasks of empty bodies with scattered priorities, then with a
+	// repeated priority, a repeated ID and reversed IDs.
+	f.Add([]byte{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2})
+	f.Add([]byte{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1})
+	f.Add([]byte{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
@@ -122,7 +159,33 @@ func FuzzValidateSystem(f *testing.F) {
 			}
 			sys.AddTask(&Task{ID: ID(i + 1), Proc: ProcID(next() % sys.NumProcs), Period: 1000, Priority: prios[i], Body: body})
 		}
-		if err := sys.Validate(opts); err != nil {
+		// Trailing bytes, zero when the input runs out: scatter the
+		// priorities beyond 1..n, then repeat a priority or an ID, or
+		// reverse the IDs.
+		if next()%2 == 1 {
+			for _, tk := range sys.Tasks {
+				tk.Priority = 7*tk.Priority + 3
+			}
+		}
+		switch a, b := next(), next(); a % 4 {
+		case 1:
+			sys.Tasks[b%nTasks].Priority = sys.Tasks[0].Priority
+		case 2:
+			sys.Tasks[b%nTasks].ID = sys.Tasks[0].ID
+		case 3:
+			for _, tk := range sys.Tasks {
+				tk.ID = ID(nTasks) - tk.ID + 1
+			}
+		}
+		err := sys.Validate(opts)
+		if want := firstTaskFault(sys); want != nil {
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("Validate = %v, want %v", err, want)
+			}
+		} else if errors.Is(err, ErrDuplicateTaskID) || errors.Is(err, ErrDuplicatePriority) {
+			t.Fatalf("Validate = %v on distinct IDs and priorities", err)
+		}
+		if err != nil {
 			return
 		}
 		ix := sys.Index()
