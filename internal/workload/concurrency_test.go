@@ -7,8 +7,9 @@ import (
 )
 
 // TestGenerateConcurrent proves Generate is safe to call from many
-// goroutines (each call seeds its own rand source — no shared state) and
-// that concurrency does not perturb the generated systems. Run under
+// goroutines and that concurrency does not perturb the generated
+// systems. Each call reseeds a pooled *rand.Rand that it holds alone for
+// the call, so the pool is the shared state this test covers. Run under
 // `go test -race` this is the data-race gate for the campaign engine's
 // fan-out over workload generation.
 func TestGenerateConcurrent(t *testing.T) {
