@@ -17,8 +17,10 @@ type (
 	SchedReport = analysis.Report
 	// SchedTaskReport is the per-task line of a SchedReport.
 	SchedTaskReport = analysis.TaskReport
-	// CeilingTable is the computed priority structure of Section 4: P_H,
-	// P_G, semaphore ceilings and gcs execution priorities.
+	// CeilingTable is the computed priority structure of Section 4: P_H
+	// and P_G as fields, and by ID the semaphore ceilings
+	// (LocalCeiling, GlobalCeiling) and gcs execution priorities
+	// (GcsPriority).
 	CeilingTable = ceiling.Table
 )
 

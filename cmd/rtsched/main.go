@@ -135,8 +135,8 @@ func printCeilings(out io.Writer, sys *task.System) {
 	fmt.Fprintln(out, "semaphore ceilings:")
 	for _, sem := range sys.Sems {
 		if sem.Global {
-			fmt.Fprintf(out, "  %-12s global  ceiling=%d\n", sem.Name, tbl.GlobalCeil[sem.ID])
-		} else if c, ok := tbl.LocalCeil[sem.ID]; ok {
+			fmt.Fprintf(out, "  %-12s global  ceiling=%d\n", sem.Name, tbl.GlobalCeiling(sem.ID))
+		} else if c, ok := tbl.LocalCeiling(sem.ID); ok {
 			fmt.Fprintf(out, "  %-12s local   ceiling=%d\n", sem.Name, c)
 		}
 	}
@@ -144,7 +144,7 @@ func printCeilings(out io.Writer, sys *task.System) {
 	for _, tk := range sys.Tasks {
 		for _, cs := range sys.GlobalSections(tk.ID) {
 			fmt.Fprintf(out, "  task %-4d on %-12s prio=%d\n",
-				tk.ID, sys.SemByID(cs.Sem).Name, tbl.GcsPrio[ceiling.Key{Task: tk.ID, Sem: cs.Sem}])
+				tk.ID, sys.SemByID(cs.Sem).Name, tbl.GcsPriority(tk.ID, cs.Sem))
 		}
 	}
 	fmt.Fprintln(out)

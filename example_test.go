@@ -96,7 +96,7 @@ func ExampleCeilings() {
 		return
 	}
 	tbl := mpcp.Ceilings(sys)
-	fmt.Printf("P_H=%d P_G=%d ceiling(state)=%d\n", tbl.PH, tbl.PG, tbl.GlobalCeil[state])
+	fmt.Printf("P_H=%d P_G=%d ceiling(state)=%d\n", tbl.PH, tbl.PG, tbl.GlobalCeiling(state))
 	// Output:
 	// P_H=2 P_G=3 ceiling(state)=5
 }

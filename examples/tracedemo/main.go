@@ -82,19 +82,16 @@ func main() {
 	fmt.Println("Table 4-1 — priority ceilings:")
 	for _, sem := range sys.Sems {
 		if sem.Global {
-			fmt.Printf("  %-4s global ceiling = %d\n", sem.Name, tbl.GlobalCeil[sem.ID])
+			fmt.Printf("  %-4s global ceiling = %d\n", sem.Name, tbl.GlobalCeiling(sem.ID))
 		} else {
-			fmt.Printf("  %-4s local  ceiling = %d\n", sem.Name, tbl.LocalCeil[sem.ID])
+			c, _ := tbl.LocalCeiling(sem.ID)
+			fmt.Printf("  %-4s local  ceiling = %d\n", sem.Name, c)
 		}
 	}
 	fmt.Println("\nTable 4-2 — gcs execution priorities (P_G + P_h):")
 	for _, t := range sys.Tasks {
 		for _, cs := range sys.GlobalSections(t.ID) {
-			key := struct {
-				Task mpcp.TaskID
-				Sem  mpcp.SemID
-			}{t.ID, cs.Sem}
-			fmt.Printf("  %-5s on %-4s -> %d\n", t.Name, sys.SemByID(cs.Sem).Name, tbl.GcsPrio[key])
+			fmt.Printf("  %-5s on %-4s -> %d\n", t.Name, sys.SemByID(cs.Sem).Name, tbl.GcsPriority(t.ID, cs.Sem))
 		}
 	}
 

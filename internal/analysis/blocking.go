@@ -188,11 +188,10 @@ func interferes(w int, tj *task.Task) int {
 }
 
 // pcpBlocking is factor 1's unit: the longest local critical section of
-// a lower-priority job on ti's processor whose ceiling (localCeil, by
-// semaphore position) reaches P_i, the one section the uniprocessor PCP
-// can block ti for per opportunity. With no such section it returns the
-// zero section.
-func pcpBlocking(sys *task.System, localCeil []int, ti *task.Task) task.CriticalSection {
+// a lower-priority job on ti's processor whose ceiling (in tbl) reaches
+// P_i, the one section the uniprocessor PCP can block ti for per
+// opportunity. With no such section it returns the zero section.
+func pcpBlocking(sys *task.System, tbl *ceiling.Table, ti *task.Task) task.CriticalSection {
 	ix := sys.Index()
 	var longest task.CriticalSection
 	for _, k := range ix.OnProc(ti.Proc) {
@@ -200,7 +199,7 @@ func pcpBlocking(sys *task.System, localCeil []int, ti *task.Task) task.Critical
 			continue
 		}
 		for _, cs := range ix.Local(k) {
-			if localCeil[cs.SemPos] >= ti.Priority && cs.Duration > longest.Duration {
+			if tbl.LocalAt(cs.SemPos) >= ti.Priority && cs.Duration > longest.Duration {
 				longest = cs
 			}
 		}
@@ -295,8 +294,7 @@ func compose(sys *task.System, opts Options, remote []bool, log termLog) (map[ta
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	localCeil := ceiling.LocalCeilings(sys)
-	gcsPrio := ceiling.GcsPrios(sys, opts.GcsAtCeiling)
+	tbl := ceiling.Compute(sys, opts.GcsAtCeiling)
 
 	// Remote gcs's by synchronization processor.
 	ix := sys.Index()
@@ -330,7 +328,7 @@ func compose(sys *task.System, opts Options, remote []bool, log termLog) (map[ta
 		// Factor 1: (NG_i + 1) opportunities to be blocked by one local
 		// critical section of a lower-priority job whose ceiling reaches
 		// P_i.
-		if cs := pcpBlocking(sys, localCeil, ti); cs.Duration > 0 {
+		if cs := pcpBlocking(sys, tbl, ti); cs.Duration > 0 {
 			log.charge(b, term{factor: 1, task: cs.Task, sem: cs.Sem, onSem: true, count: ng + 1, ticks: cs.Duration})
 		}
 
@@ -400,25 +398,21 @@ func compose(sys *task.System, opts Options, remote []bool, log termLog) (map[ta
 
 		// Factor 4: on each processor holding a lower-priority gcs that
 		// can block one of our shared-memory requests, gcs's executing
-		// above the lowest such blocker preempt it.
+		// above the lowest such blocker preempt it. Every user of a
+		// global semaphore holds a gcs on it: the system has no nested
+		// global sections.
 		clear(blockers)
 		for _, cs := range gcs {
 			if remote[cs.SemPos] {
 				continue
 			}
 			for _, k := range lowerUsers(sys, ix.Users(cs.SemPos), ti.Priority) {
-				tk := sys.Tasks[k]
-				if tk.Proc == ti.Proc {
+				proc := sys.Tasks[k].Proc
+				if proc == ti.Proc {
 					continue
 				}
-				for j, other := range ix.Global(k) {
-					if other.SemPos != cs.SemPos {
-						continue
-					}
-					prio := gcsPrio[k][j]
-					if !blockers[tk.Proc] || prio < minBlocker[tk.Proc] {
-						blockers[tk.Proc], minBlocker[tk.Proc] = true, prio
-					}
+				if prio := tbl.GcsAt(cs.SemPos, proc); !blockers[proc] || prio < minBlocker[proc] {
+					blockers[proc], minBlocker[proc] = true, prio
 				}
 			}
 		}
@@ -428,8 +422,8 @@ func compose(sys *task.System, opts Options, remote []bool, log termLog) (map[ta
 			}
 			for _, l := range ix.OnProc(task.ProcID(proc)) {
 				dur := 0
-				for j, cs := range ix.Global(l) {
-					if !remote[cs.SemPos] && gcsPrio[l][j] > minBlocker[proc] {
+				for _, cs := range ix.Global(l) {
+					if !remote[cs.SemPos] && tbl.GcsAt(cs.SemPos, task.ProcID(proc)) > minBlocker[proc] {
 						dur += cs.Duration
 					}
 				}

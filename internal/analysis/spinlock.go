@@ -76,7 +76,7 @@ func MSRPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 	if err := checkAnalyzable(sys); err != nil {
 		return nil, err
 	}
-	localCeil := ceiling.LocalCeilings(sys)
+	tbl := ceiling.Compute(sys, false)
 	ix := sys.Index()
 	maxDur := newSpinTable(sys)
 
@@ -85,7 +85,7 @@ func MSRPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 	for i, ti := range sys.Tasks {
 		b := &bounds[i]
 		b.Task = ti.ID
-		b.LocalBlocking = pcpBlocking(sys, localCeil, ti).Duration
+		b.LocalBlocking = pcpBlocking(sys, tbl, ti).Duration
 		for _, cs := range ix.Global(i) {
 			b.RemotePreemption += maxDur.spin(ti.Proc, cs.SemPos)
 		}
@@ -146,7 +146,7 @@ func FMLPBounds(sys *task.System, deferredPenalty bool) (map[task.ID]*Bound, err
 		return nil, err
 	}
 	short := ceiling.Split(sys)
-	localCeil := ceiling.LocalCeilings(sys)
+	tbl := ceiling.Compute(sys, false)
 	ix := sys.Index()
 	maxDur := newSpinTable(sys)
 
@@ -204,7 +204,7 @@ func FMLPBounds(sys *task.System, deferredPenalty bool) (map[task.ID]*Bound, err
 				}
 			}
 		}
-		b.LocalBlocking = (nLong + 1) * pcpBlocking(sys, localCeil, ti).Duration
+		b.LocalBlocking = (nLong + 1) * pcpBlocking(sys, tbl, ti).Duration
 
 		for _, j := range ix.OnProc(ti.Proc) {
 			if j == i {

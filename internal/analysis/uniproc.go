@@ -25,10 +25,10 @@ func PCPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 			return nil, fmt.Errorf("analysis: semaphore %d is global; use the MPCP or DPCP analysis", sem.ID)
 		}
 	}
-	localCeil := ceiling.LocalCeilings(sys)
+	tbl := ceiling.Compute(sys, false)
 	out := make(map[task.ID]*Bound, len(sys.Tasks))
 	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID, LocalBlocking: pcpBlocking(sys, localCeil, ti).Duration}
+		b := &Bound{Task: ti.ID, LocalBlocking: pcpBlocking(sys, tbl, ti).Duration}
 		b.sum()
 		out[ti.ID] = b
 	}

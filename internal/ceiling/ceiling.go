@@ -5,9 +5,10 @@
 // of every global critical section, plus the synchronization processor
 // of every remotely handled global semaphore, and FMLP+'s split of the
 // global semaphores into short and long ones. The protocol
-// implementation (internal/core) and the blocking analysis
-// (internal/analysis) derive their numbers from this one package, so the
-// worked examples of Tables 4-1 and 4-2 check a single source of truth.
+// implementation (internal/core, internal/pcp) and the blocking analysis
+// (internal/analysis) read one Table by semaphore position, and the
+// reports read the same Table by semaphore and task ID, so the worked
+// examples of Tables 4-1 and 4-2 check a single source of truth.
 package ceiling
 
 import (
@@ -16,13 +17,10 @@ import (
 	"mpcp/internal/task"
 )
 
-// Key identifies the gcs of one task on one semaphore.
-type Key struct {
-	Task task.ID
-	Sem  task.SemID
-}
-
-// Table is the computed priority structure of a validated system.
+// Table is the computed priority structure of a validated system. It is
+// indexed by semaphore position, like task.Index: the analysis and the
+// protocols read LocalAt, GlobalAt and GcsAt, the reports LocalCeiling,
+// GlobalCeiling and GcsPriority.
 type Table struct {
 	// PH is the highest priority assigned to any task in the system.
 	PH int
@@ -32,20 +30,12 @@ type Table struct {
 	// P_S is the highest priority of the tasks that access S.
 	PG int
 
-	// LocalCeil maps each local semaphore to its priority ceiling: the
-	// priority of the highest-priority task that may lock it.
-	LocalCeil map[task.SemID]int
-
-	// GlobalCeil maps each global semaphore to its global priority
-	// ceiling PG + P_S.
-	GlobalCeil map[task.SemID]int
-
-	// GcsPrio maps (task, global semaphore) to the fixed execution
-	// priority of that task's gcs: PG + P_h, with P_h the highest
-	// priority among tasks on *other* processors that may lock the
-	// semaphore (Section 4.4). When a semaphore has no remote lockers of
-	// higher priority this is still above PH, satisfying Theorem 2.
-	GcsPrio map[Key]int
+	sys       *task.System
+	atCeiling bool
+	// sems holds, by semaphore position, what every ceiling and gcs
+	// priority of the semaphore derives from; the zero tops for an
+	// unused one.
+	sems []tops
 }
 
 // Compute builds the table for a validated system. When atCeiling is true,
@@ -53,75 +43,78 @@ type Table struct {
 // message-based protocol of [8] prescribes and as the paper discusses as
 // the more pessimistic assignment.
 func Compute(sys *task.System, atCeiling bool) *Table {
-	t := &Table{
-		LocalCeil:  make(map[task.SemID]int),
-		GlobalCeil: make(map[task.SemID]int),
-		GcsPrio:    make(map[Key]int),
-	}
-	t.PH = sys.HighestPriority()
-	t.PG = t.PH + 1
-
 	ix := sys.Index()
-	for k, sem := range sys.Sems {
-		users := ix.Users(k)
-		if len(users) == 0 {
-			continue
-		}
-		top := sys.Tasks[users[0]]
-		if !sem.Global {
-			t.LocalCeil[sem.ID] = top.Priority
-			continue
-		}
-		t.GlobalCeil[sem.ID] = t.PG + top.Priority
-		tp := topsOf(sys, users)
-		for _, u := range users {
-			ut := sys.Tasks[u]
-			t.GcsPrio[Key{Task: ut.ID, Sem: sem.ID}] = tp.gcs(t.PG, ut.Proc, atCeiling)
+	t := &Table{PH: sys.HighestPriority(), sys: sys, atCeiling: atCeiling, sems: make([]tops, len(sys.Sems))}
+	t.PG = t.PH + 1
+	for k := range sys.Sems {
+		if users := ix.Users(k); len(users) > 0 {
+			t.sems[k] = topsOf(sys, users)
 		}
 	}
 	return t
 }
 
-// LocalCeilings returns, by semaphore position, the priority ceiling of
-// every local semaphore (Table.LocalCeil's values), 0 for global and
-// unused semaphores.
-func LocalCeilings(sys *task.System) []int {
-	ix := sys.Index()
-	out := make([]int, len(sys.Sems))
-	for k, sem := range sys.Sems {
-		if users := ix.Users(k); !sem.Global && len(users) > 0 {
-			out[k] = sys.Tasks[users[0]].Priority
-		}
+// LocalAt returns the priority of the highest-priority task that locks
+// the semaphore at position k, 0 when none does: for a local semaphore,
+// its priority ceiling.
+func (t *Table) LocalAt(k int) int { return t.sems[k].top }
+
+// GlobalAt returns the global priority ceiling P_G + P_S of the global
+// semaphore at position k.
+func (t *Table) GlobalAt(k int) int { return t.PG + t.sems[k].top }
+
+// GcsAt returns the fixed execution priority of a gcs on the global
+// semaphore at position k issued from processor p: P_G + P_h, with P_h
+// the highest priority among its users on other processors (Section
+// 4.4), or the global ceiling when the table was computed atCeiling.
+// It is above PH even when the semaphore has no remote users of higher
+// priority, satisfying Theorem 2.
+func (t *Table) GcsAt(k int, p task.ProcID) int { return t.sems[k].gcs(t.PG, p, t.atCeiling) }
+
+// LocalCeiling returns the priority ceiling of local semaphore s, and
+// false when s is global, unused or not in the system.
+func (t *Table) LocalCeiling(s task.SemID) (int, bool) {
+	ix := t.sys.Index()
+	k, ok := ix.SemPos(s)
+	if !ok || t.sys.Sems[k].Global || len(ix.Users(k)) == 0 {
+		return 0, false
 	}
-	return out
+	return t.LocalAt(k), true
 }
 
-// GcsPrios returns, by task position and parallel to the index's Global
-// sections, the fixed execution priority of every outermost gcs
-// (Table.GcsPrio's values).
-func GcsPrios(sys *task.System, atCeiling bool) [][]int {
-	ix := sys.Index()
-	total := 0
-	for i := range sys.Tasks {
-		total += len(ix.Global(i))
+// GlobalCeiling returns the global priority ceiling of semaphore s, 0
+// when s is not a global semaphore of the system.
+func (t *Table) GlobalCeiling(s task.SemID) int {
+	if k, ok := t.globalPos(s); ok {
+		return t.GlobalAt(k)
 	}
-	pg := sys.HighestPriority() + 1
-	flat := make([]int, total)
-	out := make([][]int, len(sys.Tasks))
-	for i, t := range sys.Tasks {
-		gcs := ix.Global(i)
-		row := flat[:len(gcs):len(gcs)]
-		flat = flat[len(gcs):]
-		for j, cs := range gcs {
-			row[j] = topsOf(sys, ix.Users(cs.SemPos)).gcs(pg, t.Proc, atCeiling)
-		}
-		out[i] = row
-	}
-	return out
+	return 0
 }
 
-// tops is what every gcs priority on one global semaphore derives from:
-// the processor and priority of its highest-priority user, and the
+// GcsPriority returns the fixed execution priority of the gcs of task
+// id on semaphore s, 0 when id does not lock global semaphore s.
+func (t *Table) GcsPriority(id task.ID, s task.SemID) int {
+	k, ok := t.globalPos(s)
+	if !ok {
+		return 0
+	}
+	for _, u := range t.sys.Index().Users(k) {
+		if tk := t.sys.Tasks[u]; tk.ID == id {
+			return t.GcsAt(k, tk.Proc)
+		}
+	}
+	return 0
+}
+
+// globalPos returns the position of s, and whether it is a global
+// semaphore of the system.
+func (t *Table) globalPos(s task.SemID) (int, bool) {
+	k, ok := t.sys.Index().SemPos(s)
+	return k, ok && t.sys.Sems[k].Global
+}
+
+// tops is what every ceiling and gcs priority of one semaphore derives
+// from: the processor and priority of its highest-priority user, and the
 // highest priority among its users on any other processor.
 type tops struct {
 	proc       task.ProcID

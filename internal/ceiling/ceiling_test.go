@@ -26,7 +26,7 @@ func TestExample3Table(t *testing.T) {
 		paperex.S1: P(1), paperex.S2: P(5), paperex.S3: P(6),
 	}
 	for sem, want := range wantLocal {
-		if got := tbl.LocalCeil[sem]; got != want {
+		if got, ok := tbl.LocalCeiling(sem); !ok || got != want {
 			t.Errorf("local ceiling(%d) = %d, want %d", sem, got, want)
 		}
 	}
@@ -34,7 +34,7 @@ func TestExample3Table(t *testing.T) {
 		paperex.SG1: tbl.PG + P(1), paperex.SG2: tbl.PG + P(2),
 	}
 	for sem, want := range wantGlobal {
-		if got := tbl.GlobalCeil[sem]; got != want {
+		if got := tbl.GlobalCeiling(sem); got != want {
 			t.Errorf("global ceiling(%d) = %d, want %d", sem, got, want)
 		}
 	}
@@ -46,9 +46,22 @@ func TestAtCeilingVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := ceiling.Compute(sys, true)
-	for key, prio := range tbl.GcsPrio {
-		if prio != tbl.GlobalCeil[key.Sem] {
-			t.Errorf("atCeiling gcs prio %v = %d, want global ceiling %d", key, prio, tbl.GlobalCeil[key.Sem])
+	eachGcs(sys, func(tk *task.Task, sem *task.Semaphore) {
+		if prio, ceil := tbl.GcsPriority(tk.ID, sem.ID), tbl.GlobalCeiling(sem.ID); prio != ceil {
+			t.Errorf("atCeiling gcs prio of task %d on %d = %d, want global ceiling %d", tk.ID, sem.ID, prio, ceil)
+		}
+	})
+}
+
+// eachGcs calls f for every global semaphore of sys and every task that
+// locks it: the (task, semaphore) pairs that have a gcs priority.
+func eachGcs(sys *task.System, f func(*task.Task, *task.Semaphore)) {
+	ix := sys.Index()
+	for k, sem := range sys.Sems {
+		if sem.Global {
+			for _, u := range ix.Users(k) {
+				f(sys.Tasks[u], sem)
+			}
 		}
 	}
 }
@@ -68,18 +81,18 @@ func TestQuickCeilingProperties(t *testing.T) {
 			return false
 		}
 		tbl := ceiling.Compute(sys, false)
-		for _, prio := range tbl.GcsPrio {
-			if prio <= tbl.PH || prio < tbl.PG {
-				return false
+		ok := true
+		eachGcs(sys, func(tk *task.Task, sem *task.Semaphore) {
+			prio := tbl.GcsPriority(tk.ID, sem.ID)
+			if prio <= tbl.PH || prio < tbl.PG || prio > tbl.GlobalCeiling(sem.ID) {
+				ok = false
 			}
+		})
+		if !ok {
+			return false
 		}
-		for key, prio := range tbl.GcsPrio {
-			if prio > tbl.GlobalCeil[key.Sem] {
-				return false
-			}
-		}
-		for _, c := range tbl.LocalCeil {
-			if c > tbl.PH {
+		for _, sem := range sys.Sems {
+			if c, local := tbl.LocalCeiling(sem.ID); local && c > tbl.PH {
 				return false
 			}
 		}
@@ -96,10 +109,14 @@ func TestQuickCeilingProperties(t *testing.T) {
 			}
 			return top, used
 		}
-		for s1, c1 := range tbl.GlobalCeil {
-			for s2, c2 := range tbl.GlobalCeil {
-				p1, ok1 := topPrio(s1)
-				p2, ok2 := topPrio(s2)
+		for _, s1 := range sys.Sems {
+			for _, s2 := range sys.Sems {
+				if !s1.Global || !s2.Global {
+					continue
+				}
+				c1, c2 := tbl.GlobalCeiling(s1.ID), tbl.GlobalCeiling(s2.ID)
+				p1, ok1 := topPrio(s1.ID)
+				p2, ok2 := topPrio(s2.ID)
 				if !ok1 || !ok2 {
 					continue
 				}
@@ -123,7 +140,7 @@ func TestSemWithNoUsersSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := ceiling.Compute(sys, false)
-	if _, ok := tbl.LocalCeil[1]; ok {
+	if _, ok := tbl.LocalCeiling(1); ok {
 		t.Error("unused semaphore got a ceiling")
 	}
 }

@@ -114,8 +114,9 @@ type Protocol struct {
 	tbl    *ceiling.Table // P_H, P_G, ceilings, gcs priorities (Section 4)
 	npPrio int            // P_G + P_H + 1, above every gcs priority
 
+	ix     *task.Index // resolves semaphore IDs to positions
 	locals []*pcp.Local
-	gsems  map[task.SemID]*gsem
+	gsems  []*gsem                        // by semaphore position; nil for a local semaphore
 	csAt   map[csKey]task.CriticalSection // gcs's on remote semaphores
 
 	// prioStack tracks pre-gcs effective priorities per job so nested
@@ -204,7 +205,8 @@ func (p *Protocol) Init(e *sim.Engine) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.name, err)
 	}
-	p.gsems = make(map[task.SemID]*gsem)
+	p.ix = sys.Index()
+	p.gsems = make([]*gsem, len(sys.Sems))
 	p.csAt = make(map[csKey]task.CriticalSection)
 	p.prioStack = make(map[*sim.Job][]int)
 	short := ceiling.Split(sys)
@@ -212,20 +214,19 @@ func (p *Protocol) Init(e *sim.Engine) error {
 		if sem.Global {
 			g := &gsem{spin: p.opts.Wait == Spin && (short[k] || !p.suspendLong)}
 			g.proc, g.remote = procs[k], procs[k] >= 0
-			p.gsems[sem.ID] = g
+			p.gsems[k] = g
 		}
 	}
 
-	ix := sys.Index()
 	for i, t := range sys.Tasks {
-		for _, cs := range ix.Sections(i) {
+		for _, cs := range p.ix.Sections(i) {
 			if !cs.Global {
 				continue
 			}
 			if !p.opts.AllowNestedGlobal && (cs.Nested || !cs.Outermost) {
 				return fmt.Errorf("%s: task %d has a nested global critical section on semaphore %d", p.name, t.ID, cs.Sem)
 			}
-			if p.gsems[cs.Sem].remote {
+			if p.gsems[cs.SemPos].remote {
 				p.csAt[csKey{task: t.ID, start: cs.StartSeg}] = cs
 			}
 		}
@@ -248,24 +249,16 @@ func (p *Protocol) setLocalPrio(e *sim.Engine, j *sim.Job, prio int) {
 	e.SetEffPrio(j, prio)
 }
 
-// GlobalCeiling returns the global priority ceiling of semaphore s
-// (0 if s is not a global semaphore known to the protocol).
-func (p *Protocol) GlobalCeiling(s task.SemID) int { return p.tbl.GlobalCeil[s] }
-
 // Ceilings exposes the full priority structure computed at Init.
 func (p *Protocol) Ceilings() *ceiling.Table { return p.tbl }
-
-// GcsPriority returns the fixed execution priority of the gcs of task id
-// guarded by semaphore s (Section 4.4's P_G + P_h).
-func (p *Protocol) GcsPriority(id task.ID, s task.SemID) int {
-	return p.tbl.GcsPrio[ceiling.Key{Task: id, Sem: s}]
-}
 
 // SyncProc returns the synchronization processor of semaphore s and
 // whether s is handled remotely at all.
 func (p *Protocol) SyncProc(s task.SemID) (task.ProcID, bool) {
-	if g := p.gsems[s]; g != nil && g.remote {
-		return g.proc, true
+	if k, ok := p.ix.SemPos(s); ok {
+		if g := p.gsems[k]; g != nil && g.remote {
+			return g.proc, true
+		}
 	}
 	return 0, false
 }
@@ -279,8 +272,9 @@ func (p *Protocol) OnRelease(e *sim.Engine, j *sim.Job) {
 
 // TryLock implements sim.Protocol.
 func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
-	g, isGlobal := p.gsems[s]
-	if !isGlobal {
+	k, _ := p.ix.SemPos(s)
+	g := p.gsems[k]
+	if g == nil {
 		return p.locals[j.Proc].TryLock(e, j, s)
 	}
 	if g.remote {
@@ -289,7 +283,7 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 
 	if g.holder == nil {
 		// Rule 5: granted by an atomic transaction on shared memory.
-		p.enterGcs(e, j, s, j.EffPrio)
+		p.enterGcs(e, j, s, k, j.EffPrio)
 		g.holder = j
 		return true
 	}
@@ -308,7 +302,7 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 		// Busy-wait at the gcs priority (or the non-preemptive level) so
 		// the spin cannot be preempted by non-critical code, mirroring
 		// the non-preemptible busy-wait of Section 5.4.
-		e.SetEffPrio(j, p.gcsPrio(j, s))
+		e.SetEffPrio(j, p.gcsPrio(j, k))
 	} else {
 		e.SuspendGlobal(j, s)
 	}
@@ -317,23 +311,24 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 
 // enterGcs records the pre-gcs priority and applies the fixed gcs
 // execution priority (rules 3 and 4 reduce to plain effective-priority
-// scheduling once this is set). prev is the effective priority to restore
-// when the gcs ends.
-func (p *Protocol) enterGcs(e *sim.Engine, j *sim.Job, s task.SemID, prev int) {
+// scheduling once this is set) for s, at semaphore position k. prev is
+// the effective priority to restore when the gcs ends.
+func (p *Protocol) enterGcs(e *sim.Engine, j *sim.Job, s task.SemID, k, prev int) {
 	p.pushPrio(j, prev)
 	e.CompleteLock(j, s)
-	if prio := p.gcsPrio(j, s); prio > j.EffPrio {
+	if prio := p.gcsPrio(j, k); prio > j.EffPrio {
 		e.SetEffPrio(j, prio)
 	}
 }
 
-// gcsPrio is the level j waits and executes at on in-place semaphore
-// s: the non-preemptive level, or the gcs priority of Section 4.4.
-func (p *Protocol) gcsPrio(j *sim.Job, s task.SemID) int {
+// gcsPrio is the level j waits and executes at on the in-place
+// semaphore at position k: the non-preemptive level, or the gcs
+// priority of Section 4.4.
+func (p *Protocol) gcsPrio(j *sim.Job, k int) int {
 	if p.nonPreempt {
 		return p.npPrio
 	}
-	return p.tbl.GcsPrio[ceiling.Key{Task: j.Task.ID, Sem: s}]
+	return p.tbl.GcsAt(k, j.Proc)
 }
 
 // pushPrio records prev on j's priority stack, starting an empty stack
@@ -373,7 +368,7 @@ func (p *Protocol) startAgent(e *sim.Engine, g *gsem, parent *sim.Job) {
 	cs := p.csAt[csKey{task: parent.Task.ID, start: parent.PC}]
 	g.holder = parent
 	interior := parent.Body[cs.StartSeg+1 : cs.EndSeg]
-	prio := p.tbl.GlobalCeil[cs.Sem]
+	prio := p.tbl.GlobalAt(cs.SemPos)
 	agent := e.SpawnAgent(parent, interior, g.proc, prio, func(agent *sim.Job) {
 		p.agentDone(e, g, agent, cs)
 	})
@@ -401,8 +396,9 @@ func (p *Protocol) agentDone(e *sim.Engine, g *gsem, agent *sim.Job, cs task.Cri
 
 // Unlock implements sim.Protocol.
 func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
-	g, isGlobal := p.gsems[s]
-	if !isGlobal {
+	k, _ := p.ix.SemPos(s)
+	g := p.gsems[k]
+	if g == nil {
 		p.locals[j.Proc].Unlock(e, j, s)
 		return
 	}
@@ -439,7 +435,7 @@ func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 		prev = st[len(st)-1]
 		p.prioStack[next] = st[:len(st)-1]
 	}
-	p.enterGcs(e, next, s, prev)
+	p.enterGcs(e, next, s, k, prev)
 	e.Grant(next, s, next.EffPrio)
 	e.MakeReady(next)
 }

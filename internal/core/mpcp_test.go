@@ -73,23 +73,23 @@ func TestTable41PriorityCeilings(t *testing.T) {
 	if tbl.PH != P(1) {
 		t.Errorf("P_H = %d, want %d", tbl.PH, P(1))
 	}
-	if got, want := tbl.LocalCeil[paperex.S1], P(1); got != want {
-		t.Errorf("ceiling(S1) = %d, want P1 = %d", got, want)
+	if got, _ := tbl.LocalCeiling(paperex.S1); got != P(1) {
+		t.Errorf("ceiling(S1) = %d, want P1 = %d", got, P(1))
 	}
-	if got, want := tbl.LocalCeil[paperex.S2], P(5); got != want {
-		t.Errorf("ceiling(S2) = %d, want P5 = %d", got, want)
+	if got, _ := tbl.LocalCeiling(paperex.S2); got != P(5) {
+		t.Errorf("ceiling(S2) = %d, want P5 = %d", got, P(5))
 	}
-	if got, want := tbl.LocalCeil[paperex.S3], P(6); got != want {
-		t.Errorf("ceiling(S3) = %d, want P6 = %d", got, want)
+	if got, _ := tbl.LocalCeiling(paperex.S3); got != P(6) {
+		t.Errorf("ceiling(S3) = %d, want P6 = %d", got, P(6))
 	}
 	PG := tbl.PG
 	if PG <= tbl.PH {
 		t.Fatalf("P_G = %d not greater than P_H = %d", PG, tbl.PH)
 	}
-	if got, want := tbl.GlobalCeil[paperex.SG1], PG+P(1); got != want {
+	if got, want := tbl.GlobalCeiling(paperex.SG1), PG+P(1); got != want {
 		t.Errorf("global ceiling(SG1) = %d, want P_G+P1 = %d", got, want)
 	}
-	if got, want := tbl.GlobalCeil[paperex.SG2], PG+P(2); got != want {
+	if got, want := tbl.GlobalCeiling(paperex.SG2), PG+P(2); got != want {
 		t.Errorf("global ceiling(SG2) = %d, want P_G+P2 = %d", got, want)
 	}
 }
@@ -106,7 +106,8 @@ func TestTable42GcsPriorities(t *testing.T) {
 	if _, err := sim.New(sys, p, sim.Config{Horizon: 1}); err != nil {
 		t.Fatal(err)
 	}
-	PG := p.Ceilings().PG
+	tbl := p.Ceilings()
+	PG := tbl.PG
 	P := paperex.PriorityOf
 
 	cases := []struct {
@@ -124,7 +125,7 @@ func TestTable42GcsPriorities(t *testing.T) {
 		{6, paperex.SG2, PG + P(2)},
 	}
 	for _, c := range cases {
-		if got := p.GcsPriority(c.task, c.sem); got != c.want {
+		if got := tbl.GcsPriority(c.task, c.sem); got != c.want {
 			t.Errorf("gcs priority of tau%d on sem %d = %d, want %d", c.task, c.sem, got, c.want)
 		}
 	}

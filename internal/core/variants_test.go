@@ -140,14 +140,14 @@ func TestGcsAtCeilingRunsHigher(t *testing.T) {
 		t.Fatal(err)
 	}
 	const g = task.SemID(1)
+	paperPrio := paper.Ceilings().GcsPriority(1, g)
+	ceilPrio, ceilGlobal := ceil.Ceilings().GcsPriority(1, g), ceil.Ceilings().GlobalCeiling(g)
 	// Paper: tau1's gcs = P_G + P(tau3) = P_G + 2; ceiling = P_G + 3.
-	if paper.GcsPriority(1, g) >= ceil.GcsPriority(1, g) {
-		t.Errorf("paper gcs prio %d not below ceiling variant %d",
-			paper.GcsPriority(1, g), ceil.GcsPriority(1, g))
+	if paperPrio >= ceilPrio {
+		t.Errorf("paper gcs prio %d not below ceiling variant %d", paperPrio, ceilPrio)
 	}
-	if ceil.GcsPriority(1, g) != ceil.GlobalCeiling(g) {
-		t.Errorf("ceiling variant gcs prio %d != global ceiling %d",
-			ceil.GcsPriority(1, g), ceil.GlobalCeiling(g))
+	if ceilPrio != ceilGlobal {
+		t.Errorf("ceiling variant gcs prio %d != global ceiling %d", ceilPrio, ceilGlobal)
 	}
 	// The lower paper assignment admits more preemption by mid-priority
 	// gcs's while preserving Theorem 2; both variants satisfy it.

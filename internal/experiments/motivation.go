@@ -212,17 +212,21 @@ func E4PriorityCeilings() (*Table, error) {
 	}
 	P := paperex.PriorityOf
 	name := func(s task.SemID) string { return sys.SemByID(s).Name }
+	local := func(s task.SemID) int {
+		c, _ := tbl.LocalCeiling(s)
+		return c
+	}
 	rows := []struct {
 		sem   task.SemID
 		kind  string
 		got   int
 		paper string
 	}{
-		{paperex.S1, "local", tbl.LocalCeil[paperex.S1], fmt.Sprintf("P1=%d", P(1))},
-		{paperex.S2, "local", tbl.LocalCeil[paperex.S2], fmt.Sprintf("P5=%d", P(5))},
-		{paperex.S3, "local", tbl.LocalCeil[paperex.S3], fmt.Sprintf("P6=%d", P(6))},
-		{paperex.SG1, "global", tbl.GlobalCeil[paperex.SG1], fmt.Sprintf("PG+P1=%d", tbl.PG+P(1))},
-		{paperex.SG2, "global", tbl.GlobalCeil[paperex.SG2], fmt.Sprintf("PG+P2=%d", tbl.PG+P(2))},
+		{paperex.S1, "local", local(paperex.S1), fmt.Sprintf("P1=%d", P(1))},
+		{paperex.S2, "local", local(paperex.S2), fmt.Sprintf("P5=%d", P(5))},
+		{paperex.S3, "local", local(paperex.S3), fmt.Sprintf("P6=%d", P(6))},
+		{paperex.SG1, "global", tbl.GlobalCeiling(paperex.SG1), fmt.Sprintf("PG+P1=%d", tbl.PG+P(1))},
+		{paperex.SG2, "global", tbl.GlobalCeiling(paperex.SG2), fmt.Sprintf("PG+P2=%d", tbl.PG+P(2))},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{name(r.sem), r.kind, itoa(r.got), r.paper})
@@ -242,6 +246,7 @@ func E5GcsPriorities() (*Table, error) {
 	if _, err := sim.New(sys, p, sim.Config{Horizon: 1}); err != nil {
 		return nil, err
 	}
+	tbl := p.Ceilings()
 	t := &Table{
 		ID:     "E5",
 		Title:  "Table 4-2: gcs execution priorities in Example 3 (P_G + P_h)",
@@ -252,8 +257,8 @@ func E5GcsPriorities() (*Table, error) {
 			t.Rows = append(t.Rows, []string{
 				tk.Name,
 				sys.SemByID(cs.Sem).Name,
-				itoa(p.GcsPriority(tk.ID, cs.Sem)),
-				itoa(p.GlobalCeiling(cs.Sem)),
+				itoa(tbl.GcsPriority(tk.ID, cs.Sem)),
+				itoa(tbl.GlobalCeiling(cs.Sem)),
 			})
 		}
 	}

@@ -66,7 +66,8 @@ func (p *Immediate) OnRelease(e *sim.Engine, j *sim.Job) {
 func (p *Immediate) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 	p.prioStack[j] = append(p.prioStack[j], j.EffPrio)
 	e.CompleteLock(j, s)
-	if c := p.tbl.LocalCeil[s]; c > j.EffPrio {
+	k, _ := e.Sys().Index().SemPos(s)
+	if c := p.tbl.LocalAt(k); c > j.EffPrio {
 		e.SetEffPrio(j, c)
 	}
 	return true

@@ -25,7 +25,7 @@ import (
 // owning protocol composes it with its own global rules.
 type Local struct {
 	proc task.ProcID
-	ceil map[task.SemID]int // shared ceiling.Table.LocalCeil; read-only
+	tbl  *ceiling.Table // shared; read-only
 
 	held []heldSem
 	// blocked lists the locally blocked jobs, each with the holder that
@@ -40,6 +40,7 @@ type Local struct {
 
 type heldSem struct {
 	sem    task.SemID
+	ceil   int // sem's priority ceiling
 	holder *sim.Job
 }
 
@@ -56,22 +57,23 @@ func NewLocal(tbl *ceiling.Table, proc task.ProcID, setPrio func(e *sim.Engine, 
 	if setPrio == nil {
 		setPrio = func(e *sim.Engine, j *sim.Job, prio int) { e.SetEffPrio(j, prio) }
 	}
-	return &Local{proc: proc, ceil: tbl.LocalCeil, setPrio: setPrio}
+	return &Local{proc: proc, tbl: tbl, setPrio: setPrio}
 }
 
 // TryLock applies the ceiling test for job j requesting s. On success the
 // lock is completed and true is returned; on failure j is blocked, the
 // offending holder inherits j's priority, and false is returned.
 func (l *Local) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
-	blockerSem, blocker := l.highestCeilingHeldByOthers(j)
-	if blocker == nil || j.BasePrio > l.ceil[blockerSem] {
-		l.held = append(l.held, heldSem{sem: s, holder: j})
+	blocker := l.highestCeilingHeldByOthers(j)
+	if blocker.holder == nil || j.BasePrio > blocker.ceil {
+		k, _ := e.Sys().Index().SemPos(s)
+		l.held = append(l.held, heldSem{sem: s, ceil: l.tbl.LocalAt(k), holder: j})
 		e.CompleteLock(j, s)
 		return true
 	}
 	l.DropJob(j)
-	l.blocked = append(l.blocked, blockedJob{job: j, holder: blocker})
-	e.BlockLocal(j, blockerSem)
+	l.blocked = append(l.blocked, blockedJob{job: j, holder: blocker.holder})
+	e.BlockLocal(j, blocker.sem)
 	l.Recompute(e)
 	return false
 }
@@ -93,24 +95,17 @@ func (l *Local) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	l.Recompute(e)
 }
 
-// highestCeilingHeldByOthers returns the semaphore with the highest
-// priority ceiling among local semaphores locked by jobs other than j,
-// together with its holder.
-func (l *Local) highestCeilingHeldByOthers(j *sim.Job) (task.SemID, *sim.Job) {
-	var (
-		bestSem    task.SemID = -1
-		bestHolder *sim.Job
-		bestCeil   int
-	)
+// highestCeilingHeldByOthers returns the local semaphore with the
+// highest priority ceiling among those locked by jobs other than j, with
+// its holder; a nil holder when there is none.
+func (l *Local) highestCeilingHeldByOthers(j *sim.Job) heldSem {
+	best := heldSem{sem: -1}
 	for _, h := range l.held {
-		if h.holder == j {
-			continue
-		}
-		if c := l.ceil[h.sem]; bestHolder == nil || c > bestCeil {
-			bestSem, bestHolder, bestCeil = h.sem, h.holder, c
+		if h.holder != j && (best.holder == nil || h.ceil > best.ceil) {
+			best = h
 		}
 	}
-	return bestSem, bestHolder
+	return best
 }
 
 // Recompute reestablishes the transitive inheritance fixpoint among jobs

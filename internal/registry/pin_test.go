@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"mpcp/internal/analysis"
@@ -113,32 +113,30 @@ func writeAnalysis(t *testing.T, h hash.Hash, sys *task.System) {
 		}
 	}
 
+	// Generated systems number tasks and semaphores 1..n by position,
+	// so walking positions walks IDs in order.
+	ix := sys.Index()
 	for _, atCeiling := range []bool{false, true} {
 		tbl := ceiling.Compute(sys, atCeiling)
 		fmt.Fprintf(h, "ceilings %v PH %d PG %d\n", atCeiling, tbl.PH, tbl.PG)
-		for _, m := range []map[task.SemID]int{tbl.LocalCeil, tbl.GlobalCeil} {
-			sems := make([]task.SemID, 0, len(m))
-			for s := range m {
-				sems = append(sems, s)
+		for _, sem := range sys.Sems {
+			if c, ok := tbl.LocalCeiling(sem.ID); ok {
+				fmt.Fprintf(h, "%d=%d ", sem.ID, c)
 			}
-			sort.Slice(sems, func(i, j int) bool { return sems[i] < sems[j] })
-			for _, s := range sems {
-				fmt.Fprintf(h, "%d=%d ", s, m[s])
-			}
-			h.Write([]byte("\n"))
 		}
-		keys := make([]ceiling.Key, 0, len(tbl.GcsPrio))
-		for k := range tbl.GcsPrio {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Task != keys[j].Task {
-				return keys[i].Task < keys[j].Task
+		h.Write([]byte("\n"))
+		for _, sem := range sys.Sems {
+			if sem.Global {
+				fmt.Fprintf(h, "%d=%d ", sem.ID, tbl.GlobalCeiling(sem.ID))
 			}
-			return keys[i].Sem < keys[j].Sem
-		})
-		for _, k := range keys {
-			fmt.Fprintf(h, "%d/%d=%d ", k.Task, k.Sem, tbl.GcsPrio[k])
+		}
+		h.Write([]byte("\n"))
+		for i, tk := range sys.Tasks {
+			for k, sem := range sys.Sems {
+				if sem.Global && slices.Contains(ix.Users(k), i) {
+					fmt.Fprintf(h, "%d/%d=%d ", tk.ID, sem.ID, tbl.GcsPriority(tk.ID, sem.ID))
+				}
+			}
 		}
 		h.Write([]byte("\n"))
 	}

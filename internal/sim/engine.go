@@ -616,7 +616,7 @@ func (e *Engine) loadSegment(j *Job) {
 func (e *Engine) CompleteLock(j *Job, s task.SemID) {
 	j.Held = append(j.Held, s)
 	j.CSDepth++
-	if sem := e.sys.SemByID(s); sem != nil && sem.Global {
+	if k, ok := e.sys.Index().SemPos(s); ok && e.sys.Sems[k].Global {
 		j.GCS++
 	}
 	if j.PC < len(j.Body) && j.Body[j.PC].Kind == task.SegLock && j.Body[j.PC].Sem == s {
@@ -640,7 +640,7 @@ func (e *Engine) exitCS(j *Job, s task.SemID) {
 	if j.CSDepth > 0 {
 		j.CSDepth--
 	}
-	if sem := e.sys.SemByID(s); sem != nil && sem.Global && j.GCS > 0 {
+	if k, ok := e.sys.Index().SemPos(s); ok && e.sys.Sems[k].Global && j.GCS > 0 {
 		j.GCS--
 	}
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvUnlock, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc, Sem: s})

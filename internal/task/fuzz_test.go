@@ -100,8 +100,8 @@ func FuzzValidateBody(f *testing.F) {
 // FuzzValidateSystem builds a system of 1–4 processors and 1–6 tasks
 // from the input, checks that Validate reports the first repeated ID or
 // priority as firstTaskFault does, and, whenever Validate accepts the
-// system, checks the Index against brute force over Tasks and every
-// body.
+// system, checks the Index against brute force over Tasks, Sems and
+// every body.
 func FuzzValidateSystem(f *testing.F) {
 	f.Add([]byte{1, 3, 0, 0, 9, 4, 1, 0, 0, 3, 2, 0, 1, 1, 7, 6, 1, 1, 0, 2, 2, 1})
 	f.Add([]byte{3, 5, 1, 1, 2, 3, 4, 5, 6, 7, 1, 2, 1, 3, 0, 4, 2, 3, 6, 1, 2, 0, 5, 2, 2})
@@ -237,6 +237,14 @@ func FuzzValidateSystem(f *testing.F) {
 			}
 			if sem.Global != (len(procs) > 1) {
 				t.Fatalf("semaphore %d Global = %v, accessed from %d processors", sem.ID, sem.Global, len(procs))
+			}
+			if got, ok := ix.SemPos(sem.ID); !ok || got != k {
+				t.Fatalf("SemPos(%d) = %d, %v; want %d", sem.ID, got, ok, k)
+			}
+		}
+		for _, id := range []SemID{-1, 5, 7} {
+			if k, ok := ix.SemPos(id); ok {
+				t.Fatalf("SemPos(%d) = %d for an ID no semaphore has", id, k)
 			}
 		}
 

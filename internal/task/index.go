@@ -22,6 +22,8 @@ type Index struct {
 	// processor they are bound to, -1 for an unused semaphore.
 	users  [][]int
 	lowest []ProcID
+	// semPos resolves a semaphore ID to its position.
+	semPos semPositions
 }
 
 // Sections returns the critical sections of the task at position i, in
@@ -40,6 +42,10 @@ func (x *Index) Local(i int) []CriticalSection { return x.local[i] }
 // system order.
 func (x *Index) OnProc(p ProcID) []int { return x.inOrder[p] }
 
+// SemPos returns the position in System.Sems of semaphore id, and
+// whether the system has one.
+func (x *Index) SemPos(id SemID) (int, bool) { return x.semPos.of(id) }
+
 // Users returns the positions of the tasks that access the semaphore at
 // position k, by descending priority.
 func (x *Index) Users(k int) []int { return x.users[k] }
@@ -50,15 +56,16 @@ func (x *Index) LowestAccessor(k int) ProcID { return x.lowest[k] }
 
 // buildIndex derives s's index from the critical sections Validate
 // extracted (all, with task i's at all[ends[i-1]:ends[i]]), the lowest
-// accessor processor of every semaphore and the task positions by
-// descending priority.
-func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID, byPrio []int) *Index {
+// accessor processor of every semaphore, the task positions by
+// descending priority and the semaphore positions by ID.
+func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID, byPrio []int, semPos semPositions) *Index {
 	n := len(s.Tasks)
 	x := &Index{
 		sections: make([][]CriticalSection, n),
 		global:   make([][]CriticalSection, n),
 		local:    make([][]CriticalSection, n),
 		lowest:   lowest,
+		semPos:   semPos,
 	}
 
 	// Sections: one backing array for the outermost global ones and one

@@ -402,7 +402,7 @@ func (s *System) Validate(opts ValidateOptions) error {
 		ends[i] = len(w.out)
 	}
 
-	s.ix = buildIndex(s, w.out, ends, lowest, byPrio)
+	s.ix = buildIndex(s, w.out, ends, lowest, byPrio, semPos)
 	s.validated = true
 	return nil
 }

@@ -158,8 +158,17 @@ func TestCeilingsFacade(t *testing.T) {
 	if tbl.PG != tbl.PH+1 {
 		t.Errorf("PG = %d, want PH+1 = %d", tbl.PG, tbl.PH+1)
 	}
-	if len(tbl.GlobalCeil) != 1 || len(tbl.LocalCeil) != 1 {
-		t.Errorf("ceil sizes: global=%d local=%d, want 1 and 1", len(tbl.GlobalCeil), len(tbl.LocalCeil))
+	global, local := 0, 0
+	for _, sem := range sys.Sems {
+		if tbl.GlobalCeiling(sem.ID) != 0 {
+			global++
+		}
+		if _, ok := tbl.LocalCeiling(sem.ID); ok {
+			local++
+		}
+	}
+	if global != 1 || local != 1 {
+		t.Errorf("ceil sizes: global=%d local=%d, want 1 and 1", global, local)
 	}
 }
 
