@@ -63,13 +63,3 @@ func (p *LocalPool) Execute(spec *Spec, points []Point, collect func(*PointResul
 	})
 	return nil
 }
-
-// EvaluatePoint evaluates one grid point: SeedsPerPoint seeded trials of
-// generate -> analyze -> (optionally) simulate. It is the unit of work
-// every executor runs — remote shard workers call it directly — and it
-// is deterministic: the result depends only on spec and pt, never on
-// where or when it runs. The registry (nil-safe) accumulates fast-path
-// instrumentation; point results never depend on it.
-func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) *PointResult {
-	return runPoint(spec, pt, reg)
-}

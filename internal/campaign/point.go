@@ -15,13 +15,16 @@ import (
 // exercise the recovery path. Nil outside tests.
 var forcePanicHook func(Point) bool
 
-// runPoint evaluates one grid point: SeedsPerPoint seeded trials of
-// generate -> analyze -> (optionally) simulate. It never returns an
-// error; per-trial failures are counted and a recovered panic is
-// recorded in Err so one bad point cannot kill a campaign. The registry
-// (nil-safe, worker-shared) accumulates fast-path instrumentation for
-// the confirmation simulations; point results never depend on it.
-func runPoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
+// EvaluatePoint evaluates one grid point: SeedsPerPoint seeded trials of
+// generate -> analyze -> (optionally) simulate. It is the unit of work
+// every executor runs — remote shard workers call it directly — and it
+// is deterministic: the result depends only on spec and pt, never on
+// where or when it runs. It never returns an error; per-trial failures
+// are counted and a recovered panic is recorded in Err so one bad point
+// cannot kill a campaign. The registry (nil-safe, worker-shared)
+// accumulates fast-path instrumentation for the confirmation
+// simulations; point results never depend on it.
+func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 	res = &PointResult{
 		Key:          pt.Key,
 		Protocol:     pt.Protocol,

@@ -72,15 +72,15 @@ func TestResumeFailureAccounting(t *testing.T) {
 }
 
 // TestRunPointRepeatable guards the blocking-statistics rewrite in
-// runPoint (task-ordered iteration instead of ranging the bounds map):
+// EvaluatePoint (task-ordered iteration instead of ranging the bounds map):
 // re-evaluating a point must reproduce the result exactly, floats
 // included.
 func TestRunPointRepeatable(t *testing.T) {
 	spec := testSpec()
 	anyBlocking := false
 	for _, pt := range spec.Points() {
-		base := runPoint(spec, pt, nil)
-		again := runPoint(spec, pt, nil)
+		base := EvaluatePoint(spec, pt, nil)
+		again := EvaluatePoint(spec, pt, nil)
 		if !reflect.DeepEqual(base, again) {
 			t.Errorf("point %s: repeated evaluation differs:\n%+v\nvs\n%+v", pt.Key, base, again)
 		}
@@ -93,7 +93,7 @@ func TestRunPointRepeatable(t *testing.T) {
 	}
 }
 
-// TestPointBoundsCoverAllTasks pins the invariant the runPoint rewrite
+// TestPointBoundsCoverAllTasks pins the invariant the EvaluatePoint rewrite
 // relies on: every analysis returns exactly one bound per task, so
 // walking sys.Tasks visits the same set the bounds map holds.
 func TestPointBoundsCoverAllTasks(t *testing.T) {
