@@ -89,6 +89,8 @@ repro-verify:
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/config
 	$(GO) test -fuzz FuzzValidateBody -fuzztime 30s ./internal/task
+	$(GO) test -fuzz FuzzValidateSystem -fuzztime 30s ./internal/task
+	$(GO) test -fuzz FuzzGenerate -fuzztime 30s ./internal/workload
 	$(GO) test -fuzz FuzzReadStream -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz FuzzConformanceRepro -fuzztime 30s ./internal/conformance
 	$(GO) test -fuzz FuzzConformanceWorkload -fuzztime 30s ./internal/conformance
