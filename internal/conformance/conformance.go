@@ -18,6 +18,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcp/internal/campaign"
 	"mpcp/internal/registry"
@@ -185,59 +186,61 @@ func makeProtocol(name string, sys *task.System) (sim.Protocol, error) {
 	return registry.New(name, registry.Opts{Sys: sys})
 }
 
-func knownProtocol(name string) bool {
-	for _, p := range KnownProtocols {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
+func knownProtocol(name string) bool { return slices.Contains(KnownProtocols, name) }
 
 type trialSpec struct {
 	protocol string
 	trial    int
 }
 
+// Normalize fills the defaults of opts — DefaultProtocols, 25 trials,
+// base seed 1 — and rejects unknown protocol names and an invalid
+// workload override. Run, RunOne and internal/dist's conformance jobs
+// all start from it, so a local and a distributed campaign read the
+// same options.
+func Normalize(opts Options) (Options, error) {
+	if len(opts.Protocols) == 0 {
+		opts.Protocols = DefaultProtocols
+	}
+	for _, p := range opts.Protocols {
+		if !knownProtocol(p) {
+			return Options{}, fmt.Errorf("conformance: unknown protocol %q", p)
+		}
+	}
+	if opts.Trials <= 0 {
+		opts.Trials = 25
+	}
+	if opts.BaseSeed == 0 {
+		opts.BaseSeed = 1
+	}
+	if opts.Workload != nil {
+		if err := opts.Workload.Validate(); err != nil {
+			return Options{}, fmt.Errorf("conformance: %w", err)
+		}
+	}
+	return opts, nil
+}
+
 // Run executes the conformance campaign over the campaign worker pool.
 // The report is deterministic: identical options (apart from Workers)
 // produce identical reports, including repro bytes.
 func Run(opts Options) (*Report, error) {
-	protocols := opts.Protocols
-	if len(protocols) == 0 {
-		protocols = DefaultProtocols
+	opts, err := Normalize(opts)
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range protocols {
-		if !knownProtocol(p) {
-			return nil, fmt.Errorf("conformance: unknown protocol %q", p)
-		}
-	}
-	trials := opts.Trials
-	if trials <= 0 {
-		trials = 25
-	}
-	base := opts.BaseSeed
-	if base == 0 {
-		base = 1
-	}
-	if opts.Workload != nil {
-		if err := opts.Workload.Validate(); err != nil {
-			return nil, fmt.Errorf("conformance: %w", err)
-		}
-	}
-
-	specs := make([]trialSpec, 0, len(protocols)*trials)
-	for _, p := range protocols {
-		for tr := 0; tr < trials; tr++ {
+	specs := make([]trialSpec, 0, len(opts.Protocols)*opts.Trials)
+	for _, p := range opts.Protocols {
+		for tr := 0; tr < opts.Trials; tr++ {
 			specs = append(specs, trialSpec{protocol: p, trial: tr})
 		}
 	}
 
-	rep := &Report{Protocols: protocols, Trials: trials, BaseSeed: base}
+	rep := &Report{Protocols: opts.Protocols, Trials: opts.Trials, BaseSeed: opts.BaseSeed}
 	rep.Results = make([]TrialResult, len(specs))
 	var ioErr error
 	campaign.ForEach(opts.Workers, specs,
-		func(_ int, sp trialSpec) TrialResult { return runTrial(opts, base, sp) },
+		func(_ int, sp trialSpec) TrialResult { return runTrial(opts, sp) },
 		func(i int, r TrialResult) {
 			// Single-goroutine collector: safe to write shared state and
 			// repro files without locking.
@@ -261,19 +264,20 @@ func Run(opts Options) (*Report, error) {
 // same seed derivation, same oracles, same shrinking. It is the unit of
 // work remote executors run (internal/dist's conformance runner), so its
 // result must depend only on opts, protocol and trial — ReproDir and
-// Workers are ignored; repro persistence is the collector's job.
-func RunOne(opts Options, protocol string, trial int) TrialResult {
-	base := opts.BaseSeed
-	if base == 0 {
-		base = 1
+// Workers are ignored; repro persistence is the collector's job. Its
+// error is Normalize's.
+func RunOne(opts Options, protocol string, trial int) (TrialResult, error) {
+	opts, err := Normalize(opts)
+	if err != nil {
+		return TrialResult{}, err
 	}
-	return runTrial(opts, base, trialSpec{protocol: protocol, trial: trial})
+	return runTrial(opts, trialSpec{protocol: protocol, trial: trial}), nil
 }
 
 // runTrial evaluates every applicable oracle on one generated system and,
-// on failure, shrinks the first violation to a repro.
-func runTrial(opts Options, base int64, sp trialSpec) TrialResult {
-	res := TrialResult{Protocol: sp.protocol, Trial: sp.trial, Seed: TrialSeed(base, sp.protocol, sp.trial)}
+// on failure, shrinks the first violation to a repro. opts is normalized.
+func runTrial(opts Options, sp trialSpec) TrialResult {
+	res := TrialResult{Protocol: sp.protocol, Trial: sp.trial, Seed: TrialSeed(opts.BaseSeed, sp.protocol, sp.trial)}
 	var cfg workload.Config
 	if opts.Workload != nil {
 		cfg = *opts.Workload

@@ -317,6 +317,10 @@ func streamJob(c *Client, sub *SubmitResponse, poll time.Duration, collect func(
 // opts.Workers is ignored; parallelism belongs to the service's
 // workers.
 func RunConformance(c *Client, opts conformance.Options, poll time.Duration) (*conformance.Report, error) {
+	opts, err := conformance.Normalize(opts)
+	if err != nil {
+		return nil, err
+	}
 	payload := ConformancePayload{
 		Protocols: opts.Protocols,
 		Trials:    opts.Trials,
@@ -324,15 +328,6 @@ func RunConformance(c *Client, opts conformance.Options, poll time.Duration) (*c
 		Shrink:    opts.Shrink,
 		Horizon:   opts.Horizon,
 		Workload:  opts.Workload,
-	}
-	if len(payload.Protocols) == 0 {
-		payload.Protocols = conformance.DefaultProtocols
-	}
-	if payload.Trials <= 0 {
-		payload.Trials = 25
-	}
-	if payload.BaseSeed == 0 {
-		payload.BaseSeed = 1
 	}
 	sub, err := c.Submit(KindConformance, payload)
 	if err != nil {

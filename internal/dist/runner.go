@@ -200,25 +200,11 @@ func (conformanceRunner) Open(payload json.RawMessage) (Task, error) {
 	if err := json.Unmarshal(payload, &p); err != nil {
 		return nil, fmt.Errorf("dist: conformance payload: %w", err)
 	}
-	if len(p.Protocols) == 0 {
-		p.Protocols = conformance.DefaultProtocols
+	opts, err := conformance.Normalize(p.options())
+	if err != nil {
+		return nil, fmt.Errorf("dist: conformance payload: %w", err)
 	}
-	for _, proto := range p.Protocols {
-		if !knownConformanceProtocol(proto) {
-			return nil, fmt.Errorf("dist: conformance payload: unknown protocol %q", proto)
-		}
-	}
-	if p.Trials <= 0 {
-		p.Trials = 25
-	}
-	if p.BaseSeed == 0 {
-		p.BaseSeed = 1
-	}
-	if p.Workload != nil {
-		if err := p.Workload.Validate(); err != nil {
-			return nil, fmt.Errorf("dist: conformance payload: %w", err)
-		}
-	}
+	p.Protocols, p.Trials, p.BaseSeed = opts.Protocols, opts.Trials, opts.BaseSeed
 	return &conformanceTask{payload: p}, nil
 }
 
@@ -271,7 +257,10 @@ func (t *conformanceTask) CacheKey(i int) string {
 
 func (t *conformanceTask) Run(i int, _ *obs.Registry) (json.RawMessage, int, error) {
 	protocol, trial := t.unit(i)
-	r := conformance.RunOne(t.payload.options(), protocol, trial)
+	r, err := conformance.RunOne(t.payload.options(), protocol, trial)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dist: %w", err)
+	}
 	b, err := json.Marshal(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: encode trial result: %w", err)
@@ -281,13 +270,4 @@ func (t *conformanceTask) Run(i int, _ *obs.Registry) (json.RawMessage, int, err
 		failures = 1
 	}
 	return b, failures, nil
-}
-
-func knownConformanceProtocol(name string) bool {
-	for _, p := range conformance.KnownProtocols {
-		if p == name {
-			return true
-		}
-	}
-	return false
 }
