@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short bench bench-ab repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
+.PHONY: all build test test-short bench bench-ab perfbench-check repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
 
 all: build test
 
@@ -24,6 +24,12 @@ bench:
 bench-ab:
 	@test -n "$(REV)" || { echo "usage: make bench-ab REV=<rev> [BENCH_AB_FLAGS=...]"; exit 2; }
 	python3 scripts/bench_ab.py --rev $(REV) $(BENCH_AB_FLAGS)
+
+# perfbench is its own Go module (replace mpcp => ../), so the root
+# module's ./... never builds it: vet and test it on its own, so an API
+# change it depends on fails here rather than when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full acceptance-ratio campaign (MPCP vs DPCP vs hybrid), resumable.
 sweep:
