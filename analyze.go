@@ -4,6 +4,7 @@ import (
 	"mpcp/internal/alloc"
 	"mpcp/internal/analysis"
 	"mpcp/internal/ceiling"
+	"mpcp/internal/registry"
 	"mpcp/internal/workload"
 )
 
@@ -25,57 +26,71 @@ type (
 )
 
 // AnalysisOption configures blocking-bound computation.
-type AnalysisOption func(*analysis.Options)
+type AnalysisOption func(*analysisConfig)
+
+// analysisConfig is what the options select: the registered protocol
+// whose bound to compute, and the registry options it runs with.
+type analysisConfig struct {
+	protocol string
+	opts     registry.AnalyzeOpts
+}
+
+// analysisOf applies opts to the shared-memory protocol's analysis.
+func analysisOf(opts []AnalysisOption) (string, registry.AnalyzeOpts) {
+	c := analysisConfig{protocol: "mpcp"}
+	for _, opt := range opts {
+		opt(&c)
+	}
+	return c.protocol, c.opts
+}
 
 // WithDPCPAnalysis computes the bounds for the message-based protocol of
 // [8] instead of the shared-memory protocol.
 func WithDPCPAnalysis() AnalysisOption {
-	return func(o *analysis.Options) { o.Kind = analysis.KindDPCP }
+	return func(c *analysisConfig) { c.protocol = "dpcp" }
 }
 
 // WithDeferredPenalty includes the deferred-execution scheduling penalty
 // of Section 5.1 in each task's bound.
 func WithDeferredPenalty() AnalysisOption {
-	return func(o *analysis.Options) { o.DeferredPenalty = true }
+	return func(c *analysisConfig) { c.opts.DeferredPenalty = true }
 }
 
 // WithGcsAtCeilingAnalysis mirrors the WithGcsAtCeiling protocol variant
-// in the analysis.
+// in the analysis. The DPCP bound runs no gcs in place, so it leaves
+// WithDPCPAnalysis unchanged.
 func WithGcsAtCeilingAnalysis() AnalysisOption {
-	return func(o *analysis.Options) { o.GcsAtCeiling = true }
+	return func(c *analysisConfig) {
+		if c.protocol != "dpcp" {
+			c.protocol = "mpcp-ceil"
+		}
+	}
 }
 
 // WithDPCPSyncProc mirrors WithSyncProc for the DPCP analysis.
 func WithDPCPSyncProc(s SemID, p ProcID) AnalysisOption {
-	return func(o *analysis.Options) {
-		if o.DPCPAssign == nil {
-			o.DPCPAssign = make(map[SemID]ProcID)
+	return func(c *analysisConfig) {
+		if c.opts.DPCPAssign == nil {
+			c.opts.DPCPAssign = make(map[SemID]ProcID)
 		}
-		o.DPCPAssign[s] = p
+		c.opts.DPCPAssign[s] = p
 	}
 }
 
 // BlockingBounds computes the worst-case blocking bound B_i of every task
 // under the shared-memory protocol (or DPCP with WithDPCPAnalysis).
 func BlockingBounds(sys *System, opts ...AnalysisOption) (map[TaskID]*Bound, error) {
-	o := analysis.Options{Kind: analysis.KindMPCP}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return analysis.Bounds(sys, o)
+	name, o := analysisOf(opts)
+	return registry.Analyze(name, sys, o)
 }
 
 // Analyze computes blocking bounds and runs both schedulability tests.
 func Analyze(sys *System, opts ...AnalysisOption) (*SchedReport, error) {
-	o := analysis.Options{Kind: analysis.KindMPCP}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	bounds, err := analysis.Bounds(sys, o)
+	bounds, err := BlockingBounds(sys, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return analysis.Schedulability(sys, bounds, o)
+	return analysis.Schedulability(sys, bounds, analysis.Options{})
 }
 
 // ExplainBound renders a human-readable, factor-by-factor account of a
@@ -84,16 +99,22 @@ func Analyze(sys *System, opts ...AnalysisOption) (*SchedReport, error) {
 // tasks, sections, agents and semaphores contribute and how often. The
 // headline number matches BlockingBounds with the same options.
 func ExplainBound(sys *System, id TaskID, opts ...AnalysisOption) (string, error) {
-	o := analysis.Options{Kind: analysis.KindMPCP}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return analysis.Explain(sys, id, o)
+	name, o := analysisOf(opts)
+	return registry.Explain(name, sys, id, o)
 }
 
-// HybridAnalysisOptions configures HybridBlockingBounds; see
-// internal/analysis.HybridOptions.
-type HybridAnalysisOptions = analysis.HybridOptions
+// HybridAnalysisOptions configures HybridBlockingBounds.
+type HybridAnalysisOptions struct {
+	// Remote lists the message-based semaphores; all other global
+	// semaphores use the shared-memory rules.
+	Remote map[SemID]bool
+	// Assign maps remote semaphores to synchronization processors;
+	// unset entries default to the lowest-numbered accessor.
+	Assign map[SemID]ProcID
+	// DeferredPenalty adds the suspension-induced extra preemption of
+	// higher-priority local tasks, as WithDeferredPenalty does.
+	DeferredPenalty bool
+}
 
 // HybridBlockingBounds computes per-task worst-case blocking under the
 // mixed shared-memory/message-based protocol, composing the MPCP and
@@ -101,7 +122,11 @@ type HybridAnalysisOptions = analysis.HybridOptions
 // equals BlockingBounds; with every global semaphore remote it equals
 // the DPCP bounds.
 func HybridBlockingBounds(sys *System, opts HybridAnalysisOptions) (map[TaskID]*Bound, error) {
-	return analysis.HybridBounds(sys, opts)
+	remote := opts.Remote
+	if remote == nil {
+		remote = map[SemID]bool{} // nil would select the registry's default split
+	}
+	return registry.Analyze("hybrid", sys, registry.AnalyzeOpts{RemoteSems: remote, DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty})
 }
 
 // Ceilings computes the priority structure of Section 4 for a validated
@@ -158,12 +183,7 @@ func ApplyBinding(specs []TaskSpecUnbound, binding map[TaskID]ProcID, numProcs i
 // system.
 func MinProcessorsMPCP(specs []TaskSpecUnbound, sems []*Semaphore, maxProcs int) (int, map[TaskID]ProcID, *System, error) {
 	return alloc.MinProcessors(specs, sems, maxProcs, func(sys *System) (bool, error) {
-		opts := analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: true}
-		bounds, err := analysis.Bounds(sys, opts)
-		if err != nil {
-			return false, err
-		}
-		rep, err := analysis.Schedulability(sys, bounds, opts)
+		rep, err := Analyze(sys, WithDeferredPenalty())
 		if err != nil {
 			return false, err
 		}

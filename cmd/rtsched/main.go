@@ -4,7 +4,12 @@
 //
 // Usage:
 //
-//	rtsched -config system.json [-kind mpcp|dpcp|...] [-penalty] [-ceilings]
+//	rtsched -config system.json [-kind mpcp|dpcp|...] [-penalty] [-ceilings] [-explain id]
+//
+// -kind and -explain resolve through the protocol registry: any
+// protocol with a registered bound can be analyzed, and any whose bound
+// is the composed MPCP/DPCP/hybrid analysis can be explained term by
+// term.
 package main
 
 import (
@@ -22,15 +27,6 @@ import (
 	"mpcp/internal/task"
 )
 
-// explainKinds maps the registry protocols whose bounds come from
-// analysis.Bounds — mpcp, mpcp-ceil and dpcp, the ones analysis.Explain
-// narrates term by term — to its configuration.
-var explainKinds = map[string]analysis.Options{
-	"mpcp":      {Kind: analysis.KindMPCP},
-	"dpcp":      {Kind: analysis.KindDPCP},
-	"mpcp-ceil": {Kind: analysis.KindMPCP, GcsAtCeiling: true},
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rtsched:", err)
@@ -45,7 +41,7 @@ func run(args []string, out io.Writer) error {
 		kindName   = fs.String("kind", "mpcp", "protocol whose blocking analysis to run: "+strings.Join(registry.Analyzable(), ", "))
 		penalty    = fs.Bool("penalty", true, "include the deferred-execution penalty")
 		ceilings   = fs.Bool("ceilings", false, "print the Section 4 priority structure")
-		explain    = fs.Int("explain", 0, "print a factor-by-factor explanation of this task's bound (mpcp, mpcp-ceil or dpcp)")
+		explain    = fs.Int("explain", 0, "print a factor-by-factor explanation of this task's bound ("+strings.Join(registry.Explainable(), ", ")+")")
 		hyperbolic = fs.Bool("hyperbolic", false, "also run the sharper hyperbolic utilization test")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -69,12 +65,12 @@ func run(args []string, out io.Writer) error {
 		printCeilings(out, sys)
 	}
 
-	bounds, err := registry.Analyze(desc.Name, sys, registry.AnalyzeOpts{DeferredPenalty: *penalty})
+	aopts := registry.AnalyzeOpts{DeferredPenalty: *penalty}
+	bounds, err := registry.Analyze(desc.Name, sys, aopts)
 	if err != nil {
 		return err
 	}
-	opts := analysis.Options{DeferredPenalty: *penalty}
-	rep, err := analysis.Schedulability(sys, bounds, opts)
+	rep, err := analysis.Schedulability(sys, bounds, analysis.Options{})
 	if err != nil {
 		return err
 	}
@@ -114,13 +110,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *explain != 0 {
-		kind, ok := explainKinds[desc.Name]
-		if !ok {
-			return fmt.Errorf("-explain supports the mpcp, mpcp-ceil and dpcp analyses, not %q", desc.Name)
-		}
-		opts.Kind = kind.Kind
-		opts.GcsAtCeiling = kind.GcsAtCeiling
-		text, err := analysis.Explain(sys, task.ID(*explain), opts)
+		text, err := registry.Explain(desc.Name, sys, task.ID(*explain), aopts)
 		if err != nil {
 			return err
 		}

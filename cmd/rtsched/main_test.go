@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -81,6 +83,35 @@ func TestRunExplainDPCP(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestRunExplainHybrid: the hybrid analysis explains itself through the
+// registry like the others, each task's headline equal to its B in the
+// hybrid table; a protocol without a term-by-term explanation fails and
+// names the ones that have one.
+func TestRunExplainHybrid(t *testing.T) {
+	for id := 1; id <= 7; id++ {
+		var out strings.Builder
+		if err := run([]string{"-config", cfgPath, "-kind", "hybrid", "-explain", strconv.Itoa(id)}, &out); err != nil {
+			t.Fatal(err)
+		}
+		s := out.String()
+		b := ""
+		for _, line := range strings.Split(s, "\n") {
+			if f := strings.Fields(line); len(f) > 4 && f[0] == strconv.Itoa(id) {
+				b = f[4]
+			}
+		}
+		if want := fmt.Sprintf("Worst-case blocking of task %d (", id); b == "" || !strings.Contains(s, want) ||
+			!strings.Contains(s, ": B = "+b+" ticks\n") {
+			t.Errorf("task %d: no headline B = %s in:\n%s", id, b, s)
+		}
+	}
+	var out strings.Builder
+	err := run([]string{"-config", cfgPath, "-kind", "msrp", "-explain", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "explainable") || !strings.Contains(err.Error(), "hybrid") {
+		t.Errorf("-kind msrp -explain 1: error %v does not name the explainable protocols", err)
 	}
 }
 

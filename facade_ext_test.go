@@ -36,6 +36,50 @@ func TestHybridFacade(t *testing.T) {
 	}
 }
 
+// TestHybridBlockingBoundsDegenerates: the facade's hybrid bound with no
+// remote semaphore is BlockingBounds, and with every global semaphore
+// remote it is BlockingBounds with WithDPCPAnalysis, with and without
+// the deferred penalty.
+func TestHybridBlockingBoundsDegenerates(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		sys, err := mpcp.GenerateWorkload(mpcp.DefaultWorkload(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make(map[mpcp.SemID]bool)
+		for _, sem := range sys.Sems {
+			if sem.Global {
+				all[sem.ID] = true
+			}
+		}
+		for _, penalty := range []bool{false, true} {
+			var opts []mpcp.AnalysisOption
+			if penalty {
+				opts = append(opts, mpcp.WithDeferredPenalty())
+			}
+			for _, c := range []struct {
+				remote map[mpcp.SemID]bool
+				opts   []mpcp.AnalysisOption
+			}{
+				{nil, opts},
+				{all, append(opts, mpcp.WithDPCPAnalysis())},
+			} {
+				want, err := mpcp.BlockingBounds(sys, c.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := mpcp.HybridBlockingBounds(sys, mpcp.HybridAnalysisOptions{Remote: c.remote, DeferredPenalty: penalty})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d penalty %v remote %v: hybrid bounds differ from BlockingBounds", seed, penalty, c.remote)
+				}
+			}
+		}
+	}
+}
+
 func TestPollingServerFacade(t *testing.T) {
 	b := mpcp.NewBuilder(1)
 	srvTask, err := mpcp.PollingServerTask(mpcp.ServerConfig{

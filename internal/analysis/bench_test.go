@@ -44,7 +44,7 @@ func benchEach(b *testing.B, fn func(b *testing.B, sys *task.System)) {
 func BenchmarkMPCPBounds(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP}); err != nil {
+			if _, err := analysis.Bounds(sys, analysis.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,7 +54,7 @@ func BenchmarkMPCPBounds(b *testing.B) {
 func BenchmarkDPCPBounds(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindDPCP}); err != nil {
+			if _, err := analysis.Bounds(sys, dpcpOpts(sys)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -62,10 +62,11 @@ func BenchmarkDPCPBounds(b *testing.B) {
 }
 
 func BenchmarkHybridBounds(b *testing.B) {
-	remote := map[task.SemID]bool{1: true}
 	benchEach(b, func(b *testing.B, sys *task.System) {
+		remote := make([]bool, len(sys.Sems))
+		remote[0] = true // semaphore 1
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.HybridBounds(sys, analysis.HybridOptions{Remote: remote}); err != nil {
+			if _, err := analysis.Bounds(sys, analysis.Options{Remote: remote}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -18,30 +18,14 @@ import (
 	"mpcp/internal/task"
 )
 
-// Kind selects which protocol's bounds to compute.
-type Kind int
-
-// Supported protocols.
-const (
-	KindMPCP Kind = iota + 1
-	KindDPCP
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindMPCP:
-		return "mpcp"
-	case KindDPCP:
-		return "dpcp"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Options tunes the analysis.
 type Options struct {
-	// Kind selects the protocol; default KindMPCP.
-	Kind Kind
+	// Remote marks, by position in sys.Sems, the global semaphores
+	// handled remotely under the message-based rules of [8]; the others
+	// use the shared-memory rules. No remote semaphore (nil) is MPCP,
+	// every global semaphore is DPCP, and a subset is the Section 6
+	// hybrid. A non-nil Remote has one entry per semaphore.
+	Remote []bool
 
 	// GcsAtCeiling mirrors the protocol option of the same name: gcs
 	// execution priorities equal the full global ceiling. It affects
@@ -54,9 +38,9 @@ type Options struct {
 	// is one extra execution of each such task.
 	DeferredPenalty bool
 
-	// DPCPAssign maps global semaphores to synchronization processors for
-	// KindDPCP; unset semaphores default to their lowest-numbered
-	// accessor processor, as in the simulated protocol (ceiling.SyncProcs
+	// DPCPAssign maps remote semaphores to synchronization processors;
+	// unset semaphores default to their lowest-numbered accessor
+	// processor, as in the simulated protocol (ceiling.SyncProcs
 	// resolves both).
 	DPCPAssign map[task.SemID]task.ProcID
 }
@@ -129,31 +113,12 @@ var (
 	ErrNestedGlobal = errors.New("analysis: blocking factors require non-nested global critical sections")
 )
 
-// Bounds computes the per-task blocking bound under the selected protocol.
-// Both protocols run the one per-semaphore composition of compose: MPCP
-// with every global semaphore handled in place, DPCP with every global
-// semaphore remote.
+// Bounds computes the per-task blocking bound of the protocol opts.Remote
+// selects. MPCP, DPCP and the hybrid all run the one per-semaphore
+// composition of compose: MPCP with every global semaphore handled in
+// place, DPCP with every global semaphore remote.
 func Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
-	return kindBounds(sys, opts, nil)
-}
-
-// kindBounds is Bounds with compose's charges recorded in log (nil
-// records nothing).
-func kindBounds(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error) {
-	if err := checkAnalyzable(sys); err != nil {
-		return nil, err
-	}
-	remote := make([]bool, len(sys.Sems))
-	switch opts.Kind {
-	case 0, KindMPCP:
-	case KindDPCP:
-		for k, sem := range sys.Sems {
-			remote[k] = sem.Global
-		}
-	default:
-		return nil, fmt.Errorf("analysis: unknown kind %v", opts.Kind)
-	}
-	return compose(sys, opts, remote, log)
+	return compose(sys, opts, nil)
 }
 
 // checkAnalyzable rejects systems the blocking factors do not cover:
@@ -226,8 +191,8 @@ type term struct {
 }
 
 // termLog records, per task, the terms compose charges to its bound, in
-// charge order. A nil log records nothing: Bounds and HybridBounds pass
-// nil, Explain a fresh one.
+// charge order. A nil log records nothing: Bounds passes nil, Explain a
+// fresh one.
 type termLog map[task.ID][]term
 
 // charge adds t to b's factor and records it under b's task.
@@ -284,12 +249,20 @@ func lowerUsers(sys *task.System, users []int, prio int) []int {
 // local gcs boosts. A request on a remote semaphore contributes the DPCP
 // factors: service queueing on its synchronization processor, and agent
 // preemption on the processor that hosts the agents. Local semaphores
-// contribute factor 1 in both modes. remote marks the remote semaphores
-// by position in sys.Sems. With none remote the result is the MPCP
-// bound; with every global semaphore remote it is the DPCP bound.
-// Every term goes through log.charge, so a non-nil log holds exactly the
-// terms each bound sums.
-func compose(sys *task.System, opts Options, remote []bool, log termLog) (map[task.ID]*Bound, error) {
+// contribute factor 1 in both modes. opts.Remote marks the remote
+// semaphores. Every term goes through log.charge, so a non-nil log holds
+// exactly the terms each bound sums.
+func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error) {
+	if err := checkAnalyzable(sys); err != nil {
+		return nil, err
+	}
+	remote := opts.Remote
+	switch {
+	case remote == nil:
+		remote = make([]bool, len(sys.Sems))
+	case len(remote) != len(sys.Sems):
+		return nil, fmt.Errorf("analysis: remote set has %d entries for %d semaphores", len(remote), len(sys.Sems))
+	}
 	assign, err := ceiling.SyncProcs(sys, remote, opts.DPCPAssign)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)

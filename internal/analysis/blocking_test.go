@@ -55,7 +55,7 @@ func handSystem(t *testing.T) *task.System {
 
 func TestMPCPFactorsHandComputed(t *testing.T) {
 	sys := handSystem(t)
-	bounds, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP})
+	bounds, err := analysis.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestMPCPFactorsHandComputed(t *testing.T) {
 
 func TestDeferredPenalty(t *testing.T) {
 	sys := handSystem(t)
-	with, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: true})
+	with, err := analysis.Bounds(sys, analysis.Options{DeferredPenalty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP})
+	without, err := analysis.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +136,18 @@ func TestDeferredPenalty(t *testing.T) {
 	}
 }
 
+// dpcpOpts selects the DPCP bound of sys: every global semaphore remote.
+func dpcpOpts(sys *task.System) analysis.Options {
+	remote := make([]bool, len(sys.Sems))
+	for k, sem := range sys.Sems {
+		remote[k] = sem.Global
+	}
+	return analysis.Options{Remote: remote}
+}
+
 func TestDPCPBoundsHandComputed(t *testing.T) {
 	sys := handSystem(t)
-	bounds, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindDPCP})
+	bounds, err := analysis.Bounds(sys, dpcpOpts(sys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +178,14 @@ func TestNestedGlobalRejected(t *testing.T) {
 	if err := sys.Validate(task.ValidateOptions{AllowNestedGlobal: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP}); err == nil {
+	if _, err := analysis.Bounds(sys, analysis.Options{}); err == nil {
 		t.Error("Bounds accepted nested global critical sections")
 	}
 }
 
 func TestSchedulabilityReportShape(t *testing.T) {
 	sys := handSystem(t)
-	bounds, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP})
+	bounds, err := analysis.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,7 @@ func TestBoundSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		bounds, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP})
+		bounds, err := analysis.Bounds(sys, analysis.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -246,7 +255,7 @@ func TestDPCPBoundSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		bounds, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindDPCP})
+		bounds, err := analysis.Bounds(sys, dpcpOpts(sys))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -281,7 +290,7 @@ func TestTheorem3Soundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opts := analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: true}
+		opts := analysis.Options{DeferredPenalty: true}
 		bounds, err := analysis.Bounds(sys, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -23,7 +23,7 @@ func TestResponseBoundDominatesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: true}
+		opts := analysis.Options{DeferredPenalty: true}
 		bounds, err := analysis.Bounds(sys, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,8 @@ func TestResponseBoundDominatesSimulationDPCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := analysis.Options{Kind: analysis.KindDPCP, DeferredPenalty: true}
+		opts := dpcpOpts(sys)
+		opts.DeferredPenalty = true
 		bounds, err := analysis.Bounds(sys, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -148,19 +149,23 @@ func TestBoundsMonotoneInCriticalSectionLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		bigger := grow(sys, 3)
-		for _, kind := range []analysis.Kind{analysis.KindMPCP, analysis.KindDPCP} {
-			b1, err := analysis.Bounds(sys, analysis.Options{Kind: kind})
+		for _, dpcp := range []bool{false, true} {
+			o1, o2 := analysis.Options{}, analysis.Options{}
+			if dpcp {
+				o1, o2 = dpcpOpts(sys), dpcpOpts(bigger)
+			}
+			b1, err := analysis.Bounds(sys, o1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b2, err := analysis.Bounds(bigger, analysis.Options{Kind: kind})
+			b2, err := analysis.Bounds(bigger, o2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for id := range b1 {
 				if b2[id].Total < b1[id].Total {
-					t.Errorf("seed %d kind %v task %d: bound shrank %d -> %d with longer sections",
-						seed, kind, id, b1[id].Total, b2[id].Total)
+					t.Errorf("seed %d dpcp %v task %d: bound shrank %d -> %d with longer sections",
+						seed, dpcp, id, b1[id].Total, b2[id].Total)
 				}
 			}
 		}
@@ -177,7 +182,7 @@ func TestHighestPriorityTaskFactors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounds, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP})
+		bounds, err := analysis.Bounds(sys, analysis.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func Explain(sys *task.System, id task.ID, opts Options) (string, error) {
 		return "", fmt.Errorf("analysis: no task %d", id)
 	}
 	log := termLog{}
-	all, err := kindBounds(sys, opts, log)
+	all, err := compose(sys, opts, log)
 	if err != nil {
 		return "", err
 	}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
+	"mpcp/internal/registry"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
@@ -239,17 +241,14 @@ var (
 	explainTerm   = regexp.MustCompile(`^   .*: (\d+) x (\d+) ticks$`)
 )
 
-// TestExplainMatchesBounds checks, for the three kinds Explain narrates,
-// with and without the deferred penalty, on periodic and jittered
-// systems and the uniprocessor fixture, that every task's headline is Bounds' Total, that each factor
-// heading is the bound's factor, and that the terms listed under it
-// multiply out to that factor.
+// TestExplainMatchesBounds checks, for every protocol the registry
+// explains, with and without the deferred penalty and an explicit
+// synchronization-processor assignment, on periodic and jittered
+// systems and the uniprocessor fixture, that every task's headline is
+// the registered bound's Total, that each factor heading is the bound's
+// factor, and that the terms listed under it multiply out to that
+// factor.
 func TestExplainMatchesBounds(t *testing.T) {
-	kinds := map[string]analysis.Options{
-		"mpcp":      {Kind: analysis.KindMPCP},
-		"mpcp-ceil": {Kind: analysis.KindMPCP, GcsAtCeiling: true},
-		"dpcp":      {Kind: analysis.KindDPCP},
-	}
 	systems := []*task.System{uniSystem(t)}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, jitter := range []float64{0, 0.2} {
@@ -262,22 +261,32 @@ func TestExplainMatchesBounds(t *testing.T) {
 			systems = append(systems, sys)
 		}
 	}
-	for name, base := range kinds {
+	if got := registry.Explainable(); !slices.Contains(got, "hybrid") {
+		t.Fatalf("explainable protocols %v lack hybrid", got)
+	}
+	for _, name := range registry.Explainable() {
 		for _, penalty := range []bool{false, true} {
-			opts := base
-			opts.DeferredPenalty = penalty
 			for si, sys := range systems {
-				bounds, err := analysis.Bounds(sys, opts)
-				if err != nil {
-					t.Fatal(err)
+				explicit := make(map[task.SemID]task.ProcID)
+				for _, sem := range sys.Sems {
+					if sem.Global {
+						explicit[sem.ID] = task.ProcID(int(sem.ID) % sys.NumProcs)
+					}
 				}
-				for _, tk := range sys.Tasks {
-					out, err := analysis.Explain(sys, tk.ID, opts)
+				for _, assign := range []map[task.SemID]task.ProcID{nil, explicit} {
+					opts := registry.AnalyzeOpts{DeferredPenalty: penalty, DPCPAssign: assign}
+					bounds, err := registry.Analyze(name, sys, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := checkExplain(out, bounds[tk.ID], penalty); err != nil {
-						t.Errorf("%s penalty=%v system %d task %d: %v:\n%s", name, penalty, si, tk.ID, err, out)
+					for _, tk := range sys.Tasks {
+						out, err := registry.Explain(name, sys, tk.ID, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := checkExplain(out, bounds[tk.ID], penalty); err != nil {
+							t.Errorf("%s penalty=%v assign=%v system %d task %d: %v:\n%s", name, penalty, assign != nil, si, tk.ID, err, out)
+						}
 					}
 				}
 			}

@@ -6,6 +6,7 @@ import (
 
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
+	"mpcp/internal/registry"
 	"mpcp/internal/shmem"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
@@ -24,7 +25,8 @@ func E10ProtocolComparison() (*Table, error) {
 	}
 	const seeds = 20
 	for _, util := range []float64{0.3, 0.4, 0.5, 0.6, 0.7} {
-		var schedM, schedD, missM, missD int
+		var sched [2]int // mpcp, dpcp
+		var missM, missD int
 		for seed := int64(1); seed <= seeds; seed++ {
 			cfg := workload.Default(seed)
 			cfg.UtilPerProc = util
@@ -32,19 +34,13 @@ func E10ProtocolComparison() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for kind, sched := range map[analysis.Kind]*int{
-				analysis.KindMPCP: &schedM, analysis.KindDPCP: &schedD,
-			} {
-				bounds, err := analysis.Bounds(sys, analysis.Options{Kind: kind, DeferredPenalty: true})
+			for k, name := range []string{"mpcp", "dpcp"} {
+				ok, err := admitted(sys, name, registry.AnalyzeOpts{DeferredPenalty: true})
 				if err != nil {
 					return nil, err
 				}
-				rep, err := analysis.Schedulability(sys, bounds, analysis.Options{})
-				if err != nil {
-					return nil, err
-				}
-				if rep.SchedulableResponse {
-					*sched++
+				if ok {
+					sched[k]++
 				}
 			}
 			resM, err := runSim(sys, core.New(core.Options{}), 0)
@@ -64,7 +60,7 @@ func E10ProtocolComparison() (*Table, error) {
 		}
 		pct := func(n int) string { return fmt.Sprintf("%d%%", n*100/seeds) }
 		t.Rows = append(t.Rows, []string{
-			ftoa(util), pct(schedM), pct(schedD), pct(missM), pct(missD),
+			ftoa(util), pct(sched[0]), pct(sched[1]), pct(missM), pct(missD),
 		})
 	}
 	t.Notes = "Paper's claim (Section 5.2): the two protocols trade blocking factors;\n" +
@@ -96,7 +92,7 @@ func E11Theorem3Soundness() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opts := analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: true}
+			opts := analysis.Options{DeferredPenalty: true}
 			bounds, err := analysis.Bounds(sys, opts)
 			if err != nil {
 				return nil, err
@@ -241,7 +237,7 @@ func E13NestedGcs() (*Table, error) {
 			return nil, err
 		}
 		analyzable := "yes"
-		if _, err := analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP}); err != nil {
+		if _, err := analysis.Bounds(sys, analysis.Options{}); err != nil {
 			analyzable = "no (nested)"
 		}
 		variant := "collapsed"

@@ -6,6 +6,7 @@ import (
 	"mpcp/internal/alloc"
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
+	"mpcp/internal/registry"
 	"mpcp/internal/server"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -54,7 +55,7 @@ func E14HybridProtocol() (*Table, error) {
 					w = st.MaxMeasuredB
 				}
 			}
-			bounds, err := analysis.HybridBounds(sys, analysis.HybridOptions{Remote: remote})
+			bounds, err := registry.Analyze("hybrid", sys, registry.AnalyzeOpts{RemoteSems: remote})
 			if err != nil {
 				return 0, 0, false, err
 			}
@@ -64,7 +65,7 @@ func E14HybridProtocol() (*Table, error) {
 			}
 			return w, sumB, res.AnyMiss, nil
 		}
-		wShm, bShm, m1, err := worst(nil)
+		wShm, bShm, m1, err := worst(map[task.SemID]bool{})
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +86,7 @@ func E14HybridProtocol() (*Table, error) {
 	t.Notes = "The mix trades the shared-memory protocol's local gcs preemption\n" +
 		"(factor 5) against the message-based protocol's agent interference; the\n" +
 		"paper proposes exactly this tuning knob in its conclusion. The sumBound\n" +
-		"columns use the composed hybrid analysis (internal/analysis.HybridBounds).\n" +
+		"columns use the composed analysis (internal/analysis.Bounds) per remote set.\n" +
 		"With synchronization duties defaulting onto task processors, the\n" +
 		"shared-memory mode has the smallest bounds (consistent with E10); E19\n" +
 		"shows the remote mode paying off once a processor is dedicated to it."
@@ -118,7 +119,7 @@ func E15AllocationAffinity() (*Table, error) {
 					globals++
 				}
 			}
-			opts := analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: true}
+			opts := analysis.Options{DeferredPenalty: true}
 			bounds, err := analysis.Bounds(sys, opts)
 			if err != nil {
 				return 0, 0, false, err
@@ -176,16 +177,7 @@ func E17MinProcessors() (*Table, error) {
 			return nil, err
 		}
 		evaluate := func(sys *task.System) (bool, error) {
-			opts := analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: true}
-			bounds, err := analysis.Bounds(sys, opts)
-			if err != nil {
-				return false, err
-			}
-			rep, err := analysis.Schedulability(sys, bounds, opts)
-			if err != nil {
-				return false, err
-			}
-			return rep.SchedulableResponse, nil
+			return admitted(sys, "mpcp", registry.AnalyzeOpts{DeferredPenalty: true})
 		}
 		n, _, sys, err := alloc.MinProcessors(specs, sems, 16, evaluate)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"mpcp/internal/alloc"
 	"mpcp/internal/analysis"
 	"mpcp/internal/core"
+	"mpcp/internal/registry"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
 )
@@ -42,7 +43,7 @@ func E19DedicatedSyncProc() (*Table, error) {
 			}
 
 			// Variant A: DPCP, sync duties on the task processors.
-			if ok, err := admitted(sys, analysis.Options{Kind: analysis.KindDPCP, DeferredPenalty: true}); err != nil {
+			if ok, err := admitted(sys, "dpcp", registry.AnalyzeOpts{DeferredPenalty: true}); err != nil {
 				return nil, err
 			} else if ok {
 				admitShared++
@@ -61,8 +62,8 @@ func E19DedicatedSyncProc() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			optsB := analysis.Options{Kind: analysis.KindDPCP, DeferredPenalty: true, DPCPAssign: assign}
-			if ok, err := admitted(sysB, optsB); err != nil {
+			optsB := registry.AnalyzeOpts{DeferredPenalty: true, DPCPAssign: assign}
+			if ok, err := admitted(sysB, "dpcp", optsB); err != nil {
 				return nil, err
 			} else if ok {
 				admitDedicated++
@@ -80,7 +81,7 @@ func E19DedicatedSyncProc() (*Table, error) {
 			if err != nil {
 				continue // unplaceable at this utilization; skip variant C
 			}
-			if ok, err := admitted(sysC, analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: true}); err != nil {
+			if ok, err := admitted(sysC, "mpcp", registry.AnalyzeOpts{DeferredPenalty: true}); err != nil {
 				return nil, err
 			} else if ok {
 				admitMpcp++
@@ -111,12 +112,14 @@ func E19DedicatedSyncProc() (*Table, error) {
 	return t, nil
 }
 
-func admitted(sys *task.System, opts analysis.Options) (bool, error) {
-	bounds, err := analysis.Bounds(sys, opts)
+// admitted reports whether the named protocol's registered bound admits
+// sys under the response-time test.
+func admitted(sys *task.System, protocol string, opts registry.AnalyzeOpts) (bool, error) {
+	bounds, err := registry.Analyze(protocol, sys, opts)
 	if err != nil {
 		return false, err
 	}
-	rep, err := analysis.Schedulability(sys, bounds, opts)
+	rep, err := analysis.Schedulability(sys, bounds, analysis.Options{})
 	if err != nil {
 		return false, err
 	}

@@ -7,6 +7,7 @@ import (
 	"mpcp/internal/config"
 	"mpcp/internal/core"
 	"mpcp/internal/obs"
+	"mpcp/internal/registry"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
 	"mpcp/internal/trace"
@@ -148,12 +149,12 @@ func TestAttributionMatchesEngineRandom(t *testing.T) {
 // layer exists to check.
 func TestMeasuredBlockingWithinBound(t *testing.T) {
 	cases := []struct {
-		kind  analysis.Kind
+		kind  string
 		util  float64
 		proto func() sim.Protocol
 	}{
-		{analysis.KindMPCP, 0.45, func() sim.Protocol { return core.New(core.Options{}) }},
-		{analysis.KindDPCP, 0.35, func() sim.Protocol { return core.NewDPCP(nil) }},
+		{"mpcp", 0.45, func() sim.Protocol { return core.New(core.Options{}) }},
+		{"dpcp", 0.35, func() sim.Protocol { return core.NewDPCP(nil) }},
 	}
 	for _, tc := range cases {
 		checked := 0
@@ -164,12 +165,11 @@ func TestMeasuredBlockingWithinBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := analysis.Options{Kind: tc.kind, DeferredPenalty: true}
-			bounds, err := analysis.Bounds(sys, opts)
+			bounds, err := registry.Analyze(tc.kind, sys, registry.AnalyzeOpts{DeferredPenalty: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			schedRep, err := analysis.Schedulability(sys, bounds, opts)
+			schedRep, err := analysis.Schedulability(sys, bounds, analysis.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -94,17 +94,11 @@ func writeAnalysis(t *testing.T, h hash.Hash, sys *task.System) {
 			explicit[sem.ID] = task.ProcID(int(sem.ID) % sys.NumProcs)
 		}
 	}
-	kinds := []analysis.Options{
-		{Kind: analysis.KindMPCP},
-		{Kind: analysis.KindMPCP, GcsAtCeiling: true},
-		{Kind: analysis.KindDPCP},
-	}
-	for _, opts := range kinds {
+	for _, name := range []string{"mpcp", "mpcp-ceil", "dpcp"} {
 		for _, assign := range []map[task.SemID]task.ProcID{nil, explicit} {
-			opts.DPCPAssign = assign
-			opts.DeferredPenalty = assign != nil
+			opts := registry.AnalyzeOpts{DPCPAssign: assign, DeferredPenalty: assign != nil}
 			for _, tk := range sys.Tasks {
-				text, err := analysis.Explain(sys, tk.ID, opts)
+				text, err := registry.Explain(name, sys, tk.ID, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,9 +4,10 @@
 // capability record, a constructor and (when one exists) its
 // analytical blocking bound. Everything that used to switch on
 // protocol-name strings — command-line resolution, campaign spec
-// validation, conformance-oracle applicability, analysis dispatch —
-// now asks the registry instead, so adding a protocol is one entry
-// here plus its implementation package, with zero per-consumer wiring.
+// validation, conformance-oracle applicability, analysis dispatch and
+// explanation — now asks the registry instead, so adding a protocol is
+// one entry here plus its implementation package, with zero
+// per-consumer wiring.
 //
 // Capabilities replace the hand-maintained per-protocol exemption
 // lists the conformance oracles used to carry: an oracle asks "does
@@ -86,8 +87,8 @@ type Caps struct {
 	PCPReduction bool
 
 	// HasBound: the descriptor registers an analytical worst-case
-	// blocking bound (Analyze is non-nil exactly when this is set);
-	// the bound-soundness and interarrival-monotonicity oracles apply.
+	// blocking bound; the bound-soundness and interarrival-monotonicity
+	// oracles apply. It is derived: set exactly when Analyze is non-nil.
 	HasBound bool
 }
 
@@ -151,6 +152,15 @@ type Descriptor struct {
 	// when the protocol has no published analysis (Caps.HasBound is
 	// false).
 	Analyze func(*task.System, AnalyzeOpts) (map[task.ID]*analysis.Bound, error)
+
+	// Explain renders a factor-by-factor account of one task's bound,
+	// nil when the protocol's analysis does not record its terms.
+	Explain func(*task.System, task.ID, AnalyzeOpts) (string, error)
+
+	// composed gives, per system, the analysis.Options of the composed
+	// blocking analysis (analysis.Bounds) that bounds the protocol;
+	// Analyze and Explain are derived from it.
+	composed func(*task.System, AnalyzeOpts) analysis.Options
 }
 
 // DefaultRemoteSems is the hybrid protocol's default message-based
@@ -176,10 +186,40 @@ func hybridRemote(sys *task.System, remote map[task.SemID]bool) map[task.SemID]b
 	return DefaultRemoteSems(sys)
 }
 
+// remoteAt marks, by position in sys.Sems, the global semaphores in set,
+// or every global semaphore when set is nil: the remote set of the
+// composed analysis.
+func remoteAt(sys *task.System, set map[task.SemID]bool) []bool {
+	at := make([]bool, len(sys.Sems))
+	for k, sem := range sys.Sems {
+		at[k] = sem.Global && (set == nil || set[sem.ID])
+	}
+	return at
+}
+
+// derive completes the registration table: a protocol bounded by the
+// composed analysis gets Analyze and Explain from its composed options,
+// and Caps.HasBound records whether the protocol has an analysis.
+func derive(ds []Descriptor) []Descriptor {
+	for i := range ds {
+		d := &ds[i]
+		if opts := d.composed; opts != nil {
+			d.Analyze = func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
+				return analysis.Bounds(sys, opts(sys, o))
+			}
+			d.Explain = func(sys *task.System, id task.ID, o AnalyzeOpts) (string, error) {
+				return analysis.Explain(sys, id, opts(sys, o))
+			}
+		}
+		d.Caps.HasBound = d.Analyze != nil
+	}
+	return ds
+}
+
 // descriptors is the registration table, in display order: the
 // paper's protocols first, then the spin-lock zoo, then the
 // uniprocessor and baseline references.
-var descriptors = []Descriptor{
+var descriptors = derive([]Descriptor{
 	{
 		Name:    "mpcp",
 		Summary: "shared-memory protocol of Section 5 (suspension, priority queues)",
@@ -188,11 +228,10 @@ var descriptors = []Descriptor{
 			GcsPreemptionFree:     true,
 			DeadlockFree:          true,
 			RenameInvariant:       true,
-			HasBound:              true,
 		},
 		New: func(Opts) (sim.Protocol, error) { return core.New(core.Options{}), nil },
-		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-			return analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP, DeferredPenalty: o.DeferredPenalty})
+		composed: func(_ *task.System, o AnalyzeOpts) analysis.Options {
+			return analysis.Options{DeferredPenalty: o.DeferredPenalty}
 		},
 	},
 	{
@@ -224,11 +263,10 @@ var descriptors = []Descriptor{
 			GcsPreemptionFree:     true,
 			DeadlockFree:          true,
 			RenameInvariant:       true,
-			HasBound:              true,
 		},
 		New: func(Opts) (sim.Protocol, error) { return core.New(core.Options{GcsAtCeiling: true}), nil },
-		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-			return analysis.Bounds(sys, analysis.Options{Kind: analysis.KindMPCP, GcsAtCeiling: true, DeferredPenalty: o.DeferredPenalty})
+		composed: func(_ *task.System, o AnalyzeOpts) analysis.Options {
+			return analysis.Options{GcsAtCeiling: true, DeferredPenalty: o.DeferredPenalty}
 		},
 	},
 	{
@@ -249,11 +287,10 @@ var descriptors = []Descriptor{
 			GcsPreemptionFree: true,
 			DeadlockFree:      true,
 			RenameInvariant:   true,
-			HasBound:          true,
 		},
 		New: func(o Opts) (sim.Protocol, error) { return core.NewDPCP(o.DPCPAssign), nil },
-		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-			return analysis.Bounds(sys, analysis.Options{Kind: analysis.KindDPCP, DeferredPenalty: o.DeferredPenalty, DPCPAssign: o.DPCPAssign})
+		composed: func(sys *task.System, o AnalyzeOpts) analysis.Options {
+			return analysis.Options{Remote: remoteAt(sys, nil), DPCPAssign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty}
 		},
 	},
 	{
@@ -263,13 +300,12 @@ var descriptors = []Descriptor{
 			UsesAgents:        true,
 			GcsPreemptionFree: true,
 			DeadlockFree:      true,
-			HasBound:          true,
 		},
 		New: func(o Opts) (sim.Protocol, error) {
 			return core.NewHybrid(hybridRemote(o.Sys, o.RemoteSems), o.DPCPAssign), nil
 		},
-		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-			return analysis.HybridBounds(sys, analysis.HybridOptions{Remote: hybridRemote(sys, o.RemoteSems), Assign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty})
+		composed: func(sys *task.System, o AnalyzeOpts) analysis.Options {
+			return analysis.Options{Remote: remoteAt(sys, hybridRemote(sys, o.RemoteSems)), DPCPAssign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty}
 		},
 	},
 	{
@@ -279,7 +315,6 @@ var descriptors = []Descriptor{
 			Spins:             true,
 			GcsPreemptionFree: true,
 			DeadlockFree:      true,
-			HasBound:          true,
 		},
 		New: func(Opts) (sim.Protocol, error) { return core.NewMSRP(), nil },
 		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
@@ -295,7 +330,6 @@ var descriptors = []Descriptor{
 			GcsPreemptionFree:  true,
 			DeadlockFree:       true,
 			TickScaleDependent: true,
-			HasBound:           true,
 		},
 		New: func(Opts) (sim.Protocol, error) { return core.NewFMLP(), nil },
 		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
@@ -351,7 +385,7 @@ var descriptors = []Descriptor{
 		},
 		New: func(Opts) (sim.Protocol, error) { return proto.NewInherit(), nil },
 	},
-}
+})
 
 // All returns every registered descriptor (including hidden ones) in
 // registration order. The slice is a copy; descriptors themselves are
@@ -387,33 +421,41 @@ func Lookup(name string) (*Descriptor, bool) {
 // Names returns the visible canonical protocol names in registration
 // order — the list "-protocols all" expands to and error messages
 // print.
-func Names() []string {
+func Names() []string { return visible(func(*Descriptor) bool { return true }) }
+
+// Analyzable returns the visible names of protocols with a registered
+// analytical bound — the set campaign sweeps accept.
+func Analyzable() []string { return visible(func(d *Descriptor) bool { return d.Analyze != nil }) }
+
+// Explainable returns the visible names of protocols whose bound
+// Explain can narrate term by term.
+func Explainable() []string { return visible(func(d *Descriptor) bool { return d.Explain != nil }) }
+
+// visible returns, in registration order, the names of the visible
+// descriptors keep accepts.
+func visible(keep func(*Descriptor) bool) []string {
 	out := make([]string, 0, len(descriptors))
 	for i := range descriptors {
-		if !descriptors[i].Hidden {
-			out = append(out, descriptors[i].Name)
+		if d := &descriptors[i]; !d.Hidden && keep(d) {
+			out = append(out, d.Name)
 		}
 	}
 	return out
 }
 
-// Analyzable returns the visible names of protocols with a registered
-// analytical bound — the set campaign sweeps accept.
-func Analyzable() []string {
-	out := make([]string, 0, len(descriptors))
-	for i := range descriptors {
-		if !descriptors[i].Hidden && descriptors[i].Caps.HasBound {
-			out = append(out, descriptors[i].Name)
-		}
+// resolve is Lookup with an error naming the visible protocols.
+func resolve(name string) (*Descriptor, error) {
+	if d, ok := Lookup(name); ok {
+		return d, nil
 	}
-	return out
+	return nil, fmt.Errorf("unknown protocol %q (choose from: %s)", name, strings.Join(Names(), ", "))
 }
 
 // New constructs a fresh instance of the named protocol.
 func New(name string, opts Opts) (sim.Protocol, error) {
-	d, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (choose from: %s)", name, strings.Join(Names(), ", "))
+	d, err := resolve(name)
+	if err != nil {
+		return nil, err
 	}
 	return d.New(opts)
 }
@@ -421,14 +463,28 @@ func New(name string, opts Opts) (sim.Protocol, error) {
 // Analyze computes the named protocol's worst-case blocking bounds,
 // or an error naming the analyzable protocols when it has none.
 func Analyze(name string, sys *task.System, opts AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-	d, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (choose from: %s)", name, strings.Join(Names(), ", "))
+	d, err := resolve(name)
+	if err != nil {
+		return nil, err
 	}
 	if d.Analyze == nil {
 		return nil, fmt.Errorf("protocol %q has no analytical bound (analyzable: %s)", d.Name, strings.Join(Analyzable(), ", "))
 	}
 	return d.Analyze(sys, opts)
+}
+
+// Explain renders the named protocol's factor-by-factor account of task
+// id's bound, whose headline is Analyze's Total with the same options,
+// or an error naming the explainable protocols when it has none.
+func Explain(name string, sys *task.System, id task.ID, opts AnalyzeOpts) (string, error) {
+	d, err := resolve(name)
+	if err != nil {
+		return "", err
+	}
+	if d.Explain == nil {
+		return "", fmt.Errorf("protocol %q has no term-by-term explanation (explainable: %s)", d.Name, strings.Join(Explainable(), ", "))
+	}
+	return d.Explain(sys, id, opts)
 }
 
 // CapsFor returns the capability record of the named protocol.

@@ -1,10 +1,12 @@
 package registry_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mpcp/internal/registry"
+	"mpcp/internal/task"
 	"mpcp/internal/workload"
 )
 
@@ -206,6 +208,10 @@ func TestErrorsListChoices(t *testing.T) {
 		!strings.Contains(err.Error(), "analyzable") {
 		t.Errorf("Analyze error for a bound-less protocol does not list analyzable names: %v", err)
 	}
+	if _, err := registry.Explain("msrp", nil, 1, registry.AnalyzeOpts{}); err == nil ||
+		!strings.Contains(err.Error(), "explainable") || !strings.Contains(err.Error(), "hybrid") {
+		t.Errorf("Explain error for msrp does not list explainable names: %v", err)
+	}
 }
 
 // TestSpinCapabilityPins: the spin-lock zoo declares exactly the
@@ -234,4 +240,65 @@ func TestSpinCapabilityPins(t *testing.T) {
 	if msrp.TickScaleDependent {
 		t.Error("msrp has no tick-dependent decisions; TickScaleDependent must be unset")
 	}
+}
+
+// degenerateSystems generates the systems the degenerate-hybrid tests
+// run over: periodic, sporadic and jittered releases, so the equality
+// covers the jitter-aware interference count too.
+func degenerateSystems(t *testing.T, visit func(name string, sys *task.System)) {
+	t.Helper()
+	for seed := int64(1); seed <= 8; seed++ {
+		sporadic, jittered := workload.Default(seed), workload.Default(seed)
+		sporadic.Sporadic = true
+		jittered.MaxJitterFrac = 0.2
+		for name, cfg := range map[string]workload.Config{"periodic": workload.Default(seed), "sporadic": sporadic, "jittered": jittered} {
+			sys, err := workload.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visit(fmt.Sprintf("%s seed %d", name, seed), sys)
+		}
+	}
+}
+
+// sameBounds reports every task whose bound under protocol want differs
+// from its bound under hybrid, factor by factor.
+func sameBounds(t *testing.T, label string, sys *task.System, want string, remote map[task.SemID]bool) {
+	t.Helper()
+	w, err := registry.Analyze(want, sys, registry.AnalyzeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := registry.Analyze("hybrid", sys, registry.AnalyzeOpts{RemoteSems: remote})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range w {
+		if *w[id] != *h[id] {
+			t.Errorf("%s task %d: hybrid %+v != %s %+v", label, id, *h[id], want, *w[id])
+		}
+	}
+}
+
+// TestHybridBoundsDegenerateToMPCP: with no remote semaphores the hybrid
+// bounds equal the MPCP bounds exactly, factor by factor.
+func TestHybridBoundsDegenerateToMPCP(t *testing.T) {
+	degenerateSystems(t, func(label string, sys *task.System) {
+		sameBounds(t, label, sys, "mpcp", map[task.SemID]bool{})
+	})
+}
+
+// TestHybridBoundsDegenerateToDPCP: with every global semaphore remote
+// (default assignment), the hybrid bounds equal the DPCP bounds, factor
+// by factor.
+func TestHybridBoundsDegenerateToDPCP(t *testing.T) {
+	degenerateSystems(t, func(label string, sys *task.System) {
+		remote := make(map[task.SemID]bool)
+		for _, sem := range sys.Sems {
+			if sem.Global {
+				remote[sem.ID] = true
+			}
+		}
+		sameBounds(t, label, sys, "dpcp", remote)
+	})
 }
