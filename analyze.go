@@ -35,7 +35,8 @@ type analysisConfig struct {
 	opts     registry.AnalyzeOpts
 }
 
-// analysisOf applies opts to the shared-memory protocol's analysis.
+// analysisOf applies opts, from the shared-memory protocol's analysis
+// on, and returns the registered protocol and options they select.
 func analysisOf(opts []AnalysisOption) (string, registry.AnalyzeOpts) {
 	c := analysisConfig{protocol: "mpcp"}
 	for _, opt := range opts {
