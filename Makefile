@@ -97,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz FuzzValidateBody -fuzztime 30s ./internal/task
 	$(GO) test -fuzz FuzzValidateSystem -fuzztime 30s ./internal/task
 	$(GO) test -fuzz FuzzGenerate -fuzztime 30s ./internal/workload
+	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/workload
 	$(GO) test -fuzz FuzzReadStream -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz FuzzConformanceRepro -fuzztime 30s ./internal/conformance
 	$(GO) test -fuzz FuzzConformanceWorkload -fuzztime 30s ./internal/conformance

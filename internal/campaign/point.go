@@ -42,18 +42,23 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 		panic("injected test panic")
 	}
 
+	// The point's trials are generated one after another into the
+	// storage of one Generator: each system is done with before the
+	// next overwrites it.
+	var gen workload.Generator
+	remote := spec.RemoteSems()
 	var blockSum float64
 	var blockTrials int
 	for trial := 0; trial < spec.SeedsPerPoint; trial++ {
 		res.Trials++
 		seed := spec.TrialSeed(pt, trial)
-		sys, err := workload.Generate(spec.WorkloadConfig(pt, seed))
+		sys, err := gen.Generate(spec.WorkloadConfig(pt, seed))
 		if err != nil {
 			res.GenFailed++
 			continue
 		}
 
-		bounds, err := pointBounds(spec, pt, sys)
+		bounds, err := pointBounds(spec, pt, sys, remote)
 		if err != nil {
 			res.AnalysisFailed++
 			continue
@@ -93,7 +98,7 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 		}
 
 		if spec.Simulate {
-			missed, ok := simTrial(spec, pt, sys, res, reg)
+			missed, ok := simTrial(spec, pt, sys, remote, res, reg)
 			if ok && missed && rep.SchedulableResponse {
 				res.SimMissedAdmitted++
 			}
@@ -106,26 +111,21 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 }
 
 // pointBounds computes the per-task blocking bounds for the point's
-// protocol via the registry. RemoteSems only matters to the hybrid
-// protocol; every other analysis ignores it.
-func pointBounds(spec *Spec, pt Point, sys *task.System) (map[task.ID]*analysis.Bound, error) {
+// protocol via the registry. remote, the spec's RemoteSems, only
+// matters to the hybrid protocol; every other analysis ignores it.
+func pointBounds(spec *Spec, pt Point, sys *task.System, remote map[task.SemID]bool) (map[task.ID]*analysis.Bound, error) {
 	return registry.Analyze(pt.Protocol, sys, registry.AnalyzeOpts{
 		DeferredPenalty: spec.DeferredPenalty,
-		RemoteSems:      spec.RemoteSems(),
+		RemoteSems:      remote,
 	})
 }
 
-// simProtocol builds the simulator protocol matching the point's
-// analysis.
-func simProtocol(spec *Spec, pt Point) (sim.Protocol, error) {
-	return registry.New(pt.Protocol, registry.Opts{RemoteSems: spec.RemoteSems()})
-}
-
-// simTrial runs one confirmation simulation under the point's tick
+// simTrial runs one confirmation simulation of the point's protocol,
+// built with the spec's RemoteSems remote, under the point's tick
 // budget. It reports whether the run missed a deadline and whether the
 // run completed at all.
-func simTrial(spec *Spec, pt Point, sys *task.System, res *PointResult, reg *obs.Registry) (missed, ok bool) {
-	proto, err := simProtocol(spec, pt)
+func simTrial(spec *Spec, pt Point, sys *task.System, remote map[task.SemID]bool, res *PointResult, reg *obs.Registry) (missed, ok bool) {
+	proto, err := registry.New(pt.Protocol, registry.Opts{RemoteSems: remote})
 	if err != nil {
 		res.SimFailed++
 		return false, false

@@ -104,7 +104,7 @@ func TestPointBoundsCoverAllTasks(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		bounds, err := pointBounds(spec, pt, sys)
+		bounds, err := pointBounds(spec, pt, sys, spec.RemoteSems())
 		if err != nil {
 			continue
 		}

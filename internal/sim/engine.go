@@ -614,6 +614,9 @@ func (e *Engine) loadSegment(j *Job) {
 // Unlock (handover to a queued waiter). The caller remains responsible
 // for j's state and effective priority.
 func (e *Engine) CompleteLock(j *Job, s task.SemID) {
+	if j.Held == nil {
+		j.Held = j.held[:0]
+	}
 	j.Held = append(j.Held, s)
 	j.CSDepth++
 	if k, ok := e.sys.Index().SemPos(s); ok && e.sys.Sems[k].Global {

@@ -149,3 +149,19 @@ func TestExample1(t *testing.T) {
 		t.Errorf("inherit: J1 blocking = %d, want <= critical section length 4", inhBlock)
 	}
 }
+
+// TestNewRejectsFailedRevalidation checks that a system whose last
+// Validate failed is not simulated, though an earlier Validate passed.
+func TestNewRejectsFailedRevalidation(t *testing.T) {
+	sys := uniproc(t)
+	sys.Tasks[1].Body = []task.Segment{task.Compute(5), task.Unlock(1)}
+	if err := sys.Validate(task.ValidateOptions{}); err == nil {
+		t.Fatal("Validate accepted an unlock of an unknown semaphore")
+	}
+	if sys.Validated() {
+		t.Fatal("Validated() is true after a failed Validate")
+	}
+	if _, err := sim.New(sys, proto.NewNone(proto.FIFOOrder), sim.Config{Horizon: 20}); err == nil {
+		t.Error("sim.New accepted a system whose last Validate failed")
+	}
+}

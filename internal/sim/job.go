@@ -78,6 +78,10 @@ type Job struct {
 	Held    []task.SemID // semaphores currently held, in acquisition order
 	CSDepth int          // current critical-section nesting depth
 	GCS     int          // >0 when inside a global critical section
+	// held backs Held until a job nests deeper than its length: one
+	// entry keeps a Job in its allocation size class and covers every
+	// job that holds one semaphore at a time.
+	held [1]task.SemID
 
 	// Agent linkage for the message-based protocol: an agent executes a
 	// gcs remotely on behalf of Parent; OnDone is invoked when it

@@ -5,9 +5,10 @@ package task
 // computed once per validation instead of once per analysis call. A task
 // position is an index into System.Tasks and a semaphore position an
 // index into System.Sems; every critical section carries its
-// semaphore's position in SemPos. An Index is never modified after
-// Validate builds it, and every slice its methods return is shared and
-// read-only, capped so that an append by a caller copies.
+// semaphore's position in SemPos. An Index is valid until its system's
+// next Validate, which rebuilds the index in the same storage; every
+// slice its methods return is shared and read-only, capped so that an
+// append by a caller copies.
 type Index struct {
 	// sections, global and local hold, by task position, every
 	// critical section (in the order their Unlocks appear), the
@@ -24,6 +25,26 @@ type Index struct {
 	lowest []ProcID
 	// semPos resolves a semaphore ID to its position.
 	semPos semPositions
+
+	store indexStore
+}
+
+// indexStore is the storage an Index is built in and Validate's
+// scratch, kept for the next Validate of the same system.
+type indexStore struct {
+	byPrio, byID []int // task positions by descending priority and ID
+	global, held []bool
+	stack        []openCS
+	// all holds every critical section, task i's at
+	// all[ends[i-1]:ends[i]]; gflat and lflat the outermost global and
+	// the local ones.
+	all, gflat, lflat []CriticalSection
+	ends              []int
+	procOf            []int
+	tasks             []*Task
+	semOf, taskOf     []int
+	last              []int
+	inOrder, users    grouping
 }
 
 // Sections returns the critical sections of the task at position i, in
@@ -54,19 +75,17 @@ func (x *Index) Users(k int) []int { return x.users[k] }
 // semaphore at position k is accessed, or -1 when no task accesses it.
 func (x *Index) LowestAccessor(k int) ProcID { return x.lowest[k] }
 
-// buildIndex derives s's index from the critical sections Validate
-// extracted (all, with task i's at all[ends[i-1]:ends[i]]), the lowest
-// accessor processor of every semaphore, the task positions by
-// descending priority and the semaphore positions by ID.
-func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID, byPrio []int, semPos semPositions) *Index {
+// build derives x from s and the scratch Validate filled: the critical
+// sections in store.all and store.ends, the lowest accessor processor
+// of every semaphore, the task positions by descending priority and the
+// semaphore positions by ID.
+func (x *Index) build(s *System) {
 	n := len(s.Tasks)
-	x := &Index{
-		sections: make([][]CriticalSection, n),
-		global:   make([][]CriticalSection, n),
-		local:    make([][]CriticalSection, n),
-		lowest:   lowest,
-		semPos:   semPos,
-	}
+	st := &x.store
+	all, byPrio := st.all, st.byPrio
+	x.sections = resize(x.sections, n)
+	x.global = resize(x.global, n)
+	x.local = resize(x.local, n)
 
 	// Sections: one backing array for the outermost global ones and one
 	// for the local ones, each task's a capped window of it.
@@ -79,10 +98,10 @@ func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID, b
 			nGlobal++
 		}
 	}
-	gflat := make([]CriticalSection, 0, nGlobal)
-	lflat := make([]CriticalSection, 0, nLocal)
+	gflat := resize(st.gflat, nGlobal)[:0]
+	lflat := resize(st.lflat, nLocal)[:0]
 	start := 0
-	for i, end := range ends {
+	for i, end := range st.ends {
 		g0, l0 := len(gflat), len(lflat)
 		for _, cs := range all[start:end] {
 			switch {
@@ -97,16 +116,19 @@ func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID, b
 		x.local[i] = lflat[l0:len(lflat):len(lflat)]
 		start = end
 	}
+	st.gflat, st.lflat = gflat, lflat
 
 	// Processors: group the task positions by processor, in system
 	// order and, filed from byPrio, by descending priority.
-	procOf := make([]int, n)
+	procOf := resize(st.procOf, n)
+	st.procOf = procOf
 	for i, t := range s.Tasks {
 		procOf[i] = int(t.Proc)
 	}
-	x.inOrder = groupBy(s.NumProcs, procOf, nil)
-	x.byPrio = make([][]*Task, s.NumProcs)
-	tasks := make([]*Task, n)
+	x.inOrder = st.inOrder.group(s.NumProcs, procOf, nil)
+	x.byPrio = resize(x.byPrio, s.NumProcs)
+	st.tasks = resize(st.tasks, n)
+	tasks := st.tasks
 	for p, on := range x.inOrder {
 		x.byPrio[p] = tasks[:0:len(on)]
 		tasks = tasks[len(on):]
@@ -119,9 +141,9 @@ func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID, b
 	// Semaphores: one (semaphore, task) pair per task that locks it,
 	// however many of its sections it guards, filed by descending
 	// priority.
-	semOf := make([]int, 0, len(all))
-	taskOf := make([]int, 0, len(all))
-	last := make([]int, len(s.Sems))
+	semOf := resize(st.semOf, len(all))[:0]
+	taskOf := resize(st.taskOf, len(all))[:0]
+	last := resize(st.last, len(s.Sems))
 	for _, i := range byPrio {
 		for _, cs := range x.sections[i] {
 			if last[cs.SemPos] != i+1 {
@@ -131,37 +153,45 @@ func buildIndex(s *System, all []CriticalSection, ends []int, lowest []ProcID, b
 			}
 		}
 	}
-	x.users = groupBy(len(s.Sems), semOf, taskOf)
-	return x
+	st.semOf, st.taskOf, st.last = semOf, taskOf, last
+	x.users = st.users.group(len(s.Sems), semOf, taskOf)
 }
 
-// groupBy lists owners[j] (j itself when owners is nil) under group
+// grouping is the storage of one group result.
+type grouping struct {
+	ends, flat []int
+	out        [][]int
+}
+
+// group lists owners[j] (j itself when owners is nil) under group
 // keys[j], for every j in order. Every group's list is a capped window
-// of one backing array.
-func groupBy(groups int, keys, owners []int) [][]int {
-	ends := make([]int, groups)
-	for _, g := range keys {
-		ends[g]++
+// of one backing array. The result is built in g's storage and valid
+// until g's next group.
+func (g *grouping) group(groups int, keys, owners []int) [][]int {
+	ends := resize(g.ends, groups)
+	for _, k := range keys {
+		ends[k]++
 	}
 	total := 0
-	for g, c := range ends {
+	for k, c := range ends {
 		total += c
-		ends[g] = total - c // the group's start, advanced to its end below
+		ends[k] = total - c // the group's start, advanced to its end below
 	}
-	flat := make([]int, total)
-	for j, g := range keys {
+	flat := resize(g.flat, total)
+	for j, k := range keys {
 		owner := j
 		if owners != nil {
 			owner = owners[j]
 		}
-		flat[ends[g]] = owner
-		ends[g]++
+		flat[ends[k]] = owner
+		ends[k]++
 	}
-	out := make([][]int, groups)
+	out := resize(g.out, groups)
 	start := 0
-	for g, end := range ends {
-		out[g] = flat[start:end:end]
+	for k, end := range ends {
+		out[k] = flat[start:end:end]
 		start = end
 	}
+	g.ends, g.flat, g.out = ends, flat, out
 	return out
 }

@@ -182,8 +182,11 @@ type System struct {
 	// ignored) when no task has release variance.
 	ReleaseSeed int64
 
-	// Derived by Validate:
+	// Derived by Validate: ix is nil unless the last Validate
+	// succeeded; spare holds the storage of an index a failed Validate
+	// dropped, for the next one to rebuild in.
 	ix        *Index
+	spare     *Index
 	validated bool
 }
 
@@ -292,7 +295,22 @@ type ValidateOptions struct {
 // simulation or analysis. Editing a task's Priority, Proc or Body
 // afterwards requires validating again: the index, the ceilings and the
 // analyses read what the last Validate derived.
+//
+// Validate rebuilds the index in the storage of the one it replaces, so
+// an Index and every slice read from it are valid only until this
+// system's next Validate. Whatever its outcome, the last index is gone
+// once Validate starts: after a failure Validated reports false and
+// Index returns nil until a Validate succeeds.
 func (s *System) Validate(opts ValidateOptions) error {
+	s.validated = false
+	x := s.ix
+	if x == nil {
+		x = s.spare
+	}
+	if x == nil {
+		x = new(Index)
+	}
+	s.ix, s.spare = nil, x
 	if s.NumProcs <= 0 {
 		return ErrNoProcs
 	}
@@ -300,8 +318,11 @@ func (s *System) Validate(opts ValidateOptions) error {
 		return ErrNoTasks
 	}
 
-	byPrio, dupPrio, firstPrio := priorityOrder(s.Tasks)
-	dupID := firstRepeatedID(s.Tasks)
+	st := &x.store
+	var dupPrio, firstPrio int
+	st.byPrio, dupPrio, firstPrio = priorityOrder(s.Tasks, st.byPrio)
+	var dupID int
+	st.byID, dupID = firstRepeatedID(s.Tasks, st.byID)
 	for i, t := range s.Tasks {
 		if i == dupID {
 			return fmt.Errorf("%w: %d", ErrDuplicateTaskID, t.ID)
@@ -347,18 +368,21 @@ func (s *System) Validate(opts ValidateOptions) error {
 		}
 	}
 
-	semPos, err := newSemPositions(s.Sems)
+	semPos, err := newSemPositions(s.Sems, x.semPos.byID)
 	if err != nil {
 		return err
 	}
+	x.semPos = semPos
 
 	// Derive which processors access each semaphore: the lowest one, and
 	// whether any other does, which makes the semaphore global.
-	lowest := make([]ProcID, len(s.Sems))
+	lowest := resize(x.lowest, len(s.Sems))
+	x.lowest = lowest
 	for k := range lowest {
 		lowest[k] = -1
 	}
-	global := make([]bool, len(s.Sems))
+	global := resize(st.global, len(s.Sems))
+	st.global = global
 	locks := 0
 	for _, t := range s.Tasks {
 		for _, seg := range t.Body {
@@ -387,42 +411,61 @@ func (s *System) Validate(opts ValidateOptions) error {
 	}
 
 	// Walk each body: match lock/unlock, extract critical sections.
+	st.held = resize(st.held, len(s.Sems))
+	if cap(st.all) < locks {
+		st.all = make([]CriticalSection, 0, locks)
+	}
 	w := sectionWalker{
 		semPos: semPos,
 		global: global,
-		held:   make([]bool, len(s.Sems)),
+		held:   st.held,
 		opts:   opts,
-		out:    make([]CriticalSection, 0, locks),
+		stack:  st.stack,
+		out:    st.all[:0],
 	}
-	ends := make([]int, len(s.Tasks))
+	ends := resize(st.ends, len(s.Tasks))
+	st.ends = ends
 	for i, t := range s.Tasks {
 		if err := w.walk(t); err != nil {
 			return err
 		}
 		ends[i] = len(w.out)
 	}
+	st.stack, st.all = w.stack, w.out
 
-	s.ix = buildIndex(s, w.out, ends, lowest, byPrio, semPos)
+	x.build(s)
+	s.ix, s.spare = x, nil
 	s.validated = true
 	return nil
 }
 
+// resize returns s with length n and zero elements, reusing its storage
+// when it has room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // priorityOrder returns the task positions by descending priority, ties
-// in system order: the order in which buildIndex files the tasks of
+// in system order: the order in which Index.build files the tasks of
 // every processor and semaphore. It also returns the lowest position
 // whose priority an earlier task has, and that task's position; -1, -1
-// when no priority repeats, and only then is the order meaningful.
-func priorityOrder(tasks []*Task) (order []int, dup, first int) {
+// when no priority repeats, and only then is the order meaningful. The
+// order is built in buf's storage when it has room.
+func priorityOrder(tasks []*Task, buf []int) (order []int, dup, first int) {
 	prio := func(i int) int { return tasks[i].Priority }
-	order = byKey(len(tasks), prio)
+	order = byKey(resize(buf, len(tasks)), prio)
 	dup, first = firstRepeat(order, prio)
 	return order, dup, first
 }
 
-// byKey returns the positions 0..n-1 by descending key, equal keys in
-// position order.
-func byKey(n int, key func(int) int) []int {
-	order := make([]int, n)
+// byKey fills order with the positions 0..len(order)-1 by descending
+// key, equal keys in position order, and returns it.
+func byKey(order []int, key func(int) int) []int {
 	for i := range order {
 		order[i] = i
 	}
@@ -453,12 +496,14 @@ func firstRepeat(order []int, key func(int) int) (at, first int) {
 	return at, first
 }
 
-// firstRepeatedID returns the lowest position of a task whose ID an
-// earlier task has, or -1.
-func firstRepeatedID(tasks []*Task) int {
+// firstRepeatedID returns the task positions by descending ID, built in
+// buf's storage when it has room, and the lowest position of a task
+// whose ID an earlier task has, or -1.
+func firstRepeatedID(tasks []*Task, buf []int) (order []int, dup int) {
 	id := func(i int) int { return int(tasks[i].ID) }
-	at, _ := firstRepeat(byKey(len(tasks), id), id)
-	return at
+	order = byKey(resize(buf, len(tasks)), id)
+	dup, _ = firstRepeat(order, id)
+	return order, dup
 }
 
 // semPositions resolves semaphore IDs to positions in System.Sems. When
@@ -469,12 +514,17 @@ type semPositions struct {
 	byID map[SemID]int // nil when the IDs are 1..n in order
 }
 
-// newSemPositions indexes sems, rejecting a duplicate ID.
-func newSemPositions(sems []*Semaphore) (semPositions, error) {
+// newSemPositions indexes sems, rejecting a duplicate ID. A map it
+// needs is built in byID when that is not nil.
+func newSemPositions(sems []*Semaphore, byID map[SemID]int) (semPositions, error) {
 	sp := semPositions{n: len(sems)}
 	for k, sem := range sems {
 		if sem.ID != SemID(k+1) {
-			sp.byID = make(map[SemID]int, len(sems))
+			if byID == nil {
+				byID = make(map[SemID]int, len(sems))
+			}
+			clear(byID)
+			sp.byID = byID
 			break
 		}
 	}
@@ -577,11 +627,13 @@ func (w *sectionWalker) walk(t *Task) error {
 	return nil
 }
 
-// Validated reports whether Validate has succeeded since the last mutation.
+// Validated reports whether the last Validate succeeded and nothing was
+// mutated through the System's methods since.
 func (s *System) Validated() bool { return s.validated }
 
-// Index returns the position-indexed structure the last successful
-// Validate derived, or nil before one.
+// Index returns the position-indexed structure the last Validate
+// derived, or nil before one succeeds and after one fails. It is valid
+// until this system's next Validate.
 func (s *System) Index() *Index { return s.ix }
 
 // CriticalSections returns the critical sections of task id, in the

@@ -435,3 +435,43 @@ func TestZeroPeriodUtilization(t *testing.T) {
 		t.Errorf("zero-period utilization = %v", got)
 	}
 }
+
+// TestFailedRevalidate checks that a Validate that fails leaves the
+// system unvalidated and without an index, even when an earlier one
+// succeeded, and that a later Validate rebuilds the index in full.
+func TestFailedRevalidate(t *testing.T) {
+	sys := validSystem()
+	if err := sys.Validate(ValidateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	body := sys.Tasks[0].Body
+	sys.Tasks[0].Body = append(slices.Clone(body), Unlock(2))
+	if err := sys.Validate(ValidateOptions{}); !errors.Is(err, ErrUnbalancedLocks) {
+		t.Fatalf("Validate of an unbalanced body = %v, want %v", err, ErrUnbalancedLocks)
+	}
+	if sys.Validated() {
+		t.Error("Validated() is true after a failed Validate")
+	}
+	if sys.Index() != nil || sys.CriticalSections(1) != nil || sys.TasksOn(0) != nil {
+		t.Error("a failed Validate left an index")
+	}
+
+	sys.Tasks[0].Body = body
+	if err := sys.Validate(ValidateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := validSystem()
+	if err := fresh.Validate(ValidateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sys.Tasks {
+		if got, want := sys.Index().Sections(i), fresh.Index().Sections(i); !slices.Equal(got, want) {
+			t.Errorf("task %d sections after revalidation = %v, want %v", i, got, want)
+		}
+	}
+	for k := range sys.Sems {
+		if got, want := sys.Index().Users(k), fresh.Index().Users(k); !slices.Equal(got, want) {
+			t.Errorf("semaphore %d users after revalidation = %v, want %v", k, got, want)
+		}
+	}
+}

@@ -8,7 +8,9 @@ import (
 
 // BenchmarkGenerate times workload generation, validation included, on
 // workload.Default(1) and on a system the size of the largest
-// sweep-analysis point (8 processors × 6 tasks, 1–3 gcs per task).
+// sweep-analysis point (8 processors × 6 tasks, 1–3 gcs per task):
+// each system on a fresh Generator (the package-level Generate), and,
+// as campaign points do, one Generator reused across seeds.
 func BenchmarkGenerate(b *testing.B) {
 	sweep := workload.Default(1)
 	sweep.NumProcs = 8
@@ -27,4 +29,13 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sweep-reused", func(b *testing.B) {
+		b.ReportAllocs()
+		var g workload.Generator
+		for i := 0; i < b.N; i++ {
+			if _, err := g.Generate(sweep.WithSeed(int64(i%64 + 1))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"mpcp/internal/task"
 )
 
 // TestGenerateConcurrent proves Generate is safe to call from many
@@ -52,6 +54,44 @@ func TestGenerateConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestGeneratorPerGoroutine is the same gate for the campaign's way of
+// generating: one Generator per goroutine, each reused across seeds,
+// all drawing their random sources from the one pool. Every system must
+// equal the one a fresh Generate returns for its seed.
+func TestGeneratorPerGoroutine(t *testing.T) {
+	const goroutines, seeds = 8, 10
+	want := make([]*task.System, seeds)
+	for i := range want {
+		sys, err := Generate(Default(int64(i + 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sys
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var gen Generator
+			for i := 0; i < seeds; i++ {
+				k := (g + i) % seeds
+				sys, err := gen.Generate(Default(int64(k + 1)))
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if !reflect.DeepEqual(sys.Tasks, want[k].Tasks) || !reflect.DeepEqual(sys.Sems, want[k].Sems) {
+					t.Errorf("goroutine %d: seed %d diverged from a fresh Generate", g, k+1)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestGenerateSpecsConcurrent is the same gate for the unbound-spec

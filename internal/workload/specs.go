@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mpcp/internal/alloc"
 	"mpcp/internal/task"
@@ -59,7 +58,8 @@ func GenerateSpecs(cfg SpecsConfig) ([]alloc.Spec, []*task.Semaphore, error) {
 	if cfg.GroupSize <= 0 {
 		cfg.GroupSize = 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := seededRand(cfg.Seed)
+	defer rngPool.Put(rng)
 
 	var sems []*task.Semaphore
 	for s := 0; s < cfg.SharedSems; s++ {

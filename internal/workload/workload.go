@@ -124,22 +124,57 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// rngPool recycles Generate's random sources: reseeding one restarts
-// its stream exactly as a fresh rand.New(rand.NewSource(seed)) would,
-// without allocating the source's state again.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles the random sources of Generate and GenerateSpecs:
+// reseeding one restarts its stream exactly as a fresh
+// rand.New(rand.NewSource(seed)) would, without allocating the source's
+// state again.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(source)) }}
 
-// Generate builds and validates a random system from cfg. The stream of
-// random draws depends only on cfg.Seed: each call reseeds a source it
-// holds alone for the call's duration, so Generate is safe to call
-// concurrently from multiple goroutines.
+// seededRand takes a source from rngPool and seeds it. Return it with
+// rngPool.Put when done.
+func seededRand(seed int64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
+// Generate builds and validates a random system from cfg on a Generator
+// of its own, so the system shares no storage with any other. The
+// stream of random draws depends only on cfg.Seed, and Generate is
+// safe to call concurrently from multiple goroutines.
 func Generate(cfg Config) (*task.System, error) {
+	return new(Generator).Generate(cfg)
+}
+
+// Generator generates systems into storage it keeps from one call to
+// the next: a sweep that generates many systems one after another pays
+// for its slabs, names and index once. The zero value is ready to use.
+// A Generator is not safe for concurrent use; give each goroutine one.
+type Generator struct {
+	sys      task.System
+	tasks    []task.Task
+	taskPtrs []*task.Task
+	sems     []task.Semaphore
+	semPtrs  []*task.Semaphore
+	semIDs   []task.SemID
+	utils    []float64
+	bodies   bodyBuilder
+	// names holds the systemNames of the last shape named, nameShape:
+	// the semaphore counts, the processors and the tasks.
+	names     []string
+	nameShape [4]int
+}
+
+// Generate builds and validates a random system from cfg, as the
+// package-level Generate does, in the Generator's storage. The system
+// it returns, its tasks, semaphores, bodies and index are valid until
+// the Generator's next Generate, which overwrites them.
+func (g *Generator) Generate(cfg Config) (*task.System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rngPool.Get().(*rand.Rand)
+	rng := seededRand(cfg.Seed)
 	defer rngPool.Put(rng)
-	rng.Seed(cfg.Seed)
 	// A negative semaphore count means none.
 	cfg.GlobalSems = max(cfg.GlobalSems, 0)
 	cfg.LocalSemsPerProc = max(cfg.LocalSemsPerProc, 0)
@@ -147,16 +182,19 @@ func Generate(cfg Config) (*task.System, error) {
 	// Semaphores: the global ones are IDs 1..GlobalSems, then each
 	// processor's local ones in turn.
 	nsem := cfg.GlobalSems + cfg.NumProcs*cfg.LocalSemsPerProc
-	sems := make([]task.Semaphore, nsem)
-	semIDs := make([]task.SemID, nsem)
-	sys := task.NewSystem(cfg.NumProcs)
-	sys.Sems = make([]*task.Semaphore, nsem)
 	n := cfg.NumProcs * cfg.TasksPerProc
-	names := systemNames(cfg, n)
+	if shape := [4]int{cfg.GlobalSems, cfg.NumProcs, cfg.LocalSemsPerProc, n}; g.names == nil || shape != g.nameShape {
+		g.names, g.nameShape = systemNames(cfg, n), shape
+	}
+	names := g.names
+	g.sems = resize(g.sems, nsem)
+	g.semIDs = resize(g.semIDs, nsem)
+	g.semPtrs = resize(g.semPtrs, nsem)
+	sems, semIDs := g.sems, g.semIDs
 	for k := range sems {
 		semIDs[k] = task.SemID(k + 1)
 		sems[k] = task.Semaphore{ID: semIDs[k], Name: names[k]}
-		sys.Sems[k] = &sems[k]
+		g.semPtrs[k] = &sems[k]
 	}
 	globals := semIDs[:cfg.GlobalSems:cfg.GlobalSems]
 	gcsPool := globals
@@ -164,10 +202,12 @@ func Generate(cfg Config) (*task.System, error) {
 		gcsPool = globals[:1]
 	}
 
-	tasks := make([]task.Task, n)
-	sys.Tasks = make([]*task.Task, n)
-	bodies := newBodyBuilder(rng, cfg, n, len(gcsPool))
-	utils := make([]float64, cfg.TasksPerProc)
+	g.tasks = resize(g.tasks, n)
+	g.taskPtrs = resize(g.taskPtrs, n)
+	g.utils = resize(g.utils, cfg.TasksPerProc)
+	tasks, utils := g.tasks, g.utils
+	bodies := &g.bodies
+	bodies.reset(rng, cfg, n, len(gcsPool))
 	for p := 0; p < cfg.NumProcs; p++ {
 		locals := semIDs[cfg.GlobalSems+p*cfg.LocalSemsPerProc : cfg.GlobalSems+(p+1)*cfg.LocalSemsPerProc]
 		uuniFast(rng, utils, cfg.UtilPerProc)
@@ -212,18 +252,35 @@ func Generate(cfg Config) (*task.System, error) {
 				MinInterarrival: minGap,
 				Jitter:          jitter,
 			}
-			sys.Tasks[i] = &tasks[i]
+			g.taskPtrs[i] = &tasks[i]
 		}
 	}
 	bodies.build(tasks)
-	task.AssignRateMonotonic(sys)
+	// Every exported field of the system is set here; Validate rebuilds
+	// the index in the storage of the last one.
+	sys := &g.sys
+	sys.NumProcs = cfg.NumProcs
+	sys.Tasks = g.taskPtrs
+	sys.Sems = g.semPtrs
 	// Key the simulator's release draws by the workload seed so a system's
 	// sporadic/jittered timeline is as reproducible as its structure.
 	sys.ReleaseSeed = cfg.Seed
+	task.AssignRateMonotonic(sys)
 	if err := sys.Validate(task.ValidateOptions{}); err != nil {
 		return nil, fmt.Errorf("workload: generated system invalid: %w", err)
 	}
 	return sys, nil
+}
+
+// resize returns s with length n and zero elements, reusing its storage
+// when it has room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // systemNames returns the names of a system's semaphores, G1, G2, ...
@@ -286,19 +343,21 @@ type bodyPlan struct {
 
 // bodyBuilder plans every body of a system in task order, drawing its
 // critical sections, then builds them all as capped windows of one
-// exactly sized segment slab.
+// segment slab it keeps from one system to the next.
 type bodyBuilder struct {
-	rng      *rand.Rand
-	cfg      Config
-	sections []section
-	plans    []bodyPlan
-	segs     int // segments of the planned bodies
+	rng *rand.Rand
+	// gcs, lcs and csTicks are the Config bounds of the same names.
+	gcs, lcs, csTicks [2]int
+	sections          []section
+	plans             []bodyPlan
+	segs              int // segments of the planned bodies
+	slab              []task.Segment
 }
 
-// newBodyBuilder sizes the builder for n bodies. A body draws at most
-// the larger bound of each kind of section and keeps at most one section
-// per semaphore, so the sections slab never grows.
-func newBodyBuilder(rng *rand.Rand, cfg Config, n, globals int) bodyBuilder {
+// reset empties the builder for n bodies, keeping its slabs. A body
+// draws at most the larger bound of each kind of section and keeps at
+// most one section per semaphore, so the sections slab never grows.
+func (g *bodyBuilder) reset(rng *rand.Rand, cfg Config, n, globals int) {
 	drawn := func(pool int, bounds [2]int) int {
 		if pool == 0 || bounds[1] <= 0 {
 			return 0
@@ -307,20 +366,18 @@ func newBodyBuilder(rng *rand.Rand, cfg Config, n, globals int) bodyBuilder {
 	}
 	maxDrawn := drawn(globals, cfg.GcsPerTask) + drawn(cfg.LocalSemsPerProc, cfg.LcsPerTask)
 	maxKept := min(maxDrawn, globals+cfg.LocalSemsPerProc)
-	return bodyBuilder{
-		rng:      rng,
-		cfg:      cfg,
-		sections: make([]section, 0, (n-1)*maxKept+maxDrawn),
-		plans:    make([]bodyPlan, 0, n),
-	}
+	g.rng, g.segs = rng, 0
+	g.gcs, g.lcs, g.csTicks = cfg.GcsPerTask, cfg.LcsPerTask, cfg.CSTicks
+	g.sections = resize(g.sections, (n-1)*maxKept+maxDrawn)[:0]
+	g.plans = resize(g.plans, n)[:0]
 }
 
 // plan draws the critical sections of the next body, carved out of wcet
 // ticks of computation. Sections that no longer fit are dropped.
 func (g *bodyBuilder) plan(wcet int, globals, locals []task.SemID) {
 	start := len(g.sections)
-	g.draw(globals, g.cfg.GcsPerTask)
-	g.draw(locals, g.cfg.LcsPerTask)
+	g.draw(globals, g.gcs)
+	g.draw(locals, g.lcs)
 
 	// Budget: critical sections may use at most half the computation so
 	// tasks retain non-critical execution (matching the paper's "a
@@ -360,9 +417,9 @@ func (g *bodyBuilder) draw(pool []task.SemID, bounds [2]int) {
 		n += g.rng.Intn(bounds[1] - bounds[0] + 1)
 	}
 	for i := 0; i < n; i++ {
-		dur := g.cfg.CSTicks[0]
-		if g.cfg.CSTicks[1] > g.cfg.CSTicks[0] {
-			dur += g.rng.Intn(g.cfg.CSTicks[1] - g.cfg.CSTicks[0] + 1)
+		dur := g.csTicks[0]
+		if g.csTicks[1] > g.csTicks[0] {
+			dur += g.rng.Intn(g.csTicks[1] - g.csTicks[0] + 1)
 		}
 		g.sections = append(g.sections, section{sem: pool[g.rng.Intn(len(pool))], dur: dur})
 	}
@@ -396,7 +453,10 @@ func bodyLen(remaining, sections int) int {
 // then alternating critical sections separated by compute, then a
 // suffix compute.
 func (g *bodyBuilder) build(tasks []task.Task) {
-	segs := make([]task.Segment, 0, g.segs)
+	if cap(g.slab) < g.segs {
+		g.slab = make([]task.Segment, 0, g.segs)
+	}
+	segs := g.slab[:0]
 	start := 0
 	for i, pl := range g.plans {
 		sections := g.sections[start:pl.end]
