@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short bench bench-ab perfbench-check repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
+.PHONY: all build test test-short bench bench-ab perfbench-check repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke explain-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
 
 all: build test
 
@@ -83,6 +83,16 @@ check:
 check-smoke:
 	$(GO) run -race ./cmd/rtcheck -trials 20 -seed 1 -repro-dir /tmp/rtcheck-repros
 	$(GO) run -race ./cmd/rtcheck -sporadic -protocols mpcp,dpcp,hybrid,inherit -trials 10 -seed 1 -repro-dir /tmp/rtcheck-repros
+
+# Explain task 2's bound under every analyzable protocol; any error
+# fails the target (CI runs this).
+explain-smoke:
+	kinds=$$($(GO) run ./cmd/rtsched -h 2>&1 | sed -n 's/.*analysis to run: \(.*\) (default.*/\1/p' | tr -d ','); \
+	test -n "$$kinds" || { echo "explain-smoke: no analyzable protocols in rtsched -h"; exit 1; }; \
+	for p in $$kinds; do \
+		echo "rtsched -kind $$p -explain 2"; \
+		$(GO) run ./cmd/rtsched -config testdata/avionics.json -kind $$p -explain 2 > /dev/null || exit 1; \
+	done
 
 # Print every reproduced artifact (E1-E19).
 repro:

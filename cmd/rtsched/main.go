@@ -7,9 +7,8 @@
 //	rtsched -config system.json [-kind mpcp|dpcp|...] [-penalty] [-ceilings] [-explain id]
 //
 // -kind and -explain resolve through the protocol registry: any
-// protocol with a registered bound can be analyzed, and any whose bound
-// is the composed MPCP/DPCP/hybrid analysis can be explained term by
-// term.
+// protocol with a registered bound can be analyzed and explained term
+// by term.
 package main
 
 import (
@@ -41,7 +40,7 @@ func run(args []string, out io.Writer) error {
 		kindName   = fs.String("kind", "mpcp", "protocol whose blocking analysis to run: "+strings.Join(registry.Analyzable(), ", "))
 		penalty    = fs.Bool("penalty", true, "include the deferred-execution penalty")
 		ceilings   = fs.Bool("ceilings", false, "print the Section 4 priority structure")
-		explain    = fs.Int("explain", 0, "print a factor-by-factor explanation of this task's bound ("+strings.Join(registry.Explainable(), ", ")+")")
+		explain    = fs.Int("explain", 0, "print a factor-by-factor explanation of this task's bound ("+strings.Join(registry.Analyzable(), ", ")+")")
 		hyperbolic = fs.Bool("hyperbolic", false, "also run the sharper hyperbolic utilization test")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -44,7 +44,7 @@ func benchEach(b *testing.B, fn func(b *testing.B, sys *task.System)) {
 func BenchmarkMPCPBounds(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Bounds(sys, analysis.Options{}); err != nil {
+			if _, err := analysis.Composed.Bounds(sys, analysis.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,7 +54,7 @@ func BenchmarkMPCPBounds(b *testing.B) {
 func BenchmarkDPCPBounds(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Bounds(sys, dpcpOpts(sys)); err != nil {
+			if _, err := analysis.Composed.Bounds(sys, dpcpOpts(sys)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -66,7 +66,7 @@ func BenchmarkHybridBounds(b *testing.B) {
 		remote := make([]bool, len(sys.Sems))
 		remote[0] = true // semaphore 1
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Bounds(sys, analysis.Options{Remote: remote}); err != nil {
+			if _, err := analysis.Composed.Bounds(sys, analysis.Options{Remote: remote}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -76,7 +76,7 @@ func BenchmarkHybridBounds(b *testing.B) {
 func BenchmarkMSRPBounds(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.MSRPBounds(sys); err != nil {
+			if _, err := analysis.MSRP.Bounds(sys, analysis.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,7 +86,7 @@ func BenchmarkMSRPBounds(b *testing.B) {
 func BenchmarkFMLPBounds(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.FMLPBounds(sys, true); err != nil {
+			if _, err := analysis.FMLP.Bounds(sys, analysis.Options{DeferredPenalty: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,7 +95,7 @@ func BenchmarkFMLPBounds(b *testing.B) {
 
 func BenchmarkSchedulability(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
-		bounds, err := analysis.Bounds(sys, analysis.Options{DeferredPenalty: true})
+		bounds, err := analysis.Composed.Bounds(sys, analysis.Options{DeferredPenalty: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func BenchmarkExplain(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
 		id := sys.Tasks[0].ID
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Explain(sys, id, analysis.Options{DeferredPenalty: true}); err != nil {
+			if _, err := analysis.Composed.Explain(sys, id, analysis.Options{DeferredPenalty: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

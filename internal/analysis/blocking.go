@@ -4,8 +4,8 @@
 // Theorem 3, and a response-time iteration refinement. The same
 // per-semaphore factor composition also bounds the message-based
 // protocol of [8], for the Section 5.2 comparison, and the per-semaphore
-// mix of both of the Section 6 variation. MSRPBounds and FMLPBounds
-// bound the spin-lock protocols on the same factor slots.
+// mix of both of the Section 6 variation, and the MSRP and FMLP
+// analyses bound the spin-lock protocols on the same factor slots.
 package analysis
 
 import (
@@ -113,12 +113,46 @@ var (
 	ErrNestedGlobal = errors.New("analysis: blocking factors require non-nested global critical sections")
 )
 
-// Bounds computes the per-task blocking bound of the protocol opts.Remote
-// selects. MPCP, DPCP and the hybrid all run the one per-semaphore
-// composition of compose: MPCP with every global semaphore handled in
-// place, DPCP with every global semaphore remote.
-func Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
-	return compose(sys, opts, nil)
+// Analysis is one derivation of every task's worst-case blocking:
+// Composed, MSRP or FMLP. Each makes every charge through the term log,
+// so Explain lists exactly the terms Bounds sums.
+type Analysis struct {
+	// titles heads Explain's sections, in Bound.Factors order, and names
+	// what each term's count counts.
+	titles *[6]string
+
+	// bounds computes the bounds of a system checkAnalyzable accepts,
+	// recording each task's terms in log when log is non-nil.
+	bounds func(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error)
+}
+
+// Composed is the per-semaphore composition of compose that bounds
+// MPCP, DPCP and the hybrid: opts.Remote selects the protocol, MPCP
+// with every global semaphore handled in place, DPCP with every global
+// semaphore remote.
+var Composed = Analysis{&composedTitles, compose}
+
+// Bounds computes every task's worst-case blocking bound under opts.
+func (a *Analysis) Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
+	if err := checkAnalyzable(sys); err != nil {
+		return nil, err
+	}
+	return a.bounds(sys, opts, nil)
+}
+
+// perTask is the one per-task driver of every analysis: it runs bound
+// on each task of sys, whose Bound it holds in one slab, and returns
+// the bounds by task ID.
+func perTask(sys *task.System, bound func(b *Bound, i int, ti *task.Task)) map[task.ID]*Bound {
+	bounds := make([]Bound, len(sys.Tasks))
+	out := make(map[task.ID]*Bound, len(sys.Tasks))
+	for i, ti := range sys.Tasks {
+		b := &bounds[i]
+		b.Task = ti.ID
+		bound(b, i, ti)
+		out[ti.ID] = b
+	}
+	return out
 }
 
 // checkAnalyzable rejects systems the blocking factors do not cover:
@@ -152,11 +186,11 @@ func interferes(w int, tj *task.Task) int {
 	return (w + tj.Jitter + t - 1) / t
 }
 
-// pcpBlocking is factor 1's unit: the longest local critical section of
-// a lower-priority job on ti's processor whose ceiling (in tbl) reaches
-// P_i, the one section the uniprocessor PCP can block ti for per
-// opportunity. With no such section it returns the zero section.
-func pcpBlocking(sys *task.System, tbl *ceiling.Table, ti *task.Task) task.CriticalSection {
+// localTerm is factor 1: opportunities times the longest local critical
+// section of a lower-priority job on ti's processor whose ceiling (in
+// tbl) reaches P_i, the one section the uniprocessor PCP can block ti
+// for per opportunity. With no such section its ticks are 0.
+func localTerm(sys *task.System, tbl *ceiling.Table, ti *task.Task, opportunities int) term {
 	ix := sys.Index()
 	var longest task.CriticalSection
 	for _, k := range ix.OnProc(ti.Proc) {
@@ -169,17 +203,12 @@ func pcpBlocking(sys *task.System, tbl *ceiling.Table, ti *task.Task) task.Criti
 			}
 		}
 	}
-	return longest
+	return term{factor: 1, task: longest.Task, sem: longest.Sem, onSem: true, count: opportunities, ticks: longest.Duration}
 }
 
-// sum sets Total to the sum of the factors and the penalty.
-func (b *Bound) sum() {
-	b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
-		b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
-}
-
-// term is one charge compose adds to a bound: count × ticks on one
-// factor, attributed to the task whose sections or execution are charged.
+// term is one charge an analysis adds to a bound: count × ticks on one
+// factor, attributed to the task whose sections, spin or execution are
+// charged.
 type term struct {
 	factor int     // 1–5 as in Section 5.1; 6 is the deferred penalty
 	task   task.ID // the charged task
@@ -190,28 +219,32 @@ type term struct {
 	ticks  int
 }
 
-// termLog records, per task, the terms compose charges to its bound, in
-// charge order. A nil log records nothing: Bounds passes nil, Explain a
-// fresh one.
+// termLog records, per task, the terms an analysis charges to its bound,
+// in charge order. A nil log records nothing: Bounds passes nil, Explain
+// a fresh one.
 type termLog map[task.ID][]term
 
-// charge adds t to b's factor and records it under b's task.
+// charge adds t to b's factor and Total, and records it under b's task
+// unless it adds nothing. It is the only place a bound's fields change,
+// so callers charge zero terms rather than test for them.
 func (l termLog) charge(b *Bound, t term) {
-	f := &b.DeferredPenalty // factor 6
+	v := t.count * t.ticks
 	switch t.factor {
 	case 1:
-		f = &b.LocalBlocking
+		b.LocalBlocking += v
 	case 2:
-		f = &b.GlobalHeldByLower
+		b.GlobalHeldByLower += v
 	case 3:
-		f = &b.RemotePreemption
+		b.RemotePreemption += v
 	case 4:
-		f = &b.BlockingProcGcs
+		b.BlockingProcGcs += v
 	case 5:
-		f = &b.LowerLocalGcs
+		b.LowerLocalGcs += v
+	default: // factor 6
+		b.DeferredPenalty += v
 	}
-	*f += t.count * t.ticks
-	if l != nil {
+	b.Total += v
+	if l != nil && v != 0 {
 		l[b.Task] = append(l[b.Task], t)
 	}
 }
@@ -253,9 +286,6 @@ func lowerUsers(sys *task.System, users []int, prio int) []int {
 // semaphores. Every term goes through log.charge, so a non-nil log holds
 // exactly the terms each bound sums.
 func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error) {
-	if err := checkAnalyzable(sys); err != nil {
-		return nil, err
-	}
 	remote := opts.Remote
 	switch {
 	case remote == nil:
@@ -290,20 +320,14 @@ func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, e
 	blockers := make([]bool, sys.NumProcs)
 	minBlocker := make([]int, sys.NumProcs)
 
-	bounds := make([]Bound, len(sys.Tasks))
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
-	for i, ti := range sys.Tasks {
-		b := &bounds[i]
-		b.Task = ti.ID
+	return perTask(sys, func(b *Bound, i int, ti *task.Task) {
 		gcs := ix.Global(i)
 		ng := len(gcs) // every global request can suspend, in either mode
 
 		// Factor 1: (NG_i + 1) opportunities to be blocked by one local
 		// critical section of a lower-priority job whose ceiling reaches
 		// P_i.
-		if cs := pcpBlocking(sys, tbl, ti); cs.Duration > 0 {
-			log.charge(b, term{factor: 1, task: cs.Task, sem: cs.Sem, onSem: true, count: ng + 1, ticks: cs.Duration})
-		}
+		log.charge(b, localTerm(sys, tbl, ti, ng+1))
 
 		// Factor 2: each request can wait for one lower-priority gcs —
 		// the longest holder of a shared-memory semaphore, or the longest
@@ -335,9 +359,7 @@ func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, e
 					}
 				}
 			}
-			if worst.Duration > 0 {
-				log.charge(b, term{factor: 2, task: worst.Task, sem: worst.Sem, onSem: true, agent: remote[cs.SemPos], count: 1, ticks: worst.Duration})
-			}
+			log.charge(b, term{factor: 2, task: worst.Task, sem: worst.Sem, onSem: true, agent: remote[cs.SemPos], count: 1, ticks: worst.Duration})
 		}
 
 		// Factor 3: higher-priority jobs on other processors requesting
@@ -354,9 +376,7 @@ func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, e
 					dur += cs.Duration
 				}
 			}
-			if dur > 0 {
-				log.charge(b, term{factor: 3, task: tj.ID, count: interferes(ti.Period, tj), ticks: dur})
-			}
+			log.charge(b, term{factor: 3, task: tj.ID, count: interferes(ti.Period, tj), ticks: dur})
 		}
 		for sp, uses := range usesSync {
 			if !uses {
@@ -400,10 +420,8 @@ func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, e
 						dur += cs.Duration
 					}
 				}
-				if dur > 0 {
-					tl := sys.Tasks[l]
-					log.charge(b, term{factor: 4, task: tl.ID, count: interferes(ti.Period, tl), ticks: dur})
-				}
+				tl := sys.Tasks[l]
+				log.charge(b, term{factor: 4, task: tl.ID, count: interferes(ti.Period, tl), ticks: dur})
 			}
 		}
 
@@ -429,9 +447,7 @@ func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, e
 					longest = cs
 				}
 			}
-			if ngk > 0 {
-				log.charge(b, term{factor: 5, task: tk.ID, sem: longest.Sem, onSem: true, count: min(ng+1, 2*ngk), ticks: longest.Duration})
-			}
+			log.charge(b, term{factor: 5, task: tk.ID, sem: longest.Sem, onSem: true, count: min(ng+1, 2*ngk), ticks: longest.Duration})
 		}
 		for _, rg := range bySync[ti.Proc] {
 			if rg.owner.ID != ti.ID {
@@ -446,11 +462,7 @@ func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, e
 				}
 			}
 		}
-
-		b.sum()
-		out[ti.ID] = b
-	}
-	return out, nil
+	}), nil
 }
 
 // TaskReport is the per-task outcome of a schedulability test.

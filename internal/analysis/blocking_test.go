@@ -55,7 +55,7 @@ func handSystem(t *testing.T) *task.System {
 
 func TestMPCPFactorsHandComputed(t *testing.T) {
 	sys := handSystem(t)
-	bounds, err := analysis.Bounds(sys, analysis.Options{})
+	bounds, err := analysis.Composed.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestMPCPFactorsHandComputed(t *testing.T) {
 
 func TestDeferredPenalty(t *testing.T) {
 	sys := handSystem(t)
-	with, err := analysis.Bounds(sys, analysis.Options{DeferredPenalty: true})
+	with, err := analysis.Composed.Bounds(sys, analysis.Options{DeferredPenalty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := analysis.Bounds(sys, analysis.Options{})
+	without, err := analysis.Composed.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func dpcpOpts(sys *task.System) analysis.Options {
 
 func TestDPCPBoundsHandComputed(t *testing.T) {
 	sys := handSystem(t)
-	bounds, err := analysis.Bounds(sys, dpcpOpts(sys))
+	bounds, err := analysis.Composed.Bounds(sys, dpcpOpts(sys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +178,14 @@ func TestNestedGlobalRejected(t *testing.T) {
 	if err := sys.Validate(task.ValidateOptions{AllowNestedGlobal: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := analysis.Bounds(sys, analysis.Options{}); err == nil {
+	if _, err := analysis.Composed.Bounds(sys, analysis.Options{}); err == nil {
 		t.Error("Bounds accepted nested global critical sections")
 	}
 }
 
 func TestSchedulabilityReportShape(t *testing.T) {
 	sys := handSystem(t)
-	bounds, err := analysis.Bounds(sys, analysis.Options{})
+	bounds, err := analysis.Composed.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestBoundSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		bounds, err := analysis.Bounds(sys, analysis.Options{})
+		bounds, err := analysis.Composed.Bounds(sys, analysis.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -255,7 +255,7 @@ func TestDPCPBoundSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		bounds, err := analysis.Bounds(sys, dpcpOpts(sys))
+		bounds, err := analysis.Composed.Bounds(sys, dpcpOpts(sys))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -291,7 +291,7 @@ func TestTheorem3Soundness(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		opts := analysis.Options{DeferredPenalty: true}
-		bounds, err := analysis.Bounds(sys, opts)
+		bounds, err := analysis.Composed.Bounds(sys, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

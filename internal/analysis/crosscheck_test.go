@@ -24,7 +24,7 @@ func TestResponseBoundDominatesSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := analysis.Options{DeferredPenalty: true}
-		bounds, err := analysis.Bounds(sys, opts)
+		bounds, err := analysis.Composed.Bounds(sys, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestResponseBoundDominatesSimulationDPCP(t *testing.T) {
 		}
 		opts := dpcpOpts(sys)
 		opts.DeferredPenalty = true
-		bounds, err := analysis.Bounds(sys, opts)
+		bounds, err := analysis.Composed.Bounds(sys, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,11 +154,11 @@ func TestBoundsMonotoneInCriticalSectionLength(t *testing.T) {
 			if dpcp {
 				o1, o2 = dpcpOpts(sys), dpcpOpts(bigger)
 			}
-			b1, err := analysis.Bounds(sys, o1)
+			b1, err := analysis.Composed.Bounds(sys, o1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b2, err := analysis.Bounds(bigger, o2)
+			b2, err := analysis.Composed.Bounds(bigger, o2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func TestHighestPriorityTaskFactors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounds, err := analysis.Bounds(sys, analysis.Options{})
+		bounds, err := analysis.Composed.Bounds(sys, analysis.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

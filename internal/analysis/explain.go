@@ -7,9 +7,8 @@ import (
 	"mpcp/internal/task"
 )
 
-// factorTitles heads Explain's sections, in Bound.Factors order, and
-// names what each term's count counts.
-var factorTitles = [...]string{
+// composedTitles heads Composed's Explain sections.
+var composedTitles = [...]string{
 	"Local blocking, per arrival or suspension",
 	"Global semaphore held by a lower-priority job, per request",
 	"Higher-priority requests preceding ours, per release in the period",
@@ -20,20 +19,21 @@ var factorTitles = [...]string{
 
 // Explain renders a human-readable account of why task id's blocking
 // bound under opts is what it is. The headline is Bounds' Total, and
-// under each factor it lists every term compose charged to the task: the
-// task whose sections or execution are charged, the semaphore and
-// whether the section runs as a remote agent, and count x ticks. The
-// terms of each factor sum to it by construction.
-func Explain(sys *task.System, id task.ID, opts Options) (string, error) {
-	if !sys.Validated() {
-		return "", ErrNotValidated
+// under each factor it lists every term the analysis charged to the
+// task: the task whose sections, spin or execution are charged, the
+// semaphore and whether the section runs as a remote agent, and count x
+// ticks. The terms of each factor sum to it by construction. Factor 6
+// is listed only with opts.DeferredPenalty.
+func (a *Analysis) Explain(sys *task.System, id task.ID, opts Options) (string, error) {
+	if err := checkAnalyzable(sys); err != nil {
+		return "", err
 	}
 	ti := sys.TaskByID(id)
 	if ti == nil {
 		return "", fmt.Errorf("analysis: no task %d", id)
 	}
 	log := termLog{}
-	all, err := compose(sys, opts, log)
+	all, err := a.bounds(sys, opts, log)
 	if err != nil {
 		return "", err
 	}
@@ -44,10 +44,10 @@ func Explain(sys *task.System, id task.ID, opts Options) (string, error) {
 		ti.ID, ti.Name, ti.Priority, ti.Proc, b.Total)
 	w.WriteString("Each term is count x ticks of the named task's section, agent or execution.\n\n")
 	for i, f := range b.Factors() {
-		if i == len(factorTitles)-1 && !opts.DeferredPenalty {
+		if i == len(a.titles)-1 && !opts.DeferredPenalty {
 			break
 		}
-		fmt.Fprintf(&w, "%d. %s: %d\n", i+1, factorTitles[i], f.Ticks)
+		fmt.Fprintf(&w, "%d. %s: %d\n", i+1, a.titles[i], f.Ticks)
 		for _, t := range log[id] {
 			if t.factor != i+1 {
 				continue

@@ -27,7 +27,7 @@ func TestHybridBoundsSoundAgainstSimulation(t *testing.T) {
 				remote[sem.ID], at[k] = true, true
 			}
 		}
-		bounds, err := analysis.Bounds(sys, analysis.Options{Remote: at})
+		bounds, err := analysis.Composed.Bounds(sys, analysis.Options{Remote: at})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestHybridBoundsRejectNested(t *testing.T) {
 	if err := sys.Validate(task.ValidateOptions{AllowNestedGlobal: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := analysis.Bounds(sys, analysis.Options{Remote: []bool{true, false}}); err == nil {
+	if _, err := analysis.Composed.Bounds(sys, analysis.Options{Remote: []bool{true, false}}); err == nil {
 		t.Error("nested global sections accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestRemoteBoundsRejectInvalidSyncProc(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := map[task.SemID]task.ProcID{g: 7}
-	if _, err := analysis.Bounds(sys, analysis.Options{Remote: []bool{true}, DPCPAssign: assign}); err == nil {
+	if _, err := analysis.Composed.Bounds(sys, analysis.Options{Remote: []bool{true}, DPCPAssign: assign}); err == nil {
 		t.Error("Bounds accepted synchronization processor 7 on a 2-processor system")
 	}
 	if _, err := sim.New(sys, core.NewDPCP(assign), sim.Config{Horizon: 10}); err == nil {

@@ -45,10 +45,9 @@ func (m *spinTable) at(q task.ProcID, k int) int { return m.longest[int(q)*m.nSe
 // has at most one outstanding request.
 func (m *spinTable) spin(proc task.ProcID, k int) int { return m.total[k] - m.at(proc, k) }
 
-// MSRPBounds computes the per-task worst-case blocking decomposition for
-// MSRP (Gai, Lipari & Di Natale, RTSS 2001, adapted to this repo's
-// tick-accurate model). The terms are mapped onto the Section 5.1
-// factor slots of Bound so report tooling stays aligned:
+// MSRP is the analysis of MSRP (Gai, Lipari & Di Natale, RTSS 2001,
+// adapted to this repo's tick-accurate model). Its terms are mapped onto
+// the Section 5.1 factor slots of Bound so report tooling stays aligned:
 //
 //   - LocalBlocking (factor 1): one local critical section of a
 //     lower-priority job whose ceiling reaches P_i, exactly the PCP
@@ -70,25 +69,31 @@ func (m *spinTable) spin(proc task.ProcID, k int) int { return m.total[k] - m.at
 // non-preemptive section are separate arrival-blocking terms.
 // GlobalHeldByLower stays zero — FIFO queues do not order by priority,
 // so the hold-by-lower wait is folded into the per-request spin term.
-// DeferredPenalty stays zero: MSRP never self-suspends. Every term is
-// monotone in the minimum interarrival times.
-func MSRPBounds(sys *task.System) (map[task.ID]*Bound, error) {
-	if err := checkAnalyzable(sys); err != nil {
-		return nil, err
-	}
+// DeferredPenalty stays zero: MSRP never self-suspends. The analysis
+// reads no option; with Options.DeferredPenalty, Explain still heads
+// factor 6, at 0. Every term is monotone in the minimum interarrival
+// times.
+var MSRP = Analysis{&msrpTitles, msrp}
+
+var msrpTitles = [...]string{
+	"Local blocking, at arrival",
+	"Global semaphore held by a lower-priority job: none, FIFO spinning folds it into factor 3",
+	"Own FIFO spin, per request: one section per other processor",
+	"Spin of higher-priority local jobs, per release in the period",
+	"One non-preemptive spin and section of a lower-priority local job, at arrival",
+	"Deferred-execution penalty: none, MSRP jobs never suspend",
+}
+
+func msrp(sys *task.System, _ Options, log termLog) (map[task.ID]*Bound, error) {
 	tbl := ceiling.Compute(sys, false)
 	ix := sys.Index()
 	maxDur := newSpinTable(sys)
-
-	bounds := make([]Bound, len(sys.Tasks))
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
-	for i, ti := range sys.Tasks {
-		b := &bounds[i]
-		b.Task = ti.ID
-		b.LocalBlocking = pcpBlocking(sys, tbl, ti).Duration
+	return perTask(sys, func(b *Bound, i int, ti *task.Task) {
+		log.charge(b, localTerm(sys, tbl, ti, 1))
 		for _, cs := range ix.Global(i) {
-			b.RemotePreemption += maxDur.spin(ti.Proc, cs.SemPos)
+			log.charge(b, term{factor: 3, task: ti.ID, sem: cs.Sem, onSem: true, count: 1, ticks: maxDur.spin(ti.Proc, cs.SemPos)})
 		}
+		nonPreemptive := term{factor: 5} // the longest lower-priority spin and section
 		for _, j := range ix.OnProc(ti.Proc) {
 			switch tj := sys.Tasks[j]; {
 			case tj.Priority > ti.Priority:
@@ -96,22 +101,22 @@ func MSRPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 				for _, cs := range ix.Global(j) {
 					spin += maxDur.spin(tj.Proc, cs.SemPos)
 				}
-				b.BlockingProcGcs += interferes(ti.Period, tj) * spin
+				log.charge(b, term{factor: 4, task: tj.ID, count: interferes(ti.Period, tj), ticks: spin})
 			case tj.Priority < ti.Priority:
 				for _, cs := range ix.Global(j) {
-					b.LowerLocalGcs = max(b.LowerLocalGcs, maxDur.spin(tj.Proc, cs.SemPos)+cs.Duration)
+					if d := maxDur.spin(tj.Proc, cs.SemPos) + cs.Duration; d > nonPreemptive.ticks {
+						nonPreemptive = term{factor: 5, task: tj.ID, sem: cs.Sem, onSem: true, count: 1, ticks: d}
+					}
 				}
 			}
 		}
-		b.sum()
-		out[ti.ID] = b
-	}
-	return out, nil
+		log.charge(b, nonPreemptive)
+	}), nil
 }
 
-// FMLPBounds computes the per-task worst-case blocking decomposition for
-// FMLP+ (short and long semaphores as ceiling.Split classifies them),
-// mapped onto the Section 5.1 factor slots of Bound:
+// FMLP is the analysis of FMLP+ (short and long semaphores as
+// ceiling.Split classifies them), mapped onto the Section 5.1 factor
+// slots of Bound:
 //
 //   - LocalBlocking (factor 1): one PCP local critical section per
 //     suspension window — a job with n long requests has n+1 windows.
@@ -128,9 +133,9 @@ func MSRPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 //   - LowerLocalGcs (factor 5 slot): boosted execution (spin + gcs) of
 //     lower-priority local jobs displacing this task, charged with the
 //     standard interference bound.
-//   - DeferredPenalty: when deferredPenalty is set, one extra WCET per
+//   - DeferredPenalty: with Options.DeferredPenalty, one extra WCET per
 //     higher-priority local task that suspends on long semaphores,
-//     matching the MPCP analysis convention.
+//     matching the MPCP analysis convention. No other option is read.
 //
 // The grant delay of semaphore s on processor q is the boosted work
 // already in progress on q that a freshly granted holder can sit
@@ -141,10 +146,18 @@ func MSRPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 // is not a per-semaphore contribution, which is why this bound is not a
 // mode of compose. Every term is monotone in the minimum interarrival
 // times.
-func FMLPBounds(sys *task.System, deferredPenalty bool) (map[task.ID]*Bound, error) {
-	if err := checkAnalyzable(sys); err != nil {
-		return nil, err
-	}
+var FMLP = Analysis{&fmlpTitles, fmlp}
+
+var fmlpTitles = [...]string{
+	"Local blocking, per arrival or long-semaphore suspension",
+	"FIFO wait on long semaphores with grant delay, per conflicting release in the period",
+	"Own spin on short semaphores, per request: one section and grant delay per other processor",
+	"Spin of higher-priority local jobs, per release in the period",
+	"Boosted spin and sections of lower-priority local jobs, per release in the period",
+	"Deferred-execution penalty, one execution per suspending higher-priority local task",
+}
+
+func fmlp(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error) {
 	short := ceiling.Split(sys)
 	tbl := ceiling.Compute(sys, false)
 	ix := sys.Index()
@@ -172,20 +185,18 @@ func FMLPBounds(sys *task.System, deferredPenalty bool) (map[task.ID]*Bound, err
 		return boostedOn[q] - boostedSpan(q, k)
 	}
 
-	bounds := make([]Bound, len(sys.Tasks))
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
-	for i, ti := range sys.Tasks {
-		b := &bounds[i]
-		b.Task = ti.ID
+	return perTask(sys, func(b *Bound, i int, ti *task.Task) {
 		nLong := 0
 		for _, cs := range ix.Global(i) {
 			k := cs.SemPos
 			if short[k] {
+				spin := 0
 				for q := 0; q < sys.NumProcs; q++ {
 					if d := maxDur.at(task.ProcID(q), k); task.ProcID(q) != ti.Proc && d > 0 {
-						b.RemotePreemption += d + grantDelay(task.ProcID(q), k)
+						spin += d + grantDelay(task.ProcID(q), k)
 					}
 				}
+				log.charge(b, term{factor: 3, task: ti.ID, sem: cs.Sem, onSem: true, count: 1, ticks: spin})
 				continue
 			}
 			nLong++
@@ -200,11 +211,12 @@ func FMLPBounds(sys *task.System, deferredPenalty bool) (map[task.ID]*Bound, err
 					}
 				}
 				if tk := sys.Tasks[u]; dur > 0 {
-					b.GlobalHeldByLower += interferes(ti.Period, tk) * (dur + grantDelay(tk.Proc, k))
+					log.charge(b, term{factor: 2, task: tk.ID, sem: cs.Sem, onSem: true,
+						count: interferes(ti.Period, tk), ticks: dur + grantDelay(tk.Proc, k)})
 				}
 			}
 		}
-		b.LocalBlocking = (nLong + 1) * pcpBlocking(sys, tbl, ti).Duration
+		log.charge(b, localTerm(sys, tbl, ti, nLong+1))
 
 		for _, j := range ix.OnProc(ti.Proc) {
 			if j == i {
@@ -221,16 +233,13 @@ func FMLPBounds(sys *task.System, deferredPenalty bool) (map[task.ID]*Bound, err
 				}
 			}
 			if tj.Priority > ti.Priority {
-				b.BlockingProcGcs += interferes(ti.Period, tj) * spin
-				if deferredPenalty && suspends {
-					b.DeferredPenalty += tj.WCET()
+				log.charge(b, term{factor: 4, task: tj.ID, count: interferes(ti.Period, tj), ticks: spin})
+				if opts.DeferredPenalty && suspends {
+					log.charge(b, term{factor: 6, task: tj.ID, count: 1, ticks: tj.WCET()})
 				}
 				continue
 			}
-			b.LowerLocalGcs += interferes(ti.Period, tj) * (spin + boosted)
+			log.charge(b, term{factor: 5, task: tj.ID, count: interferes(ti.Period, tj), ticks: spin + boosted})
 		}
-		b.sum()
-		out[ti.ID] = b
-	}
-	return out, nil
+	}), nil
 }

@@ -36,7 +36,7 @@ func spinSystem(t *testing.T, lLen [2]int) *task.System {
 // or a global-held-by-lower term (both folded into spin time).
 func TestBoundsShape(t *testing.T) {
 	sys := spinSystem(t, [2]int{})
-	bounds, err := analysis.MSRPBounds(sys)
+	bounds, err := analysis.MSRP.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +67,10 @@ func TestBoundsShape(t *testing.T) {
 // unvalidated systems with the package's sentinel error.
 func TestBoundsRejectsUnvalidated(t *testing.T) {
 	sys := task.NewSystem(1)
-	if _, err := analysis.MSRPBounds(sys); !errors.Is(err, analysis.ErrNotValidated) {
+	if _, err := analysis.MSRP.Bounds(sys, analysis.Options{}); !errors.Is(err, analysis.ErrNotValidated) {
 		t.Errorf("msrp: unvalidated system: err = %v, want ErrNotValidated", err)
 	}
-	if _, err := analysis.FMLPBounds(sys, false); !errors.Is(err, analysis.ErrNotValidated) {
+	if _, err := analysis.FMLP.Bounds(sys, analysis.Options{}); !errors.Is(err, analysis.ErrNotValidated) {
 		t.Errorf("fmlp: unvalidated system: err = %v, want ErrNotValidated", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestBoundsRejectsUnvalidated(t *testing.T) {
 // longest section drops to the 4-tick cutoff moves its wait from the
 // first term to the second.
 func TestBoundsTrackSplit(t *testing.T) {
-	bounds, err := analysis.FMLPBounds(spinSystem(t, [2]int{7, 5}), false)
+	bounds, err := analysis.FMLP.Bounds(spinSystem(t, [2]int{7, 5}), analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBoundsTrackSplit(t *testing.T) {
 			t.Errorf("task %d: no long-wait term despite a contended long semaphore", id)
 		}
 	}
-	allShort, err := analysis.FMLPBounds(spinSystem(t, [2]int{4, 3}), false)
+	allShort, err := analysis.FMLP.Bounds(spinSystem(t, [2]int{4, 3}), analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestDeferredPenaltyMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := analysis.FMLPBounds(sys, false)
+	without, err := analysis.FMLP.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := analysis.FMLPBounds(sys, true)
+	with, err := analysis.FMLP.Bounds(sys, analysis.Options{DeferredPenalty: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 )
 
@@ -13,26 +12,18 @@ import (
 // suspends is blocked by at most one critical section of a lower-priority
 // job whose semaphore ceiling is at or above its priority. Every
 // semaphore must be local: a global one is an error, since the bound has
-// no term for global critical sections. Useful for the n=1 degenerate
-// case the shared-memory protocol reduces to, and as the blocking term
-// for processors with no global sharing.
+// no term for global critical sections. On an all-local system the
+// composed analysis is exactly this bound: factor 1 with one
+// opportunity. Useful for the n=1 degenerate case the shared-memory
+// protocol reduces to, and as the blocking term for processors with no
+// global sharing.
 func PCPBounds(sys *task.System) (map[task.ID]*Bound, error) {
-	if !sys.Validated() {
-		return nil, ErrNotValidated
-	}
 	for _, sem := range sys.Sems {
 		if sem.Global {
 			return nil, fmt.Errorf("analysis: semaphore %d is global; use the MPCP or DPCP analysis", sem.ID)
 		}
 	}
-	tbl := ceiling.Compute(sys, false)
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
-	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID, LocalBlocking: pcpBlocking(sys, tbl, ti).Duration}
-		b.sum()
-		out[ti.ID] = b
-	}
-	return out, nil
+	return Composed.Bounds(sys, Options{})
 }
 
 // HyperbolicTest is the Bini-Buttazzo refinement of the Liu-Layland

@@ -242,7 +242,7 @@ var (
 )
 
 // TestExplainMatchesBounds checks, for every protocol the registry
-// explains, with and without the deferred penalty and an explicit
+// analyzes, with and without the deferred penalty and an explicit
 // synchronization-processor assignment, on periodic and jittered
 // systems and the uniprocessor fixture, that every task's headline is
 // the registered bound's Total, that each factor heading is the bound's
@@ -261,10 +261,12 @@ func TestExplainMatchesBounds(t *testing.T) {
 			systems = append(systems, sys)
 		}
 	}
-	if got := registry.Explainable(); !slices.Contains(got, "hybrid") {
-		t.Fatalf("explainable protocols %v lack hybrid", got)
+	for _, want := range []string{"hybrid", "msrp", "fmlp"} {
+		if got := registry.Analyzable(); !slices.Contains(got, want) {
+			t.Fatalf("analyzable protocols %v lack %s", got, want)
+		}
 	}
-	for _, name := range registry.Explainable() {
+	for _, name := range registry.Analyzable() {
 		for _, penalty := range []bool{false, true} {
 			for si, sys := range systems {
 				explicit := make(map[task.SemID]task.ProcID)
@@ -333,7 +335,7 @@ func checkExplain(out string, b *analysis.Bound, penalty bool) error {
 
 func TestExplainUnknownTask(t *testing.T) {
 	sys := uniSystem(t)
-	if _, err := analysis.Explain(sys, 99, analysis.Options{}); err == nil {
+	if _, err := analysis.Composed.Explain(sys, 99, analysis.Options{}); err == nil {
 		t.Error("unknown task accepted")
 	}
 }

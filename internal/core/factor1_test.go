@@ -51,7 +51,7 @@ func TestFactorOneAdversarial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bounds, err := analysis.Bounds(sys, analysis.Options{})
+	bounds, err := analysis.Composed.Bounds(sys, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

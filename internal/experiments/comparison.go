@@ -93,7 +93,7 @@ func E11Theorem3Soundness() (*Table, error) {
 				return nil, err
 			}
 			opts := analysis.Options{DeferredPenalty: true}
-			bounds, err := analysis.Bounds(sys, opts)
+			bounds, err := analysis.Composed.Bounds(sys, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -237,7 +237,7 @@ func E13NestedGcs() (*Table, error) {
 			return nil, err
 		}
 		analyzable := "yes"
-		if _, err := analysis.Bounds(sys, analysis.Options{}); err != nil {
+		if _, err := analysis.Composed.Bounds(sys, analysis.Options{}); err != nil {
 			analyzable = "no (nested)"
 		}
 		variant := "collapsed"

@@ -86,7 +86,7 @@ func E14HybridProtocol() (*Table, error) {
 	t.Notes = "The mix trades the shared-memory protocol's local gcs preemption\n" +
 		"(factor 5) against the message-based protocol's agent interference; the\n" +
 		"paper proposes exactly this tuning knob in its conclusion. The sumBound\n" +
-		"columns use the composed analysis (internal/analysis.Bounds) per remote set.\n" +
+		"columns use the composed analysis (internal/analysis.Composed) per remote set.\n" +
 		"With synchronization duties defaulting onto task processors, the\n" +
 		"shared-memory mode has the smallest bounds (consistent with E10); E19\n" +
 		"shows the remote mode paying off once a processor is dedicated to it."
@@ -120,7 +120,7 @@ func E15AllocationAffinity() (*Table, error) {
 				}
 			}
 			opts := analysis.Options{DeferredPenalty: true}
-			bounds, err := analysis.Bounds(sys, opts)
+			bounds, err := analysis.Composed.Bounds(sys, opts)
 			if err != nil {
 				return 0, 0, false, err
 			}

@@ -105,7 +105,7 @@ func E7SuspensionBound() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		bounds, err := analysis.Bounds(sys, analysis.Options{})
+		bounds, err := analysis.Composed.Bounds(sys, analysis.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +206,7 @@ func E9BlockingBoundTightness() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			bounds, err := analysis.Bounds(sys, analysis.Options{})
+			bounds, err := analysis.Composed.Bounds(sys, analysis.Options{})
 			if err != nil {
 				return nil, err
 			}

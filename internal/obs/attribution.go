@@ -175,7 +175,7 @@ type execCell struct {
 // suspended system produces no records at all for ticks it nevertheless
 // waited through.
 //
-// The analyzer requires the same precondition as analysis.Bounds —
+// The analyzer requires the same precondition as analysis.Analysis.Bounds —
 // validated system, global critical sections non-nested and outermost —
 // because agents of nested sections would emit wake events
 // indistinguishable from their parent's. The trace must include

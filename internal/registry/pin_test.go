@@ -6,6 +6,7 @@ import (
 	"hash"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"mpcp/internal/analysis"
@@ -23,6 +24,12 @@ import (
 // protocol. It certifies that a change to how the analysis derives its
 // numbers leaves every number alone.
 const analysisPin = "59a9011494b978521f9edbbb89216b8e34ccdc2bc43b0dba6f7250c8deaeff99"
+
+// explainPin is the SHA-256 of the msrp and fmlp Explain text for every
+// task of every pinSystems system, with and without the deferred
+// penalty. It is kept apart from analysisPin, whose digest predates
+// their explanations.
+const explainPin = "22c31b3a9866dfa6381b713f16033f8e11e5a43df124086cf4fbddeed6cc4e04"
 
 // pinSystems generates 204 systems: 2, 4, 6 and 8 processors with 4–6
 // tasks each and 1–3 gcs per task, cycling through staggered, sporadic
@@ -149,4 +156,49 @@ func TestAnalysisPinned(t *testing.T) {
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != analysisPin {
 		t.Errorf("analysis digest over %d systems = %s, pinned %s", n, got, analysisPin)
 	}
+}
+
+// explainEach visits the Explain text of every task of every pinSystems
+// system under each of names and each of penalties.
+func explainEach(t *testing.T, names []string, penalties []bool, visit func(name string, penalty bool, text string)) {
+	t.Helper()
+	pinSystems(t, func(sys *task.System) {
+		for _, name := range names {
+			for _, dp := range penalties {
+				for _, tk := range sys.Tasks {
+					text, err := registry.Explain(name, sys, tk.ID, registry.AnalyzeOpts{DeferredPenalty: dp})
+					if err != nil {
+						t.Fatal(err)
+					}
+					visit(name, dp, text)
+				}
+			}
+		}
+	})
+}
+
+// TestExplainPinned holds the spin-lock analyses' explanations on
+// pinSystems to explainPin.
+func TestExplainPinned(t *testing.T) {
+	t.Parallel()
+	h := sha256.New()
+	explainEach(t, []string{"msrp", "fmlp"}, []bool{false, true}, func(name string, penalty bool, text string) {
+		fmt.Fprintf(h, "%s %v\n%s", name, penalty, text)
+	})
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != explainPin {
+		t.Errorf("explain digest = %s, pinned %s", got, explainPin)
+	}
+}
+
+// TestExplainTermsNonZero: no analysis logs a term that adds nothing,
+// so no explanation on pinSystems lists a "0 x" or "x 0 ticks" line.
+// The deferred penalty only adds terms, so explaining with it covers
+// every term logged without it.
+func TestExplainTermsNonZero(t *testing.T) {
+	t.Parallel()
+	explainEach(t, registry.Analyzable(), []bool{true}, func(name string, _ bool, text string) {
+		if strings.Contains(text, ": 0 x ") || strings.Contains(text, " x 0 ticks") {
+			t.Fatalf("%s: zero term in:\n%s", name, text)
+		}
+	})
 }

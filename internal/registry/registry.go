@@ -88,7 +88,8 @@ type Caps struct {
 
 	// HasBound: the descriptor registers an analytical worst-case
 	// blocking bound; the bound-soundness and interarrival-monotonicity
-	// oracles apply. It is derived: set exactly when Analyze is non-nil.
+	// oracles apply. It is derived: set exactly when the descriptor has
+	// an analysis.
 	HasBound bool
 }
 
@@ -101,13 +102,9 @@ type Opts struct {
 	Sys *task.System
 
 	// RemoteSems is the hybrid protocol's message-based group. When
-	// nil and Sys is set, DefaultRemoteSems(Sys) is used.
+	// nil and Sys is set, every even-numbered global semaphore of Sys
+	// is remote.
 	RemoteSems map[task.SemID]bool
-
-	// DPCPAssign maps global semaphores to synchronization processors
-	// (dpcp, hybrid); unset entries default to the lowest-numbered
-	// accessor processor.
-	DPCPAssign map[task.SemID]task.ProcID
 }
 
 // AnalyzeOpts parameterizes a registered blocking analysis.
@@ -121,7 +118,7 @@ type AnalyzeOpts struct {
 	DPCPAssign map[task.SemID]task.ProcID
 
 	// RemoteSems is the hybrid protocol's message-based group; nil
-	// derives DefaultRemoteSems from the analyzed system.
+	// takes the default group of the analyzed system, as Opts does.
 	RemoteSems map[task.SemID]bool
 }
 
@@ -148,26 +145,23 @@ type Descriptor struct {
 	// New constructs a fresh protocol instance.
 	New func(Opts) (sim.Protocol, error)
 
-	// Analyze computes the per-task worst-case blocking bounds, nil
-	// when the protocol has no published analysis (Caps.HasBound is
-	// false).
-	Analyze func(*task.System, AnalyzeOpts) (map[task.ID]*analysis.Bound, error)
+	// analysis bounds the protocol's worst-case blocking, nil when the
+	// protocol has no published analysis (Caps.HasBound is false).
+	analysis *analysis.Analysis
 
-	// Explain renders a factor-by-factor account of one task's bound,
-	// nil when the protocol's analysis does not record its terms.
-	Explain func(*task.System, task.ID, AnalyzeOpts) (string, error)
-
-	// composed gives, per system, the analysis.Options of the composed
-	// blocking analysis (analysis.Bounds) that bounds the protocol;
-	// Analyze and Explain are derived from it.
-	composed func(*task.System, AnalyzeOpts) analysis.Options
+	// options gives, per system, the analysis.Options the protocol is
+	// analyzed under; nil charges the deferred penalty alone.
+	options func(*task.System, AnalyzeOpts) analysis.Options
 }
 
-// DefaultRemoteSems is the hybrid protocol's default message-based
-// group: every even-numbered global semaphore, matching the historical
-// conformance and campaign splits.
-func DefaultRemoteSems(sys *task.System) map[task.SemID]bool {
-	remote := make(map[task.SemID]bool)
+// hybridRemote is remote, or when remote is nil the hybrid protocol's
+// default message-based group: every even-numbered global semaphore of
+// sys, matching the historical conformance and campaign splits.
+func hybridRemote(sys *task.System, remote map[task.SemID]bool) map[task.SemID]bool {
+	if remote != nil {
+		return remote
+	}
+	remote = make(map[task.SemID]bool)
 	if sys == nil {
 		return remote
 	}
@@ -177,13 +171,6 @@ func DefaultRemoteSems(sys *task.System) map[task.SemID]bool {
 		}
 	}
 	return remote
-}
-
-func hybridRemote(sys *task.System, remote map[task.SemID]bool) map[task.SemID]bool {
-	if remote != nil {
-		return remote
-	}
-	return DefaultRemoteSems(sys)
 }
 
 // remoteAt marks, by position in sys.Sems, the global semaphores in set,
@@ -197,29 +184,10 @@ func remoteAt(sys *task.System, set map[task.SemID]bool) []bool {
 	return at
 }
 
-// derive completes the registration table: a protocol bounded by the
-// composed analysis gets Analyze and Explain from its composed options,
-// and Caps.HasBound records whether the protocol has an analysis.
-func derive(ds []Descriptor) []Descriptor {
-	for i := range ds {
-		d := &ds[i]
-		if opts := d.composed; opts != nil {
-			d.Analyze = func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-				return analysis.Bounds(sys, opts(sys, o))
-			}
-			d.Explain = func(sys *task.System, id task.ID, o AnalyzeOpts) (string, error) {
-				return analysis.Explain(sys, id, opts(sys, o))
-			}
-		}
-		d.Caps.HasBound = d.Analyze != nil
-	}
-	return ds
-}
-
 // descriptors is the registration table, in display order: the
 // paper's protocols first, then the spin-lock zoo, then the
 // uniprocessor and baseline references.
-var descriptors = derive([]Descriptor{
+var descriptors = []Descriptor{
 	{
 		Name:    "mpcp",
 		Summary: "shared-memory protocol of Section 5 (suspension, priority queues)",
@@ -229,10 +197,8 @@ var descriptors = derive([]Descriptor{
 			DeadlockFree:          true,
 			RenameInvariant:       true,
 		},
-		New: func(Opts) (sim.Protocol, error) { return core.New(core.Options{}), nil },
-		composed: func(_ *task.System, o AnalyzeOpts) analysis.Options {
-			return analysis.Options{DeferredPenalty: o.DeferredPenalty}
-		},
+		New:      func(Opts) (sim.Protocol, error) { return core.New(core.Options{}), nil },
+		analysis: &analysis.Composed,
 	},
 	{
 		Name:    "mpcp-spin",
@@ -264,8 +230,9 @@ var descriptors = derive([]Descriptor{
 			DeadlockFree:          true,
 			RenameInvariant:       true,
 		},
-		New: func(Opts) (sim.Protocol, error) { return core.New(core.Options{GcsAtCeiling: true}), nil },
-		composed: func(_ *task.System, o AnalyzeOpts) analysis.Options {
+		New:      func(Opts) (sim.Protocol, error) { return core.New(core.Options{GcsAtCeiling: true}), nil },
+		analysis: &analysis.Composed,
+		options: func(_ *task.System, o AnalyzeOpts) analysis.Options {
 			return analysis.Options{GcsAtCeiling: true, DeferredPenalty: o.DeferredPenalty}
 		},
 	},
@@ -288,8 +255,9 @@ var descriptors = derive([]Descriptor{
 			DeadlockFree:      true,
 			RenameInvariant:   true,
 		},
-		New: func(o Opts) (sim.Protocol, error) { return core.NewDPCP(o.DPCPAssign), nil },
-		composed: func(sys *task.System, o AnalyzeOpts) analysis.Options {
+		New:      func(Opts) (sim.Protocol, error) { return core.NewDPCP(nil), nil },
+		analysis: &analysis.Composed,
+		options: func(sys *task.System, o AnalyzeOpts) analysis.Options {
 			return analysis.Options{Remote: remoteAt(sys, nil), DPCPAssign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty}
 		},
 	},
@@ -302,9 +270,10 @@ var descriptors = derive([]Descriptor{
 			DeadlockFree:      true,
 		},
 		New: func(o Opts) (sim.Protocol, error) {
-			return core.NewHybrid(hybridRemote(o.Sys, o.RemoteSems), o.DPCPAssign), nil
+			return core.NewHybrid(hybridRemote(o.Sys, o.RemoteSems), nil), nil
 		},
-		composed: func(sys *task.System, o AnalyzeOpts) analysis.Options {
+		analysis: &analysis.Composed,
+		options: func(sys *task.System, o AnalyzeOpts) analysis.Options {
 			return analysis.Options{Remote: remoteAt(sys, hybridRemote(sys, o.RemoteSems)), DPCPAssign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty}
 		},
 	},
@@ -316,10 +285,8 @@ var descriptors = derive([]Descriptor{
 			GcsPreemptionFree: true,
 			DeadlockFree:      true,
 		},
-		New: func(Opts) (sim.Protocol, error) { return core.NewMSRP(), nil },
-		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-			return analysis.MSRPBounds(sys)
-		},
+		New:      func(Opts) (sim.Protocol, error) { return core.NewMSRP(), nil },
+		analysis: &analysis.MSRP,
 	},
 	{
 		Name:    "fmlp",
@@ -331,10 +298,8 @@ var descriptors = derive([]Descriptor{
 			DeadlockFree:       true,
 			TickScaleDependent: true,
 		},
-		New: func(Opts) (sim.Protocol, error) { return core.NewFMLP(), nil },
-		Analyze: func(sys *task.System, o AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-			return analysis.FMLPBounds(sys, o.DeferredPenalty)
-		},
+		New:      func(Opts) (sim.Protocol, error) { return core.NewFMLP(), nil },
+		analysis: &analysis.FMLP,
 	},
 	{
 		Name:    "pcp",
@@ -385,7 +350,15 @@ var descriptors = derive([]Descriptor{
 		},
 		New: func(Opts) (sim.Protocol, error) { return proto.NewInherit(), nil },
 	},
-})
+}
+
+// Caps.HasBound records whether the descriptor has an analysis.
+func init() {
+	for i := range descriptors {
+		d := &descriptors[i]
+		d.Caps.HasBound = d.analysis != nil
+	}
+}
 
 // All returns every registered descriptor (including hidden ones) in
 // registration order. The slice is a copy; descriptors themselves are
@@ -425,11 +398,7 @@ func Names() []string { return visible(func(*Descriptor) bool { return true }) }
 
 // Analyzable returns the visible names of protocols with a registered
 // analytical bound — the set campaign sweeps accept.
-func Analyzable() []string { return visible(func(d *Descriptor) bool { return d.Analyze != nil }) }
-
-// Explainable returns the visible names of protocols whose bound
-// Explain can narrate term by term.
-func Explainable() []string { return visible(func(d *Descriptor) bool { return d.Explain != nil }) }
+func Analyzable() []string { return visible(func(d *Descriptor) bool { return d.analysis != nil }) }
 
 // visible returns, in registration order, the names of the visible
 // descriptors keep accepts.
@@ -460,31 +429,42 @@ func New(name string, opts Opts) (sim.Protocol, error) {
 	return d.New(opts)
 }
 
+// analyzer resolves the named protocol to its analysis and the
+// analysis.Options opts select for sys, or an error naming the
+// analyzable protocols when it has none.
+func analyzer(name string, sys *task.System, opts AnalyzeOpts) (*analysis.Analysis, analysis.Options, error) {
+	d, err := resolve(name)
+	if err != nil {
+		return nil, analysis.Options{}, err
+	}
+	switch {
+	case d.analysis == nil:
+		return nil, analysis.Options{}, fmt.Errorf("protocol %q has no analytical bound (analyzable: %s)", d.Name, strings.Join(Analyzable(), ", "))
+	case d.options == nil:
+		return d.analysis, analysis.Options{DeferredPenalty: opts.DeferredPenalty}, nil
+	}
+	return d.analysis, d.options(sys, opts), nil
+}
+
 // Analyze computes the named protocol's worst-case blocking bounds,
 // or an error naming the analyzable protocols when it has none.
 func Analyze(name string, sys *task.System, opts AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-	d, err := resolve(name)
+	a, o, err := analyzer(name, sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	if d.Analyze == nil {
-		return nil, fmt.Errorf("protocol %q has no analytical bound (analyzable: %s)", d.Name, strings.Join(Analyzable(), ", "))
-	}
-	return d.Analyze(sys, opts)
+	return a.Bounds(sys, o)
 }
 
 // Explain renders the named protocol's factor-by-factor account of task
 // id's bound, whose headline is Analyze's Total with the same options,
-// or an error naming the explainable protocols when it has none.
+// or an error naming the analyzable protocols when it has none.
 func Explain(name string, sys *task.System, id task.ID, opts AnalyzeOpts) (string, error) {
-	d, err := resolve(name)
+	a, o, err := analyzer(name, sys, opts)
 	if err != nil {
 		return "", err
 	}
-	if d.Explain == nil {
-		return "", fmt.Errorf("protocol %q has no term-by-term explanation (explainable: %s)", d.Name, strings.Join(Explainable(), ", "))
-	}
-	return d.Explain(sys, id, opts)
+	return a.Explain(sys, id, o)
 }
 
 // CapsFor returns the capability record of the named protocol.

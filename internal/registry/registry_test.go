@@ -11,9 +11,15 @@ import (
 )
 
 // TestDescriptorTableWellFormed: names and aliases are unique
-// (case-insensitively), every descriptor has a constructor, and
-// Analyze is present exactly when HasBound is claimed.
+// (case-insensitively), every descriptor has a constructor, and an
+// analysis is present exactly when HasBound is claimed: Analyze of an
+// analyzable system succeeds for those descriptors and fails for the
+// others.
 func TestDescriptorTableWellFormed(t *testing.T) {
+	sys, err := workload.Generate(workload.Default(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[string]string)
 	claim := func(name, owner string) {
 		n := strings.ToLower(name)
@@ -33,9 +39,9 @@ func TestDescriptorTableWellFormed(t *testing.T) {
 		if d.New == nil {
 			t.Errorf("%s: nil constructor", d.Name)
 		}
-		if d.Caps.HasBound != (d.Analyze != nil) {
-			t.Errorf("%s: HasBound=%v but Analyze nil=%v — the capability must match the field",
-				d.Name, d.Caps.HasBound, d.Analyze == nil)
+		if _, err := registry.Analyze(d.Name, sys, registry.AnalyzeOpts{}); d.Caps.HasBound != (err == nil) {
+			t.Errorf("%s: HasBound=%v but Analyze error %v — the capability must match the analysis",
+				d.Name, d.Caps.HasBound, err)
 		}
 	}
 }
@@ -208,9 +214,9 @@ func TestErrorsListChoices(t *testing.T) {
 		!strings.Contains(err.Error(), "analyzable") {
 		t.Errorf("Analyze error for a bound-less protocol does not list analyzable names: %v", err)
 	}
-	if _, err := registry.Explain("msrp", nil, 1, registry.AnalyzeOpts{}); err == nil ||
-		!strings.Contains(err.Error(), "explainable") || !strings.Contains(err.Error(), "hybrid") {
-		t.Errorf("Explain error for msrp does not list explainable names: %v", err)
+	if _, err := registry.Explain("mpcp-spin", nil, 1, registry.AnalyzeOpts{}); err == nil ||
+		!strings.Contains(err.Error(), "analyzable: "+strings.Join(registry.Analyzable(), ", ")) {
+		t.Errorf("Explain error for a bound-less protocol does not list analyzable names: %v", err)
 	}
 }
 
