@@ -41,56 +41,58 @@ func benchEach(b *testing.B, fn func(b *testing.B, sys *task.System)) {
 	}
 }
 
-func BenchmarkMPCPBounds(b *testing.B) {
+// benchBounds runs a's Bounds under opts on every benchConfigs system
+// in fresh storage, as the package-level entry does, and as
+// "sweep-reused" on the sweep system through one Analyzer kept across
+// calls, as a campaign point bounds its trials.
+func benchBounds(b *testing.B, a *analysis.Analysis, opts func(sys *task.System) analysis.Options) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
+		o := opts(sys)
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Composed.Bounds(sys, analysis.Options{}); err != nil {
+			if _, err := a.Bounds(sys, o); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	b.Run("sweep-reused", func(b *testing.B) {
+		sys, err := workload.Generate(benchConfigs[1].cfg())
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := opts(sys)
+		var z analysis.Analyzer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := z.Bounds(a, sys, o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkMPCPBounds(b *testing.B) {
+	benchBounds(b, &analysis.Composed, func(*task.System) analysis.Options { return analysis.Options{} })
 }
 
 func BenchmarkDPCPBounds(b *testing.B) {
-	benchEach(b, func(b *testing.B, sys *task.System) {
-		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Composed.Bounds(sys, dpcpOpts(sys)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchBounds(b, &analysis.Composed, dpcpOpts)
 }
 
 func BenchmarkHybridBounds(b *testing.B) {
-	benchEach(b, func(b *testing.B, sys *task.System) {
+	benchBounds(b, &analysis.Composed, func(sys *task.System) analysis.Options {
 		remote := make([]bool, len(sys.Sems))
 		remote[0] = true // semaphore 1
-		for i := 0; i < b.N; i++ {
-			if _, err := analysis.Composed.Bounds(sys, analysis.Options{Remote: remote}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		return analysis.Options{Remote: remote}
 	})
 }
 
 func BenchmarkMSRPBounds(b *testing.B) {
-	benchEach(b, func(b *testing.B, sys *task.System) {
-		for i := 0; i < b.N; i++ {
-			if _, err := analysis.MSRP.Bounds(sys, analysis.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchBounds(b, &analysis.MSRP, func(*task.System) analysis.Options { return analysis.Options{} })
 }
 
 func BenchmarkFMLPBounds(b *testing.B) {
-	benchEach(b, func(b *testing.B, sys *task.System) {
-		for i := 0; i < b.N; i++ {
-			if _, err := analysis.FMLP.Bounds(sys, analysis.Options{DeferredPenalty: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchBounds(b, &analysis.FMLP, func(*task.System) analysis.Options { return analysis.Options{DeferredPenalty: true} })
 }
 
 func BenchmarkSchedulability(b *testing.B) {

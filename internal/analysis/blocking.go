@@ -9,10 +9,9 @@
 package analysis
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
@@ -121,38 +120,25 @@ type Analysis struct {
 	// what each term's count counts.
 	titles *[6]string
 
-	// bounds computes the bounds of a system checkAnalyzable accepts,
-	// recording each task's terms in log when log is non-nil.
-	bounds func(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error)
+	// prepare builds t for an analyzable system under the options, or
+	// rejects the options.
+	prepare func(t *table, sys *task.System, opts Options) error
+
+	// bound charges the terms of the task at position i to b, recording
+	// them in log when log is non-nil.
+	bound func(t *table, log *termLog, b *Bound, i int)
 }
 
-// Composed is the per-semaphore composition of compose that bounds
+// Composed is the per-semaphore composition of composeTask that bounds
 // MPCP, DPCP and the hybrid: opts.Remote selects the protocol, MPCP
 // with every global semaphore handled in place, DPCP with every global
 // semaphore remote.
-var Composed = Analysis{&composedTitles, compose}
+var Composed = Analysis{&composedTitles, (*table).prepareComposed, composeTask}
 
-// Bounds computes every task's worst-case blocking bound under opts.
+// Bounds computes every task's worst-case blocking bound under opts, in
+// fresh storage.
 func (a *Analysis) Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
-	if err := checkAnalyzable(sys); err != nil {
-		return nil, err
-	}
-	return a.bounds(sys, opts, nil)
-}
-
-// perTask is the one per-task driver of every analysis: it runs bound
-// on each task of sys, whose Bound it holds in one slab, and returns
-// the bounds by task ID.
-func perTask(sys *task.System, bound func(b *Bound, i int, ti *task.Task)) map[task.ID]*Bound {
-	bounds := make([]Bound, len(sys.Tasks))
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
-	for i, ti := range sys.Tasks {
-		b := &bounds[i]
-		b.Task = ti.ID
-		bound(b, i, ti)
-		out[ti.ID] = b
-	}
-	return out
+	return new(Analyzer).Bounds(a, sys, opts)
 }
 
 // checkAnalyzable rejects systems the blocking factors do not cover:
@@ -219,15 +205,16 @@ type term struct {
 	ticks  int
 }
 
-// termLog records, per task, the terms an analysis charges to its bound,
-// in charge order. A nil log records nothing: Bounds passes nil, Explain
-// a fresh one.
-type termLog map[task.ID][]term
+// termLog records the terms an analysis charges to one bound, in charge
+// order. A nil log records nothing: Bounds passes nil, Explain a fresh
+// one.
+type termLog []term
 
-// charge adds t to b's factor and Total, and records it under b's task
-// unless it adds nothing. It is the only place a bound's fields change,
-// so callers charge zero terms rather than test for them.
-func (l termLog) charge(b *Bound, t term) {
+// charge adds t to b's factor and Total, and records it in l unless it
+// adds nothing. It is the only place a bound's fields change. A term
+// that adds nothing changes nothing, so callers may charge it or skip
+// it.
+func (l *termLog) charge(b *Bound, t term) {
 	v := t.count * t.ticks
 	switch t.factor {
 	case 1:
@@ -245,224 +232,176 @@ func (l termLog) charge(b *Bound, t term) {
 	}
 	b.Total += v
 	if l != nil && v != 0 {
-		l[b.Task] = append(l[b.Task], t)
+		*l = append(*l, t)
 	}
 }
 
 // remoteGcs is one gcs on a remote semaphore, as queued on its
-// synchronization processor.
+// synchronization processor: its owner's position, ID and priority, its
+// semaphore and its duration. Its agent is charged once per release of
+// its owner within the bounded task's period.
 type remoteGcs struct {
-	owner *task.Task
-	cs    task.CriticalSection
+	pos  int
+	task task.ID
+	prio int
+	sem  task.SemID
+	dur  int
 }
 
-// agentTerm charges rg's agent to factor once per release of its owner
-// within T_i.
-func (rg remoteGcs) agentTerm(factor int, ti *task.Task) term {
-	return term{factor: factor, task: rg.owner.ID, sem: rg.cs.Sem, onSem: true, agent: true,
-		count: interferes(ti.Period, rg.owner), ticks: rg.cs.Duration}
-}
+// composeTask computes the worst-case blocking of the task at position
+// i by composing per-semaphore factor contributions (Section 5.1 for
+// semaphores handled in place, Section 5.2 for remote ones, mixed per
+// semaphore as in the Section 6 variation). A request on a shared-memory
+// semaphore contributes the MPCP factors: held-by-lower, remote
+// preemption on the semaphore, gcs preemption on blocking processors,
+// and lower-priority local gcs boosts. A request on a remote semaphore
+// contributes the DPCP factors: service queueing on its synchronization
+// processor, and agent preemption on the processor that hosts the
+// agents. Local semaphores contribute factor 1 in both modes. The
+// table's remote marks select the mode of each global semaphore. Every
+// term goes through log.charge, so a non-nil log holds exactly the
+// terms the bound sums.
+//
+//rtlint:hotpath
+func composeTask(t *table, log *termLog, b *Bound, i int) {
+	sys, ix := t.sys, t.ix
+	ti := sys.Tasks[i]
+	nG := len(t.pos)
+	gcs := ix.Global(i)
+	ng := len(gcs) // every global request can suspend, in either mode
 
-// lowerUsers returns the suffix of users, task positions by descending
-// priority as Index.Users lists them, whose priority is below prio.
-func lowerUsers(sys *task.System, users []int, prio int) []int {
-	j := len(users)
-	for j > 0 && sys.Tasks[users[j-1]].Priority < prio {
-		j--
-	}
-	return users[j:]
-}
+	// Factor 1: (NG_i + 1) opportunities to be blocked by one local
+	// critical section of a lower-priority job whose ceiling reaches P_i.
+	log.charge(b, localTerm(sys, t.ceil, ti, ng+1))
 
-// compose computes every task's worst-case blocking by composing per-
-// semaphore factor contributions (Section 5.1 for semaphores handled in
-// place, Section 5.2 for remote ones, mixed per semaphore as in the
-// Section 6 variation). A request on a shared-memory semaphore
-// contributes the MPCP factors: held-by-lower, remote preemption on the
-// semaphore, gcs preemption on blocking processors, and lower-priority
-// local gcs boosts. A request on a remote semaphore contributes the DPCP
-// factors: service queueing on its synchronization processor, and agent
-// preemption on the processor that hosts the agents. Local semaphores
-// contribute factor 1 in both modes. opts.Remote marks the remote
-// semaphores. Every term goes through log.charge, so a non-nil log holds
-// exactly the terms each bound sums.
-func compose(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error) {
-	remote := opts.Remote
-	switch {
-	case remote == nil:
-		remote = make([]bool, len(sys.Sems))
-	case len(remote) != len(sys.Sems):
-		return nil, fmt.Errorf("analysis: remote set has %d entries for %d semaphores", len(remote), len(sys.Sems))
+	// Factor 2: each request can wait for one lower-priority gcs — the
+	// longest holder of a shared-memory semaphore, read from the suffix
+	// of its users below us, or the longest gcs in service on a remote
+	// semaphore's synchronization processor.
+	nShm := 0
+	clear(t.inShm)
+	clear(t.usesSync)
+	for _, cs := range gcs {
+		switch g := t.ord[cs.SemPos]; {
+		case t.remote[g]:
+			t.usesSync[t.sync[g]] = true
+		case !t.inShm[g]:
+			t.inShm[g] = true
+			t.shm[nShm] = g
+			nShm++
+		}
 	}
-	assign, err := ceiling.SyncProcs(sys, remote, opts.DPCPAssign)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
+	shm := t.shm[:nShm]
+	for sp, uses := range t.usesSync {
+		if !uses {
+			continue
+		}
+		var worst remoteGcs
+		for _, rg := range t.bySync(sp) {
+			if rg.prio < ti.Priority && rg.dur > worst.dur {
+				worst = rg
+			}
+		}
+		t.served[sp] = worst
 	}
-	tbl := ceiling.Compute(sys, opts.GcsAtCeiling)
+	for _, cs := range gcs {
+		g := t.ord[cs.SemPos]
+		if t.remote[g] {
+			worst := t.served[t.sync[g]]
+			log.charge(b, term{factor: 2, task: worst.task, sem: worst.sem, onSem: true, agent: true, count: 1, ticks: worst.dur})
+			continue
+		}
+		worst, ticks, _ := t.lowerThan(g, t.rank[i*nG+g])
+		log.charge(b, term{factor: 2, task: worst, sem: cs.Sem, onSem: true, count: 1, ticks: ticks})
+	}
 
-	// Remote gcs's by synchronization processor.
-	ix := sys.Index()
-	bySync := make([][]remoteGcs, sys.NumProcs)
-	for i, t := range sys.Tasks {
-		for _, cs := range ix.Global(i) {
-			if remote[cs.SemPos] {
-				sp := assign[cs.SemPos]
-				bySync[sp] = append(bySync[sp], remoteGcs{owner: t, cs: cs})
+	// Factor 3: higher-priority jobs on other processors requesting our
+	// shared-memory semaphores precede us, and higher-priority gcs's on
+	// the synchronization processors we use delay our agents; each can
+	// do so once per release within T_i. The users of a semaphore above
+	// us are those ranked before us.
+	for _, g := range shm {
+		for _, u := range ix.Users(t.pos[g])[:t.rank[i*nG+g]] {
+			if t.proc[u] != int(ti.Proc) {
+				t.preceding[u] += t.time[u*nG+g]
+				t.precedes[u/64] |= 1 << (u % 64)
+			}
+		}
+	}
+	for j := nextBit(t.precedes); j >= 0; j = nextBit(t.precedes) {
+		if dur := t.preceding[j]; dur != 0 {
+			t.preceding[j] = 0
+			log.charge(b, term{factor: 3, task: sys.Tasks[j].ID, count: t.interferes(ti.Period, j), ticks: dur})
+		}
+	}
+	for sp, uses := range t.usesSync {
+		if !uses {
+			continue
+		}
+		for _, rg := range t.bySync(sp) {
+			if rg.prio > ti.Priority {
+				log.charge(b, term{factor: 3, task: rg.task, sem: rg.sem, onSem: true, agent: true, count: t.interferes(ti.Period, rg.pos), ticks: rg.dur})
 			}
 		}
 	}
 
-	// Per-task scratch: by semaphore position, the shared-memory
-	// semaphores ti requests; by processor, the synchronization
-	// processors ti's requests use, and the lowest gcs priority of a
-	// lower-priority job that can block ti.
-	shm := make([]bool, len(sys.Sems))
-	usesSync := make([]bool, sys.NumProcs)
-	blockers := make([]bool, sys.NumProcs)
-	minBlocker := make([]int, sys.NumProcs)
-
-	return perTask(sys, func(b *Bound, i int, ti *task.Task) {
-		gcs := ix.Global(i)
-		ng := len(gcs) // every global request can suspend, in either mode
-
-		// Factor 1: (NG_i + 1) opportunities to be blocked by one local
-		// critical section of a lower-priority job whose ceiling reaches
-		// P_i.
-		log.charge(b, localTerm(sys, tbl, ti, ng+1))
-
-		// Factor 2: each request can wait for one lower-priority gcs —
-		// the longest holder of a shared-memory semaphore, or the longest
-		// gcs in service on a remote semaphore's synchronization
-		// processor.
-		clear(shm)
-		clear(usesSync)
-		for _, cs := range gcs {
-			var worst task.CriticalSection
-			if remote[cs.SemPos] {
-				sp := assign[cs.SemPos]
-				usesSync[sp] = true
-				for _, rg := range bySync[sp] {
-					if rg.owner.ID != ti.ID && rg.owner.Priority < ti.Priority && rg.cs.Duration > worst.Duration {
-						worst = rg.cs
-					}
-				}
-			} else {
-				// Users are by priority, not position: break ties on
-				// duration by the lowest position, as a scan in system
-				// order would, so Explain names the same section.
-				shm[cs.SemPos] = true
-				worstAt := -1
-				for _, k := range lowerUsers(sys, ix.Users(cs.SemPos), ti.Priority) {
-					for _, other := range ix.Global(k) {
-						if other.SemPos == cs.SemPos && (other.Duration > worst.Duration || other.Duration == worst.Duration && k < worstAt) {
-							worst, worstAt = other, k
-						}
-					}
-				}
-			}
-			log.charge(b, term{factor: 2, task: worst.Task, sem: worst.Sem, onSem: true, agent: remote[cs.SemPos], count: 1, ticks: worst.Duration})
-		}
-
-		// Factor 3: higher-priority jobs on other processors requesting
-		// our shared-memory semaphores precede us, and higher-priority
-		// gcs's on the synchronization processors we use delay our
-		// agents; each can do so once per release within T_i.
-		for j, tj := range sys.Tasks {
-			if tj.Proc == ti.Proc || tj.Priority <= ti.Priority {
-				continue
-			}
-			dur := 0
-			for _, cs := range ix.Global(j) {
-				if shm[cs.SemPos] {
-					dur += cs.Duration
-				}
-			}
-			log.charge(b, term{factor: 3, task: tj.ID, count: interferes(ti.Period, tj), ticks: dur})
-		}
-		for sp, uses := range usesSync {
-			if !uses {
-				continue
-			}
-			for _, rg := range bySync[sp] {
-				if rg.owner.ID != ti.ID && rg.owner.Priority > ti.Priority {
-					log.charge(b, rg.agentTerm(3, ti))
-				}
-			}
-		}
-
-		// Factor 4: on each processor holding a lower-priority gcs that
-		// can block one of our shared-memory requests, gcs's executing
-		// above the lowest such blocker preempt it. Every user of a
-		// global semaphore holds a gcs on it: the system has no nested
-		// global sections.
-		clear(blockers)
-		for _, cs := range gcs {
-			if remote[cs.SemPos] {
-				continue
-			}
-			for _, k := range lowerUsers(sys, ix.Users(cs.SemPos), ti.Priority) {
-				proc := sys.Tasks[k].Proc
-				if proc == ti.Proc {
+	// Factor 4: on each processor holding a lower-priority gcs that can
+	// block one of our shared-memory requests, gcs's executing above the
+	// lowest such blocker preempt it. Every user of a global semaphore
+	// holds a gcs on it: the system has no nested global sections.
+	clear(t.blocked)
+	for _, g := range shm {
+		_, _, procs := t.lowerThan(g, t.rank[i*nG+g])
+		for w, set := range procs {
+			for ; set != 0; set &= set - 1 {
+				proc := w*64 + bits.TrailingZeros64(set)
+				if proc == int(ti.Proc) {
 					continue
 				}
-				if prio := tbl.GcsAt(cs.SemPos, proc); !blockers[proc] || prio < minBlocker[proc] {
-					blockers[proc], minBlocker[proc] = true, prio
+				bit := uint64(1) << (proc % 64)
+				if prios := t.row(t.gcsAt, proc); t.blocked[w]&bit == 0 || prios[g] < prios[t.blocker[proc]] {
+					t.blocked[w] |= bit
+					t.blocker[proc] = g
 				}
 			}
 		}
-		for proc, blocked := range blockers {
-			if !blocked {
-				continue
-			}
-			for _, l := range ix.OnProc(task.ProcID(proc)) {
-				dur := 0
-				for _, cs := range ix.Global(l) {
-					if !remote[cs.SemPos] && tbl.GcsAt(cs.SemPos, task.ProcID(proc)) > minBlocker[proc] {
-						dur += cs.Duration
-					}
-				}
-				tl := sys.Tasks[l]
-				log.charge(b, term{factor: 4, task: tl.ID, count: interferes(ti.Period, tl), ticks: dur})
+	}
+	n := len(sys.Tasks)
+	for proc := nextBit(t.blocked); proc >= 0; proc = nextBit(t.blocked) {
+		above := t.above[t.blocker[proc]*n:]
+		for _, l := range ix.OnProc(task.ProcID(proc)) {
+			if d := above[l]; d != 0 {
+				log.charge(b, term{factor: 4, task: sys.Tasks[l].ID, count: t.interferes(ti.Period, l), ticks: d})
 			}
 		}
+	}
 
-		// Factor 5: gcs's of lower-priority local jobs on shared-memory
-		// semaphores run above our priority — each such τk at most
-		// min(NG_i + 1, 2·NG_k) times its longest one — and agents of
-		// other tasks executing on our processor (when it doubles as a
-		// synchronization processor) preempt us at ceiling priority
-		// regardless of task priorities.
-		for _, k := range ix.OnProc(ti.Proc) {
-			tk := sys.Tasks[k]
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			ngk := 0
-			var longest task.CriticalSection
-			for _, cs := range ix.Global(k) {
-				if remote[cs.SemPos] {
-					continue
-				}
-				ngk++
-				if cs.Duration > longest.Duration {
-					longest = cs
-				}
-			}
-			log.charge(b, term{factor: 5, task: tk.ID, sem: longest.Sem, onSem: true, count: min(ng+1, 2*ngk), ticks: longest.Duration})
+	// Factor 5: gcs's of lower-priority local jobs on shared-memory
+	// semaphores run above our priority — each such τk at most
+	// min(NG_i + 1, 2·NG_k) times its longest one — and agents of other
+	// tasks executing on our processor (when it doubles as a
+	// synchronization processor) preempt us at ceiling priority
+	// regardless of task priorities.
+	for _, k := range ix.OnProc(ti.Proc) {
+		tk := sys.Tasks[k]
+		if tk.Priority >= ti.Priority {
+			continue
 		}
-		for _, rg := range bySync[ti.Proc] {
-			if rg.owner.ID != ti.ID {
-				log.charge(b, rg.agentTerm(5, ti))
-			}
+		log.charge(b, term{factor: 5, task: tk.ID, sem: task.SemID(t.shmSem[k]), onSem: true, count: min(ng+1, 2*t.shmCount[k]), ticks: t.shmDur[k]})
+	}
+	for _, rg := range t.bySync(int(ti.Proc)) {
+		if rg.pos != i {
+			log.charge(b, term{factor: 5, task: rg.task, sem: rg.sem, onSem: true, agent: true, count: t.interferes(ti.Period, rg.pos), ticks: rg.dur})
 		}
+	}
 
-		if opts.DeferredPenalty {
-			for _, j := range ix.OnProc(ti.Proc) {
-				if tj := sys.Tasks[j]; tj.Priority > ti.Priority && len(ix.Global(j)) > 0 {
-					log.charge(b, term{factor: 6, task: tj.ID, count: 1, ticks: tj.WCET()})
-				}
+	if t.opts.DeferredPenalty {
+		for _, j := range ix.OnProc(ti.Proc) {
+			if tj := sys.Tasks[j]; tj.Priority > ti.Priority && len(ix.Global(j)) > 0 {
+				log.charge(b, term{factor: 6, task: tj.ID, count: 1, ticks: t.wcet[j]})
 			}
 		}
-	}), nil
+	}
 }
 
 // TaskReport is the per-task outcome of a schedulability test.
@@ -505,12 +444,13 @@ type Report struct {
 
 // Schedulability runs both the Theorem 3 utilization test and the
 // response-time iteration on every processor, using the supplied blocking
-// bounds.
+// bounds. The report lists the tasks by ascending ID.
 func Schedulability(sys *task.System, bounds map[task.ID]*Bound, opts Options) (*Report, error) {
 	if !sys.Validated() {
 		return nil, ErrNotValidated
 	}
-	rep := &Report{SchedulableUtil: true, SchedulableResponse: true, Tasks: make([]TaskReport, 0, len(sys.Tasks))}
+	rep := &Report{SchedulableUtil: true, SchedulableResponse: true, Tasks: make([]TaskReport, len(sys.Tasks))}
+	byID := sys.Index().ByID()
 
 	// Per-processor scratch, in TasksOn order: each task's C_i and its
 	// worst-case rate C_i / T_i^min.
@@ -551,11 +491,24 @@ func Schedulability(sys *task.System, bounds map[task.ID]*Bound, opts Options) (
 			if !tr.ResponseOK {
 				rep.SchedulableResponse = false
 			}
-			rep.Tasks = append(rep.Tasks, tr)
+			rep.Tasks[idRank(sys, byID, ti.ID)] = tr
 		}
 	}
-	slices.SortFunc(rep.Tasks, func(a, b TaskReport) int { return cmp.Compare(a.Task, b.Task) })
 	return rep, nil
+}
+
+// idRank returns the rank of task id in byID, the task positions by
+// ascending ID.
+func idRank(sys *task.System, byID []int, id task.ID) int {
+	lo, hi := 0, len(byID)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); sys.Tasks[byID[mid]].ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // responseTime runs the jitter-aware response-time iteration: interfering

@@ -207,6 +207,49 @@ func TestSchedulabilityReportShape(t *testing.T) {
 	}
 }
 
+// TestSchedulabilityReportByID checks that the report lists tasks by
+// ascending ID when the IDs are neither in position order nor in
+// priority order, on processors listed out of ID order, and that each
+// report is the task's own.
+func TestSchedulabilityReportByID(t *testing.T) {
+	const G = task.SemID(4)
+	sys := task.NewSystem(3)
+	sys.AddSem(&task.Semaphore{ID: G, Name: "G"})
+	for _, tk := range []struct {
+		id     task.ID
+		proc   task.ProcID
+		period int
+		prio   int
+	}{
+		{42, 2, 300, 1}, {7, 0, 100, 6}, {-3, 1, 150, 4}, {19, 0, 200, 3}, {8, 1, 120, 5}, {0, 2, 250, 2},
+	} {
+		sys.AddTask(&task.Task{ID: tk.id, Proc: tk.proc, Period: tk.period, Priority: tk.prio,
+			Body: []task.Segment{task.Compute(2), task.Lock(G), task.Compute(1), task.Unlock(G), task.Compute(int(tk.id&3) + 1)}})
+	}
+	if err := sys.Validate(task.ValidateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	bounds, err := analysis.Composed.Bounds(sys, analysis.Options{DeferredPenalty: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := analysis.Schedulability(sys, bounds, analysis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []task.ID{-3, 0, 7, 8, 19, 42}
+	if len(rep.Tasks) != len(want) {
+		t.Fatalf("report has %d tasks, want %d", len(rep.Tasks), len(want))
+	}
+	for i, tr := range rep.Tasks {
+		tk := sys.TaskByID(want[i])
+		if tr.Task != want[i] || tr.Proc != tk.Proc || tr.T != tk.Period || tr.C != tk.WCET() || tr.B != bounds[tk.ID].Total {
+			t.Errorf("report %d = task %d on P%d, C %d, T %d, B %d; want task %d on P%d, C %d, T %d, B %d",
+				i, tr.Task, tr.Proc, tr.C, tr.T, tr.B, tk.ID, tk.Proc, tk.WCET(), tk.Period, bounds[tk.ID].Total)
+		}
+	}
+}
+
 // TestBoundSoundness (experiment E9's invariant): across random
 // workloads, the measured per-job blocking under the simulator never
 // exceeds the analytical bound B_i.

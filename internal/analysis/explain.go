@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mpcp/internal/task"
@@ -28,16 +29,18 @@ func (a *Analysis) Explain(sys *task.System, id task.ID, opts Options) (string, 
 	if err := checkAnalyzable(sys); err != nil {
 		return "", err
 	}
-	ti := sys.TaskByID(id)
-	if ti == nil {
+	i := slices.IndexFunc(sys.Tasks, func(t *task.Task) bool { return t.ID == id })
+	if i < 0 {
 		return "", fmt.Errorf("analysis: no task %d", id)
 	}
-	log := termLog{}
-	all, err := a.bounds(sys, opts, log)
-	if err != nil {
+	ti := sys.Tasks[i]
+	var tbl table
+	if err := a.prepare(&tbl, sys, opts); err != nil {
 		return "", err
 	}
-	b := all[id]
+	b := &Bound{Task: id}
+	var log termLog
+	a.bound(&tbl, &log, b, i)
 
 	var w strings.Builder
 	fmt.Fprintf(&w, "Worst-case blocking of task %d (%s), priority %d on P%d: B = %d ticks\n",
@@ -48,7 +51,7 @@ func (a *Analysis) Explain(sys *task.System, id task.ID, opts Options) (string, 
 			break
 		}
 		fmt.Fprintf(&w, "%d. %s: %d\n", i+1, a.titles[i], f.Ticks)
-		for _, t := range log[id] {
+		for _, t := range log {
 			if t.factor != i+1 {
 				continue
 			}

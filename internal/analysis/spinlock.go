@@ -1,49 +1,6 @@
 package analysis
 
-import (
-	"mpcp/internal/ceiling"
-	"mpcp/internal/task"
-)
-
-// spinTable holds, by processor and semaphore position, the longest
-// global critical section on the semaphore issued from the processor,
-// and by semaphore position the sum of those over every processor.
-type spinTable struct {
-	nSems   int
-	longest []int // [q*nSems+k]
-	total   []int
-}
-
-func newSpinTable(sys *task.System) *spinTable {
-	ix := sys.Index()
-	m := &spinTable{
-		nSems:   len(sys.Sems),
-		longest: make([]int, sys.NumProcs*len(sys.Sems)),
-		total:   make([]int, len(sys.Sems)),
-	}
-	for i, t := range sys.Tasks {
-		row := m.longest[int(t.Proc)*m.nSems:]
-		for _, cs := range ix.Global(i) {
-			row[cs.SemPos] = max(row[cs.SemPos], cs.Duration)
-		}
-	}
-	for k := range m.total {
-		for q := 0; q < sys.NumProcs; q++ {
-			m.total[k] += m.at(task.ProcID(q), k)
-		}
-	}
-	return m
-}
-
-// at is the longest global critical section on semaphore position k
-// issued from processor q, 0 when there is none.
-func (m *spinTable) at(q task.ProcID, k int) int { return m.longest[int(q)*m.nSems+k] }
-
-// spin is the worst-case busy-wait of one FIFO request on semaphore
-// position k from proc: one critical section per other processor, since
-// a job spins at the non-preemptive level and each processor therefore
-// has at most one outstanding request.
-func (m *spinTable) spin(proc task.ProcID, k int) int { return m.total[k] - m.at(proc, k) }
+import "mpcp/internal/task"
 
 // MSRP is the analysis of MSRP (Gai, Lipari & Di Natale, RTSS 2001,
 // adapted to this repo's tick-accurate model). Its terms are mapped onto
@@ -73,7 +30,7 @@ func (m *spinTable) spin(proc task.ProcID, k int) int { return m.total[k] - m.at
 // reads no option; with Options.DeferredPenalty, Explain still heads
 // factor 6, at 0. Every term is monotone in the minimum interarrival
 // times.
-var MSRP = Analysis{&msrpTitles, msrp}
+var MSRP = Analysis{&msrpTitles, (*table).prepareMSRP, msrpTask}
 
 var msrpTitles = [...]string{
 	"Local blocking, at arrival",
@@ -84,34 +41,28 @@ var msrpTitles = [...]string{
 	"Deferred-execution penalty: none, MSRP jobs never suspend",
 }
 
-func msrp(sys *task.System, _ Options, log termLog) (map[task.ID]*Bound, error) {
-	tbl := ceiling.Compute(sys, false)
-	ix := sys.Index()
-	maxDur := newSpinTable(sys)
-	return perTask(sys, func(b *Bound, i int, ti *task.Task) {
-		log.charge(b, localTerm(sys, tbl, ti, 1))
-		for _, cs := range ix.Global(i) {
-			log.charge(b, term{factor: 3, task: ti.ID, sem: cs.Sem, onSem: true, count: 1, ticks: maxDur.spin(ti.Proc, cs.SemPos)})
-		}
-		nonPreemptive := term{factor: 5} // the longest lower-priority spin and section
-		for _, j := range ix.OnProc(ti.Proc) {
-			switch tj := sys.Tasks[j]; {
-			case tj.Priority > ti.Priority:
-				spin := 0
-				for _, cs := range ix.Global(j) {
-					spin += maxDur.spin(tj.Proc, cs.SemPos)
-				}
-				log.charge(b, term{factor: 4, task: tj.ID, count: interferes(ti.Period, tj), ticks: spin})
-			case tj.Priority < ti.Priority:
-				for _, cs := range ix.Global(j) {
-					if d := maxDur.spin(tj.Proc, cs.SemPos) + cs.Duration; d > nonPreemptive.ticks {
-						nonPreemptive = term{factor: 5, task: tj.ID, sem: cs.Sem, onSem: true, count: 1, ticks: d}
-					}
-				}
+// msrpTask charges MSRP's terms of the task at position i.
+//
+//rtlint:hotpath
+func msrpTask(t *table, log *termLog, b *Bound, i int) {
+	sys, ix := t.sys, t.ix
+	ti := sys.Tasks[i]
+	log.charge(b, localTerm(sys, t.ceil, ti, 1))
+	for _, cs := range ix.Global(i) {
+		log.charge(b, term{factor: 3, task: ti.ID, sem: cs.Sem, onSem: true, count: 1, ticks: t.spin(ti.Proc, t.ord[cs.SemPos])})
+	}
+	nonPreemptive := term{factor: 5} // the longest lower-priority spin and section
+	for _, j := range ix.OnProc(ti.Proc) {
+		switch tj := sys.Tasks[j]; {
+		case tj.Priority > ti.Priority:
+			log.charge(b, term{factor: 4, task: tj.ID, count: t.interferes(ti.Period, j), ticks: t.spinAll[j]})
+		case tj.Priority < ti.Priority:
+			if d := t.nonPre[j]; d > nonPreemptive.ticks {
+				nonPreemptive = term{factor: 5, task: tj.ID, sem: task.SemID(t.nonPreSem[j]), onSem: true, count: 1, ticks: d}
 			}
 		}
-		log.charge(b, nonPreemptive)
-	}), nil
+	}
+	log.charge(b, nonPreemptive)
 }
 
 // FMLP is the analysis of FMLP+ (short and long semaphores as
@@ -144,9 +95,9 @@ func msrp(sys *task.System, _ Options, log termLog) (map[task.ID]*Bound, error) 
 // global request, so distinct predecessors at the boost level hold
 // distinct semaphores. Because the delay sums over other semaphores it
 // is not a per-semaphore contribution, which is why this bound is not a
-// mode of compose. Every term is monotone in the minimum interarrival
-// times.
-var FMLP = Analysis{&fmlpTitles, fmlp}
+// mode of the composed analysis. Every term is monotone in the minimum
+// interarrival times.
+var FMLP = Analysis{&fmlpTitles, (*table).prepareFMLP, fmlpTask}
 
 var fmlpTitles = [...]string{
 	"Local blocking, per arrival or long-semaphore suspension",
@@ -157,89 +108,49 @@ var fmlpTitles = [...]string{
 	"Deferred-execution penalty, one execution per suspending higher-priority local task",
 }
 
-func fmlp(sys *task.System, opts Options, log termLog) (map[task.ID]*Bound, error) {
-	short := ceiling.Split(sys)
-	tbl := ceiling.Compute(sys, false)
-	ix := sys.Index()
-	maxDur := newSpinTable(sys)
-
-	// boostedSpan is the longest stretch q can execute at the boost
-	// level on behalf of semaphore position k: spin plus critical
-	// section for short semaphores, the critical section for long ones.
-	// boostedOn[q] sums it over every semaphore, so a grant delay is
-	// boostedOn[q] less the granted semaphore's own span.
-	boostedSpan := func(q task.ProcID, k int) int {
-		d := maxDur.at(q, k)
-		if d == 0 || !short[k] {
-			return d
+// fmlpTask charges FMLP's terms of the task at position i.
+//
+//rtlint:hotpath
+func fmlpTask(t *table, log *termLog, b *Bound, i int) {
+	sys, ix := t.sys, t.ix
+	ti := sys.Tasks[i]
+	nLong := 0
+	for _, cs := range ix.Global(i) {
+		g := t.ord[cs.SemPos]
+		if t.short[g] {
+			log.charge(b, term{factor: 3, task: ti.ID, sem: cs.Sem, onSem: true, count: 1, ticks: t.shortSpin(ti.Proc, g)})
+			continue
 		}
-		return maxDur.spin(q, k) + d
-	}
-	boostedOn := make([]int, sys.NumProcs)
-	for q := range boostedOn {
-		for k := range sys.Sems {
-			boostedOn[q] += boostedSpan(task.ProcID(q), k)
-		}
-	}
-	grantDelay := func(q task.ProcID, k int) int {
-		return boostedOn[q] - boostedSpan(q, k)
-	}
-
-	return perTask(sys, func(b *Bound, i int, ti *task.Task) {
-		nLong := 0
-		for _, cs := range ix.Global(i) {
-			k := cs.SemPos
-			if short[k] {
-				spin := 0
-				for q := 0; q < sys.NumProcs; q++ {
-					if d := maxDur.at(task.ProcID(q), k); task.ProcID(q) != ti.Proc && d > 0 {
-						spin += d + grantDelay(task.ProcID(q), k)
-					}
-				}
-				log.charge(b, term{factor: 3, task: ti.ID, sem: cs.Sem, onSem: true, count: 1, ticks: spin})
+		nLong++
+		for _, u := range ix.Users(cs.SemPos) {
+			if u == i {
 				continue
 			}
-			nLong++
-			for _, u := range ix.Users(k) {
-				if u == i {
-					continue
-				}
-				dur := 0
-				for _, other := range ix.Global(u) {
-					if other.SemPos == k {
-						dur = max(dur, other.Duration)
-					}
-				}
-				if tk := sys.Tasks[u]; dur > 0 {
-					log.charge(b, term{factor: 2, task: tk.ID, sem: cs.Sem, onSem: true,
-						count: interferes(ti.Period, tk), ticks: dur + grantDelay(tk.Proc, k)})
-				}
+			if tk, dur := sys.Tasks[u], t.row(t.longest, u)[g]; dur > 0 {
+				log.charge(b, term{factor: 2, task: tk.ID, sem: cs.Sem, onSem: true,
+					count: t.interferes(ti.Period, u), ticks: dur + t.grantDelay(tk.Proc, g)})
 			}
 		}
-		log.charge(b, localTerm(sys, tbl, ti, nLong+1))
+	}
+	log.charge(b, localTerm(sys, t.ceil, ti, nLong+1))
 
-		for _, j := range ix.OnProc(ti.Proc) {
-			if j == i {
-				continue
-			}
-			tj := sys.Tasks[j]
-			spin, boosted, suspends := 0, 0, false
-			for _, cs := range ix.Global(j) {
-				boosted += cs.Duration
-				if short[cs.SemPos] {
-					spin += maxDur.spin(tj.Proc, cs.SemPos)
-				} else {
-					suspends = true
-				}
-			}
-			if tj.Priority > ti.Priority {
-				log.charge(b, term{factor: 4, task: tj.ID, count: interferes(ti.Period, tj), ticks: spin})
-				if opts.DeferredPenalty && suspends {
-					log.charge(b, term{factor: 6, task: tj.ID, count: 1, ticks: tj.WCET()})
-				}
-				continue
-			}
-			log.charge(b, term{factor: 5, task: tj.ID, count: interferes(ti.Period, tj), ticks: spin + boosted})
+	for _, j := range ix.OnProc(ti.Proc) {
+		if j == i {
+			continue
 		}
-	}), nil
+		tj := sys.Tasks[j]
+		spin := t.spinShrt[j]
+		if tj.Priority > ti.Priority {
+			log.charge(b, term{factor: 4, task: tj.ID, count: t.interferes(ti.Period, j), ticks: spin})
+			if t.opts.DeferredPenalty && t.suspends[j] {
+				log.charge(b, term{factor: 6, task: tj.ID, count: 1, ticks: t.wcet[j]})
+			}
+			continue
+		}
+		boosted := 0
+		for _, d := range t.row(t.time, j) {
+			boosted += d
+		}
+		log.charge(b, term{factor: 5, task: tj.ID, count: t.interferes(ti.Period, j), ticks: spin + boosted})
+	}
 }

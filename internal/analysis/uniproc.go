@@ -70,6 +70,22 @@ func HyperbolicTest(sys *task.System, bounds map[task.ID]*Bound) (bool, map[task
 // (about 69% as n grows, the figure Section 3.2 quotes for static
 // binding).
 func LiuLaylandBound(n int) float64 {
+	if n >= 0 && n < len(liuLayland) {
+		return liuLayland[n]
+	}
+	return liuLaylandBound(n)
+}
+
+// liuLayland holds LiuLaylandBound for the task counts a processor
+// usually has, so the schedulability tests call no math.Pow per task.
+var liuLayland = func() (t [65]float64) {
+	for n := range t {
+		t[n] = liuLaylandBound(n)
+	}
+	return t
+}()
+
+func liuLaylandBound(n int) float64 {
 	if n <= 0 {
 		return 1
 	}

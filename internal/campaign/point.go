@@ -42,10 +42,11 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 		panic("injected test panic")
 	}
 
-	// The point's trials are generated one after another into the
-	// storage of one Generator: each system is done with before the
-	// next overwrites it.
+	// The point's trials are generated and analyzed one after another
+	// in the storage of one Generator and one Analyzer: each system and
+	// its bounds are done with before the next overwrites them.
 	var gen workload.Generator
+	var az registry.Analyzer
 	remote := spec.RemoteSems()
 	var blockSum float64
 	var blockTrials int
@@ -58,7 +59,7 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 			continue
 		}
 
-		bounds, err := pointBounds(spec, pt, sys, remote)
+		bounds, err := pointBounds(&az, spec, pt, sys, remote)
 		if err != nil {
 			res.AnalysisFailed++
 			continue
@@ -111,10 +112,11 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 }
 
 // pointBounds computes the per-task blocking bounds for the point's
-// protocol via the registry. remote, the spec's RemoteSems, only
-// matters to the hybrid protocol; every other analysis ignores it.
-func pointBounds(spec *Spec, pt Point, sys *task.System, remote map[task.SemID]bool) (map[task.ID]*analysis.Bound, error) {
-	return registry.Analyze(pt.Protocol, sys, registry.AnalyzeOpts{
+// protocol via the registry, in az's storage. remote, the spec's
+// RemoteSems, only matters to the hybrid protocol; every other analysis
+// ignores it.
+func pointBounds(az *registry.Analyzer, spec *Spec, pt Point, sys *task.System, remote map[task.SemID]bool) (map[task.ID]*analysis.Bound, error) {
+	return az.Analyze(pt.Protocol, sys, registry.AnalyzeOpts{
 		DeferredPenalty: spec.DeferredPenalty,
 		RemoteSems:      remote,
 	})

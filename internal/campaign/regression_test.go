@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mpcp/internal/registry"
 	"mpcp/internal/workload"
 )
 
@@ -95,16 +96,19 @@ func TestRunPointRepeatable(t *testing.T) {
 
 // TestPointBoundsCoverAllTasks pins the invariant the EvaluatePoint rewrite
 // relies on: every analysis returns exactly one bound per task, so
-// walking sys.Tasks visits the same set the bounds map holds.
+// walking sys.Tasks visits the same set the bounds map holds. One
+// Analyzer serves every point, as it serves a point's trials, so no
+// bound of an earlier system may linger in the map.
 func TestPointBoundsCoverAllTasks(t *testing.T) {
 	spec := testSpec()
 	checked := 0
+	var az registry.Analyzer
 	for _, pt := range spec.Points() {
 		sys, err := workload.Generate(spec.WorkloadConfig(pt, spec.TrialSeed(pt, 0)))
 		if err != nil {
 			continue
 		}
-		bounds, err := pointBounds(spec, pt, sys, spec.RemoteSems())
+		bounds, err := pointBounds(&az, spec, pt, sys, spec.RemoteSems())
 		if err != nil {
 			continue
 		}

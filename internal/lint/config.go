@@ -54,9 +54,10 @@ func (s Scoped) Applies(importPath string) bool {
 //     the substrate or its observers: shmem, pqueue, obs, server — and
 //     the dist coordinator, whose single mutex orders all job state.
 //   - allocbudget holds the //rtlint:hotpath functions of the simulator
-//     inner loop, the release queue and the priority queue to a
-//     zero-allocation budget; `rtvet -escapes` cross-checks the same
-//     annotations against the compiler's own escape analysis.
+//     inner loop, the release queue, the priority queue and the
+//     blocking analyses' per-task charges to a zero-allocation budget;
+//     `rtvet -escapes` cross-checks the same annotations against the
+//     compiler's own escape analysis.
 //   - protocontract verifies every sim.Protocol implementation against
 //     the engine's behavioural contract (acquire on true, block on
 //     false, release on every Unlock exit, Grant/MakeReady pairing,
@@ -109,6 +110,7 @@ func DefaultSuite() []Scoped {
 		{
 			Analyzer: AllocBudget,
 			Prefixes: []string{
+				"mpcp/internal/analysis",
 				"mpcp/internal/sim",
 				"mpcp/internal/relq",
 				"mpcp/internal/pqueue",

@@ -446,14 +446,26 @@ func analyzer(name string, sys *task.System, opts AnalyzeOpts) (*analysis.Analys
 	return d.analysis, d.options(sys, opts), nil
 }
 
-// Analyze computes the named protocol's worst-case blocking bounds,
-// or an error naming the analyzable protocols when it has none.
+// Analyze computes the named protocol's worst-case blocking bounds in
+// fresh storage, or an error naming the analyzable protocols when it has
+// none.
 func Analyze(name string, sys *task.System, opts AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
+	return new(Analyzer).Analyze(name, sys, opts)
+}
+
+// Analyzer computes registered protocols' bounds in storage it keeps
+// from one call to the next, as analysis.Analyzer does. It is not safe
+// for concurrent use; give each goroutine one.
+type Analyzer struct{ z analysis.Analyzer }
+
+// Analyze is the package-level Analyze in r's storage: the bounds are
+// valid until r's next call.
+func (r *Analyzer) Analyze(name string, sys *task.System, opts AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
 	a, o, err := analyzer(name, sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	return a.Bounds(sys, o)
+	return r.z.Bounds(a, sys, o)
 }
 
 // Explain renders the named protocol's factor-by-factor account of task

@@ -32,7 +32,12 @@ type Index struct {
 // indexStore is the storage an Index is built in and Validate's
 // scratch, kept for the next Validate of the same system.
 type indexStore struct {
-	byPrio, byID []int // task positions by descending priority and ID
+	byPrio, byID []int // task positions by descending priority, ascending ID
+	// keys, pairs and ranks are sort scratch: priorityOrder's and
+	// firstRepeatedID's keys and pairs, assignByKey's ranks.
+	keys         []int
+	pairs        []sortKey
+	ranks        []rankKey
 	global, held []bool
 	stack        []openCS
 	// all holds every critical section, task i's at
@@ -58,6 +63,18 @@ func (x *Index) Global(i int) []CriticalSection { return x.global[i] }
 // Local returns the critical sections of the task at position i that
 // are guarded by local semaphores.
 func (x *Index) Local(i int) []CriticalSection { return x.local[i] }
+
+// ByPriority returns the task positions by descending priority.
+func (x *Index) ByPriority() []int {
+	p := x.store.byPrio
+	return p[:len(p):len(p)]
+}
+
+// ByID returns the task positions by ascending ID.
+func (x *Index) ByID() []int {
+	id := x.store.byID
+	return id[:len(id):len(id)]
+}
 
 // OnProc returns the positions of the tasks bound to processor p, in
 // system order.

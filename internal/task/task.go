@@ -320,9 +320,9 @@ func (s *System) Validate(opts ValidateOptions) error {
 
 	st := &x.store
 	var dupPrio, firstPrio int
-	st.byPrio, dupPrio, firstPrio = priorityOrder(s.Tasks, st.byPrio)
+	st.byPrio, dupPrio, firstPrio = priorityOrder(s.Tasks, st)
 	var dupID int
-	st.byID, dupID = firstRepeatedID(s.Tasks, st.byID)
+	st.byID, dupID = firstRepeatedID(s.Tasks, st)
 	for i, t := range s.Tasks {
 		if i == dupID {
 			return fmt.Errorf("%w: %d", ErrDuplicateTaskID, t.ID)
@@ -455,37 +455,90 @@ func resize[T any](s []T, n int) []T {
 // every processor and semaphore. It also returns the lowest position
 // whose priority an earlier task has, and that task's position; -1, -1
 // when no priority repeats, and only then is the order meaningful. The
-// order is built in buf's storage when it has room.
-func priorityOrder(tasks []*Task, buf []int) (order []int, dup, first int) {
-	prio := func(i int) int { return tasks[i].Priority }
-	order = byKey(resize(buf, len(tasks)), prio)
-	dup, first = firstRepeat(order, prio)
+// order is built in st's storage.
+func priorityOrder(tasks []*Task, st *indexStore) (order []int, dup, first int) {
+	keys := resize(st.keys, len(tasks))
+	for i, t := range tasks {
+		keys[i] = t.Priority
+	}
+	st.keys = keys
+	order = byKey(st.byPrio, keys, &st.pairs)
+	dup, first = firstRepeat(order, keys)
 	return order, dup, first
 }
 
-// byKey fills order with the positions 0..len(order)-1 by descending
-// key, equal keys in position order, and returns it.
-func byKey(order []int, key func(int) int) []int {
-	for i := range order {
-		order[i] = i
+// firstRepeatedID returns the task positions by ascending ID, built in
+// st's storage, and the lowest position of a task whose ID an earlier
+// task has, or -1.
+func firstRepeatedID(tasks []*Task, st *indexStore) (order []int, dup int) {
+	keys := resize(st.keys, len(tasks))
+	for i, t := range tasks {
+		keys[i] = ^int(t.ID) // ^ reverses the order: ascending IDs
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(key(b), key(a)); c != 0 {
-			return c
+	st.keys = keys
+	order = byKey(st.byID, keys, &st.pairs)
+	dup, _ = firstRepeat(order, keys)
+	return order, dup
+}
+
+// sortKey is a key and the position it belongs to.
+type sortKey struct{ key, pos int }
+
+// bySortKey orders sort keys by descending key, equal keys by position.
+func bySortKey(a, b sortKey) int {
+	if c := cmp.Compare(b.key, a.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// byKey returns the positions 0..len(keys)-1 by descending key, equal
+// keys in position order, built in order's storage when it has room.
+// Keys that are distinct and consecutive, as priorities 1..n and the
+// generator's IDs are, are placed without a sort; any others are sorted
+// as (key, position) pairs in pairs' storage.
+func byKey(order []int, keys []int, pairs *[]sortKey) []int {
+	n := len(keys)
+	order = resize(order, n)
+	if n == 0 {
+		return order
+	}
+	hi, lo := keys[0], keys[0]
+	for _, k := range keys {
+		hi, lo = max(hi, k), min(lo, k)
+	}
+	if hi-lo == n-1 { // a wrapped-around difference is negative
+		for i := range order {
+			order[i] = -1
 		}
-		return cmp.Compare(a, b)
-	})
+		i := 0
+		for ; i < n && order[hi-keys[i]] < 0; i++ {
+			order[hi-keys[i]] = i
+		}
+		if i == n {
+			return order
+		}
+	}
+	ps := resize(*pairs, n)
+	for i, k := range keys {
+		ps[i] = sortKey{k, i}
+	}
+	slices.SortFunc(ps, bySortKey)
+	for i, p := range ps {
+		order[i] = p.pos
+	}
+	*pairs = ps
 	return order
 }
 
 // firstRepeat returns the lowest position whose key an earlier position
 // has, and the first position with that key; -1, -1 when no key repeats.
-// order holds the positions as byKey sorts them.
-func firstRepeat(order []int, key func(int) int) (at, first int) {
+// order holds the positions as byKey sorts keys.
+func firstRepeat(order, keys []int) (at, first int) {
 	at, first = -1, -1
 	head := 0
 	for k := 1; k < len(order); k++ {
-		if key(order[k]) != key(order[head]) {
+		if keys[order[k]] != keys[order[head]] {
 			head = k
 			continue
 		}
@@ -494,16 +547,6 @@ func firstRepeat(order []int, key func(int) int) (at, first int) {
 		}
 	}
 	return at, first
-}
-
-// firstRepeatedID returns the task positions by descending ID, built in
-// buf's storage when it has room, and the lowest position of a task
-// whose ID an earlier task has, or -1.
-func firstRepeatedID(tasks []*Task, buf []int) (order []int, dup int) {
-	id := func(i int) int { return int(tasks[i].ID) }
-	order = byKey(resize(buf, len(tasks)), id)
-	dup, _ = firstRepeat(order, id)
-	return order, dup
 }
 
 // semPositions resolves semaphore IDs to positions in System.Sems. When
@@ -779,18 +822,7 @@ func lcm(a, b int) int {
 // period are broken by task ID (lower ID wins) so the assignment is
 // deterministic. Priorities are 1..n with n = highest.
 func AssignRateMonotonic(s *System) {
-	order := make([]*Task, len(s.Tasks))
-	copy(order, s.Tasks)
-	slices.SortFunc(order, func(a, b *Task) int {
-		if c := cmp.Compare(b.Period, a.Period); c != 0 {
-			return c // longest period = lowest priority
-		}
-		return cmp.Compare(b.ID, a.ID)
-	})
-	for i, t := range order {
-		t.Priority = i + 1
-	}
-	s.validated = false
+	assignByKey(s, func(t *Task) int { return t.Period })
 }
 
 // AssignDeadlineMonotonic assigns distinct base priorities by relative
@@ -798,16 +830,45 @@ func AssignRateMonotonic(s *System) {
 // priorities when deadlines may be shorter than periods). Ties break by
 // task ID. Priorities are 1..n with n = highest.
 func AssignDeadlineMonotonic(s *System) {
-	order := make([]*Task, len(s.Tasks))
-	copy(order, s.Tasks)
-	slices.SortFunc(order, func(a, b *Task) int {
-		if c := cmp.Compare(b.RelativeDeadline(), a.RelativeDeadline()); c != 0 {
-			return c // longest deadline = lowest priority
-		}
-		return cmp.Compare(b.ID, a.ID)
-	})
-	for i, t := range order {
-		t.Priority = i + 1
+	assignByKey(s, func(t *Task) int { return t.RelativeDeadline() })
+}
+
+// rankKey is a task's priority-assignment key.
+type rankKey struct {
+	key int
+	id  ID
+	t   *Task
+}
+
+// byRankKey orders rank keys by descending key, then descending ID: the
+// order in which assignByKey hands out priorities 1..n.
+func byRankKey(a, b rankKey) int {
+	if c := cmp.Compare(b.key, a.key); c != 0 {
+		return c
 	}
+	return cmp.Compare(b.id, a.id)
+}
+
+// assignByKey gives the task with the largest key, ties to the largest
+// ID, priority 1, the next priority 2, and so on, and marks s
+// unvalidated. Its sort runs in the storage of s's index.
+func assignByKey(s *System, key func(*Task) int) {
+	x := s.ix
+	if x == nil {
+		if s.spare == nil {
+			s.spare = new(Index)
+		}
+		x = s.spare
+	}
+	ranks := resize(x.store.ranks, len(s.Tasks))
+	for i, t := range s.Tasks {
+		ranks[i] = rankKey{key(t), t.ID, t}
+	}
+	slices.SortFunc(ranks, byRankKey)
+	for i, r := range ranks {
+		r.t.Priority = i + 1
+	}
+	clear(ranks) // drop the task pointers
+	x.store.ranks = ranks
 	s.validated = false
 }
