@@ -95,6 +95,9 @@ func BenchmarkFMLPBounds(b *testing.B) {
 	benchBounds(b, &analysis.FMLP, func(*task.System) analysis.Options { return analysis.Options{DeferredPenalty: true} })
 }
 
+// BenchmarkSchedulability runs Schedulability, with its fresh report,
+// on every benchConfigs system, and as "sweep-verdicts" the verdict-only
+// test a campaign trial runs, in one scratch kept across calls.
 func BenchmarkSchedulability(b *testing.B) {
 	benchEach(b, func(b *testing.B, sys *task.System) {
 		bounds, err := analysis.Composed.Bounds(sys, analysis.Options{DeferredPenalty: true})
@@ -104,6 +107,24 @@ func BenchmarkSchedulability(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := analysis.Schedulability(sys, bounds, analysis.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sweep-verdicts", func(b *testing.B) {
+		sys, err := workload.Generate(benchConfigs[1].cfg())
+		if err != nil {
+			b.Fatal(err)
+		}
+		bounds, err := analysis.Composed.Bounds(sys, analysis.Options{DeferredPenalty: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var sc analysis.SchedScratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := analysis.Verdicts(sys, bounds, &sc, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -272,7 +272,7 @@ func composeTask(t *table, log *termLog, b *Bound, i int) {
 
 	// Factor 1: (NG_i + 1) opportunities to be blocked by one local
 	// critical section of a lower-priority job whose ceiling reaches P_i.
-	log.charge(b, localTerm(sys, t.ceil, ti, ng+1))
+	log.charge(b, localTerm(sys, &t.ceil, ti, ng+1))
 
 	// Factor 2: each request can wait for one lower-priority gcs — the
 	// longest holder of a shared-memory semaphore, read from the suffix
@@ -449,13 +449,51 @@ func Schedulability(sys *task.System, bounds map[task.ID]*Bound, opts Options) (
 	if !sys.Validated() {
 		return nil, ErrNotValidated
 	}
-	rep := &Report{SchedulableUtil: true, SchedulableResponse: true, Tasks: make([]TaskReport, len(sys.Tasks))}
-	byID := sys.Index().ByID()
+	rep := &Report{Tasks: make([]TaskReport, len(sys.Tasks))}
+	var sc SchedScratch
+	var err error
+	rep.SchedulableUtil, rep.SchedulableResponse, err = Verdicts(sys, bounds, &sc, rep.Tasks)
+	return rep, err
+}
 
-	// Per-processor scratch, in TasksOn order: each task's C_i and its
-	// worst-case rate C_i / T_i^min.
-	cost := make([]int, len(sys.Tasks))
-	util := make([]float64, len(sys.Tasks))
+// SchedScratch is the storage Verdicts works in, kept by a caller that
+// tests one system after another. The zero value is ready to use. A
+// SchedScratch is not safe for concurrent use.
+type SchedScratch struct {
+	// By position in one processor's TasksOn order: each task's C_i and
+	// its worst-case rate C_i / T_i^min.
+	cost []int
+	util []float64
+}
+
+// grow makes room in sc for n tasks.
+func (sc *SchedScratch) grow(n int) {
+	if cap(sc.cost) < n {
+		sc.cost, sc.util = make([]int, n), make([]float64, n)
+	}
+}
+
+// Verdicts returns Theorem 3's utilization verdict and the response-time
+// iteration's verdict for sys under bounds, working in sc. With reports
+// (one entry per task), it runs both tests on every task and fills the
+// reports by ascending task ID, as Schedulability does. With nil reports
+// it stops running a test at the first task that fails it, and returns
+// once both have failed: each verdict is an AND over the tasks, so the
+// verdicts are the same either way.
+//
+//rtlint:hotpath
+func Verdicts(sys *task.System, bounds map[task.ID]*Bound, sc *SchedScratch, reports []TaskReport) (utilOK, respOK bool, err error) {
+	if !sys.Validated() {
+		return false, false, ErrNotValidated
+	}
+	sc.grow(len(sys.Tasks)) //rtlint:allow allocbudget the scratch grows only until it fits the largest system tested
+	cost, util := sc.cost, sc.util
+	full := reports != nil
+	var byID []int
+	if full {
+		byID = sys.Index().ByID()
+	}
+	utilOK, respOK = true, true
 	for p := 0; p < sys.NumProcs; p++ {
 		tasks := sys.TasksOn(task.ProcID(p)) // descending priority
 		for i, ti := range tasks {
@@ -473,28 +511,33 @@ func Schedulability(sys *task.System, bounds map[task.ID]*Bound, opts Options) (
 			// Sporadic tasks are charged at their worst-case rate (the
 			// minimum interarrival), so the sufficient condition stays
 			// sound under the sporadic model.
-			lhs := float64(b) / float64(ti.EffectiveMinInterarrival())
-			for _, u := range util[:i+1] {
-				lhs += u
-			}
-			tr.UtilLHS, tr.UtilRHS = lhs, LiuLaylandBound(i+1)
-			tr.UtilOK = lhs <= tr.UtilRHS+1e-12
-			if !tr.UtilOK {
-				rep.SchedulableUtil = false
+			if utilOK || full {
+				lhs := float64(b) / float64(ti.EffectiveMinInterarrival())
+				for _, u := range util[:i+1] {
+					lhs += u
+				}
+				tr.UtilLHS, tr.UtilRHS = lhs, LiuLaylandBound(i+1)
+				tr.UtilOK = lhs <= tr.UtilRHS+1e-12
+				utilOK = utilOK && tr.UtilOK
 			}
 
 			// Response-time iteration:
 			// R = C_i + B_i + sum_{j<i} ceil(R/T_j) C_j (+ one extra C_j
 			// per suspending higher-priority task when the deferred
 			// penalty is modeled structurally rather than inside B).
-			tr.Response, tr.ResponseOK = responseTime(tasks[:i], cost[:i], ti, cost[i], b)
-			if !tr.ResponseOK {
-				rep.SchedulableResponse = false
+			if respOK || full {
+				tr.Response, tr.ResponseOK = responseTime(tasks[:i], cost[:i], ti, cost[i], b)
+				respOK = respOK && tr.ResponseOK
 			}
-			rep.Tasks[idRank(sys, byID, ti.ID)] = tr
+
+			if full {
+				reports[idRank(sys, byID, ti.ID)] = tr
+			} else if !utilOK && !respOK {
+				return false, false, nil
+			}
 		}
 	}
-	return rep, nil
+	return utilOK, respOK, nil
 }
 
 // idRank returns the rank of task id in byID, the task positions by

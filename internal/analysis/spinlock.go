@@ -47,7 +47,7 @@ var msrpTitles = [...]string{
 func msrpTask(t *table, log *termLog, b *Bound, i int) {
 	sys, ix := t.sys, t.ix
 	ti := sys.Tasks[i]
-	log.charge(b, localTerm(sys, t.ceil, ti, 1))
+	log.charge(b, localTerm(sys, &t.ceil, ti, 1))
 	for _, cs := range ix.Global(i) {
 		log.charge(b, term{factor: 3, task: ti.ID, sem: cs.Sem, onSem: true, count: 1, ticks: t.spin(ti.Proc, t.ord[cs.SemPos])})
 	}
@@ -132,7 +132,7 @@ func fmlpTask(t *table, log *termLog, b *Bound, i int) {
 			}
 		}
 	}
-	log.charge(b, localTerm(sys, t.ceil, ti, nLong+1))
+	log.charge(b, localTerm(sys, &t.ceil, ti, nLong+1))
 
 	for _, j := range ix.OnProc(ti.Proc) {
 		if j == i {

@@ -68,7 +68,7 @@ type table struct {
 	sys    *task.System
 	ix     *task.Index
 	opts   Options
-	ceil   *ceiling.Table
+	ceil   ceiling.Table
 	nProcs int
 
 	// ord gives, by semaphore position, the global ordinal, -1 for a
@@ -242,9 +242,11 @@ func (t *table) spin(proc task.ProcID, g int) int {
 // composedPart is what only the composed analysis reads.
 type composedPart struct {
 	// remote marks, and sync gives the synchronization processor of,
-	// each global ordinal handled remotely.
-	remote []bool
-	sync   []int
+	// each global ordinal handled remotely; syncProcs is
+	// ceiling.SyncProcs's result by semaphore position.
+	remote    []bool
+	sync      []int
+	syncProcs []task.ProcID
 	// gcsAt holds the gcs execution priority by processor and ordinal,
 	// at [q*len(pos)+g].
 	gcsAt []int
@@ -305,9 +307,10 @@ func (t *table) prepareComposed(sys *task.System, opts Options) error {
 		return fmt.Errorf("analysis: remote set has %d entries for %d semaphores", len(remote), len(sys.Sems))
 	default:
 		var err error
-		if assign, err = ceiling.SyncProcs(sys, remote, opts.DPCPAssign); err != nil {
+		if t.syncProcs, err = ceiling.SyncProcs(t.syncProcs, sys, remote, opts.DPCPAssign); err != nil {
 			return fmt.Errorf("analysis: %w", err)
 		}
+		assign = t.syncProcs
 	}
 	nG, nP, n := globals(sys), sys.NumProcs, len(sys.Tasks)
 	ix := sys.Index()
@@ -324,7 +327,7 @@ func (t *table) prepareComposed(sys *task.System, opts Options) error {
 	}
 	t.build(sys, opts, timeInts(n, nG)+2*nG+nG*nP+3*nP+1+4*n+shmInts, 2*nG+nP)
 	t.buildTime()
-	t.ceil = ceiling.Compute(sys, opts.GcsAtCeiling)
+	t.ceil.Build(sys, opts.GcsAtCeiling)
 
 	t.remote = t.bools.take(nG)
 	t.sync = t.ints.take(nG)
@@ -463,8 +466,9 @@ func (t *table) lowerThan(g, r int) (task.ID, int, []uint64) {
 
 // spinPart is what only MSRP and FMLP read beyond the common part.
 type spinPart struct {
-	// short marks, by ordinal, FMLP+'s short semaphores.
-	short []bool
+	// short marks, by ordinal, FMLP+'s short semaphores; split is
+	// ceiling.Split's result by semaphore position.
+	short, split []bool
 	// By task position: MSRP's spin over all of the task's requests and
 	// its longest non-preemptive span (spin plus section) with that
 	// section's semaphore; FMLP's spin over the task's short requests,
@@ -492,7 +496,7 @@ func (t *table) prepareMSRP(sys *task.System, opts Options) error {
 	t.build(sys, opts, spinsInts(globals(sys), sys.NumProcs)+3*len(sys.Tasks), 0)
 	t.buildSpins()
 	ix := t.ix
-	t.ceil = ceiling.Compute(sys, false)
+	t.ceil.Build(sys, false)
 	t.spinAll = t.ints.take(len(sys.Tasks))
 	t.nonPreSem = t.ints.take(len(sys.Tasks))
 	t.nonPre = t.ints.take(len(sys.Tasks))
@@ -515,11 +519,11 @@ func (t *table) prepareFMLP(sys *task.System, opts Options) error {
 	t.buildTime()
 	t.buildSpins()
 	ix := t.ix
-	t.ceil = ceiling.Compute(sys, false)
-	split := ceiling.Split(sys)
+	t.ceil.Build(sys, false)
+	t.split = ceiling.Split(t.split, sys)
 	t.short = t.bools.take(nG)
 	for g, k := range t.pos {
-		t.short[g] = split[k]
+		t.short[g] = t.split[k]
 	}
 
 	// The grant delay of ordinal g on processor q is the boosted work

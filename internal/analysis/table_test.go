@@ -103,7 +103,7 @@ func refCompose(sys *task.System, opts analysis.Options) (*refLog, error) {
 	if remote == nil {
 		remote = make([]bool, len(sys.Sems))
 	}
-	assign, err := ceiling.SyncProcs(sys, remote, opts.DPCPAssign)
+	assign, err := ceiling.SyncProcs(nil, sys, remote, opts.DPCPAssign)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +302,7 @@ func refMSRP(sys *task.System, _ analysis.Options) (*refLog, error) {
 }
 
 func refFMLP(sys *task.System, opts analysis.Options) (*refLog, error) {
-	short := ceiling.Split(sys)
+	short := ceiling.Split(nil, sys)
 	tbl := ceiling.Compute(sys, false)
 	ix := sys.Index()
 	maxDur := newRefSpinTable(sys)

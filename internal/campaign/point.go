@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"sync"
 
 	"mpcp/internal/analysis"
 	"mpcp/internal/obs"
@@ -15,6 +16,23 @@ import (
 // exercise the recovery path. Nil outside tests.
 var forcePanicHook func(Point) bool
 
+// evaluators holds the evaluators EvaluatePoint runs points in, so
+// every goroutine that evaluates points one after another reuses the
+// storage of the last.
+var evaluators = sync.Pool{New: func() any { return new(evaluator) }}
+
+// evaluator is the storage a point's trials are generated, bounded and
+// tested in: each system, its bounds and its verdicts are done with
+// before the next trial, or the next point, overwrites them. Every
+// result is a function of the point alone, since each stage overwrites
+// all it reads of its storage. An evaluator is not safe for concurrent
+// use.
+type evaluator struct {
+	gen   workload.Generator
+	az    registry.Analyzer
+	sched analysis.SchedScratch
+}
+
 // EvaluatePoint evaluates one grid point: SeedsPerPoint seeded trials of
 // generate -> analyze -> (optionally) simulate. It is the unit of work
 // every executor runs — remote shard workers call it directly — and it
@@ -25,7 +43,27 @@ var forcePanicHook func(Point) bool
 // accumulates fast-path instrumentation for the confirmation
 // simulations; point results never depend on it.
 func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
-	res = &PointResult{
+	res = newResult(pt)
+	ev := evaluators.Get().(*evaluator)
+	defer func() {
+		if r := recover(); r != nil {
+			// ev is dropped: a panic may have left its storage half
+			// written.
+			res.Err = fmt.Sprintf("panic: %v", r)
+			return
+		}
+		evaluators.Put(ev)
+	}()
+	if forcePanicHook != nil && forcePanicHook(pt) {
+		panic("injected test panic")
+	}
+	ev.evaluate(spec, pt, res, reg)
+	return res
+}
+
+// newResult returns pt's result row before any trial.
+func newResult(pt Point) *PointResult {
+	return &PointResult{
 		Key:          pt.Key,
 		Protocol:     pt.Protocol,
 		Util:         pt.Util,
@@ -33,46 +71,36 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 		TasksPerProc: pt.TasksPerProc,
 		CSMax:        pt.CSMax,
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Err = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	if forcePanicHook != nil && forcePanicHook(pt) {
-		panic("injected test panic")
-	}
+}
 
-	// The point's trials are generated and analyzed one after another
-	// in the storage of one Generator and one Analyzer: each system and
-	// its bounds are done with before the next overwrites them.
-	var gen workload.Generator
-	var az registry.Analyzer
+// evaluate runs pt's trials in ev's storage, counting them into res.
+func (ev *evaluator) evaluate(spec *Spec, pt Point, res *PointResult, reg *obs.Registry) {
 	remote := spec.RemoteSems()
 	var blockSum float64
 	var blockTrials int
 	for trial := 0; trial < spec.SeedsPerPoint; trial++ {
 		res.Trials++
 		seed := spec.TrialSeed(pt, trial)
-		sys, err := gen.Generate(spec.WorkloadConfig(pt, seed))
+		sys, err := ev.gen.Generate(spec.WorkloadConfig(pt, seed))
 		if err != nil {
 			res.GenFailed++
 			continue
 		}
 
-		bounds, err := pointBounds(&az, spec, pt, sys, remote)
+		bounds, err := pointBounds(&ev.az, spec, pt, sys, remote)
 		if err != nil {
 			res.AnalysisFailed++
 			continue
 		}
-		rep, err := analysis.Schedulability(sys, bounds, analysis.Options{})
+		schedUtil, schedResp, err := analysis.Verdicts(sys, bounds, &ev.sched, nil)
 		if err != nil {
 			res.AnalysisFailed++
 			continue
 		}
-		if rep.SchedulableUtil {
+		if schedUtil {
 			res.SchedUtil++
 		}
-		if rep.SchedulableResponse {
+		if schedResp {
 			res.SchedResponse++
 		}
 
@@ -100,7 +128,7 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 
 		if spec.Simulate {
 			missed, ok := simTrial(spec, pt, sys, remote, res, reg)
-			if ok && missed && rep.SchedulableResponse {
+			if ok && missed && schedResp {
 				res.SimMissedAdmitted++
 			}
 		}
@@ -108,7 +136,6 @@ func EvaluatePoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 	if blockTrials > 0 {
 		res.MeanBlocking = blockSum / float64(blockTrials)
 	}
-	return res
 }
 
 // pointBounds computes the per-task blocking bounds for the point's

@@ -43,15 +43,27 @@ type Table struct {
 // message-based protocol of [8] prescribes and as the paper discusses as
 // the more pessimistic assignment.
 func Compute(sys *task.System, atCeiling bool) *Table {
+	t := new(Table)
+	t.Build(sys, atCeiling)
+	return t
+}
+
+// Build is Compute into t's storage: it overwrites t with sys's table,
+// reusing the storage of t's last Build.
+func (t *Table) Build(sys *task.System, atCeiling bool) {
 	ix := sys.Index()
-	t := &Table{PH: sys.HighestPriority(), sys: sys, atCeiling: atCeiling, sems: make([]tops, len(sys.Sems))}
+	t.PH, t.sys, t.atCeiling = sys.HighestPriority(), sys, atCeiling
 	t.PG = t.PH + 1
+	if cap(t.sems) < len(sys.Sems) {
+		t.sems = make([]tops, len(sys.Sems))
+	}
+	t.sems = t.sems[:len(sys.Sems)]
 	for k := range sys.Sems {
+		t.sems[k] = tops{}
 		if users := ix.Users(k); len(users) > 0 {
 			t.sems[k] = topsOf(sys, users)
 		}
 	}
-	return t
 }
 
 // LocalAt returns the priority of the highest-priority task that locks
@@ -157,12 +169,14 @@ func (tp tops) gcs(pg int, p task.ProcID, atCeiling bool) int {
 // sys.Sems): its explicit assignment if it has one, else the
 // lowest-numbered processor that accesses it. Every other semaphore,
 // and a remote one that no task uses and that has no assignment, gets
-// -1. An assignment outside the system's processors is an error.
-func SyncProcs(sys *task.System, remote []bool, explicit map[task.SemID]task.ProcID) ([]task.ProcID, error) {
+// -1. An assignment outside the system's processors is an error. The
+// result is written into dst's storage when it has room (dst may be
+// nil).
+func SyncProcs(dst []task.ProcID, sys *task.System, remote []bool, explicit map[task.SemID]task.ProcID) ([]task.ProcID, error) {
 	ix := sys.Index()
-	out := make([]task.ProcID, len(sys.Sems))
+	out := dst[:0]
 	for k, sem := range sys.Sems {
-		out[k] = -1
+		out = append(out, -1)
 		if !sem.Global || !remote[k] {
 			continue
 		}
@@ -187,18 +201,20 @@ const ShortMax = 4
 // Split classifies the global semaphores of sys into FMLP+'s short and
 // long groups: by semaphore position, short is true for a global
 // semaphore whose longest critical section over all users is at most
-// ShortMax ticks. Every other global semaphore is long.
-func Split(sys *task.System) (short []bool) {
+// ShortMax ticks. Every other global semaphore is long. The result is
+// written into dst's storage when it has room (dst may be nil).
+func Split(dst []bool, sys *task.System) (short []bool) {
+	short = dst[:0]
+	for _, sem := range sys.Sems {
+		short = append(short, sem.Global)
+	}
 	ix := sys.Index()
-	longest := make([]int, len(sys.Sems))
 	for i := range sys.Tasks {
 		for _, cs := range ix.Global(i) {
-			longest[cs.SemPos] = max(longest[cs.SemPos], cs.Duration)
+			if cs.Duration > ShortMax {
+				short[cs.SemPos] = false
+			}
 		}
-	}
-	short = make([]bool, len(sys.Sems))
-	for k, sem := range sys.Sems {
-		short[k] = sem.Global && longest[k] <= ShortMax
 	}
 	return short
 }

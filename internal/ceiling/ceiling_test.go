@@ -164,7 +164,7 @@ func TestSyncProcs(t *testing.T) {
 	}
 	all := []bool{true, true, true, true}
 
-	got, err := ceiling.SyncProcs(sys, all, map[task.SemID]task.ProcID{gB: 0})
+	got, err := ceiling.SyncProcs(nil, sys, all, map[task.SemID]task.ProcID{gB: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,13 @@ func TestSyncProcs(t *testing.T) {
 		t.Errorf("SyncProcs = %v, want %v", got, want)
 	}
 
-	got, err = ceiling.SyncProcs(sys, []bool{false, true, false, false}, nil)
+	got, err = ceiling.SyncProcs(nil, sys, []bool{false, true, false, false}, nil)
 	if want := []task.ProcID{-1, 1, -1, -1}; err != nil || !slices.Equal(got, want) {
 		t.Errorf("SyncProcs(gB only) = %v, %v; want %v", got, err, want)
 	}
 
 	for _, bad := range []task.ProcID{-1, 3} {
-		if _, err := ceiling.SyncProcs(sys, all, map[task.SemID]task.ProcID{gA: bad}); err == nil {
+		if _, err := ceiling.SyncProcs(nil, sys, all, map[task.SemID]task.ProcID{gA: bad}); err == nil {
 			t.Errorf("SyncProcs accepted processor %d on a 3-processor system", bad)
 		}
 	}
@@ -207,7 +207,7 @@ func TestSplit(t *testing.T) {
 		if err := sys.Validate(task.ValidateOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		short := ceiling.Split(sys) // by position: g is 0, l is 1
+		short := ceiling.Split(nil, sys) // by position: g is 0, l is 1
 		if short[0] != tc.wantShort {
 			t.Errorf("sections %v: short=%t, want %t", tc.durs, short[0], tc.wantShort)
 		}

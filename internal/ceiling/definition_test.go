@@ -131,51 +131,56 @@ func definitionSystems(t *testing.T) map[string]*task.System {
 // (task, semaphore) pair and both gcs priority assignments: the reads by
 // ID everywhere, and the reads by position where they are defined. An
 // unknown semaphore has no ceilings, and a task has a gcs priority only
-// on the global semaphores it locks.
+// on the global semaphores it locks. Each table is checked as Compute
+// returns it and as Build writes it into one Table reused across every
+// system.
 func TestTableMatchesDefinition(t *testing.T) {
+	var reused ceiling.Table
 	for name, sys := range definitionSystems(t) {
 		d := define(sys)
 		for _, atCeiling := range []bool{false, true} {
-			tbl := ceiling.Compute(sys, atCeiling)
-			if tbl.PH != d.ph || tbl.PG != d.pg {
-				t.Errorf("%s: PH=%d PG=%d, want %d and %d", name, tbl.PH, tbl.PG, d.ph, d.pg)
-			}
-			for k, sem := range append(slices.Clip(sys.Sems), &task.Semaphore{ID: -7}) {
-				s := sem.ID
-				top, used := d.top(s)
-				global := used && d.global(s)
-				if sem.Global != global {
-					t.Errorf("%s: semaphore %d global=%t, want %t", name, s, sem.Global, global)
+			reused.Build(sys, atCeiling)
+			for _, tbl := range []*ceiling.Table{ceiling.Compute(sys, atCeiling), &reused} {
+				if tbl.PH != d.ph || tbl.PG != d.pg {
+					t.Errorf("%s: PH=%d PG=%d, want %d and %d", name, tbl.PH, tbl.PG, d.ph, d.pg)
 				}
-				local, ok := tbl.LocalCeiling(s)
-				if want := used && !global; ok != want || ok && local != top {
-					t.Errorf("%s: local ceiling(%d) = %d, %t; want %d, %t", name, s, local, ok, top, want)
-				}
-				if ok && tbl.LocalAt(k) != top {
-					t.Errorf("%s: local ceiling at %d = %d, want %d", name, k, tbl.LocalAt(k), top)
-				}
-				wantGlobal := 0
-				if global {
-					wantGlobal = d.pg + top
-					if got := tbl.GlobalAt(k); got != wantGlobal {
-						t.Errorf("%s: global ceiling at %d = %d, want %d", name, k, got, wantGlobal)
+				for k, sem := range append(slices.Clip(sys.Sems), &task.Semaphore{ID: -7}) {
+					s := sem.ID
+					top, used := d.top(s)
+					global := used && d.global(s)
+					if sem.Global != global {
+						t.Errorf("%s: semaphore %d global=%t, want %t", name, s, sem.Global, global)
 					}
-				}
-				if got := tbl.GlobalCeiling(s); got != wantGlobal {
-					t.Errorf("%s: global ceiling(%d) = %d, want %d", name, s, got, wantGlobal)
-				}
-				for _, tk := range sys.Tasks {
-					want := 0
-					if global && d.locks(tk, s) {
-						want = d.gcs(tk, s, atCeiling)
-						if got := tbl.GcsAt(k, tk.Proc); got != want {
-							t.Errorf("%s atCeiling=%t: gcs priority at (%d, P%d) = %d, want %d",
-								name, atCeiling, k, tk.Proc, got, want)
+					local, ok := tbl.LocalCeiling(s)
+					if want := used && !global; ok != want || ok && local != top {
+						t.Errorf("%s: local ceiling(%d) = %d, %t; want %d, %t", name, s, local, ok, top, want)
+					}
+					if ok && tbl.LocalAt(k) != top {
+						t.Errorf("%s: local ceiling at %d = %d, want %d", name, k, tbl.LocalAt(k), top)
+					}
+					wantGlobal := 0
+					if global {
+						wantGlobal = d.pg + top
+						if got := tbl.GlobalAt(k); got != wantGlobal {
+							t.Errorf("%s: global ceiling at %d = %d, want %d", name, k, got, wantGlobal)
 						}
 					}
-					if got := tbl.GcsPriority(tk.ID, s); got != want {
-						t.Errorf("%s atCeiling=%t: gcs priority(task %d, sem %d) = %d, want %d",
-							name, atCeiling, tk.ID, s, got, want)
+					if got := tbl.GlobalCeiling(s); got != wantGlobal {
+						t.Errorf("%s: global ceiling(%d) = %d, want %d", name, s, got, wantGlobal)
+					}
+					for _, tk := range sys.Tasks {
+						want := 0
+						if global && d.locks(tk, s) {
+							want = d.gcs(tk, s, atCeiling)
+							if got := tbl.GcsAt(k, tk.Proc); got != want {
+								t.Errorf("%s atCeiling=%t: gcs priority at (%d, P%d) = %d, want %d",
+									name, atCeiling, k, tk.Proc, got, want)
+							}
+						}
+						if got := tbl.GcsPriority(tk.ID, s); got != want {
+							t.Errorf("%s atCeiling=%t: gcs priority(task %d, sem %d) = %d, want %d",
+								name, atCeiling, tk.ID, s, got, want)
+						}
 					}
 				}
 			}

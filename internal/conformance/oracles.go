@@ -638,7 +638,7 @@ func checkProcRenaming(c *trialCtx) []string {
 		for k := range remote {
 			remote[k] = true
 		}
-		procs, err := ceiling.SyncProcs(c.sys, remote, nil)
+		procs, err := ceiling.SyncProcs(nil, c.sys, remote, nil)
 		if err != nil {
 			return []string{fmt.Sprintf("sync processor assignment: %v", err)}
 		}

@@ -201,7 +201,7 @@ func (p *Protocol) Init(e *sim.Engine) error {
 	for k, sem := range sys.Sems {
 		remote[k] = p.allRemote || p.remote[sem.ID]
 	}
-	procs, err := ceiling.SyncProcs(sys, remote, p.assign)
+	procs, err := ceiling.SyncProcs(nil, sys, remote, p.assign)
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.name, err)
 	}
@@ -209,7 +209,7 @@ func (p *Protocol) Init(e *sim.Engine) error {
 	p.gsems = make([]*gsem, len(sys.Sems))
 	p.csAt = make(map[csKey]task.CriticalSection)
 	p.prioStack = make(map[*sim.Job][]int)
-	short := ceiling.Split(sys)
+	short := ceiling.Split(nil, sys)
 	for k, sem := range sys.Sems {
 		if sem.Global {
 			g := &gsem{spin: p.opts.Wait == Spin && (short[k] || !p.suspendLong)}

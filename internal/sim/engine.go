@@ -102,6 +102,8 @@ type Config struct {
 
 	// RetainJobs keeps every job instance in the Result for per-job
 	// inspection. Aggregated per-task statistics are always kept.
+	// Without it, the storage of a finished or aborted job is reused for
+	// a later release or agent (see Engine).
 	RetainJobs bool
 
 	// StopOnMiss aborts the run at the first deadline miss.
@@ -192,6 +194,12 @@ func (r *Result) ResponsePercentile(id task.ID, p float64) (ticks int, ok bool) 
 
 // Engine drives one simulation run. Create with New, run with Run.
 // Protocols interact with the engine through its exported methods.
+//
+// Unless Config.RetainJobs is set, a job finished or aborted during a
+// step is recycled once that step's dispatch is over: a later release
+// or agent may reuse its *Job. A protocol must therefore hold no
+// pointer to a job after the engine finishes it (OnFinish, or an
+// agent's OnDone, is its last sight of the job).
 type Engine struct {
 	sys   *task.System
 	proto Protocol
@@ -207,6 +215,12 @@ type Engine struct {
 	rel      relq.Source // seed-keyed sporadic-gap and jitter draws
 	nextIdx  []int       // per-task next instance index
 	seq      uint64
+	// free lists the jobs ready for reuse, retired the jobs finished or
+	// aborted during the current step, both linked through Job.next.
+	// retired joins free after the step's dispatch, so that a recycled
+	// job is never the pointer dispatch compares procs against. Both
+	// stay empty under RetainJobs.
+	free, retired *Job
 
 	sink     trace.Sink
 	sinkErr  error
@@ -351,6 +365,7 @@ func (e *Engine) Step() (done bool, err error) {
 		}
 	}
 	busy := e.dispatch()
+	e.recycle()
 	e.advance(1)
 	next, waiting := e.checkDeadlines()
 	stop := e.cfg.StopOnMiss && e.result.AnyMiss
@@ -417,7 +432,8 @@ func (e *Engine) releaseJobs() {
 		e.releases.Pop()
 		i := ent.Idx
 		t := e.sys.Tasks[i]
-		j := &Job{
+		j := e.newJob()
+		*j = Job{
 			Task:        t,
 			Index:       e.nextIdx[i],
 			Release:     ent.Time,
@@ -461,7 +477,8 @@ func (e *Engine) releaseJobs() {
 // fixed priority, on behalf of parent. Used by the message-based protocol
 // to run global critical sections on their synchronization processor.
 func (e *Engine) SpawnAgent(parent *Job, body []task.Segment, proc task.ProcID, prio int, onDone func(*Job)) *Job {
-	j := &Job{
+	j := e.newJob()
+	*j = Job{
 		Task:     parent.Task,
 		Index:    parent.Index,
 		Release:  e.now,
@@ -483,6 +500,41 @@ func (e *Engine) SpawnAgent(parent *Job, body []task.Segment, proc task.ProcID, 
 	j.AbsDeadline = parent.AbsDeadline
 	e.addActive(j)
 	return j
+}
+
+// newJob returns a recycled job, or a new one when none is free. Its
+// fields are the caller's to overwrite.
+//
+//rtlint:hotpath
+func (e *Engine) newJob() *Job {
+	j := e.free
+	if j == nil {
+		return new(Job) //rtlint:allow allocbudget only until the free list holds as many jobs as are ever live at once
+	}
+	e.free = j.next
+	return j
+}
+
+// retire queues j, just finished or aborted, for recycling after this
+// step's dispatch; under RetainJobs the Result keeps it instead.
+//
+//rtlint:hotpath
+func (e *Engine) retire(j *Job) {
+	if !e.cfg.RetainJobs {
+		j.next, e.retired = e.retired, j
+	}
+}
+
+// recycle moves the jobs retired during this step onto the free list.
+// Step calls it right after dispatch, which is the last reader of a
+// job retired in the step: until then procs may still point at it.
+//
+//rtlint:hotpath
+func (e *Engine) recycle() {
+	for j := e.retired; j != nil; j = e.retired {
+		e.retired = j.next
+		j.next, e.free = e.free, j
+	}
 }
 
 //rtlint:hotpath
@@ -658,6 +710,7 @@ func (e *Engine) finish(j *Job) {
 		if j.OnDone != nil {
 			j.OnDone(j)
 		}
+		e.retire(j)
 		return
 	}
 	st := e.result.Stats[j.Task.ID]
@@ -684,6 +737,7 @@ func (e *Engine) finish(j *Job) {
 	}
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvFinish, Task: j.Task.ID, Job: j.Index, Proc: j.Proc})
 	e.proto.OnFinish(e, j)
+	e.retire(j)
 }
 
 // addActive enters a newly released job or agent into the active set and
@@ -904,6 +958,7 @@ func (e *Engine) abortJob(j *Job) {
 	e.result.Stats[j.Task.ID].Aborted++
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvAbort, Task: j.Task.ID, Job: j.Index, Proc: j.Proc})
 	e.proto.OnFinish(e, j)
+	e.retire(j)
 }
 
 // checkDeadlines records the jobs whose deadline passes at the end of

@@ -15,3 +15,12 @@ func (e *Engine) DispatchPick(p task.ProcID) (j *Job, cached bool) {
 
 // ReadySeq returns j's FCFS tie-break sequence number.
 func ReadySeq(j *Job) uint64 { return j.readySeq }
+
+// FreeJobs returns the number of jobs on e's free list.
+func FreeJobs(e *Engine) int {
+	n := 0
+	for j := e.free; j != nil; j = j.next {
+		n++
+	}
+	return n
+}

@@ -92,6 +92,7 @@ type Job struct {
 	ActiveAgent *Job
 
 	readySeq uint64 // FCFS tie-break among equal effective priorities
+	next     *Job   // the engine's free-list link
 
 	// Statistics (ticks).
 	FinishTime      int

@@ -33,10 +33,12 @@ type Index struct {
 // scratch, kept for the next Validate of the same system.
 type indexStore struct {
 	byPrio, byID []int // task positions by descending priority, ascending ID
-	// keys, pairs and ranks are sort scratch: priorityOrder's and
-	// firstRepeatedID's keys and pairs, assignByKey's ranks.
+	// keys, pairs, words and ranks are sort scratch: priorityOrder's
+	// and firstRepeatedID's keys and pairs, assignByKey's packed words
+	// and rank keys.
 	keys         []int
 	pairs        []sortKey
+	words        []uint64
 	ranks        []rankKey
 	global, held []bool
 	stack        []openCS

@@ -92,19 +92,47 @@ func TestByKeyMatchesClosureSort(t *testing.T) {
 // TestAssignByKeyMatchesClosureSort checks the priorities
 // AssignRateMonotonic and AssignDeadlineMonotonic hand out against the
 // closure sort they replace, over random periods, deadlines and IDs
-// with ties and negative IDs, on one system reused across trials.
+// with ties, on one system reused across trials. Keys and IDs are drawn
+// on both sides of the packed sort's limits (negative keys and IDs,
+// keys around 2^32, IDs around 2^16), and the test checks that both the
+// packed and the rank-key sort ran.
 func TestAssignByKeyMatchesClosureSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sys := NewSystem(1)
-	for trial := 0; trial < 2000; trial++ {
+	packed, ranked := 0, 0
+	for trial := 0; trial < 4000; trial++ {
 		n := 1 + rng.Intn(30)
+		idShape, keyShape := rng.Intn(4), rng.Intn(4)
 		sys.Tasks = sys.Tasks[:0]
 		for i := 0; i < n; i++ {
-			sys.Tasks = append(sys.Tasks, &Task{
-				ID:       ID(rng.Intn(2*n) - n),
-				Period:   10 * (1 + rng.Intn(4)),
-				Deadline: rng.Intn(3) * 10,
-			})
+			tk := &Task{Deadline: rng.Intn(3) * 10}
+			switch idShape {
+			case 0: // small, ties
+				tk.ID = ID(rng.Intn(2 * n))
+			case 1: // negative and positive
+				tk.ID = ID(rng.Intn(2*n) - n)
+			case 2: // around the packed limit
+				tk.ID = ID(packField + 1 - n + rng.Intn(2*n))
+			default: // wide
+				tk.ID = ID(rng.Intn(1 << 20))
+			}
+			switch keyShape {
+			case 0: // few periods, ties
+				tk.Period = 10 * (1 + rng.Intn(4))
+			case 1: // negative and positive, ties
+				tk.Period = rng.Intn(7) - 3
+			case 2: // around the packed limit
+				tk.Period = math.MaxUint32 - 2 + rng.Intn(4)
+				tk.Deadline *= 1 << 28
+			default: // wide, negative
+				tk.Period = int(rng.Int63()) - math.MaxInt64/2
+			}
+			sys.Tasks = append(sys.Tasks, tk)
+		}
+		if _, ok := packRanks(nil, sys.Tasks, func(t *Task) int { return t.Period }); ok {
+			packed++
+		} else {
+			ranked++
 		}
 		for _, rule := range []struct {
 			assign func(*System)
@@ -131,5 +159,8 @@ func TestAssignByKeyMatchesClosureSort(t *testing.T) {
 				}
 			}
 		}
+	}
+	if packed < 200 || ranked < 200 {
+		t.Fatalf("rate-monotonic keys packed in %d trials and fell back in %d; want both at least 200", packed, ranked)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -851,7 +852,9 @@ func byRankKey(a, b rankKey) int {
 
 // assignByKey gives the task with the largest key, ties to the largest
 // ID, priority 1, the next priority 2, and so on, and marks s
-// unvalidated. Its sort runs in the storage of s's index.
+// unvalidated. Its sort runs in the storage of s's index: on packed
+// words when every key, ID and position fits one, as periods,
+// deadlines and the generator's IDs do, else on rank keys.
 func assignByKey(s *System, key func(*Task) int) {
 	x := s.ix
 	if x == nil {
@@ -859,6 +862,15 @@ func assignByKey(s *System, key func(*Task) int) {
 			s.spare = new(Index)
 		}
 		x = s.spare
+	}
+	if words, ok := packRanks(x.store.words, s.Tasks, key); ok {
+		slices.Sort(words)
+		for i, w := range words {
+			s.Tasks[w&packField].Priority = i + 1
+		}
+		x.store.words = words
+		s.validated = false
+		return
 	}
 	ranks := resize(x.store.ranks, len(s.Tasks))
 	for i, t := range s.Tasks {
@@ -871,4 +883,32 @@ func assignByKey(s *System, key func(*Task) int) {
 	clear(ranks) // drop the task pointers
 	x.store.ranks = ranks
 	s.validated = false
+}
+
+// packField is the largest ID and position a packed rank word holds,
+// and the mask of its position field.
+const packField = 1<<16 - 1
+
+// packRanks packs each task's key, ID and position into one word in
+// words' storage, key<<32 | ID<<16 | position with the key and ID
+// complemented, so that ascending words run by descending key, then
+// descending ID: byRankKey's order. It reports false when some key is
+// outside [0, 2^32), some ID outside [0, 2^16) or some position past
+// 2^16-1.
+func packRanks(words []uint64, tasks []*Task, key func(*Task) int) ([]uint64, bool) {
+	if len(tasks) > packField+1 {
+		return words, false
+	}
+	if cap(words) < len(tasks) {
+		words = make([]uint64, 0, len(tasks))
+	}
+	words = words[:0]
+	for i, t := range tasks {
+		k := key(t)
+		if k < 0 || uint64(k) > math.MaxUint32 || t.ID < 0 || t.ID > packField {
+			return words, false
+		}
+		words = append(words, (math.MaxUint32-uint64(k))<<32|uint64(packField-t.ID)<<16|uint64(i))
+	}
+	return words, true
 }
