@@ -32,12 +32,12 @@ type AnalysisOption func(*analysisConfig)
 // whose bound to compute, and the registry options it runs with.
 type analysisConfig struct {
 	protocol string
-	opts     registry.AnalyzeOpts
+	opts     registry.Opts
 }
 
 // analysisOf applies opts, from the shared-memory protocol's analysis
 // on, and returns the registered protocol and options they select.
-func analysisOf(opts []AnalysisOption) (string, registry.AnalyzeOpts) {
+func analysisOf(opts []AnalysisOption) (string, registry.Opts) {
 	c := analysisConfig{protocol: "mpcp"}
 	for _, opt := range opts {
 		opt(&c)
@@ -127,7 +127,7 @@ func HybridBlockingBounds(sys *System, opts HybridAnalysisOptions) (map[TaskID]*
 	if remote == nil {
 		remote = map[SemID]bool{} // nil would select the registry's default split
 	}
-	return registry.Analyze("hybrid", sys, registry.AnalyzeOpts{RemoteSems: remote, DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty})
+	return registry.Analyze("hybrid", sys, registry.Opts{RemoteSems: remote, DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty})
 }
 
 // Ceilings computes the priority structure of Section 4 for a validated

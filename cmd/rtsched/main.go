@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 		printCeilings(out, sys)
 	}
 
-	aopts := registry.AnalyzeOpts{DeferredPenalty: *penalty}
+	aopts := registry.Opts{DeferredPenalty: *penalty}
 	bounds, err := registry.Analyze(desc.Name, sys, aopts)
 	if err != nil {
 		return err

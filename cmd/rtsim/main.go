@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p, err := registry.New(*protoName, registry.Opts{Sys: sys})
+	p, err := registry.New(*protoName, registry.Opts{})
 	if err != nil {
 		return err
 	}

@@ -93,7 +93,7 @@ func run(args []string, out io.Writer) error {
 	if *blocking {
 		var bounds map[task.ID]*analysis.Bound
 		if *protoName != "" {
-			bounds, err = registry.Analyze(*protoName, sys, registry.AnalyzeOpts{DeferredPenalty: true})
+			bounds, err = registry.Analyze(*protoName, sys, registry.Opts{DeferredPenalty: true})
 			if err != nil {
 				return fmt.Errorf("-protocol: %w", err)
 			}

@@ -120,6 +120,9 @@ type Analysis struct {
 	// what each term's count counts.
 	titles *[6]string
 
+	// terms heads Explain's list: what each term's ticks are.
+	terms string
+
 	// prepare builds t for an analyzable system under the options, or
 	// rejects the options.
 	prepare func(t *table, sys *task.System, opts Options) error
@@ -133,7 +136,7 @@ type Analysis struct {
 // MPCP, DPCP and the hybrid: opts.Remote selects the protocol, MPCP
 // with every global semaphore handled in place, DPCP with every global
 // semaphore remote.
-var Composed = Analysis{&composedTitles, (*table).prepareComposed, composeTask}
+var Composed = Analysis{&composedTitles, composedTerms, (*table).prepareComposed, composeTask}
 
 // Bounds computes every task's worst-case blocking bound under opts, in
 // fresh storage.

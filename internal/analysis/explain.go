@@ -18,6 +18,9 @@ var composedTitles = [...]string{
 	"Deferred-execution penalty, one execution per suspending higher-priority local task",
 }
 
+// composedTerms heads Composed's Explain list.
+const composedTerms = "Each term is count x ticks of the named task's section, agent or execution."
+
 // Explain renders a human-readable account of why task id's blocking
 // bound under opts is what it is. The headline is Bounds' Total, and
 // under each factor it lists every term the analysis charged to the
@@ -45,7 +48,7 @@ func (a *Analysis) Explain(sys *task.System, id task.ID, opts Options) (string, 
 	var w strings.Builder
 	fmt.Fprintf(&w, "Worst-case blocking of task %d (%s), priority %d on P%d: B = %d ticks\n",
 		ti.ID, ti.Name, ti.Priority, ti.Proc, b.Total)
-	w.WriteString("Each term is count x ticks of the named task's section, agent or execution.\n\n")
+	w.WriteString(a.terms + "\n\n")
 	for i, f := range b.Factors() {
 		if i == len(a.titles)-1 && !opts.DeferredPenalty {
 			break

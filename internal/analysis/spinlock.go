@@ -30,7 +30,12 @@ import "mpcp/internal/task"
 // reads no option; with Options.DeferredPenalty, Explain still heads
 // factor 6, at 0. Every term is monotone in the minimum interarrival
 // times.
-var MSRP = Analysis{&msrpTitles, (*table).prepareMSRP, msrpTask}
+var MSRP = Analysis{&msrpTitles, spinTerms, (*table).prepareMSRP, msrpTask}
+
+// spinTerms heads MSRP's and FMLP's Explain lists: their factor 3 and
+// 4 terms charge time spent spinning, not a section.
+const spinTerms = "Each term is count x ticks of the named task's section or execution;\n" +
+	"factor 3 and 4 terms are its spin, factor 5 terms its spin and section."
 
 var msrpTitles = [...]string{
 	"Local blocking, at arrival",
@@ -97,7 +102,7 @@ func msrpTask(t *table, log *termLog, b *Bound, i int) {
 // is not a per-semaphore contribution, which is why this bound is not a
 // mode of the composed analysis. Every term is monotone in the minimum
 // interarrival times.
-var FMLP = Analysis{&fmlpTitles, (*table).prepareFMLP, fmlpTask}
+var FMLP = Analysis{&fmlpTitles, spinTerms, (*table).prepareFMLP, fmlpTask}
 
 var fmlpTitles = [...]string{
 	"Local blocking, per arrival or long-semaphore suspension",

@@ -276,7 +276,7 @@ func TestExplainMatchesBounds(t *testing.T) {
 					}
 				}
 				for _, assign := range []map[task.SemID]task.ProcID{nil, explicit} {
-					opts := registry.AnalyzeOpts{DeferredPenalty: penalty, DPCPAssign: assign}
+					opts := registry.Opts{DeferredPenalty: penalty, DPCPAssign: assign}
 					bounds, err := registry.Analyze(name, sys, opts)
 					if err != nil {
 						t.Fatal(err)

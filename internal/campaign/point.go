@@ -75,7 +75,6 @@ func newResult(pt Point) *PointResult {
 
 // evaluate runs pt's trials in ev's storage, counting them into res.
 func (ev *evaluator) evaluate(spec *Spec, pt Point, res *PointResult, reg *obs.Registry) {
-	remote := spec.RemoteSems()
 	var blockSum float64
 	var blockTrials int
 	for trial := 0; trial < spec.SeedsPerPoint; trial++ {
@@ -87,7 +86,7 @@ func (ev *evaluator) evaluate(spec *Spec, pt Point, res *PointResult, reg *obs.R
 			continue
 		}
 
-		bounds, err := pointBounds(&ev.az, spec, pt, sys, remote)
+		bounds, err := pointBounds(&ev.az, spec, pt, sys)
 		if err != nil {
 			res.AnalysisFailed++
 			continue
@@ -127,7 +126,7 @@ func (ev *evaluator) evaluate(spec *Spec, pt Point, res *PointResult, reg *obs.R
 		}
 
 		if spec.Simulate {
-			missed, ok := simTrial(spec, pt, sys, remote, res, reg)
+			missed, ok := simTrial(spec, pt, sys, res, reg)
 			if ok && missed && schedResp {
 				res.SimMissedAdmitted++
 			}
@@ -139,22 +138,16 @@ func (ev *evaluator) evaluate(spec *Spec, pt Point, res *PointResult, reg *obs.R
 }
 
 // pointBounds computes the per-task blocking bounds for the point's
-// protocol via the registry, in az's storage. remote, the spec's
-// RemoteSems, only matters to the hybrid protocol; every other analysis
-// ignores it.
-func pointBounds(az *registry.Analyzer, spec *Spec, pt Point, sys *task.System, remote map[task.SemID]bool) (map[task.ID]*analysis.Bound, error) {
-	return az.Analyze(pt.Protocol, sys, registry.AnalyzeOpts{
-		DeferredPenalty: spec.DeferredPenalty,
-		RemoteSems:      remote,
-	})
+// protocol via the registry, in az's storage.
+func pointBounds(az *registry.Analyzer, spec *Spec, pt Point, sys *task.System) (map[task.ID]*analysis.Bound, error) {
+	return az.Analyze(pt.Protocol, sys, spec.protocolOpts())
 }
 
-// simTrial runs one confirmation simulation of the point's protocol,
-// built with the spec's RemoteSems remote, under the point's tick
-// budget. It reports whether the run missed a deadline and whether the
-// run completed at all.
-func simTrial(spec *Spec, pt Point, sys *task.System, remote map[task.SemID]bool, res *PointResult, reg *obs.Registry) (missed, ok bool) {
-	proto, err := registry.New(pt.Protocol, registry.Opts{RemoteSems: remote})
+// simTrial runs one confirmation simulation of the point's protocol
+// under the point's tick budget. It reports whether the run missed a
+// deadline and whether the run completed at all.
+func simTrial(spec *Spec, pt Point, sys *task.System, res *PointResult, reg *obs.Registry) (missed, ok bool) {
+	proto, err := registry.New(pt.Protocol, spec.protocolOpts())
 	if err != nil {
 		res.SimFailed++
 		return false, false

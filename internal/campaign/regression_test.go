@@ -108,7 +108,7 @@ func TestPointBoundsCoverAllTasks(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		bounds, err := pointBounds(&az, spec, pt, sys, spec.RemoteSems())
+		bounds, err := pointBounds(&az, spec, pt, sys)
 		if err != nil {
 			continue
 		}

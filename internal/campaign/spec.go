@@ -292,16 +292,17 @@ func (s *Spec) WorkloadConfig(pt Point, seed int64) workload.Config {
 	}
 }
 
-// RemoteSems returns the hybrid protocol's message-based semaphore set:
-// every second global semaphore (IDs 2, 4, ...). Workload generation
-// numbers global semaphores 1..GlobalSems, so the split is deterministic.
-func (s *Spec) RemoteSems() map[task.SemID]bool {
-	remote := make(map[task.SemID]bool)
-	for id := 2; id <= s.GlobalSems; id += 2 {
-		remote[task.SemID(id)] = true
-	}
-	return remote
+// protocolOpts is the one registry.Opts every point's protocol is
+// built and bounded with: the hybrid protocol takes its default split,
+// every even-numbered global semaphore.
+func (s *Spec) protocolOpts() registry.Opts {
+	return registry.Opts{DeferredPenalty: s.DeferredPenalty}
 }
+
+// RemoteSems returns nil, which registry.Opts reads as the hybrid
+// protocol's default split. It is kept for callers that still pass it
+// on; the campaign itself does not.
+func (s *Spec) RemoteSems() map[task.SemID]bool { return nil }
 
 // TrialSeed derives the workload seed for one trial of one point. It
 // depends only on the spec's base seed, the point key and the trial

@@ -164,6 +164,40 @@ func (tp tops) gcs(pg int, p task.ProcID, atCeiling bool) int {
 	}
 }
 
+// Placement says which global semaphores a protocol handles remotely,
+// under the message-based rules of [8], rather than in place under the
+// shared-memory rules.
+type Placement uint8
+
+// Placements: in place is MPCP and the spin-lock designs, all remote is
+// DPCP, and a mix is the Section 6 hybrid.
+const (
+	InPlace Placement = iota
+	AllRemote
+	Mixed
+)
+
+// Remote resolves, by semaphore position, the global semaphores of sys
+// that pl handles remotely. Mixed takes those in set; a nil set takes
+// the default split, every even-numbered global semaphore. Local
+// semaphores are never remote. The result is written into dst's
+// storage when it has room (dst may be nil).
+func Remote(dst []bool, sys *task.System, pl Placement, set map[task.SemID]bool) []bool {
+	out := dst[:0]
+	for _, sem := range sys.Sems {
+		remote := false
+		switch pl {
+		case InPlace:
+		case AllRemote:
+			remote = sem.Global
+		case Mixed:
+			remote = sem.Global && (set[sem.ID] || set == nil && sem.ID%2 == 0)
+		}
+		out = append(out, remote)
+	}
+	return out
+}
+
 // SyncProcs resolves, by semaphore position, the synchronization
 // processor of every global semaphore marked in remote (indexed like
 // sys.Sems): its explicit assignment if it has one, else the

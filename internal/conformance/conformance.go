@@ -175,15 +175,15 @@ func capsFor(protocol string) registry.Caps {
 }
 
 // makeProtocol builds a fresh protocol instance (protocol state is
-// per-run) through the registry; the system lets workload-dependent
-// defaults apply (the hybrid protocol derives its remote semaphore
-// split from it). Only the deliberately faulty harness protocol lives
-// outside the registry.
-func makeProtocol(name string, sys *task.System) (sim.Protocol, error) {
+// per-run) through the registry, with each protocol's defaults (the
+// hybrid protocol takes its default remote split from the system it
+// runs on). Only the deliberately faulty harness protocol lives outside
+// the registry.
+func makeProtocol(name string) (sim.Protocol, error) {
 	if name == "broken" {
 		return brokenProtocol{}, nil
 	}
-	return registry.New(name, registry.Opts{Sys: sys})
+	return registry.New(name, registry.Opts{})
 }
 
 func knownProtocol(name string) bool { return slices.Contains(KnownProtocols, name) }

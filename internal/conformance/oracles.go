@@ -58,7 +58,7 @@ func simulate(name string, sys *task.System, horizon int) *runOut {
 // simulateCfg is simulate with an explicit engine configuration; the
 // trace log is always attached fresh.
 func simulateCfg(name string, sys *task.System, cfg sim.Config) *runOut {
-	p, err := makeProtocol(name, sys)
+	p, err := makeProtocol(name)
 	if err != nil {
 		return &runOut{err: err}
 	}
@@ -398,7 +398,7 @@ func checkAttribution(c *trialCtx) []string {
 // synchronization processors so the renaming oracle compares a true
 // symmetry.
 func analysisBounds(protocol string, sys *task.System, assign map[task.SemID]task.ProcID) (map[task.ID]*analysis.Bound, error) {
-	return registry.Analyze(protocol, sys, registry.AnalyzeOpts{DeferredPenalty: true, DPCPAssign: assign})
+	return registry.Analyze(protocol, sys, registry.Opts{DeferredPenalty: true, DPCPAssign: assign})
 }
 
 // checkBoundSoundness is the central differential oracle: when the
@@ -634,11 +634,7 @@ func checkProcRenaming(c *trialCtx) []string {
 	}
 	var a1, a2 map[task.SemID]task.ProcID
 	if c.protocol == "dpcp" {
-		remote := make([]bool, len(c.sys.Sems))
-		for k := range remote {
-			remote[k] = true
-		}
-		procs, err := ceiling.SyncProcs(nil, c.sys, remote, nil)
+		procs, err := ceiling.SyncProcs(nil, c.sys, ceiling.Remote(nil, c.sys, ceiling.AllRemote, nil), nil)
 		if err != nil {
 			return []string{fmt.Sprintf("sync processor assignment: %v", err)}
 		}

@@ -77,8 +77,8 @@ func checkEquivalent(t *testing.T, want string, remote func(*task.System) map[ta
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				hLog, hStats := runRegistered(t, sys, "hybrid", registry.Opts{Sys: sys, RemoteSems: remote(sys)}, policy)
-				wLog, wStats := runRegistered(t, sys, want, registry.Opts{Sys: sys}, policy)
+				hLog, hStats := runRegistered(t, sys, "hybrid", registry.Opts{RemoteSems: remote(sys)}, policy)
+				wLog, wStats := runRegistered(t, sys, want, registry.Opts{}, policy)
 				if !reflect.DeepEqual(hLog.Events, wLog.Events) {
 					t.Errorf("%s: hybrid event log differs from %s", name, want)
 				}

@@ -75,7 +75,7 @@ func TestMixedModesCoexist(t *testing.T) {
 
 func TestAllSharedEqualsMPCPBehaviour(t *testing.T) {
 	sys, _, _ := mixedSystem(t)
-	p := core.NewHybrid(nil, nil)
+	p := core.NewHybrid(map[task.SemID]bool{}, nil) // nil would take the default split
 	log := trace.New()
 	res := run(t, sys, p, sim.Config{Horizon: 300, Sink: log})
 	if res.Deadlock || res.AnyMiss {

@@ -99,12 +99,12 @@ type Protocol struct {
 	name string
 	opts Options
 
-	// remote lists the message-based semaphores; allRemote makes every
-	// global semaphore message-based. assign holds explicit
-	// synchronization processors.
-	remote    map[task.SemID]bool
-	allRemote bool
-	assign    map[task.SemID]task.ProcID
+	// place and remote select the message-based semaphores
+	// (ceiling.Remote); assign holds explicit synchronization
+	// processors.
+	place  ceiling.Placement
+	remote map[task.SemID]bool
+	assign map[task.SemID]task.ProcID
 
 	// nonPreempt runs a job at npPrio from its global request on, and
 	// suspendLong makes waiters suspend on long semaphores.
@@ -163,14 +163,16 @@ func New(opts Options) *Protocol {
 // ceiling. assign maps semaphores to synchronization processors;
 // unassigned ones default to their lowest-numbered accessor processor.
 func NewDPCP(assign map[task.SemID]task.ProcID) *Protocol {
-	return &Protocol{name: "dpcp", opts: Options{GcsAtCeiling: true}, allRemote: true, assign: assign}
+	return &Protocol{name: "dpcp", opts: Options{GcsAtCeiling: true}, place: ceiling.AllRemote, assign: assign}
 }
 
 // NewHybrid returns the mixed protocol: the global semaphores in remote
 // are message-based, assigned as in NewDPCP, and all others use the
-// shared-memory rules.
+// shared-memory rules. A nil remote takes the default split of the
+// system the protocol runs on, every even-numbered global semaphore; an
+// empty one handles every global semaphore in place.
 func NewHybrid(remote map[task.SemID]bool, assign map[task.SemID]task.ProcID) *Protocol {
-	return &Protocol{name: "hybrid", remote: remote, assign: assign}
+	return &Protocol{name: "hybrid", place: ceiling.Mixed, remote: remote, assign: assign}
 }
 
 // NewMSRP returns MSRP: FIFO queues, and a job spins and executes its
@@ -197,11 +199,7 @@ func (p *Protocol) Init(e *sim.Engine) error {
 	sys := e.Sys()
 	p.tbl = ceiling.Compute(sys, p.opts.GcsAtCeiling)
 	p.npPrio = p.tbl.PG + p.tbl.PH + 1
-	remote := make([]bool, len(sys.Sems))
-	for k, sem := range sys.Sems {
-		remote[k] = p.allRemote || p.remote[sem.ID]
-	}
-	procs, err := ceiling.SyncProcs(nil, sys, remote, p.assign)
+	procs, err := ceiling.SyncProcs(nil, sys, ceiling.Remote(nil, sys, p.place, p.remote), p.assign)
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.name, err)
 	}

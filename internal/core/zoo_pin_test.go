@@ -109,7 +109,7 @@ func zooDigests(t *testing.T, name string, config func(int64) workload.Config) (
 		}
 		for _, policy := range []sim.OverloadPolicy{sim.OverloadContinue, sim.OverloadAbort} {
 			for _, ref := range []bool{false, true} {
-				p, err := registry.New(name, registry.Opts{Sys: sys})
+				p, err := registry.New(name, registry.Opts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func zooDigests(t *testing.T, name string, config func(int64) workload.Config) (
 			}
 		}
 		for _, deferred := range []bool{false, true} {
-			bounds, err := registry.Analyze(name, sys, registry.AnalyzeOpts{DeferredPenalty: deferred})
+			bounds, err := registry.Analyze(name, sys, registry.Opts{DeferredPenalty: deferred})
 			fmt.Fprintf(hb, "bounds seed=%d deferred=%t failed=%t\n", seed, deferred, err != nil)
 			for _, tk := range sys.Tasks {
 				if b := bounds[tk.ID]; b != nil {

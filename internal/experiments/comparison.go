@@ -35,7 +35,7 @@ func E10ProtocolComparison() (*Table, error) {
 				return nil, err
 			}
 			for k, name := range []string{"mpcp", "dpcp"} {
-				ok, err := admitted(sys, name, registry.AnalyzeOpts{DeferredPenalty: true})
+				ok, err := admitted(sys, name, registry.Opts{DeferredPenalty: true})
 				if err != nil {
 					return nil, err
 				}

@@ -45,7 +45,12 @@ func E14HybridProtocol() (*Table, error) {
 			}
 		}
 		worst := func(remote map[task.SemID]bool) (int, int, bool, error) {
-			res, err := runSim(sys, core.NewHybrid(remote, nil), 0)
+			opts := registry.Opts{RemoteSems: remote}
+			p, err := registry.New("hybrid", opts)
+			if err != nil {
+				return 0, 0, false, err
+			}
+			res, err := runSim(sys, p, 0)
 			if err != nil {
 				return 0, 0, false, err
 			}
@@ -55,7 +60,7 @@ func E14HybridProtocol() (*Table, error) {
 					w = st.MaxMeasuredB
 				}
 			}
-			bounds, err := registry.Analyze("hybrid", sys, registry.AnalyzeOpts{RemoteSems: remote})
+			bounds, err := registry.Analyze("hybrid", sys, opts)
 			if err != nil {
 				return 0, 0, false, err
 			}
@@ -177,7 +182,7 @@ func E17MinProcessors() (*Table, error) {
 			return nil, err
 		}
 		evaluate := func(sys *task.System) (bool, error) {
-			return admitted(sys, "mpcp", registry.AnalyzeOpts{DeferredPenalty: true})
+			return admitted(sys, "mpcp", registry.Opts{DeferredPenalty: true})
 		}
 		n, _, sys, err := alloc.MinProcessors(specs, sems, 16, evaluate)
 		if err != nil {

@@ -115,14 +115,15 @@ func E7SuspensionBound() (*Table, error) {
 		}
 		worstMeasured, worstBound := 0, 0
 		ok := true
-		for id, st := range res.Stats {
+		for _, tk := range sys.Tasks {
+			st, bound := res.Stats[tk.ID], bounds[tk.ID].LocalBlocking
 			if st.MaxBlocked > worstMeasured {
 				worstMeasured = st.MaxBlocked
 			}
-			if bounds[id].LocalBlocking > worstBound {
-				worstBound = bounds[id].LocalBlocking
+			if bound > worstBound {
+				worstBound = bound
 			}
-			if st.MaxBlocked > bounds[id].LocalBlocking {
+			if st.MaxBlocked > bound {
 				ok = false
 			}
 		}
@@ -214,8 +215,10 @@ func E9BlockingBoundTightness() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for id, st := range res.Stats {
-				b := bounds[id].Total
+			// In system order, so the tightness ratios sum the same way
+			// on every run.
+			for _, tk := range sys.Tasks {
+				st, b := res.Stats[tk.ID], bounds[tk.ID].Total
 				if st.MaxMeasuredB > b {
 					violations++
 				}

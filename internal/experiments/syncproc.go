@@ -43,7 +43,7 @@ func E19DedicatedSyncProc() (*Table, error) {
 			}
 
 			// Variant A: DPCP, sync duties on the task processors.
-			if ok, err := admitted(sys, "dpcp", registry.AnalyzeOpts{DeferredPenalty: true}); err != nil {
+			if ok, err := admitted(sys, "dpcp", registry.Opts{DeferredPenalty: true}); err != nil {
 				return nil, err
 			} else if ok {
 				admitShared++
@@ -62,7 +62,7 @@ func E19DedicatedSyncProc() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			optsB := registry.AnalyzeOpts{DeferredPenalty: true, DPCPAssign: assign}
+			optsB := registry.Opts{DeferredPenalty: true, DPCPAssign: assign}
 			if ok, err := admitted(sysB, "dpcp", optsB); err != nil {
 				return nil, err
 			} else if ok {
@@ -81,7 +81,7 @@ func E19DedicatedSyncProc() (*Table, error) {
 			if err != nil {
 				continue // unplaceable at this utilization; skip variant C
 			}
-			if ok, err := admitted(sysC, "mpcp", registry.AnalyzeOpts{DeferredPenalty: true}); err != nil {
+			if ok, err := admitted(sysC, "mpcp", registry.Opts{DeferredPenalty: true}); err != nil {
 				return nil, err
 			} else if ok {
 				admitMpcp++
@@ -114,7 +114,7 @@ func E19DedicatedSyncProc() (*Table, error) {
 
 // admitted reports whether the named protocol's registered bound admits
 // sys under the response-time test.
-func admitted(sys *task.System, protocol string, opts registry.AnalyzeOpts) (bool, error) {
+func admitted(sys *task.System, protocol string, opts registry.Opts) (bool, error) {
 	bounds, err := registry.Analyze(protocol, sys, opts)
 	if err != nil {
 		return false, err

@@ -36,7 +36,9 @@ func (s Scoped) Applies(importPath string) bool {
 //     (pcp, core, and proto's baselines none, none-prio and inherit),
 //     the task model (whose validation and ceiling inputs seed every
 //     derived table), the ceiling table and the blocking
-//     bounds computed from it (ceiling, analysis), the processor
+//     bounds computed from it (ceiling, analysis), the protocol
+//     registry that builds every protocol and bound the campaign and
+//     conformance engines run (registry), the processor
 //     binding heuristics and sharing graph (alloc), the trace log and
 //     its JSONL stream (trace, whose bytes TestStepperPinned hashes),
 //     the conformance engine, the campaign engine, the workload
@@ -88,6 +90,7 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/task",
 				"mpcp/internal/ceiling",
 				"mpcp/internal/analysis",
+				"mpcp/internal/registry",
 				"mpcp/internal/alloc",
 				"mpcp/internal/trace",
 				"mpcp/internal/conformance",

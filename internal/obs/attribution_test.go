@@ -165,7 +165,7 @@ func TestMeasuredBlockingWithinBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bounds, err := registry.Analyze(tc.kind, sys, registry.AnalyzeOpts{DeferredPenalty: true})
+			bounds, err := registry.Analyze(tc.kind, sys, registry.Opts{DeferredPenalty: true})
 			if err != nil {
 				t.Fatal(err)
 			}

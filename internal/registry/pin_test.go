@@ -29,7 +29,7 @@ const analysisPin = "59a9011494b978521f9edbbb89216b8e34ccdc2bc43b0dba6f7250c8dea
 // task of every pinSystems system, with and without the deferred
 // penalty. It is kept apart from analysisPin, whose digest predates
 // their explanations.
-const explainPin = "22c31b3a9866dfa6381b713f16033f8e11e5a43df124086cf4fbddeed6cc4e04"
+const explainPin = "9555e7798f9d8c95f7fa234e5b691069487448a9fedd8685a11ba1a8c22d5d8b"
 
 // pinSystems generates 204 systems: 2, 4, 6 and 8 processors with 4–6
 // tasks each and 1–3 gcs per task, cycling through staggered, sporadic
@@ -70,7 +70,7 @@ func writeAnalysis(t *testing.T, h hash.Hash, sys *task.System) {
 	t.Helper()
 	for _, name := range registry.Analyzable() {
 		for _, dp := range []bool{false, true} {
-			bounds, err := registry.Analyze(name, sys, registry.AnalyzeOpts{DeferredPenalty: dp})
+			bounds, err := registry.Analyze(name, sys, registry.Opts{DeferredPenalty: dp})
 			fmt.Fprintf(h, "bounds %s %v err=%v\n", name, dp, err)
 			if err != nil {
 				continue
@@ -103,7 +103,7 @@ func writeAnalysis(t *testing.T, h hash.Hash, sys *task.System) {
 	}
 	for _, name := range []string{"mpcp", "mpcp-ceil", "dpcp"} {
 		for _, assign := range []map[task.SemID]task.ProcID{nil, explicit} {
-			opts := registry.AnalyzeOpts{DPCPAssign: assign, DeferredPenalty: assign != nil}
+			opts := registry.Opts{DPCPAssign: assign, DeferredPenalty: assign != nil}
 			for _, tk := range sys.Tasks {
 				text, err := registry.Explain(name, sys, tk.ID, opts)
 				if err != nil {
@@ -166,7 +166,7 @@ func explainEach(t *testing.T, names []string, penalties []bool, visit func(name
 		for _, name := range names {
 			for _, dp := range penalties {
 				for _, tk := range sys.Tasks {
-					text, err := registry.Explain(name, sys, tk.ID, registry.AnalyzeOpts{DeferredPenalty: dp})
+					text, err := registry.Explain(name, sys, tk.ID, registry.Opts{DeferredPenalty: dp})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"mpcp/internal/analysis"
+	"mpcp/internal/ceiling"
 	"mpcp/internal/core"
 	"mpcp/internal/pcp"
 	"mpcp/internal/proto"
@@ -93,34 +94,31 @@ type Caps struct {
 	HasBound bool
 }
 
-// Opts parameterizes protocol construction. Every field is optional;
-// the zero value builds each protocol with its default configuration.
+// Opts configures a protocol and its bound: one value builds both, in
+// New, Analyze and Explain, and each protocol reads only the fields it
+// uses. Every field is optional; a nil map takes the protocol's
+// default, resolved from the system the protocol runs on or is analyzed
+// for.
 type Opts struct {
-	// Sys lets constructors derive workload-dependent configuration —
-	// currently the hybrid protocol's message-based semaphore split
-	// when RemoteSems is not given explicitly.
-	Sys *task.System
-
-	// RemoteSems is the hybrid protocol's message-based group. When
-	// nil and Sys is set, every even-numbered global semaphore of Sys
-	// is remote.
-	RemoteSems map[task.SemID]bool
-}
-
-// AnalyzeOpts parameterizes a registered blocking analysis.
-type AnalyzeOpts struct {
 	// DeferredPenalty charges the suspension-induced extra preemption
-	// of higher-priority local tasks, where the protocol has one.
+	// of higher-priority local tasks in the bound, where the protocol
+	// has one.
 	DeferredPenalty bool
 
 	// DPCPAssign maps global semaphores to synchronization processors
-	// (dpcp, hybrid).
+	// (dpcp, hybrid); an unassigned remote semaphore goes to its
+	// lowest-numbered accessor processor.
 	DPCPAssign map[task.SemID]task.ProcID
 
 	// RemoteSems is the hybrid protocol's message-based group; nil
-	// takes the default group of the analyzed system, as Opts does.
+	// takes the default split of ceiling.Remote, every even-numbered
+	// global semaphore.
 	RemoteSems map[task.SemID]bool
 }
+
+// AnalyzeOpts is Opts under the name the analysis entry points once
+// took.
+type AnalyzeOpts = Opts
 
 // Descriptor is one registered protocol.
 type Descriptor struct {
@@ -150,38 +148,17 @@ type Descriptor struct {
 	analysis *analysis.Analysis
 
 	// options gives, per system, the analysis.Options the protocol is
-	// analyzed under; nil charges the deferred penalty alone.
-	options func(*task.System, AnalyzeOpts) analysis.Options
+	// analyzed under, resolving a remote set into remote's storage; nil
+	// charges the deferred penalty alone.
+	options func(sys *task.System, o Opts, remote []bool) analysis.Options
 }
 
-// hybridRemote is remote, or when remote is nil the hybrid protocol's
-// default message-based group: every even-numbered global semaphore of
-// sys, matching the historical conformance and campaign splits.
-func hybridRemote(sys *task.System, remote map[task.SemID]bool) map[task.SemID]bool {
-	if remote != nil {
-		return remote
+// remoteOptions analyzes a protocol under the composed analysis with
+// the global semaphores pl handles remotely.
+func remoteOptions(pl ceiling.Placement) func(*task.System, Opts, []bool) analysis.Options {
+	return func(sys *task.System, o Opts, remote []bool) analysis.Options {
+		return analysis.Options{Remote: ceiling.Remote(remote, sys, pl, o.RemoteSems), DPCPAssign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty}
 	}
-	remote = make(map[task.SemID]bool)
-	if sys == nil {
-		return remote
-	}
-	for _, sem := range sys.Sems {
-		if sem.Global && sem.ID%2 == 0 {
-			remote[sem.ID] = true
-		}
-	}
-	return remote
-}
-
-// remoteAt marks, by position in sys.Sems, the global semaphores in set,
-// or every global semaphore when set is nil: the remote set of the
-// composed analysis.
-func remoteAt(sys *task.System, set map[task.SemID]bool) []bool {
-	at := make([]bool, len(sys.Sems))
-	for k, sem := range sys.Sems {
-		at[k] = sem.Global && (set == nil || set[sem.ID])
-	}
-	return at
 }
 
 // descriptors is the registration table, in display order: the
@@ -232,7 +209,7 @@ var descriptors = []Descriptor{
 		},
 		New:      func(Opts) (sim.Protocol, error) { return core.New(core.Options{GcsAtCeiling: true}), nil },
 		analysis: &analysis.Composed,
-		options: func(_ *task.System, o AnalyzeOpts) analysis.Options {
+		options: func(_ *task.System, o Opts, _ []bool) analysis.Options {
 			return analysis.Options{GcsAtCeiling: true, DeferredPenalty: o.DeferredPenalty}
 		},
 	},
@@ -255,11 +232,9 @@ var descriptors = []Descriptor{
 			DeadlockFree:      true,
 			RenameInvariant:   true,
 		},
-		New:      func(Opts) (sim.Protocol, error) { return core.NewDPCP(nil), nil },
+		New:      func(o Opts) (sim.Protocol, error) { return core.NewDPCP(o.DPCPAssign), nil },
 		analysis: &analysis.Composed,
-		options: func(sys *task.System, o AnalyzeOpts) analysis.Options {
-			return analysis.Options{Remote: remoteAt(sys, nil), DPCPAssign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty}
-		},
+		options:  remoteOptions(ceiling.AllRemote),
 	},
 	{
 		Name:    "hybrid",
@@ -269,13 +244,9 @@ var descriptors = []Descriptor{
 			GcsPreemptionFree: true,
 			DeadlockFree:      true,
 		},
-		New: func(o Opts) (sim.Protocol, error) {
-			return core.NewHybrid(hybridRemote(o.Sys, o.RemoteSems), nil), nil
-		},
+		New:      func(o Opts) (sim.Protocol, error) { return core.NewHybrid(o.RemoteSems, o.DPCPAssign), nil },
 		analysis: &analysis.Composed,
-		options: func(sys *task.System, o AnalyzeOpts) analysis.Options {
-			return analysis.Options{Remote: remoteAt(sys, hybridRemote(sys, o.RemoteSems)), DPCPAssign: o.DPCPAssign, DeferredPenalty: o.DeferredPenalty}
-		},
+		options:  remoteOptions(ceiling.Mixed),
 	},
 	{
 		Name:    "msrp",
@@ -430,9 +401,10 @@ func New(name string, opts Opts) (sim.Protocol, error) {
 }
 
 // analyzer resolves the named protocol to its analysis and the
-// analysis.Options opts select for sys, or an error naming the
-// analyzable protocols when it has none.
-func analyzer(name string, sys *task.System, opts AnalyzeOpts) (*analysis.Analysis, analysis.Options, error) {
+// analysis.Options opts select for sys, with any remote set in remote's
+// storage, or an error naming the analyzable protocols when it has
+// none.
+func analyzer(name string, sys *task.System, opts Opts, remote []bool) (*analysis.Analysis, analysis.Options, error) {
 	d, err := resolve(name)
 	if err != nil {
 		return nil, analysis.Options{}, err
@@ -443,27 +415,34 @@ func analyzer(name string, sys *task.System, opts AnalyzeOpts) (*analysis.Analys
 	case d.options == nil:
 		return d.analysis, analysis.Options{DeferredPenalty: opts.DeferredPenalty}, nil
 	}
-	return d.analysis, d.options(sys, opts), nil
+	return d.analysis, d.options(sys, opts, remote), nil
 }
 
 // Analyze computes the named protocol's worst-case blocking bounds in
 // fresh storage, or an error naming the analyzable protocols when it has
 // none.
-func Analyze(name string, sys *task.System, opts AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
+func Analyze(name string, sys *task.System, opts Opts) (map[task.ID]*analysis.Bound, error) {
 	return new(Analyzer).Analyze(name, sys, opts)
 }
 
 // Analyzer computes registered protocols' bounds in storage it keeps
-// from one call to the next, as analysis.Analyzer does. It is not safe
-// for concurrent use; give each goroutine one.
-type Analyzer struct{ z analysis.Analyzer }
+// from one call to the next, as analysis.Analyzer does, the resolved
+// remote set included. It is not safe for concurrent use; give each
+// goroutine one.
+type Analyzer struct {
+	z      analysis.Analyzer
+	remote []bool
+}
 
 // Analyze is the package-level Analyze in r's storage: the bounds are
 // valid until r's next call.
-func (r *Analyzer) Analyze(name string, sys *task.System, opts AnalyzeOpts) (map[task.ID]*analysis.Bound, error) {
-	a, o, err := analyzer(name, sys, opts)
+func (r *Analyzer) Analyze(name string, sys *task.System, opts Opts) (map[task.ID]*analysis.Bound, error) {
+	a, o, err := analyzer(name, sys, opts, r.remote)
 	if err != nil {
 		return nil, err
+	}
+	if o.Remote != nil {
+		r.remote = o.Remote
 	}
 	return r.z.Bounds(a, sys, o)
 }
@@ -471,8 +450,8 @@ func (r *Analyzer) Analyze(name string, sys *task.System, opts AnalyzeOpts) (map
 // Explain renders the named protocol's factor-by-factor account of task
 // id's bound, whose headline is Analyze's Total with the same options,
 // or an error naming the analyzable protocols when it has none.
-func Explain(name string, sys *task.System, id task.ID, opts AnalyzeOpts) (string, error) {
-	a, o, err := analyzer(name, sys, opts)
+func Explain(name string, sys *task.System, id task.ID, opts Opts) (string, error) {
+	a, o, err := analyzer(name, sys, opts, nil)
 	if err != nil {
 		return "", err
 	}

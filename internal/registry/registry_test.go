@@ -2,11 +2,15 @@ package registry_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"mpcp/internal/config"
 	"mpcp/internal/registry"
+	"mpcp/internal/sim"
 	"mpcp/internal/task"
+	"mpcp/internal/trace"
 	"mpcp/internal/workload"
 )
 
@@ -39,7 +43,7 @@ func TestDescriptorTableWellFormed(t *testing.T) {
 		if d.New == nil {
 			t.Errorf("%s: nil constructor", d.Name)
 		}
-		if _, err := registry.Analyze(d.Name, sys, registry.AnalyzeOpts{}); d.Caps.HasBound != (err == nil) {
+		if _, err := registry.Analyze(d.Name, sys, registry.Opts{}); d.Caps.HasBound != (err == nil) {
 			t.Errorf("%s: HasBound=%v but Analyze error %v — the capability must match the analysis",
 				d.Name, d.Caps.HasBound, err)
 		}
@@ -47,21 +51,19 @@ func TestDescriptorTableWellFormed(t *testing.T) {
 }
 
 // TestEveryDescriptorConstructs: New succeeds for every registered
-// protocol, visible or hidden, with and without a system in Opts.
+// protocol, visible or hidden, with the zero Opts and with every field
+// set.
 func TestEveryDescriptorConstructs(t *testing.T) {
-	cfg := workload.Default(5)
-	cfg.NumProcs = 3
-	cfg.TasksPerProc = 3
-	cfg.UtilPerProc = 0.4
-	sys, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
+	full := registry.Opts{
+		DeferredPenalty: true,
+		DPCPAssign:      map[task.SemID]task.ProcID{1: 0},
+		RemoteSems:      map[task.SemID]bool{1: true},
 	}
 	for _, d := range registry.All() {
-		for _, opts := range []registry.Opts{{}, {Sys: sys}} {
+		for _, opts := range []registry.Opts{{}, full} {
 			p, err := registry.New(d.Name, opts)
 			if err != nil {
-				t.Errorf("New(%q, sys=%v): %v", d.Name, opts.Sys != nil, err)
+				t.Errorf("New(%q, %+v): %v", d.Name, opts, err)
 				continue
 			}
 			if p == nil {
@@ -135,7 +137,7 @@ func TestAnalyzableDescriptorsAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range registry.Analyzable() {
-		bounds, err := registry.Analyze(name, sys, registry.AnalyzeOpts{DeferredPenalty: true})
+		bounds, err := registry.Analyze(name, sys, registry.Opts{DeferredPenalty: true})
 		if err != nil {
 			t.Errorf("Analyze(%q): %v", name, err)
 			continue
@@ -210,11 +212,11 @@ func TestErrorsListChoices(t *testing.T) {
 		!strings.Contains(err.Error(), "choose from") || !strings.Contains(err.Error(), "msrp") {
 		t.Errorf("New error does not list registered protocols: %v", err)
 	}
-	if _, err := registry.Analyze("mpcp-spin", nil, registry.AnalyzeOpts{}); err == nil ||
+	if _, err := registry.Analyze("mpcp-spin", nil, registry.Opts{}); err == nil ||
 		!strings.Contains(err.Error(), "analyzable") {
 		t.Errorf("Analyze error for a bound-less protocol does not list analyzable names: %v", err)
 	}
-	if _, err := registry.Explain("mpcp-spin", nil, 1, registry.AnalyzeOpts{}); err == nil ||
+	if _, err := registry.Explain("mpcp-spin", nil, 1, registry.Opts{}); err == nil ||
 		!strings.Contains(err.Error(), "analyzable: "+strings.Join(registry.Analyzable(), ", ")) {
 		t.Errorf("Explain error for a bound-less protocol does not list analyzable names: %v", err)
 	}
@@ -271,11 +273,11 @@ func degenerateSystems(t *testing.T, visit func(name string, sys *task.System)) 
 // from its bound under hybrid, factor by factor.
 func sameBounds(t *testing.T, label string, sys *task.System, want string, remote map[task.SemID]bool) {
 	t.Helper()
-	w, err := registry.Analyze(want, sys, registry.AnalyzeOpts{})
+	w, err := registry.Analyze(want, sys, registry.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := registry.Analyze("hybrid", sys, registry.AnalyzeOpts{RemoteSems: remote})
+	h, err := registry.Analyze("hybrid", sys, registry.Opts{RemoteSems: remote})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,4 +309,63 @@ func TestHybridBoundsDegenerateToDPCP(t *testing.T) {
 		}
 		sameBounds(t, label, sys, "dpcp", remote)
 	})
+}
+
+// simulated runs testdata/avionics.json, whose global semaphores are 1
+// and 2, under the protocol New builds from name and opts, and returns
+// its trace.
+func simulated(t *testing.T, name string, opts registry.Opts) *trace.Log {
+	t.Helper()
+	sys, err := config.Load("../../testdata/avionics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := registry.New(name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := trace.New()
+	e, err := sim.New(sys, p, sim.Config{Sink: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// TestHybridZeroOptsTakesDefaultSplit: a hybrid built from the zero
+// Opts handles the default split of the system it runs on remotely, as
+// its analysis does: it runs the same trace as one built with that
+// split, semaphore 2, given explicitly, and not the all-in-place trace.
+func TestHybridZeroOptsTakesDefaultSplit(t *testing.T) {
+	def := simulated(t, "hybrid", registry.Opts{})
+	even := simulated(t, "hybrid", registry.Opts{RemoteSems: map[task.SemID]bool{2: true}})
+	inPlace := simulated(t, "hybrid", registry.Opts{RemoteSems: map[task.SemID]bool{}})
+	if !reflect.DeepEqual(def, even) {
+		t.Error("hybrid from the zero Opts runs a different trace from the explicit default split")
+	}
+	if reflect.DeepEqual(def, inPlace) {
+		t.Error("hybrid from the zero Opts runs every global semaphore in place")
+	}
+}
+
+// TestDPCPHonoursAssignment: New hands Opts.DPCPAssign to dpcp, so
+// every global critical section runs as an agent on the assigned
+// processor, as the bound from the same Opts assumes.
+func TestDPCPHonoursAssignment(t *testing.T) {
+	log := simulated(t, "dpcp", registry.Opts{DPCPAssign: map[task.SemID]task.ProcID{1: 2, 2: 2}})
+	gcsTicks := 0
+	for _, x := range log.Execs {
+		if x.InGCS {
+			gcsTicks++
+			if x.Proc != 2 {
+				t.Fatalf("gcs tick at t=%d on P%d, want the assigned P2", x.Time, x.Proc)
+			}
+		}
+	}
+	if gcsTicks == 0 {
+		t.Error("no global critical section ran")
+	}
 }

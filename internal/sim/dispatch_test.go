@@ -159,7 +159,7 @@ func TestDispatchIncremental(t *testing.T) {
 	for _, d := range registry.All() {
 		name := d.Name
 		subjects = append(subjects, subject{name, d.Caps.UniprocOnly, func(sys *task.System) (sim.Protocol, error) {
-			return registry.New(name, registry.Opts{Sys: sys})
+			return registry.New(name, registry.Opts{})
 		}})
 	}
 	for _, sub := range subjects {

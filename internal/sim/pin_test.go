@@ -132,7 +132,7 @@ var stepperPins = map[string]string{
 // with %d or %+v of a dereferenced struct, so no pointer leaks in.
 func hashStepperRun(t *testing.T, h hash.Hash, name string, sys *task.System, cfg sim.Config) {
 	t.Helper()
-	p, err := registry.New(name, registry.Opts{Sys: sys})
+	p, err := registry.New(name, registry.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

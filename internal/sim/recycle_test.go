@@ -18,7 +18,7 @@ import (
 // of the engine's free list at the end.
 func recycledRun(t *testing.T, name string, sys *task.System, cfg sim.Config) ([]byte, int) {
 	t.Helper()
-	p, err := registry.New(name, registry.Opts{Sys: sys})
+	p, err := registry.New(name, registry.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

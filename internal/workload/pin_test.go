@@ -6,6 +6,7 @@ import (
 	"hash"
 	"testing"
 
+	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
 )
@@ -89,5 +90,38 @@ func TestGeneratePinned(t *testing.T) {
 	})
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != generatePin {
 		t.Errorf("generation digest over %d systems = %s, want %s", n, got, generatePin)
+	}
+}
+
+// TestDefaultRemoteSplitIsEvenIDs: on every pinConfigs system, the
+// hybrid protocol's default split (ceiling.Remote with a nil set) is
+// exactly the global semaphores among IDs 2, 4, ..., GlobalSems, the
+// set campaigns once passed explicitly. It holds because Generate
+// numbers the global semaphores 1..GlobalSems and never marks a local
+// one global.
+func TestDefaultRemoteSplitIsEvenIDs(t *testing.T) {
+	split := 0
+	pinConfigs(func(name string, cfg workload.Config) {
+		sys, err := workload.Generate(cfg)
+		if err != nil {
+			return
+		}
+		even := make(map[task.SemID]bool)
+		for id := 2; id <= cfg.GlobalSems; id += 2 {
+			even[task.SemID(id)] = true
+		}
+		for k, remote := range ceiling.Remote(nil, sys, ceiling.Mixed, nil) {
+			sem := sys.Sems[k]
+			want := sem.Global && even[sem.ID]
+			if remote != want {
+				t.Fatalf("%s: semaphore %d (global %v) remote %v, want %v", name, sem.ID, sem.Global, remote, want)
+			}
+			if remote {
+				split++
+			}
+		}
+	})
+	if split == 0 {
+		t.Error("no pinConfigs system has a remote semaphore, so the check is vacuous")
 	}
 }

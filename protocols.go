@@ -139,9 +139,10 @@ func Protocols() []ProtocolInfo {
 }
 
 // NewProtocol builds a protocol from its registry name or alias, as
-// the command-line tools do; sys (optional, may be nil) lets
-// workload-dependent defaults apply, e.g. the hybrid protocol's
-// message-based semaphore split.
+// the command-line tools do, with the protocol's defaults. sys no
+// longer changes the result: a workload-dependent default, such as the
+// hybrid protocol's message-based semaphore split, is resolved from the
+// system the protocol runs on.
 func NewProtocol(name string, sys *System) (Protocol, error) {
-	return registry.New(name, registry.Opts{Sys: sys})
+	return registry.New(name, registry.Opts{})
 }
