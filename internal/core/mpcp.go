@@ -119,11 +119,9 @@ type Protocol struct {
 	gsems  []*gsem                        // by semaphore position; nil for a local semaphore
 	csAt   map[csKey]task.CriticalSection // gcs's on remote semaphores
 
-	// prioStack tracks pre-gcs effective priorities per job so nested
-	// global sections (when allowed) restore correctly. Emptied stacks
-	// go to freeStacks for the next job's first request.
-	prioStack  map[*sim.Job][]int
-	freeStacks [][]int
+	// prios tracks pre-gcs effective priorities per job so nested
+	// global sections (when allowed) restore correctly.
+	prios pcp.PrioStacks
 }
 
 // gsem is one global semaphore. holder is the job in its gcs; for a
@@ -206,7 +204,7 @@ func (p *Protocol) Init(e *sim.Engine) error {
 	p.ix = sys.Index()
 	p.gsems = make([]*gsem, len(sys.Sems))
 	p.csAt = make(map[csKey]task.CriticalSection)
-	p.prioStack = make(map[*sim.Job][]int)
+	p.prios.Reset()
 	short := ceiling.Split(nil, sys)
 	for k, sem := range sys.Sems {
 		if sem.Global {
@@ -294,7 +292,7 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 		key = 0
 	}
 	g.waiters.Push(j, key)
-	p.pushPrio(j, j.EffPrio)
+	p.prios.Push(j, j.EffPrio)
 	if g.spin && g.holder.Proc != j.Proc {
 		e.SpinGlobal(j, s)
 		// Busy-wait at the gcs priority (or the non-preemptive level) so
@@ -312,7 +310,7 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 // scheduling once this is set) for s, at semaphore position k. prev is
 // the effective priority to restore when the gcs ends.
 func (p *Protocol) enterGcs(e *sim.Engine, j *sim.Job, s task.SemID, k, prev int) {
-	p.pushPrio(j, prev)
+	p.prios.Push(j, prev)
 	e.CompleteLock(j, s)
 	if prio := p.gcsPrio(j, k); prio > j.EffPrio {
 		e.SetEffPrio(j, prio)
@@ -327,24 +325,6 @@ func (p *Protocol) gcsPrio(j *sim.Job, k int) int {
 		return p.npPrio
 	}
 	return p.tbl.GcsAt(k, j.Proc)
-}
-
-// pushPrio records prev on j's priority stack, starting an empty stack
-// from freeStacks.
-func (p *Protocol) pushPrio(j *sim.Job, prev int) {
-	st, ok := p.prioStack[j]
-	if n := len(p.freeStacks); !ok && n > 0 {
-		st, p.freeStacks = p.freeStacks[n-1], p.freeStacks[:n-1]
-	}
-	p.prioStack[j] = append(st, prev)
-}
-
-// dropStack forgets j's priority stack and keeps its storage.
-func (p *Protocol) dropStack(j *sim.Job) {
-	if st, ok := p.prioStack[j]; ok {
-		delete(p.prioStack, j)
-		p.freeStacks = append(p.freeStacks, st[:0])
-	}
 }
 
 // requestRemote sends j's request for remote semaphore s to its
@@ -406,12 +386,7 @@ func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	}
 
 	// Restore the releasing job's pre-gcs priority.
-	if st := p.prioStack[j]; len(st) > 0 {
-		prev := st[len(st)-1]
-		p.prioStack[j] = st[:len(st)-1]
-		if len(st) == 1 {
-			p.dropStack(j)
-		}
+	if prev, ok := p.prios.Pop(j); ok {
 		e.SetEffPrio(j, prev)
 	} else {
 		e.SetEffPrio(j, j.BasePrio)
@@ -429,9 +404,8 @@ func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	}
 	g.holder = next
 	prev := next.BasePrio
-	if st := p.prioStack[next]; len(st) > 0 {
-		prev = st[len(st)-1]
-		p.prioStack[next] = st[:len(st)-1]
+	if pre, ok := p.prios.Pop(next); ok {
+		prev = pre
 	}
 	p.enterGcs(e, next, s, k, prev)
 	e.Grant(next, s, next.EffPrio)
@@ -441,7 +415,7 @@ func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 // OnFinish implements sim.Protocol. Agents never reach it: the engine
 // finishes them through agentDone.
 func (p *Protocol) OnFinish(e *sim.Engine, j *sim.Job) {
-	p.dropStack(j)
+	p.prios.Drop(j)
 	p.locals[j.Proc].DropJob(j)
 	p.locals[j.Proc].Recompute(e)
 }

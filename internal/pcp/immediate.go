@@ -26,9 +26,9 @@ import (
 // assignment a cheap implementation of inheritance.
 type Immediate struct {
 	tbl *ceiling.Table
-	// prioStack restores pre-lock priorities on unlock (sections may
-	// nest locally).
-	prioStack map[*sim.Job][]int
+	// prios restores pre-lock priorities on unlock (sections may nest
+	// locally).
+	prios PrioStacks
 }
 
 var _ sim.Protocol = (*Immediate)(nil)
@@ -49,7 +49,7 @@ func (p *Immediate) Init(e *sim.Engine) error {
 		}
 	}
 	p.tbl = ceiling.Compute(sys, false)
-	p.prioStack = make(map[*sim.Job][]int)
+	p.prios.Reset()
 	return nil
 }
 
@@ -64,7 +64,7 @@ func (p *Immediate) OnRelease(e *sim.Engine, j *sim.Job) {
 // reaches us would be executing at that ceiling and we would not be
 // running. The assertion guards the invariant.
 func (p *Immediate) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
-	p.prioStack[j] = append(p.prioStack[j], j.EffPrio)
+	p.prios.Push(j, j.EffPrio)
 	e.CompleteLock(j, s)
 	k, _ := e.Sys().Index().SemPos(s)
 	if c := p.tbl.LocalAt(k); c > j.EffPrio {
@@ -75,12 +75,7 @@ func (p *Immediate) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 
 // Unlock implements sim.Protocol.
 func (p *Immediate) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
-	if st := p.prioStack[j]; len(st) > 0 {
-		prev := st[len(st)-1]
-		p.prioStack[j] = st[:len(st)-1]
-		if len(p.prioStack[j]) == 0 {
-			delete(p.prioStack, j)
-		}
+	if prev, ok := p.prios.Pop(j); ok {
 		e.SetEffPrio(j, prev)
 	} else {
 		e.SetEffPrio(j, j.BasePrio)
@@ -89,5 +84,5 @@ func (p *Immediate) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 
 // OnFinish implements sim.Protocol.
 func (p *Immediate) OnFinish(e *sim.Engine, j *sim.Job) {
-	delete(p.prioStack, j)
+	p.prios.Drop(j)
 }

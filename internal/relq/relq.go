@@ -92,6 +92,19 @@ func (q *Queue) Pop() (Entry, bool) {
 	return top, true
 }
 
+// ReplaceTop removes the earliest entry and schedules e in one sift: a
+// task's next release replaces the one just taken.
+//
+//rtlint:hotpath
+func (q *Queue) ReplaceTop(e Entry) {
+	if len(q.h) == 0 {
+		q.Push(e)
+		return
+	}
+	q.h[0] = e
+	q.down(0)
+}
+
 //rtlint:hotpath
 func (q *Queue) up(i int) {
 	for i > 0 {
@@ -104,22 +117,27 @@ func (q *Queue) up(i int) {
 	}
 }
 
+// down sifts the entry at i toward the leaves, moving each smaller
+// child up into the hole it leaves and writing the entry once, where it
+// stops.
+//
 //rtlint:hotpath
 func (q *Queue) down(i int) {
-	n := len(q.h)
+	h := q.h
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && less(q.h[l], q.h[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r < n && less(q.h[r], q.h[smallest]) {
-			smallest = r
+		if r := c + 1; r < len(h) && less(h[r], h[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !less(h[c], e) {
+			break
 		}
-		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
-		i = smallest
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = e
 }

@@ -118,6 +118,37 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
+// TestReplaceTopMatchesPopPush: replacing the top with a task's next
+// release leaves the queue popping exactly as Pop then Push would, on
+// the calendar shape the engine builds (one entry per task, gaps of
+// differing lengths so entries overtake each other).
+func TestReplaceTopMatchesPopPush(t *testing.T) {
+	var a, b Queue
+	for idx := 0; idx < 7; idx++ {
+		e := Entry{Time: (idx * 3) % 5, Idx: idx}
+		a.Push(e)
+		b.Push(e)
+	}
+	for i := 0; i < 200; i++ {
+		ea, _ := a.Peek()
+		eb, _ := b.Pop()
+		if ea != eb {
+			t.Fatalf("step %d: top %v, Pop gave %v", i, ea, eb)
+		}
+		next := Entry{Time: ea.Time + 1 + (ea.Idx*7+i)%11, Idx: ea.Idx}
+		a.ReplaceTop(next)
+		b.Push(next)
+	}
+	if got, want := drain(&a), drain(&b); !equal(got, want) {
+		t.Fatalf("drained %v, want %v", got, want)
+	}
+	var c Queue
+	c.ReplaceTop(Entry{Time: 4, Idx: 1})
+	if e, ok := c.Peek(); !ok || e != (Entry{Time: 4, Idx: 1}) {
+		t.Fatalf("ReplaceTop on an empty queue: Peek %v, %v", e, ok)
+	}
+}
+
 // TestEmpty covers the empty-queue accessors.
 func TestEmpty(t *testing.T) {
 	var q Queue

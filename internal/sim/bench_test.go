@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mpcp/internal/core"
@@ -10,12 +11,17 @@ import (
 	"mpcp/internal/workload"
 )
 
-func benchSys(b *testing.B, procs, tasksPerProc int, util float64) *task.System {
+// benchSys generates the seed-1 default workload at the given shape; a
+// non-nil periods replaces the default period menu.
+func benchSys(b *testing.B, procs, tasksPerProc int, util float64, periods []int) *task.System {
 	b.Helper()
 	cfg := workload.Default(1)
 	cfg.NumProcs = procs
 	cfg.TasksPerProc = tasksPerProc
 	cfg.UtilPerProc = util
+	if periods != nil {
+		cfg.Periods = periods
+	}
 	sys, err := workload.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -39,35 +45,35 @@ func benchRun(b *testing.B, sys *task.System, mk func() sim.Protocol) {
 }
 
 func BenchmarkEngine4x4MPCP(b *testing.B) {
-	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return core.New(core.Options{}) })
+	benchRun(b, benchSys(b, 4, 4, 0.5, nil), func() sim.Protocol { return core.New(core.Options{}) })
 }
 
 func BenchmarkEngine4x4DPCP(b *testing.B) {
-	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return core.NewDPCP(nil) })
+	benchRun(b, benchSys(b, 4, 4, 0.5, nil), func() sim.Protocol { return core.NewDPCP(nil) })
 }
 
 func BenchmarkEngine4x4None(b *testing.B) {
-	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return proto.NewNone(proto.FIFOOrder) })
+	benchRun(b, benchSys(b, 4, 4, 0.5, nil), func() sim.Protocol { return proto.NewNone(proto.FIFOOrder) })
 }
 
 // BenchmarkEngine4x4MSRP and BenchmarkEngine4x4FMLP cover the spin-lock
 // protocols, the spinning half of the sweep-sim benchmark workload.
 func BenchmarkEngine4x4MSRP(b *testing.B) {
-	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return core.NewMSRP() })
+	benchRun(b, benchSys(b, 4, 4, 0.5, nil), func() sim.Protocol { return core.NewMSRP() })
 }
 
 func BenchmarkEngine4x4FMLP(b *testing.B) {
-	benchRun(b, benchSys(b, 4, 4, 0.5), func() sim.Protocol { return core.NewFMLP() })
+	benchRun(b, benchSys(b, 4, 4, 0.5, nil), func() sim.Protocol { return core.NewFMLP() })
 }
 
 func BenchmarkEngine8x8MPCP(b *testing.B) {
-	benchRun(b, benchSys(b, 8, 8, 0.5), func() sim.Protocol { return core.New(core.Options{}) })
+	benchRun(b, benchSys(b, 8, 8, 0.5, nil), func() sim.Protocol { return core.New(core.Options{}) })
 }
 
 // BenchmarkEngineTickThroughput reports ticks simulated per second on a
 // busy 4-processor workload.
 func BenchmarkEngineTickThroughput(b *testing.B) {
-	sys := benchSys(b, 4, 4, 0.6)
+	sys := benchSys(b, 4, 4, 0.6, nil)
 	horizon := sys.Hyperperiod()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -83,4 +89,49 @@ func BenchmarkEngineTickThroughput(b *testing.B) {
 		total += horizon
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "ticks/s")
+}
+
+// sweepSimPeriods is the period menu of the repository benchmark's
+// sweep-sim workload (perfbench/specs.go): a 12000-tick hyperperiod.
+var sweepSimPeriods = []int{400, 500, 600, 750, 800, 1000, 1200, 1500, 2000, 2400, 3000}
+
+// BenchmarkEngineSweepShape simulates one hyperperiod of the systems
+// sweep-sim confirms: 2 processors with 3 tasks each and 4 with 4, at
+// the sparse and dense ends of its utilisation range, under suspending
+// MPCP and spinning MSRP. ns/step is the time of one Step (a dispatched
+// tick and the quiet span after it), steps/run how many Steps one
+// hyperperiod takes.
+func BenchmarkEngineSweepShape(b *testing.B) {
+	protos := []struct {
+		name string
+		mk   func() sim.Protocol
+	}{
+		{"mpcp", func() sim.Protocol { return core.New(core.Options{}) }},
+		{"msrp", func() sim.Protocol { return core.NewMSRP() }},
+	}
+	for _, shape := range []struct{ procs, tasks int }{{2, 3}, {4, 4}} {
+		for _, util := range []float64{0.3, 0.8} {
+			for _, p := range protos {
+				b.Run(fmt.Sprintf("%dx%d/u%.1f/%s", shape.procs, shape.tasks, util, p.name), func(b *testing.B) {
+					sys := benchSys(b, shape.procs, shape.tasks, util, sweepSimPeriods)
+					b.ReportAllocs()
+					b.ResetTimer()
+					steps := 0
+					for i := 0; i < b.N; i++ {
+						e, err := sim.New(sys, p.mk(), sim.Config{})
+						if err != nil {
+							b.Fatal(err)
+						}
+						for done := false; !done; steps++ {
+							if done, err = e.Step(); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+					b.ReportMetric(float64(steps)/float64(b.N), "steps/run")
+				})
+			}
+		}
+	}
 }

@@ -14,9 +14,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mpcp/internal/relq"
@@ -200,21 +202,53 @@ func (r *Result) ResponsePercentile(id task.ID, p float64) (ticks int, ok bool) 
 // or agent may reuse its *Job. A protocol must therefore hold no
 // pointer to a job after the engine finishes it (OnFinish, or an
 // agent's OnDone, is its last sight of the job).
+//
+// A step costs time in the processors that changed and the jobs on
+// them, not in the whole system: a processor's tick counters and a
+// job's waiting counters are charged when they next change (or at a
+// flush point), the deadlines sit in a heap and the segment ends in a
+// tournament tree, and dispatch visits only the processors settle
+// re-picked.
 type Engine struct {
 	sys   *task.System
 	proto Protocol
 	cfg   Config
 
 	now      int
-	procs    []*Job      // running job per processor (nil = idle this tick)
-	active   []*Job      // released, unfinished jobs (including agents)
+	procs    []*Job      // running job per processor (nil = idle), as of the last dispatch
+	clocks   []procClock // per-processor deferred tick accounting
 	onProc   [][]*Job    // active jobs per processor, each in active order
-	dirty    []bool      // processors whose pick may have changed since settle last picked
+	dirty    procSet     // processors whose pick may have changed since settle last picked
+	touched  procList    // processors settle picked since the last dispatch
 	picks    []*Job      // settle's last pick per processor; valid while clean
 	releases relq.Queue  // calendar of pending releases, (time, task index)
 	rel      relq.Source // seed-keyed sporadic-gap and jitter draws
 	nextIdx  []int       // per-task next instance index
 	seq      uint64
+	admitted uint64 // last active-set sequence number handed out
+
+	segEnds   segTree // when each processor's running compute segment ends
+	deadlines dlHeap  // released jobs' deadlines, by (deadline, active order)
+	// overdue holds, under OverloadAbort, the jobs whose deadline passed
+	// while they waited; the abort sweep takes each once it is ready.
+	overdue []deadline
+	// reread marks the processors whose jobs' waiting classes dispatch
+	// must re-read: a job there changed state or was admitted, the
+	// occupant changed, or an agent of a job there left or changed
+	// processor occupancy.
+	reread  procList
+	scratch []*Job // deadline misses and abort victims of one sweep; empty between uses
+
+	stats    []TaskStats // Result.Stats by task position
+	nActive  int         // active jobs, agents included
+	segs     int         // body segments over the active jobs (settle's bound)
+	nWaiting int         // active jobs blocked or suspended
+	nBusy    int         // processors with an occupant
+	active   []*Job      // ActiveJobs' view, rebuilt when activeStale
+	// activeStale records that the active set changed since active was
+	// last built.
+	activeStale bool
+
 	// free lists the jobs ready for reuse, retired the jobs finished or
 	// aborted during the current step, both linked through Job.next.
 	// retired joins free after the step's dispatch, so that a recycled
@@ -222,12 +256,33 @@ type Engine struct {
 	// stay empty under RetainJobs.
 	free, retired *Job
 
+	// visits counts processor and job visits on the step path: the
+	// measure of a step's work that the work-count test reads.
+	visits int
+
 	sink     trace.Sink
 	sinkErr  error
 	result   *Result
 	finished bool
+	// sealed stops all charging: the counters were flushed when the run
+	// ended, and the final settle must not charge past that tick.
+	sealed bool
+	// inStep is set while Step runs. ActiveJobs and ActiveOn flush only
+	// outside it: the protocols call them inside a step and read no
+	// counter, and charging there would only split the same charge.
+	inStep bool
 
 	err error
+}
+
+// procClock is one processor's deferred tick accounting. The occupancy
+// a dispatch chose (the occupant in procs, whether it is inside a gcs,
+// whether it spins) cannot change until something marks the processor
+// dirty, so the ticks from since on are charged when the processor is
+// next redispatched or flushed, not tick by tick.
+type procClock struct {
+	since     int // first tick not yet charged
+	gcs, spin bool
 }
 
 // New prepares an engine. The system must already be validated.
@@ -238,45 +293,61 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = sys.MaxOffset() + sys.Hyperperiod()
 	}
+	n, np := len(sys.Tasks), sys.NumProcs
+	// One allocation each for the job pointers (occupants, picks and
+	// every processor's job list), the statistics and the counters.
+	jobs := make([]*Job, 2*np+n)
+	taskStats := make([]TaskStats, n)
+	procStats := make([]ProcStats, np)
 	e := &Engine{
-		sys:    sys,
-		proto:  proto,
-		cfg:    cfg,
-		procs:  make([]*Job, sys.NumProcs),
-		onProc: make([][]*Job, sys.NumProcs),
-		dirty:  make([]bool, sys.NumProcs),
-		picks:  make([]*Job, sys.NumProcs),
-		sink:   cfg.Sink,
+		sys:       sys,
+		proto:     proto,
+		cfg:       cfg,
+		procs:     jobs[:np:np],
+		picks:     jobs[np : 2*np : 2*np],
+		clocks:    make([]procClock, np),
+		onProc:    make([][]*Job, np),
+		dirty:     newProcSet(np),
+		touched:   newProcList(np),
+		reread:    newProcList(np),
+		segEnds:   newSegTree(np),
+		deadlines: dlHeap{h: make([]deadline, 0, n)},
+		stats:     taskStats,
+		nextIdx:   make([]int, n),
+		sink:      cfg.Sink,
 		result: &Result{
 			Protocol:   proto.Name(),
 			Horizon:    cfg.Horizon,
 			DeadlockAt: -1,
-			Stats:      make(map[task.ID]*TaskStats, len(sys.Tasks)),
-			Procs:      make([]*ProcStats, sys.NumProcs),
+			Stats:      make(map[task.ID]*TaskStats, n),
+			Procs:      make([]*ProcStats, np),
 		},
 	}
-	for i := range e.result.Procs {
-		e.result.Procs[i] = &ProcStats{}
-		e.dirty[i] = true
+	for p := range e.result.Procs {
+		e.result.Procs[p] = &procStats[p]
+		e.dirty.add(p)
 	}
 	seed := cfg.ReleaseSeed
 	if seed == 0 {
 		seed = sys.ReleaseSeed
 	}
 	e.rel = relq.NewSource(seed)
-	e.nextIdx = make([]int, len(sys.Tasks))
-	perProc := make([]int, sys.NumProcs)
+	// Each processor's list starts as a window of the slab sized to its
+	// tasks; an agent beyond that moves it to storage of its own.
+	perProc := make([]int, np)
 	for _, t := range sys.Tasks {
 		perProc[t.Proc]++
 	}
-	for p, n := range perProc {
-		e.onProc[p] = make([]*Job, 0, n)
+	off := 2 * np
+	for p, k := range perProc {
+		e.onProc[p] = jobs[off : off : off+k]
+		off += k
 	}
 	for i, t := range sys.Tasks {
 		if r0 := t.Offset + e.rel.Jit(i, 0, t.Jitter); r0 < cfg.Horizon {
 			e.releases.Push(relq.Entry{Time: r0, Idx: i, Arrival: t.Offset})
 		}
-		e.result.Stats[t.ID] = &TaskStats{}
+		e.result.Stats[t.ID] = &taskStats[i]
 	}
 	if err := proto.Init(e); err != nil {
 		return nil, fmt.Errorf("sim: protocol init: %w", err)
@@ -284,13 +355,23 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// emit forwards a trace event to the configured sink, latching the first
-// sink error (which aborts the run at the next Step boundary — a trace
-// with silent holes is worse than a failed run).
+// emit forwards a trace event to the configured sink. It is small
+// enough to inline, so an untraced run pays one test per event.
 //
 //rtlint:hotpath
 func (e *Engine) emit(ev trace.Event) {
-	if e.sink != nil && e.sinkErr == nil {
+	if e.sink != nil {
+		e.record(ev)
+	}
+}
+
+// record writes ev to the sink, latching the first sink error (which
+// aborts the run at the next Step boundary — a trace with silent holes
+// is worse than a failed run).
+//
+//rtlint:hotpath
+func (e *Engine) record(ev trace.Event) {
+	if e.sinkErr == nil {
 		if err := e.sink.Event(ev); err != nil {
 			e.sinkErr = fmt.Errorf("sim: trace sink: %w", err)
 		}
@@ -335,8 +416,22 @@ func (e *Engine) Run() (*Result, error) {
 // detected). Interleaving Step with Result() supports interactive and
 // incremental tooling; after done the engine must not be stepped again.
 //
+// A step's work is in the processors settle re-picks and the jobs on
+// them: dispatch redispatches only those, charging each one's previous
+// occupancy and re-reading its jobs' waiting classes; deadlines and
+// segment ends are read off the top of their queues; every other
+// processor and job is charged later, when it changes or at a flush.
+//
 //rtlint:hotpath
 func (e *Engine) Step() (done bool, err error) {
+	e.inStep = true
+	done, err = e.step()
+	e.inStep = false
+	return done, err
+}
+
+//rtlint:hotpath
+func (e *Engine) step() (done bool, err error) {
 	if e.finished {
 		return true, e.err
 	}
@@ -346,7 +441,7 @@ func (e *Engine) Step() (done bool, err error) {
 	e.releaseJobs()
 	e.settle()
 	if e.err != nil {
-		e.finished = true
+		e.seal()
 		return true, e.err
 	}
 	if e.cfg.Overload == OverloadAbort {
@@ -359,17 +454,16 @@ func (e *Engine) Step() (done bool, err error) {
 		for e.abortMissed() {
 			e.settle()
 			if e.err != nil {
-				e.finished = true
+				e.seal()
 				return true, e.err
 			}
 		}
 	}
-	busy := e.dispatch()
+	e.dispatch()
 	e.recycle()
-	e.advance(1)
-	next, waiting := e.checkDeadlines()
+	next := e.checkDeadlines()
 	stop := e.cfg.StopOnMiss && e.result.AnyMiss
-	if waiting && !busy {
+	if e.nWaiting > 0 && e.nBusy == 0 {
 		// Deadlock: unlocks come only from executing jobs, and new
 		// releases cannot free held semaphores either.
 		e.result.Deadlock = true
@@ -377,19 +471,16 @@ func (e *Engine) Step() (done bool, err error) {
 		stop = true
 	}
 	e.now++
-	q := 0
-	if !stop && !e.cfg.ReferenceStepper && e.now < e.cfg.Horizon && e.sinkErr == nil {
-		q = e.coast(next)
+	halt := e.segEnds.first() <= e.now && e.endSegments(true)
+	if !stop && !halt && !e.cfg.ReferenceStepper && e.now < e.cfg.Horizon && e.sinkErr == nil {
+		e.coast(next)
 	}
-	// Job states and processor occupancy are frozen over the coasted
-	// span, so the dispatched tick and the span wait alike.
-	e.chargeWaiting(1 + q)
 	if stop || e.now >= e.cfg.Horizon {
 		return e.finishRun()
 	}
 	if e.sinkErr != nil {
 		e.err = e.sinkErr
-		e.finished = true
+		e.seal()
 		return true, e.err
 	}
 	return false, nil
@@ -397,8 +488,10 @@ func (e *Engine) Step() (done bool, err error) {
 
 // finishRun performs the final settle (so jobs whose last compute tick
 // was horizon-1 complete their instantaneous tail) and seals the engine.
+// The counters are flushed first, at the tick the run actually reached:
+// a run stopped early charges nothing up to the horizon.
 func (e *Engine) finishRun() (bool, error) {
-	e.finished = true
+	e.seal()
 	e.now = e.cfg.Horizon
 	e.settle()
 	if e.err == nil && e.sinkErr != nil {
@@ -407,11 +500,37 @@ func (e *Engine) finishRun() (bool, error) {
 	return true, e.err
 }
 
-// Result returns the statistics accumulated so far. It is valid between
-// Steps; after the run completes it is the final result.
-func (e *Engine) Result() *Result { return e.result }
+// seal flushes every counter and ends the run: nothing is charged after.
+func (e *Engine) seal() {
+	e.flush()
+	e.sealed = true
+	e.finished = true
+}
 
-// releaseJobs creates the jobs whose release time is now, popping them
+// Result returns the statistics accumulated so far. It is valid between
+// Steps, where it first charges every processor's and job's deferred
+// ticks up to Now, so every counter, and under RetainJobs every job's
+// waiting counters and SegLeft, equal the reference stepper's at the
+// same tick. After the run completes it is the final result.
+func (e *Engine) Result() *Result {
+	e.flush()
+	return e.result
+}
+
+// flush charges every processor's and every active job's deferred ticks
+// up to now.
+func (e *Engine) flush() {
+	for p := range e.procs {
+		e.chargeProc(p)
+	}
+	for _, jobs := range e.onProc {
+		for _, j := range jobs {
+			e.chargeWait(j)
+		}
+	}
+}
+
+// releaseJobs creates the jobs whose release time is now, taking them
 // off the release calendar. Entries are ordered (time, task index), which
 // matches the task-index order the historical per-tick scan released jobs
 // in, so traces are unchanged.
@@ -421,15 +540,14 @@ func (e *Engine) Result() *Result { return e.result }
 // period for periodic tasks, uniform over [MinInterarrival,
 // 2*Period-MinInterarrival] for sporadic ones, so the mean rate stays
 // 1/Period), and the next release adds that instance's jitter draw,
-// clamped so a task's releases never reorder. Deadlines anchor to
-// arrivals, not releases.
+// clamped so a task's releases never reorder. It replaces the calendar's
+// top in place. Deadlines anchor to arrivals, not releases.
 func (e *Engine) releaseJobs() {
 	for {
 		ent, ok := e.releases.Peek()
 		if !ok || ent.Time > e.now {
 			return
 		}
-		e.releases.Pop()
 		i := ent.Idx
 		t := e.sys.Tasks[i]
 		j := e.newJob()
@@ -445,6 +563,7 @@ func (e *Engine) releaseJobs() {
 			EffPrio:     t.Priority,
 			State:       StateReady,
 			readySeq:    e.nextSeq(),
+			ti:          i,
 		}
 		if len(j.Body) > 0 && j.Body[0].Kind == task.SegCompute {
 			j.SegLeft = j.Body[0].Duration
@@ -461,10 +580,13 @@ func (e *Engine) releaseJobs() {
 			next = ent.Time // releases stay in arrival order per task
 		}
 		if next < e.cfg.Horizon {
-			e.releases.Push(relq.Entry{Time: next, Idx: i, Arrival: arrival})
+			e.releases.ReplaceTop(relq.Entry{Time: next, Idx: i, Arrival: arrival})
+		} else {
+			e.releases.Pop()
 		}
 		e.addActive(j)
-		e.result.Stats[t.ID].Released++
+		e.deadlines.push(j)
+		e.stats[i].Released++
 		if e.cfg.RetainJobs {
 			e.result.Jobs = append(e.result.Jobs, j)
 		}
@@ -491,6 +613,7 @@ func (e *Engine) SpawnAgent(parent *Job, body []task.Segment, proc task.ProcID, 
 		Parent:   parent,
 		OnDone:   onDone,
 		readySeq: e.nextSeq(),
+		ti:       parent.ti,
 		GCS:      1, // agents exist only to execute a gcs
 		CSDepth:  1,
 	}
@@ -549,54 +672,52 @@ func (e *Engine) nextSeq() uint64 {
 // positioned at a compute segment (or spinning), every processor clean,
 // and that job in picks.
 //
-// Each pass visits only dirty processors, in ascending order. A clean
-// processor's pick is nil, spinning, or ready at a compute segment of
-// positive length, and nothing it depends on has changed since, so
-// visiting it would do nothing: the visits that make progress, and their
-// order, are those of a pass over every processor.
+// Each pass visits only dirty processors, in ascending order, and passes
+// repeat until none is dirty. A clean processor's pick is nil, spinning,
+// or ready at a compute segment of positive length, and nothing it
+// depends on has changed since, so visiting it would do nothing: the
+// visits that make progress, and their order, are those of a pass over
+// every processor. Every processor visited is recorded in touched for
+// dispatch.
 //
 //rtlint:hotpath
 func (e *Engine) settle() {
 	// Generous bound: every iteration either advances a PC past an
 	// instantaneous segment, blocks a job, or finishes a job.
-	limit := 4 * (e.totalSegments() + len(e.active) + 8)
+	limit := 4 * (e.segs + e.nActive + 8)
 	for iter := 0; ; iter++ {
+		p := e.dirty.next(0)
+		if p < 0 {
+			return
+		}
 		if iter > limit {
 			//rtlint:allow allocbudget cold failure path: the run is already aborting
 			e.err = fmt.Errorf("sim: settle did not converge at t=%d (protocol bug?)", e.now)
 			return
 		}
-		progressed := false
-		for p := range e.dirty {
-			if !e.dirty[p] {
-				continue
-			}
-			e.dirty[p] = false
+		for ; p >= 0; p = e.dirty.next(p + 1) {
+			e.dirty.del(p)
+			e.touched.add(p)
 			j := e.pickRunnable(task.ProcID(p))
-			e.picks[p] = j
+			if e.picks[p] != j {
+				e.picks[p] = j
+			}
 			if j == nil || j.State == StateSpinning {
 				continue
 			}
-			if e.advanceInstant(j) {
-				progressed = true
-				e.dirty[p] = true
+			if e.advanceInstant(j) && (j.State != StateReady || j.SegLeft <= 0) {
+				// j moved and stopped short of a compute segment (or left
+				// the ready state): visit p again. A job that moved onto
+				// a compute segment is the pick a second visit would make
+				// unless a service marked p meanwhile, and would do
+				// nothing.
+				e.dirty.add(p)
 			}
 			if e.err != nil {
 				return
 			}
 		}
-		if !progressed {
-			return
-		}
 	}
-}
-
-func (e *Engine) totalSegments() int {
-	n := 0
-	for _, j := range e.active {
-		n += len(j.Body)
-	}
-	return n
 }
 
 // advanceInstant processes j's instantaneous segment prefix. It returns
@@ -678,7 +799,7 @@ func (e *Engine) CompleteLock(j *Job, s task.SemID) {
 		j.PC++
 		e.loadSegment(j)
 	}
-	e.dirty[j.Proc] = true
+	e.dirty.add(int(j.Proc))
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvLock, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc, Sem: s})
 }
 
@@ -701,9 +822,21 @@ func (e *Engine) exitCS(j *Job, s task.SemID) {
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvUnlock, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc, Sem: s})
 }
 
+// settleAccounts charges j's deferred ticks, its waiting and, when it
+// occupies its processor, the processor's, before j leaves the system.
+//
+//rtlint:hotpath
+func (e *Engine) settleAccounts(j *Job) {
+	e.chargeWait(j)
+	if e.procs[j.Proc] == j {
+		e.chargeProc(int(j.Proc))
+	}
+}
+
 //rtlint:hotpath
 func (e *Engine) finish(j *Job) {
-	j.State = StateFinished
+	e.settleAccounts(j)
+	e.setState(j, StateFinished)
 	j.FinishTime = e.now
 	e.removeActive(j)
 	if j.IsAgent() {
@@ -713,7 +846,7 @@ func (e *Engine) finish(j *Job) {
 		e.retire(j)
 		return
 	}
-	st := e.result.Stats[j.Task.ID]
+	st := &e.stats[j.ti]
 	st.Finished++
 	resp := j.FinishTime - j.Release
 	if resp > st.MaxResponse {
@@ -742,17 +875,36 @@ func (e *Engine) finish(j *Job) {
 
 // addActive enters a newly released job or agent into the active set and
 // its processor's list.
+//
+//rtlint:hotpath
 func (e *Engine) addActive(j *Job) {
-	e.active = append(e.active, j)
+	e.admitted++
+	j.seq = e.admitted
+	j.waitSince = e.now
+	e.reread.add(int(j.Proc))
+	//rtlint:allow allocbudget capacity is the processor's task count, reserved by New; agents grow it once
 	e.onProc[j.Proc] = append(e.onProc[j.Proc], j)
-	e.dirty[j.Proc] = true
+	e.nActive++
+	e.segs += len(j.Body)
+	e.activeStale = true
+	e.dirty.add(int(j.Proc))
 }
 
 //rtlint:hotpath
 func (e *Engine) removeActive(j *Job) {
-	e.active = without(e.active, j)
+	if d, ok := e.deadlines.top(); ok && d.j == j {
+		e.deadlines.prune()
+	}
 	e.onProc[j.Proc] = without(e.onProc[j.Proc], j)
-	e.dirty[j.Proc] = true
+	e.nActive--
+	e.segs -= len(j.Body)
+	e.activeStale = true
+	e.dirty.add(int(j.Proc))
+	if j.Parent != nil {
+		// The parent may have been charging remote execution to this
+		// agent; dispatch re-reads its class.
+		e.reread.add(int(j.Parent.Proc))
+	}
 }
 
 // without removes j from jobs in place, keeping the order of the rest.
@@ -767,6 +919,29 @@ func without(jobs []*Job, j *Job) []*Job {
 	return jobs
 }
 
+// waits reports whether state s counts toward deadlock detection.
+//
+//rtlint:hotpath
+func waits(s JobState) bool { return s == StateBlocked || s == StateSuspended }
+
+// setState moves j to state s, keeping the count of waiting jobs, and
+// has dispatch re-read j's waiting class.
+//
+//rtlint:hotpath
+func (e *Engine) setState(j *Job, s JobState) {
+	if j.State == s {
+		return
+	}
+	if waits(j.State) {
+		e.nWaiting--
+	}
+	if waits(s) {
+		e.nWaiting++
+	}
+	j.State = s
+	e.reread.add(int(j.Proc))
+}
+
 // pickRunnable returns the job that should occupy processor p this tick:
 // the ready or spinning job with the highest effective priority, FCFS
 // among equals.
@@ -774,7 +949,9 @@ func without(jobs []*Job, j *Job) []*Job {
 //rtlint:hotpath
 func (e *Engine) pickRunnable(p task.ProcID) *Job {
 	var best *Job
-	for _, j := range e.onProc[p] {
+	jobs := e.onProc[p]
+	e.visits += 1 + len(jobs)
+	for _, j := range jobs {
 		if j.State != StateReady && j.State != StateSpinning {
 			continue
 		}
@@ -786,30 +963,89 @@ func (e *Engine) pickRunnable(p task.ProcID) *Job {
 	return best
 }
 
-// dispatch puts settle's pick on each processor for tick now,
-// recording, processor by processor, the preemption and start events
-// and the tick's Exec record. It reports whether any processor is busy.
+// dispatch puts settle's pick on each processor settle visited for tick
+// now, recording, processor by processor, the preemption and start
+// events and (with a sink) every busy processor's Exec record. A
+// processor settle did not visit keeps its occupant, its occupancy and
+// its deferred accounting. Last, with every occupant in place, it
+// re-reads the waiting class of the jobs on the processors marked
+// reread.
 //
 //rtlint:hotpath
-func (e *Engine) dispatch() (busy bool) {
-	for p, j := range e.picks {
-		proc := task.ProcID(p)
-		if prev := e.procs[p]; j != prev {
-			if prev != nil && prev.State == StateReady {
-				e.result.Procs[p].Preemptions++
-				e.emit(trace.Event{Time: e.now, Kind: trace.EvPreempt, Task: prev.StatsTask(), Job: prev.Index, Proc: proc})
+func (e *Engine) dispatch() {
+	if e.sink != nil {
+		for p, j := range e.procs {
+			if e.touched.has(p) {
+				e.redispatch(p)
+				j = e.procs[p]
 			}
 			if j != nil {
-				e.emit(trace.Event{Time: e.now, Kind: trace.EvStart, Task: j.StatsTask(), Job: j.Index, Proc: proc})
+				e.emitRun(e.now, task.ProcID(p), j)
 			}
 		}
-		e.procs[p] = j
-		if j != nil {
-			busy = true
-			e.emitRun(e.now, proc, j)
+	} else {
+		for _, p := range e.touched.sorted() {
+			e.redispatch(p)
 		}
 	}
-	return busy
+	e.touched.reset()
+	for _, p := range e.reread.list {
+		for _, j := range e.onProc[p] {
+			e.reclassify(j)
+		}
+	}
+	e.reread.reset()
+}
+
+// redispatch charges processor p's previous occupancy up to now and
+// starts its next one with settle's pick. An occupancy that did not
+// change (same occupant, gcs and spin state) goes on uncharged; only a
+// compute segment the occupant started since is queued. A new occupant
+// may change the waiting class of every job on p and of the parent of
+// every agent there, so redispatch marks their processors reread.
+//
+//rtlint:hotpath
+func (e *Engine) redispatch(p int) {
+	e.visits++
+	c := &e.clocks[p]
+	j, prev := e.picks[p], e.procs[p]
+	gcs := j != nil && j.GCS > 0
+	spin := j != nil && j.State == StateSpinning
+	if j != prev || gcs != c.gcs || spin != c.spin {
+		e.chargeProc(p)
+		c.since = e.now
+		c.gcs, c.spin = gcs, spin
+	}
+	if j == nil || spin {
+		if e.segEnds.at(p) != none {
+			e.segEnds.set(p, none)
+		}
+	} else if j != prev || !e.segEnds.live(p, e.now) {
+		e.segEnds.set(p, e.now+j.SegLeft)
+	}
+	if j == prev {
+		return
+	}
+	proc := task.ProcID(p)
+	if prev != nil && prev.State == StateReady {
+		e.result.Procs[p].Preemptions++
+		e.emit(trace.Event{Time: e.now, Kind: trace.EvPreempt, Task: prev.StatsTask(), Job: prev.Index, Proc: proc})
+	}
+	if j != nil {
+		e.emit(trace.Event{Time: e.now, Kind: trace.EvStart, Task: j.StatsTask(), Job: j.Index, Proc: proc})
+	}
+	if prev == nil {
+		e.nBusy++
+	} else if j == nil {
+		e.nBusy--
+	}
+	e.procs[p] = j
+	e.reread.add(p)
+	for _, x := range e.onProc[p] {
+		if x.Parent != nil {
+			e.reread.add(int(x.Parent.Proc))
+		}
+	}
 }
 
 // emitRun records that j occupies processor p at tick t. A spinning job
@@ -825,89 +1061,156 @@ func (e *Engine) emitRun(t int, p task.ProcID, j *Job) {
 	e.emitExec(x)
 }
 
-// advance runs every processor's occupant for q ticks: it charges the
-// processor counters and spin time, and moves a ready occupant q ticks
-// through its compute segment (settle guarantees one; a coasted span
-// ends by the segment's last tick), past the segment when it ends.
+// chargeProc charges processor p's occupancy from its clock's since up
+// to now: the busy, idle, gcs and spin counters, the occupant's spin
+// time, and the compute the occupant has done (its SegLeft).
 //
 //rtlint:hotpath
-func (e *Engine) advance(q int) {
-	for p, j := range e.procs {
-		ps := e.result.Procs[p]
-		if j == nil {
-			ps.IdleTicks += q
-			continue
-		}
-		ps.BusyTicks += q
-		if j.GCS > 0 {
-			ps.GcsTicks += q
-		}
-		if j.State == StateSpinning {
-			ps.SpinTicks += q
-			j.SpinTicks += q
-			continue
-		}
-		j.SegLeft -= q
-		if j.SegLeft <= 0 && j.PC < len(j.Body) {
-			j.PC++
-			e.loadSegment(j)
-			e.dirty[p] = true
-		}
+func (e *Engine) chargeProc(p int) {
+	c := &e.clocks[p]
+	q := e.now - c.since
+	if q <= 0 || e.sealed {
+		return
+	}
+	c.since = e.now
+	ps := e.result.Procs[p]
+	j := e.procs[p]
+	if j == nil {
+		ps.IdleTicks += q
+		return
+	}
+	ps.BusyTicks += q
+	if c.gcs {
+		ps.GcsTicks += q
+	}
+	if c.spin {
+		ps.SpinTicks += q
+		j.SpinTicks += q
+	} else if e.segEnds.live(p, e.now) {
+		j.SegLeft = e.segEnds.at(p) - e.now
 	}
 }
 
-// chargeWaiting charges q ticks to the waiting statistics of every
-// non-running active job, classified by its state and by who occupies
-// the processors.
+// endSegments moves every occupant whose compute segment ends at now
+// past it and marks its processor dirty; callers skip it when the
+// earliest segment end is later. After the tick a step dispatched
+// (afterTick), a job whose next segment is compute of positive length
+// keeps running into it without a boundary, as it would tick by tick,
+// and one whose next segment is instantaneous makes halt true: settle
+// must run at once. At the end of a coasted span every ended segment is
+// a boundary. An ended segment's entry stays in the tree, spent (no
+// longer after now), until dispatch next visits its processor: settle
+// must visit it first, and nothing reads the earliest end before then.
 //
 //rtlint:hotpath
-func (e *Engine) chargeWaiting(q int) {
-	for _, j := range e.active {
-		if j.IsAgent() {
+func (e *Engine) endSegments(afterTick bool) (halt bool) {
+	for p := e.segEnds.due(0, e.now); p >= 0; p = e.segEnds.due(p+1, e.now) {
+		e.visits++
+		j := e.procs[p]
+		j.PC++
+		e.loadSegment(j)
+		e.dirty.add(p)
+		if !afterTick {
 			continue
 		}
-		switch j.State {
-		case StateFinished, StateAborted:
-			// Finished and aborted jobs leave the active set immediately;
-			// one that is still visible here accrues nothing.
-		case StateBlocked:
-			j.BlockedTicks += q
-		case StateSuspended:
-			if j.ActiveAgent != nil && e.procs[int(j.ActiveAgent.Proc)] == j.ActiveAgent {
-				// The suspended job's own gcs is executing remotely on its
-				// behalf: that is work, not blocking.
-				j.RemoteExecTicks += q
-			} else {
-				j.SuspendedTicks += q
-			}
-		case StateSpinning:
-			if e.procs[int(j.Proc)] != j {
-				// Spinning but displaced from the processor: still waiting
-				// on the global semaphore.
-				j.SuspendedTicks += q
-			}
-		case StateReady:
-			running := e.procs[int(j.Proc)]
-			if running == j {
-				continue
-			}
-			if running == nil {
-				// Should not happen: a ready job on an idle processor
-				// would have been picked. Count as inversion defensively.
-				j.InversionTicks += q
-				continue
-			}
-			base := running.BasePrio
-			if running.IsAgent() {
-				base = running.Parent.BasePrio
-			}
-			if base < j.BasePrio {
-				j.InversionTicks += q
-			} else {
-				j.PreemptTicks += q
-			}
+		if j.SegLeft > 0 {
+			e.segEnds.set(p, e.now+j.SegLeft)
+		} else {
+			halt = true
 		}
 	}
+	return halt
+}
+
+// chargeWait charges j's waiting ticks from waitSince up to now to the
+// counter its class names.
+//
+//rtlint:hotpath
+func (e *Engine) chargeWait(j *Job) {
+	q := e.now - j.waitSince
+	if q <= 0 || e.sealed {
+		return
+	}
+	j.waitSince = e.now
+	switch j.wait {
+	case waitNone:
+	case waitBlocked:
+		j.BlockedTicks += q
+	case waitSuspended:
+		j.SuspendedTicks += q
+	case waitRemote:
+		j.RemoteExecTicks += q
+	case waitInversion:
+		j.InversionTicks += q
+	case waitPreempt:
+		j.PreemptTicks += q
+	}
+}
+
+// reclassify re-reads j's waiting class from its state and the
+// processors' occupants as dispatch just set them, charging the old
+// class up to now when it changes. The class holds until the next
+// reclassify: it depends only on j's state, its processor's occupant
+// and, for a job suspended on a remote agent, that agent's processor's
+// occupant, and every change to those marks j's processor reread.
+//
+//rtlint:hotpath
+func (e *Engine) reclassify(j *Job) {
+	e.visits++
+	if k := e.waitClass(j); k != j.wait {
+		e.chargeWait(j)
+		j.wait = k
+	}
+}
+
+// waitClass classifies a job's waiting, by its state and by who
+// occupies the processors.
+//
+//rtlint:hotpath
+func (e *Engine) waitClass(j *Job) waitKind {
+	if j.IsAgent() {
+		return waitNone
+	}
+	switch j.State {
+	case StateBlocked:
+		return waitBlocked
+	case StateSuspended:
+		if j.ActiveAgent != nil && e.procs[int(j.ActiveAgent.Proc)] == j.ActiveAgent {
+			// The suspended job's own gcs is executing remotely on its
+			// behalf: that is work, not blocking.
+			return waitRemote
+		}
+		return waitSuspended
+	case StateSpinning:
+		if e.procs[int(j.Proc)] != j {
+			// Spinning but displaced from the processor: still waiting
+			// on the global semaphore.
+			return waitSuspended
+		}
+	case StateReady:
+		running := e.procs[int(j.Proc)]
+		if running == j {
+			return waitNone
+		}
+		if running == nil {
+			// Should not happen: a ready job on an idle processor
+			// would have been picked. Count as inversion defensively.
+			return waitInversion
+		}
+		base := running.BasePrio
+		if running.IsAgent() {
+			base = running.Parent.BasePrio
+		}
+		if base < j.BasePrio {
+			return waitInversion
+		}
+		return waitPreempt
+	case StateFinished, StateAborted:
+		// Finished and aborted jobs leave the active set immediately;
+		// one that is still visible here accrues nothing.
+	}
+	// A running spinner's ticks are spin time, charged with its processor.
+	return waitNone
 }
 
 // abortMissed aborts every ready job whose deadline has passed, in active
@@ -915,21 +1218,48 @@ func (e *Engine) chargeWaiting(q int) {
 // caller must re-settle: force-released semaphores may have been granted
 // to further past-deadline waiters, which the next sweep collects).
 // Blocked, suspended and spinning jobs are left queued — they are swept
-// at the instant a grant makes them ready, before they can execute.
+// at the instant a grant makes them ready, before they can execute. The
+// candidates are the jobs whose deadline passed while they waited
+// (overdue) and the deadlines due now, not every active job.
+//
+//rtlint:hotpath
 func (e *Engine) abortMissed() bool {
-	var victims []*Job
-	for _, j := range e.active {
-		if j.IsAgent() || j.State != StateReady {
+	victims := e.scratch
+	keep := e.overdue[:0]
+	for _, d := range e.overdue {
+		e.visits++
+		if !d.active() {
 			continue
 		}
-		if e.now >= j.AbsDeadline {
-			victims = append(victims, j)
+		if d.j.State == StateReady {
+			victims = append(victims, d.j) //rtlint:allow allocbudget scratch capacity is reused from step to step
+		} else {
+			keep = append(keep, d) //rtlint:allow allocbudget filters overdue in place: keep never outgrows it
 		}
 	}
+	clear(e.overdue[len(keep):])
+	e.overdue = keep
+	victims = e.deadlines.due(0, e.now, victims)
+	e.visits += len(victims)
+	sortBySeq(victims)
 	for _, j := range victims {
 		e.abortJob(j)
 	}
+	clear(victims)
+	e.scratch = victims[:0]
 	return len(victims) > 0
+}
+
+// sortBySeq puts jobs in active-set order. The lists it sorts hold the
+// jobs of one sweep, almost always one or none.
+//
+//rtlint:hotpath
+func sortBySeq(jobs []*Job) {
+	for i := 1; i < len(jobs); i++ {
+		for k := i; k > 0 && jobs[k].seq < jobs[k-1].seq; k-- {
+			jobs[k], jobs[k-1] = jobs[k-1], jobs[k]
+		}
+	}
 }
 
 // abortJob kills j under the abort-on-miss policy: records the miss (if
@@ -941,10 +1271,11 @@ func (e *Engine) abortJob(j *Job) {
 	if j.State != StateReady || e.now < j.AbsDeadline {
 		return
 	}
+	e.settleAccounts(j)
 	if !j.Missed {
 		j.Missed = true
 		e.result.AnyMiss = true
-		e.result.Stats[j.Task.ID].Missed++
+		e.stats[j.ti].Missed++
 		e.emit(trace.Event{Time: e.now, Kind: trace.EvDeadlineMiss, Task: j.Task.ID, Job: j.Index, Proc: j.Proc})
 	}
 	for len(j.Held) > 0 {
@@ -952,41 +1283,61 @@ func (e *Engine) abortJob(j *Job) {
 		e.exitCS(j, s)
 		e.proto.Unlock(e, j, s)
 	}
-	j.State = StateAborted
+	e.setState(j, StateAborted)
 	j.FinishTime = e.now
 	e.removeActive(j)
-	e.result.Stats[j.Task.ID].Aborted++
+	e.stats[j.ti].Aborted++
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvAbort, Task: j.Task.ID, Job: j.Index, Proc: j.Proc})
 	e.proto.OnFinish(e, j)
 	e.retire(j)
 }
 
 // checkDeadlines records the jobs whose deadline passes at the end of
-// tick now. It returns the earliest deadline still unmissed (the horizon
-// if none is earlier), where a coasted span must end, and whether any
-// job is blocked or suspended.
+// tick now and returns the earliest deadline still pending (the horizon
+// if none is earlier), where a coasted span must end.
 //
 //rtlint:hotpath
-func (e *Engine) checkDeadlines() (next int, waiting bool) {
-	next = e.cfg.Horizon
-	t := e.now + 1
-	for _, j := range e.active {
-		if j.State == StateBlocked || j.State == StateSuspended {
-			waiting = true
+func (e *Engine) checkDeadlines() int {
+	d, ok := e.deadlines.top()
+	if ok && d.at <= e.now {
+		e.recordMisses()
+		d, ok = e.deadlines.top()
+	}
+	if ok && d.at < e.cfg.Horizon {
+		return d.at
+	}
+	return e.cfg.Horizon
+}
+
+// recordMisses takes the deadlines due by now off the deadline heap and
+// records their misses in active-set order. Under OverloadAbort a missed
+// job is kept in overdue until it is ready to be aborted.
+//
+//rtlint:hotpath
+func (e *Engine) recordMisses() {
+	missed := e.scratch
+	for {
+		d, ok := e.deadlines.top()
+		if !ok || d.at > e.now {
+			break
 		}
-		if j.IsAgent() || j.Missed {
-			continue
-		}
-		if t > j.AbsDeadline {
-			j.Missed = true
-			e.result.AnyMiss = true
-			e.result.Stats[j.Task.ID].Missed++
-			e.emit(trace.Event{Time: e.now, Kind: trace.EvDeadlineMiss, Task: j.Task.ID, Job: j.Index, Proc: j.Proc})
-		} else if j.AbsDeadline < next {
-			next = j.AbsDeadline
+		e.visits++
+		d.j.Missed = true
+		e.deadlines.pop()
+		e.deadlines.prune()
+		missed = append(missed, d.j) //rtlint:allow allocbudget scratch capacity is reused from step to step
+	}
+	sortBySeq(missed)
+	for _, j := range missed {
+		e.result.AnyMiss = true
+		e.stats[j.ti].Missed++
+		e.emit(trace.Event{Time: e.now, Kind: trace.EvDeadlineMiss, Task: j.Task.ID, Job: j.Index, Proc: j.Proc})
+		if e.cfg.Overload == OverloadAbort {
+			e.overdue = append(e.overdue, deadline{at: j.AbsDeadline, seq: j.seq, j: j}) //rtlint:allow allocbudget overdue jobs are few and its capacity is reused
 		}
 	}
-	return next, waiting
+	clear(missed)
+	e.scratch = missed[:0]
 }
 
 // --- Services for protocols -------------------------------------------
@@ -998,7 +1349,7 @@ func (e *Engine) SetEffPrio(j *Job, prio int) {
 		return
 	}
 	j.EffPrio = prio
-	e.dirty[j.Proc] = true
+	e.dirty.add(int(j.Proc))
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvInherit, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc, Prio: prio})
 }
 
@@ -1014,29 +1365,29 @@ func (e *Engine) MakeReady(j *Job) {
 	if j.State != StateReady {
 		e.emit(trace.Event{Time: e.now, Kind: trace.EvReady, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc})
 	}
-	j.State = StateReady
+	e.setState(j, StateReady)
 	j.readySeq = e.nextSeq()
-	e.dirty[j.Proc] = true
+	e.dirty.add(int(j.Proc))
 }
 
 // BlockLocal marks j blocked on local semaphore s (ceiling blocking).
 func (e *Engine) BlockLocal(j *Job, s task.SemID) {
-	j.State = StateBlocked
-	e.dirty[j.Proc] = true
+	e.setState(j, StateBlocked)
+	e.dirty.add(int(j.Proc))
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvBlockLocal, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc, Sem: s})
 }
 
 // SuspendGlobal marks j suspended waiting for global semaphore s.
 func (e *Engine) SuspendGlobal(j *Job, s task.SemID) {
-	j.State = StateSuspended
-	e.dirty[j.Proc] = true
+	e.setState(j, StateSuspended)
+	e.dirty.add(int(j.Proc))
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvSuspendGlobal, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc, Sem: s})
 }
 
 // SpinGlobal marks j busy-waiting for global semaphore s.
 func (e *Engine) SpinGlobal(j *Job, s task.SemID) {
-	j.State = StateSpinning
-	e.dirty[j.Proc] = true
+	e.setState(j, StateSpinning)
+	e.dirty.add(int(j.Proc))
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvSpinGlobal, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc, Sem: s})
 }
 
@@ -1050,14 +1401,39 @@ func (e *Engine) Grant(j *Job, s task.SemID, gcsPrio int) {
 func (e *Engine) JumpTo(j *Job, pc int) {
 	j.PC = pc
 	e.loadSegment(j)
-	e.dirty[j.Proc] = true
+	e.dirty.add(int(j.Proc))
 }
 
-// ActiveJobs returns all released unfinished jobs (including agents).
-// The returned slice is the engine's own; callers must not mutate it.
-func (e *Engine) ActiveJobs() []*Job { return e.active }
+// ActiveJobs returns all released unfinished jobs (including agents), in
+// the order they were admitted. Between Steps every counter is first
+// charged up to now. The returned slice is the engine's own; callers must
+// not mutate it.
+func (e *Engine) ActiveJobs() []*Job {
+	if !e.inStep {
+		e.flush()
+	}
+	if e.activeStale {
+		e.active = e.active[:0]
+		for _, jobs := range e.onProc {
+			e.active = append(e.active, jobs...)
+		}
+		slices.SortFunc(e.active, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
+		e.activeStale = false
+	}
+	return e.active
+}
 
 // ActiveOn returns the active jobs on processor p (an agent is on its
-// synchronization processor), in ActiveJobs order. The returned slice is
+// synchronization processor), in ActiveJobs order. Between Steps p's and
+// the jobs' counters are first charged up to now. The returned slice is
 // the engine's own; callers must not mutate it.
-func (e *Engine) ActiveOn(p task.ProcID) []*Job { return e.onProc[p] }
+func (e *Engine) ActiveOn(p task.ProcID) []*Job {
+	jobs := e.onProc[p]
+	if !e.inStep {
+		e.chargeProc(int(p))
+		for _, j := range jobs {
+			e.chargeWait(j)
+		}
+	}
+	return jobs
+}

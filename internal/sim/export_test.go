@@ -7,7 +7,7 @@ import "mpcp/internal/task"
 // which case j is settle's cached pick and the next settle skips p; on a
 // dirty processor j is a fresh scan of p's job list.
 func (e *Engine) DispatchPick(p task.ProcID) (j *Job, cached bool) {
-	if e.dirty[p] {
+	if e.dirty.has(int(p)) {
 		return e.pickRunnable(p), false
 	}
 	return e.picks[p], true
@@ -24,3 +24,7 @@ func FreeJobs(e *Engine) int {
 	}
 	return n
 }
+
+// Visits returns the number of processor and job visits e has made on
+// its step path so far.
+func Visits(e *Engine) int { return e.visits }

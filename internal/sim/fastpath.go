@@ -13,29 +13,37 @@ import "mpcp/internal/task"
 // per-tick Exec records differ only in their Time field, no events are
 // emitted, and every statistic advances by the same per-tick increment.
 //
-// Both steppers therefore run one accounting path and differ only in the
-// span length. Each Step dispatches tick now and runs advance(1); the
-// fast path then coasts a span of q quiet ticks, emitting their Exec
-// records (tick-major, processors ascending — the order the reference
-// stepper interleaves them in) and running advance(q); and Step charges
-// waiting once for the 1+q ticks, since job states and processor
-// occupancy are frozen over the span. The reference stepper never
-// coasts: q is always 0.
+// Both steppers therefore run one path and differ only in the span
+// length. Each Step dispatches tick now and moves the segments that end
+// with it; the fast path then coasts a span of q quiet ticks, emitting
+// their Exec records (tick-major, processors ascending — the order the
+// reference stepper interleaves them in) when a sink is set, and moves
+// the segments that end with the span. The reference stepper never
+// coasts: q is always 0. Neither charges a counter per tick: a
+// processor's occupancy and a job's waiting class are frozen until
+// dispatch next visits them, so their ticks are charged then, or at a
+// flush point (Engine.Result, ActiveJobs, ActiveOn, a job's finish or
+// abort, the end of the run), in one addition each.
 //
 // Boundary candidates:
 //
 //   - the earliest absolute deadline of an unmissed non-agent active job,
-//     capped at the horizon (checkDeadlines returns it: it first fires at
-//     tick == AbsDeadline, emitting an EvDeadlineMiss and, under
-//     StopOnMiss, ending the run; under OverloadAbort the same tick's
-//     sweep aborts the job before it can execute, so no ready
-//     past-deadline job ever exists inside a span);
+//     capped at the horizon (checkDeadlines returns it from the top of
+//     the deadline heap: it first fires at tick == AbsDeadline, emitting
+//     an EvDeadlineMiss and, under StopOnMiss, ending the run; under
+//     OverloadAbort the same tick's sweep aborts the job before it can
+//     execute, so no ready past-deadline job ever exists inside a span);
 //   - the next scheduled release (relq.Queue peek, O(1));
-//   - now + SegLeft for every processor running a ready job — the tick
-//     after that job's compute segment ends, when settle may finish it or
-//     process a lock/unlock (spinning jobs impose no boundary of their
-//     own: a spin ends only when some running holder unlocks, which is
-//     covered by the holder's own segment boundary).
+//   - the earliest segment end over the processors running a ready job
+//     (the top of the segment-end heap; each processor keeps the
+//     absolute tick its segment ends) — the tick after that job's
+//     compute segment ends, when settle may finish it or process a
+//     lock/unlock. A segment ending with the dispatched tick chains into
+//     a following compute segment, as it does tick by tick, and one
+//     followed by an instantaneous segment allows no span (halt).
+//     Spinning jobs impose no boundary of their own: a spin ends only
+//     when some running holder unlocks, which is covered by the holder's
+//     own segment boundary.
 //
 // Sporadic and jittered releases need no extra boundaries: the calendar
 // entry for each task's next release is computed at push time from the
@@ -50,30 +58,22 @@ import "mpcp/internal/task"
 // generated workload across all protocols.
 
 // coast jumps now forward over the quiet span ending at the earliest
-// boundary, next being the deadline candidate, and returns the span's
-// length. The span is cut short after the tick at which a sink write
-// fails, as the reference stepper completes the erroring tick before
-// aborting. Step calls it after tick now-1's dispatch and advance, and
-// only when the run continues (no stop, no sink error, now < horizon).
+// boundary, next being the deadline candidate. The span is cut short
+// after the tick at which a sink write fails, as the reference stepper
+// completes the erroring tick before aborting. Step calls it after tick
+// now-1's dispatch, and only when the run continues (no stop, no sink
+// error, now < horizon) and no segment that ended with that tick awaits
+// settle (halt).
 //
 //rtlint:hotpath
-func (e *Engine) coast(next int) int {
+func (e *Engine) coast(next int) {
 	if t, ok := e.releases.NextTime(); ok && t < next {
 		next = t
 	}
-	for _, j := range e.procs {
-		if j == nil || j.State != StateReady {
-			continue
-		}
-		if j.SegLeft <= 0 {
-			// Segment boundary pending: the very next settle must run.
-			return 0
-		}
-		next = min(next, e.now+j.SegLeft)
-	}
+	next = min(next, e.segEnds.first())
 	q := next - e.now
 	if q <= 0 {
-		return 0
+		return
 	}
 	if e.sink != nil {
 		for dt := 0; dt < q; dt++ {
@@ -88,8 +88,9 @@ func (e *Engine) coast(next int) int {
 			}
 		}
 	}
-	e.advance(q)
 	e.now += q
 	e.result.TicksSkipped += q
-	return q
+	if e.segEnds.first() <= e.now {
+		e.endSegments(false)
+	}
 }

@@ -86,17 +86,31 @@ type Job struct {
 	// Agent linkage for the message-based protocol: an agent executes a
 	// gcs remotely on behalf of Parent; OnDone is invoked when it
 	// completes. Agents are excluded from task statistics. ActiveAgent on
-	// a suspended parent points at the agent currently executing its gcs.
+	// a suspended parent points at the agent currently executing its gcs;
+	// a protocol sets it when it spawns the agent and clears it when the
+	// agent finishes, which is when the engine re-reads it.
 	Parent      *Job
 	OnDone      func(agent *Job)
 	ActiveAgent *Job
 
 	readySeq uint64 // FCFS tie-break among equal effective priorities
+	seq      uint64 // admission number: the job's place in the active set
 	next     *Job   // the engine's free-list link
+	ti       int    // task position in the system (the parent's, for an agent)
 
-	// Statistics (ticks).
+	// waitSince is the first tick not yet charged to the waiting counter
+	// that wait names. The class holds from one dispatch of the job's
+	// processor (or its agent's) to the next, so the engine charges it
+	// when it changes or at a flush, not tick by tick.
+	waitSince int
+
+	// Statistics (ticks). The waiting counters, SpinTicks and SegLeft
+	// are exact whenever they can be read: between Steps through
+	// Engine.Result, through ActiveJobs and ActiveOn, and once the job
+	// has finished or been aborted.
 	FinishTime      int
 	Missed          bool
+	wait            waitKind
 	BlockedTicks    int // blocked on a local semaphore
 	SuspendedTicks  int // suspended on a global semaphore / remote agent
 	SpinTicks       int // busy-waiting
@@ -104,6 +118,18 @@ type Job struct {
 	PreemptTicks    int // ready but displaced by higher-base-priority work
 	RemoteExecTicks int // own gcs executing remotely via an agent (work, not blocking)
 }
+
+// waitKind is the waiting counter a non-running job's ticks go to.
+type waitKind uint8
+
+const (
+	waitNone      waitKind = iota // running, an agent, or not waiting
+	waitBlocked                   // BlockedTicks
+	waitSuspended                 // SuspendedTicks
+	waitRemote                    // RemoteExecTicks
+	waitInversion                 // InversionTicks
+	waitPreempt                   // PreemptTicks
+)
 
 // IsAgent reports whether the job is a remote gcs agent.
 func (j *Job) IsAgent() bool { return j.Parent != nil }
