@@ -70,14 +70,14 @@ func TestMinProcessorsMPCP(t *testing.T) {
 	}
 	// The returned system must actually pass the analysis it was selected
 	// by, and simulate cleanly.
-	rep, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty())
+	rep, err := mpcp.Analyze(sys, "mpcp", mpcp.ProtocolOptions{DeferredPenalty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.SchedulableResponse {
 		t.Error("returned system fails the analysis it was selected by")
 	}
-	res, err := mpcp.Simulate(sys, mpcp.MPCP())
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

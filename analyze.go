@@ -25,69 +25,16 @@ type (
 	CeilingTable = ceiling.Table
 )
 
-// AnalysisOption configures blocking-bound computation.
-type AnalysisOption func(*analysisConfig)
-
-// analysisConfig is what the options select: the registered protocol
-// whose bound to compute, and the registry options it runs with.
-type analysisConfig struct {
-	protocol string
-	opts     registry.Opts
-}
-
-// analysisOf applies opts, from the shared-memory protocol's analysis
-// on, and returns the registered protocol and options they select.
-func analysisOf(opts []AnalysisOption) (string, registry.Opts) {
-	c := analysisConfig{protocol: "mpcp"}
-	for _, opt := range opts {
-		opt(&c)
-	}
-	return c.protocol, c.opts
-}
-
-// WithDPCPAnalysis computes the bounds for the message-based protocol of
-// [8] instead of the shared-memory protocol.
-func WithDPCPAnalysis() AnalysisOption {
-	return func(c *analysisConfig) { c.protocol = "dpcp" }
-}
-
-// WithDeferredPenalty includes the deferred-execution scheduling penalty
-// of Section 5.1 in each task's bound.
-func WithDeferredPenalty() AnalysisOption {
-	return func(c *analysisConfig) { c.opts.DeferredPenalty = true }
-}
-
-// WithGcsAtCeilingAnalysis mirrors the WithGcsAtCeiling protocol variant
-// in the analysis. The DPCP bound runs no gcs in place, so it leaves
-// WithDPCPAnalysis unchanged.
-func WithGcsAtCeilingAnalysis() AnalysisOption {
-	return func(c *analysisConfig) {
-		if c.protocol != "dpcp" {
-			c.protocol = "mpcp-ceil"
-		}
-	}
-}
-
-// WithDPCPSyncProc mirrors WithSyncProc for the DPCP analysis.
-func WithDPCPSyncProc(s SemID, p ProcID) AnalysisOption {
-	return func(c *analysisConfig) {
-		if c.opts.DPCPAssign == nil {
-			c.opts.DPCPAssign = make(map[SemID]ProcID)
-		}
-		c.opts.DPCPAssign[s] = p
-	}
-}
-
 // BlockingBounds computes the worst-case blocking bound B_i of every task
-// under the shared-memory protocol (or DPCP with WithDPCPAnalysis).
-func BlockingBounds(sys *System, opts ...AnalysisOption) (map[TaskID]*Bound, error) {
-	name, o := analysisOf(opts)
-	return registry.Analyze(name, sys, o)
+// under the named protocol's analysis ("mpcp" for the paper's).
+func BlockingBounds(sys *System, name string, opts ProtocolOptions) (map[TaskID]*Bound, error) {
+	return registry.Analyze(name, sys, opts)
 }
 
-// Analyze computes blocking bounds and runs both schedulability tests.
-func Analyze(sys *System, opts ...AnalysisOption) (*SchedReport, error) {
-	bounds, err := BlockingBounds(sys, opts...)
+// Analyze computes the named protocol's blocking bounds and runs both
+// schedulability tests.
+func Analyze(sys *System, name string, opts ProtocolOptions) (*SchedReport, error) {
+	bounds, err := registry.Analyze(name, sys, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -95,39 +42,11 @@ func Analyze(sys *System, opts ...AnalysisOption) (*SchedReport, error) {
 }
 
 // ExplainBound renders a human-readable, factor-by-factor account of a
-// task's worst-case blocking under the selected analysis (the
-// shared-memory protocol by default, DPCP with WithDPCPAnalysis): which
+// task's worst-case blocking under the named protocol's analysis: which
 // tasks, sections, agents and semaphores contribute and how often. The
-// headline number matches BlockingBounds with the same options.
-func ExplainBound(sys *System, id TaskID, opts ...AnalysisOption) (string, error) {
-	name, o := analysisOf(opts)
-	return registry.Explain(name, sys, id, o)
-}
-
-// HybridAnalysisOptions configures HybridBlockingBounds.
-type HybridAnalysisOptions struct {
-	// Remote lists the message-based semaphores; all other global
-	// semaphores use the shared-memory rules.
-	Remote map[SemID]bool
-	// Assign maps remote semaphores to synchronization processors;
-	// unset entries default to the lowest-numbered accessor.
-	Assign map[SemID]ProcID
-	// DeferredPenalty adds the suspension-induced extra preemption of
-	// higher-priority local tasks, as WithDeferredPenalty does.
-	DeferredPenalty bool
-}
-
-// HybridBlockingBounds computes per-task worst-case blocking under the
-// mixed shared-memory/message-based protocol, composing the MPCP and
-// DPCP factor contributions per semaphore. With an empty Remote set it
-// equals BlockingBounds; with every global semaphore remote it equals
-// the DPCP bounds.
-func HybridBlockingBounds(sys *System, opts HybridAnalysisOptions) (map[TaskID]*Bound, error) {
-	remote := opts.Remote
-	if remote == nil {
-		remote = map[SemID]bool{} // nil would select the registry's default split
-	}
-	return registry.Analyze("hybrid", sys, registry.Opts{RemoteSems: remote, DPCPAssign: opts.Assign, DeferredPenalty: opts.DeferredPenalty})
+// headline number matches BlockingBounds with the same name and options.
+func ExplainBound(sys *System, id TaskID, name string, opts ProtocolOptions) (string, error) {
+	return registry.Explain(name, sys, id, opts)
 }
 
 // Ceilings computes the priority structure of Section 4 for a validated
@@ -184,7 +103,7 @@ func ApplyBinding(specs []TaskSpecUnbound, binding map[TaskID]ProcID, numProcs i
 // system.
 func MinProcessorsMPCP(specs []TaskSpecUnbound, sems []*Semaphore, maxProcs int) (int, map[TaskID]ProcID, *System, error) {
 	return alloc.MinProcessors(specs, sems, maxProcs, func(sys *System) (bool, error) {
-		rep, err := Analyze(sys, WithDeferredPenalty())
+		rep, err := Analyze(sys, "mpcp", ProtocolOptions{DeferredPenalty: true})
 		if err != nil {
 			return false, err
 		}

@@ -110,7 +110,7 @@ func BenchmarkSimulateHyperperiodMPCP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpcp.Simulate(sys, mpcp.MPCP()); err != nil {
+		if _, err := mpcp.Simulate(sys, mustProtocol(b, "mpcp", mpcp.ProtocolOptions{})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkSimulateHyperperiodMPCPReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithReferenceStepper()); err != nil {
+		if _, err := mpcp.Simulate(sys, mustProtocol(b, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithReferenceStepper()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func BenchmarkSimulateHyperperiodMPCPSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpcp.Simulate(sys, mpcp.MPCP()); err != nil {
+		if _, err := mpcp.Simulate(sys, mustProtocol(b, "mpcp", mpcp.ProtocolOptions{})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func BenchmarkSimulateHyperperiodMPCPSparseReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithReferenceStepper()); err != nil {
+		if _, err := mpcp.Simulate(sys, mustProtocol(b, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithReferenceStepper()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func BenchmarkSimulateHyperperiodMPCPSpans(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithSpans(tr, root.Context())); err != nil {
+		if _, err := mpcp.Simulate(sys, mustProtocol(b, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithSpans(tr, root.Context())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func BenchmarkSimulateHyperperiodDPCP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpcp.Simulate(sys, mpcp.DPCP()); err != nil {
+		if _, err := mpcp.Simulate(sys, mustProtocol(b, "dpcp", mpcp.ProtocolOptions{})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func BenchmarkBlockingBounds(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpcp.BlockingBounds(sys); err != nil {
+		if _, err := mpcp.BlockingBounds(sys, "mpcp", mpcp.ProtocolOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty()); err != nil {
+		if _, err := mpcp.Analyze(sys, "mpcp", mpcp.ProtocolOptions{DeferredPenalty: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

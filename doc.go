@@ -33,8 +33,12 @@
 //		mpcp.Compute(20), mpcp.Lock(s), mpcp.Compute(6), mpcp.Unlock(s), mpcp.Compute(30))
 //	sys, err := b.Build()
 //	if err != nil { ... }
-//	res, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithHorizon(1200))
-//	rep, err := mpcp.Analyze(sys)
+//	p, err := mpcp.NewProtocol("mpcp", mpcp.ProtocolOptions{})
+//	res, err := mpcp.Simulate(sys, p, mpcp.WithHorizon(1200))
+//	rep, err := mpcp.Analyze(sys, "mpcp", mpcp.ProtocolOptions{})
+//
+// A protocol and its blocking bound are chosen by registry name, the
+// same names the command-line tools take; Protocols lists them.
 //
 // All simulation is deterministic: identical inputs produce identical
 // traces and statistics.

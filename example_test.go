@@ -41,7 +41,12 @@ func ExampleSimulate() {
 		fmt.Println("error:", err)
 		return
 	}
-	res, err := mpcp.Simulate(sys, mpcp.MPCP())
+	p, err := mpcp.NewProtocol("mpcp", mpcp.ProtocolOptions{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	res, err := mpcp.Simulate(sys, p)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -66,12 +71,12 @@ func ExampleAnalyze() {
 		fmt.Println("error:", err)
 		return
 	}
-	bounds, err := mpcp.BlockingBounds(sys)
+	bounds, err := mpcp.BlockingBounds(sys, "mpcp", mpcp.ProtocolOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	rep, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty())
+	rep, err := mpcp.Analyze(sys, "mpcp", mpcp.ProtocolOptions{DeferredPenalty: true})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -85,18 +85,21 @@ func main() {
 		sys.NumProcs, len(sys.Tasks), sys.Utilization())
 
 	protocols := []struct {
-		name string
-		p    mpcp.Protocol
+		name, protocol string
 	}{
-		{"raw semaphores", mpcp.NoProtocol()},
-		{"priority inheritance", mpcp.PriorityInheritance()},
-		{"message-based (DPCP)", mpcp.DPCP()},
-		{"shared-memory (MPCP)", mpcp.MPCP()},
+		{"raw semaphores", "none"},
+		{"priority inheritance", "inherit"},
+		{"message-based (DPCP)", "dpcp"},
+		{"shared-memory (MPCP)", "mpcp"},
 	}
 
 	fmt.Printf("%-22s %-8s %-10s %-12s\n", "protocol", "misses", "worst B", "worst resp")
 	for _, pc := range protocols {
-		res, err := mpcp.Simulate(sys, pc.p)
+		p, err := mpcp.NewProtocol(pc.protocol, mpcp.ProtocolOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := mpcp.Simulate(sys, p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -116,11 +119,11 @@ func main() {
 	// Analytical guarantees exist only for the two priority-ceiling
 	// based protocols.
 	fmt.Println("\nanalytical worst-case blocking (ticks):")
-	mb, err := mpcp.BlockingBounds(sys)
+	mb, err := mpcp.BlockingBounds(sys, "mpcp", mpcp.ProtocolOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := mpcp.BlockingBounds(sys, mpcp.WithDPCPAnalysis())
+	db, err := mpcp.BlockingBounds(sys, "dpcp", mpcp.ProtocolOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,11 +132,11 @@ func main() {
 		fmt.Printf("  %-12s %-8d %-8d\n", t.Name, mb[t.ID].Total, db[t.ID].Total)
 	}
 
-	repM, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty())
+	repM, err := mpcp.Analyze(sys, "mpcp", mpcp.ProtocolOptions{DeferredPenalty: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	repD, err := mpcp.Analyze(sys, mpcp.WithDPCPAnalysis(), mpcp.WithDeferredPenalty())
+	repD, err := mpcp.Analyze(sys, "dpcp", mpcp.ProtocolOptions{DeferredPenalty: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 func main() {
 	const seedsPerPoint = 15
+	penalty := mpcp.ProtocolOptions{DeferredPenalty: true}
 
 	fmt.Println("schedulability vs per-processor utilization (response-time test)")
 	fmt.Printf("%-10s %-12s %-12s %-14s %-14s\n",
@@ -31,14 +32,14 @@ func main() {
 				log.Fatal(err)
 			}
 
-			repM, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty())
+			repM, err := mpcp.Analyze(sys, "mpcp", penalty)
 			if err != nil {
 				log.Fatal(err)
 			}
 			if repM.SchedulableResponse {
 				schedM++
 			}
-			repD, err := mpcp.Analyze(sys, mpcp.WithDPCPAnalysis(), mpcp.WithDeferredPenalty())
+			repD, err := mpcp.Analyze(sys, "dpcp", penalty)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -46,7 +47,7 @@ func main() {
 				schedD++
 			}
 
-			resM, err := mpcp.Simulate(sys, mpcp.MPCP())
+			resM, err := simulate(sys, "mpcp")
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -56,7 +57,7 @@ func main() {
 					log.Fatalf("soundness violated: admitted MPCP set missed (seed %d)", seed)
 				}
 			}
-			resD, err := mpcp.Simulate(sys, mpcp.DPCP())
+			resD, err := simulate(sys, "dpcp")
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -81,14 +82,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rp, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty())
+		rp, err := mpcp.Analyze(sys, "mpcp", penalty)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if rp.SchedulableResponse {
 			paperAdmits++
 		}
-		rc, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty(), mpcp.WithGcsAtCeilingAnalysis())
+		rc, err := mpcp.Analyze(sys, "mpcp-ceil", penalty)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -98,4 +99,13 @@ func main() {
 	}
 	fmt.Printf("admitted: P_G+P_h %d/%d, ceiling %d/%d\n",
 		paperAdmits, seedsPerPoint, ceilAdmits, seedsPerPoint)
+}
+
+// simulate runs sys for one hyperperiod under the named protocol.
+func simulate(sys *mpcp.System, protocol string) (*mpcp.SimResult, error) {
+	p, err := mpcp.NewProtocol(protocol, mpcp.ProtocolOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return mpcp.Simulate(sys, p)
 }

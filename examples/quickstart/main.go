@@ -53,11 +53,11 @@ func main() {
 
 	// Worst-case blocking bounds (the five factors of Section 5.1) and
 	// the schedulability verdict.
-	bounds, err := mpcp.BlockingBounds(sys)
+	bounds, err := mpcp.BlockingBounds(sys, "mpcp", mpcp.ProtocolOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty())
+	rep, err := mpcp.Analyze(sys, "mpcp", mpcp.ProtocolOptions{DeferredPenalty: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,11 @@ func main() {
 	// Simulate one hyperperiod under MPCP via a Session and verify the
 	// invariants. (mpcp.Simulate is the one-call shorthand; a Session
 	// additionally supports tick-by-tick Step for interactive tooling.)
-	sess, err := mpcp.Start(sys, mpcp.MPCP(), mpcp.WithTrace(mpcp.NewTrace()))
+	p, err := mpcp.NewProtocol("mpcp", mpcp.ProtocolOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sess, err := mpcp.Start(sys, p, mpcp.WithTrace(mpcp.NewTrace()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,13 @@ func main() {
 
 	// Handle the command queue message-based on processor 1, so its
 	// critical sections never preempt the control processor.
-	protocol := mpcp.Hybrid(mpcp.WithRemoteSem(cmdQ, 1))
+	protocol, err := mpcp.NewProtocol("hybrid", mpcp.ProtocolOptions{
+		RemoteSems: map[mpcp.SemID]bool{cmdQ: true},
+		DPCPAssign: map[mpcp.SemID]mpcp.ProcID{cmdQ: 1},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	tr := mpcp.NewTrace()
 	res, err := mpcp.Simulate(sys, protocol, mpcp.WithHorizon(horizon), mpcp.WithTrace(tr))

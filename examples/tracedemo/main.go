@@ -96,8 +96,12 @@ func main() {
 	}
 
 	// Figure 5-1: the event trace.
+	p, err := mpcp.NewProtocol("mpcp", mpcp.ProtocolOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	tr := mpcp.NewTrace()
-	res, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithHorizon(40), mpcp.WithTrace(tr))
+	res, err := mpcp.Simulate(sys, p, mpcp.WithHorizon(40), mpcp.WithTrace(tr))
 	if err != nil {
 		log.Fatal(err)
 	}

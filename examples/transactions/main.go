@@ -23,7 +23,7 @@ import (
 type design struct {
 	name   string
 	sys    *mpcp.System
-	proto  mpcp.Protocol
+	proto  string
 	nested bool
 }
 
@@ -88,14 +88,18 @@ func main() {
 		log.Fatal(err)
 	}
 	designs := []design{
-		{name: "nested (ordered locks)", sys: nestedSys, proto: mpcp.MPCP(mpcp.WithNestedGlobal()), nested: true},
-		{name: "collapsed (coarse lock)", sys: collapsedSys, proto: mpcp.MPCP(), nested: false},
+		{name: "nested (ordered locks)", sys: nestedSys, proto: "mpcp-nested", nested: true},
+		{name: "collapsed (coarse lock)", sys: collapsedSys, proto: "mpcp", nested: false},
 	}
 
 	fmt.Printf("%-24s %-10s %-12s %-14s %-12s\n", "design", "deadlock", "worst B", "worst resp", "analyzable")
 	for _, d := range designs {
+		p, err := mpcp.NewProtocol(d.proto, mpcp.ProtocolOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		tr := mpcp.NewTrace()
-		res, err := mpcp.Simulate(d.sys, d.proto, mpcp.WithTrace(tr), mpcp.WithHorizon(2520))
+		res, err := mpcp.Simulate(d.sys, p, mpcp.WithTrace(tr), mpcp.WithHorizon(2520))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -109,7 +113,7 @@ func main() {
 			}
 		}
 		analyzable := "yes"
-		if _, err := mpcp.BlockingBounds(d.sys); err != nil {
+		if _, err := mpcp.BlockingBounds(d.sys, "mpcp", mpcp.ProtocolOptions{}); err != nil {
 			analyzable = "no (nested)"
 		}
 		fmt.Printf("%-24s %-10v %-12d %-14d %-12s\n",

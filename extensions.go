@@ -1,33 +1,6 @@
 package mpcp
 
-import (
-	"mpcp/internal/core"
-	"mpcp/internal/server"
-)
-
-// HybridOption configures the mixed shared-memory/message-based protocol
-// (the variation proposed in the paper's conclusion).
-type HybridOption func(remote map[SemID]bool, assign map[SemID]ProcID)
-
-// WithRemoteSem handles global semaphore s message-based (its critical
-// sections execute as agents on processor p at the global ceiling); all
-// other global semaphores use the shared-memory rules.
-func WithRemoteSem(s SemID, p ProcID) HybridOption {
-	return func(remote map[SemID]bool, assign map[SemID]ProcID) {
-		remote[s] = true
-		assign[s] = p
-	}
-}
-
-// Hybrid returns the mixed protocol. With no options it behaves like the
-// shared-memory protocol.
-func Hybrid(opts ...HybridOption) *core.Protocol {
-	remote, assign := make(map[SemID]bool), make(map[SemID]ProcID)
-	for _, opt := range opts {
-		opt(remote, assign)
-	}
-	return core.NewHybrid(remote, assign)
-}
+import "mpcp/internal/server"
 
 // Aperiodic service (Section 3.1), re-exported.
 type (

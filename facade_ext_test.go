@@ -24,7 +24,7 @@ func TestHybridFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := mpcp.NewTrace()
-	res, err := mpcp.Simulate(sys, mpcp.Hybrid(mpcp.WithRemoteSem(g2, 1)), mpcp.WithTrace(tr))
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "hybrid", mpcp.ProtocolOptions{RemoteSems: map[mpcp.SemID]bool{g2: true}, DPCPAssign: map[mpcp.SemID]mpcp.ProcID{g2: 1}}), mpcp.WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,50 +33,6 @@ func TestHybridFacade(t *testing.T) {
 	}
 	if vs := tr.CheckMutex(); len(vs) > 0 {
 		t.Errorf("mutex: %v", vs)
-	}
-}
-
-// TestHybridBlockingBoundsDegenerates: the facade's hybrid bound with no
-// remote semaphore is BlockingBounds, and with every global semaphore
-// remote it is BlockingBounds with WithDPCPAnalysis, with and without
-// the deferred penalty.
-func TestHybridBlockingBoundsDegenerates(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		sys, err := mpcp.GenerateWorkload(mpcp.DefaultWorkload(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		all := make(map[mpcp.SemID]bool)
-		for _, sem := range sys.Sems {
-			if sem.Global {
-				all[sem.ID] = true
-			}
-		}
-		for _, penalty := range []bool{false, true} {
-			var opts []mpcp.AnalysisOption
-			if penalty {
-				opts = append(opts, mpcp.WithDeferredPenalty())
-			}
-			for _, c := range []struct {
-				remote map[mpcp.SemID]bool
-				opts   []mpcp.AnalysisOption
-			}{
-				{nil, opts},
-				{all, append(opts, mpcp.WithDPCPAnalysis())},
-			} {
-				want, err := mpcp.BlockingBounds(sys, c.opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := mpcp.HybridBlockingBounds(sys, mpcp.HybridAnalysisOptions{Remote: c.remote, DeferredPenalty: penalty})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d penalty %v remote %v: hybrid bounds differ from BlockingBounds", seed, penalty, c.remote)
-				}
-			}
-		}
 	}
 }
 
@@ -99,7 +55,7 @@ func TestPollingServerFacade(t *testing.T) {
 	}
 
 	tr := mpcp.NewTrace()
-	if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithTrace(tr), mpcp.WithHorizon(400)); err != nil {
+	if _, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithTrace(tr), mpcp.WithHorizon(400)); err != nil {
 		t.Fatal(err)
 	}
 	reqs := mpcp.GenerateAperiodicStream(3, 200, 50, 1, 3)
@@ -124,7 +80,7 @@ func TestTraceJSONFacade(t *testing.T) {
 	tr := mpcp.NewTrace()
 	var buf bytes.Buffer
 	sink := mpcp.NewStreamSink(&buf)
-	if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithTrace(tr), mpcp.WithSink(sink), mpcp.WithHorizon(50)); err != nil {
+	if _, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithTrace(tr), mpcp.WithSink(sink), mpcp.WithHorizon(50)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -192,7 +148,7 @@ func TestLiuLaylandFacade(t *testing.T) {
 func TestDPCPWithSyncProc(t *testing.T) {
 	sys := buildTwoProc(t)
 	tr := mpcp.NewTrace()
-	res, err := mpcp.Simulate(sys, mpcp.DPCP(mpcp.WithSyncProc(1, 1)), mpcp.WithTrace(tr))
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "dpcp", mpcp.ProtocolOptions{DPCPAssign: map[mpcp.SemID]mpcp.ProcID{1: 1}}), mpcp.WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +174,7 @@ func TestNestedGlobalFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpcp.Simulate(sys, mpcp.MPCP(mpcp.WithNestedGlobal()))
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp-nested", mpcp.ProtocolOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +182,14 @@ func TestNestedGlobalFacade(t *testing.T) {
 		t.Error("deadlock despite consistent lock order")
 	}
 	// The analysis must refuse nested configurations.
-	if _, err := mpcp.BlockingBounds(sys); err == nil {
+	if _, err := mpcp.BlockingBounds(sys, "mpcp", mpcp.ProtocolOptions{}); err == nil {
 		t.Error("analysis accepted nested global sections")
 	}
 }
 
 func TestSpinOptionFacade(t *testing.T) {
 	sys := buildTwoProc(t)
-	res, err := mpcp.Simulate(sys, mpcp.MPCP(mpcp.WithSpin()), mpcp.WithJobs())
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp-spin", mpcp.ProtocolOptions{}), mpcp.WithJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +210,7 @@ func TestImmediatePCPFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := mpcp.NewTrace()
-	res, err := mpcp.Simulate(sys, mpcp.ImmediatePCP(), mpcp.WithTrace(tr))
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "pcp-immediate", mpcp.ProtocolOptions{}), mpcp.WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +226,11 @@ func TestAnalyzeDPCPWithSyncProcOption(t *testing.T) {
 	sys := buildTwoProc(t)
 	// Assigning the global semaphore's analysis duties to processor 1
 	// shifts the agent-preemption factor off processor 0.
-	b0, err := mpcp.BlockingBounds(sys, mpcp.WithDPCPAnalysis(), mpcp.WithDPCPSyncProc(1, 0))
+	b0, err := mpcp.BlockingBounds(sys, "dpcp", mpcp.ProtocolOptions{DPCPAssign: map[mpcp.SemID]mpcp.ProcID{1: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := mpcp.BlockingBounds(sys, mpcp.WithDPCPAnalysis(), mpcp.WithDPCPSyncProc(1, 1))
+	b1, err := mpcp.BlockingBounds(sys, "dpcp", mpcp.ProtocolOptions{DPCPAssign: map[mpcp.SemID]mpcp.ProcID{1: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +249,7 @@ func TestAnalyzeDPCPWithSyncProcOption(t *testing.T) {
 
 func TestProcStatsExposed(t *testing.T) {
 	sys := buildTwoProc(t)
-	res, err := mpcp.Simulate(sys, mpcp.MPCP())
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

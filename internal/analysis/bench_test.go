@@ -80,11 +80,15 @@ func BenchmarkDPCPBounds(b *testing.B) {
 }
 
 func BenchmarkHybridBounds(b *testing.B) {
-	benchBounds(b, &analysis.Composed, func(sys *task.System) analysis.Options {
-		remote := make([]bool, len(sys.Sems))
-		remote[0] = true // semaphore 1
-		return analysis.Options{Remote: remote}
-	})
+	benchBounds(b, &analysis.Composed, hybridOpts)
+}
+
+// hybridOpts handles semaphore 1 message-based and every other global
+// semaphore in place.
+func hybridOpts(sys *task.System) analysis.Options {
+	remote := make([]bool, len(sys.Sems))
+	remote[0] = true
+	return analysis.Options{Remote: remote}
 }
 
 func BenchmarkMSRPBounds(b *testing.B) {

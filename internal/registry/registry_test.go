@@ -270,20 +270,26 @@ func degenerateSystems(t *testing.T, visit func(name string, sys *task.System)) 
 }
 
 // sameBounds reports every task whose bound under protocol want differs
-// from its bound under hybrid, factor by factor.
+// from its bound under hybrid, factor by factor, with and without the
+// deferred penalty.
 func sameBounds(t *testing.T, label string, sys *task.System, want string, remote map[task.SemID]bool) {
 	t.Helper()
-	w, err := registry.Analyze(want, sys, registry.Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := registry.Analyze("hybrid", sys, registry.Opts{RemoteSems: remote})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range w {
-		if *w[id] != *h[id] {
-			t.Errorf("%s task %d: hybrid %+v != %s %+v", label, id, *h[id], want, *w[id])
+	for _, penalty := range []bool{false, true} {
+		w, err := registry.Analyze(want, sys, registry.Opts{DeferredPenalty: penalty})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := registry.Analyze("hybrid", sys, registry.Opts{RemoteSems: remote, DeferredPenalty: penalty})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(h) != len(w) {
+			t.Errorf("%s penalty %v: hybrid bounds %d tasks, %s %d", label, penalty, len(h), want, len(w))
+		}
+		for id := range w {
+			if *w[id] != *h[id] {
+				t.Errorf("%s penalty %v task %d: hybrid %+v != %s %+v", label, penalty, id, *h[id], want, *w[id])
+			}
 		}
 	}
 }

@@ -9,6 +9,16 @@ import (
 	"mpcp/internal/config"
 )
 
+// mustProtocol builds the protocol registered under name with opts.
+func mustProtocol(tb testing.TB, name string, opts mpcp.ProtocolOptions) mpcp.Protocol {
+	tb.Helper()
+	p, err := mpcp.NewProtocol(name, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 func buildTwoProc(t *testing.T) *mpcp.System {
 	t.Helper()
 	b := mpcp.NewBuilder(2)
@@ -63,24 +73,11 @@ func TestBuilderRejectsMixedPriorities(t *testing.T) {
 }
 
 func TestSimulateAllProtocols(t *testing.T) {
-	protos := []struct {
-		name string
-		p    mpcp.Protocol
-	}{
-		{"mpcp", mpcp.MPCP()},
-		{"mpcp-spin", mpcp.MPCP(mpcp.WithSpin())},
-		{"mpcp-fifo", mpcp.MPCP(mpcp.WithFIFOQueues())},
-		{"mpcp-ceil", mpcp.MPCP(mpcp.WithGcsAtCeiling())},
-		{"dpcp", mpcp.DPCP()},
-		{"none", mpcp.NoProtocol()},
-		{"none-prio", mpcp.NoProtocolPrioQueues()},
-		{"inherit", mpcp.PriorityInheritance()},
-	}
-	for _, pc := range protos {
-		t.Run(pc.name, func(t *testing.T) {
+	for _, name := range []string{"mpcp", "mpcp-spin", "mpcp-fifo", "mpcp-ceil", "dpcp", "none", "none-prio", "inherit"} {
+		t.Run(name, func(t *testing.T) {
 			sys := buildTwoProc(t)
 			tr := mpcp.NewTrace()
-			res, err := mpcp.Simulate(sys, pc.p, mpcp.WithTrace(tr), mpcp.WithJobs())
+			res, err := mpcp.Simulate(sys, mustProtocol(t, name, mpcp.ProtocolOptions{}), mpcp.WithTrace(tr), mpcp.WithJobs())
 			if err != nil {
 				t.Fatalf("simulate: %v", err)
 			}
@@ -107,14 +104,14 @@ func TestSimulateAllProtocols(t *testing.T) {
 
 func TestAnalyzeEndToEnd(t *testing.T) {
 	sys := buildTwoProc(t)
-	bounds, err := mpcp.BlockingBounds(sys)
+	bounds, err := mpcp.BlockingBounds(sys, "mpcp", mpcp.ProtocolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bounds) != 3 {
 		t.Fatalf("bounds for %d tasks, want 3", len(bounds))
 	}
-	rep, err := mpcp.Analyze(sys, mpcp.WithDeferredPenalty())
+	rep, err := mpcp.Analyze(sys, "mpcp", mpcp.ProtocolOptions{DeferredPenalty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +119,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 		t.Errorf("tiny workload should be schedulable: %+v", rep)
 	}
 	// DPCP analysis also runs.
-	if _, err := mpcp.Analyze(sys, mpcp.WithDPCPAnalysis()); err != nil {
+	if _, err := mpcp.Analyze(sys, "dpcp", mpcp.ProtocolOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,13 +132,13 @@ func TestExplainBoundDPCPHeadline(t *testing.T) {
 	// Host nav-database (semaphore 1) on P2 rather than its default
 	// synchronization processor, so the assignment option must reach the
 	// explanation too.
-	opts := []mpcp.AnalysisOption{mpcp.WithDPCPAnalysis(), mpcp.WithDPCPSyncProc(1, 2)}
-	bounds, err := mpcp.BlockingBounds(sys, opts...)
+	opts := mpcp.ProtocolOptions{DPCPAssign: map[mpcp.SemID]mpcp.ProcID{1: 2}}
+	bounds, err := mpcp.BlockingBounds(sys, "dpcp", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tk := range sys.Tasks {
-		text, err := mpcp.ExplainBound(sys, tk.ID, opts...)
+		text, err := mpcp.ExplainBound(sys, tk.ID, "dpcp", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +172,7 @@ func TestCeilingsFacade(t *testing.T) {
 func TestGanttFacade(t *testing.T) {
 	sys := buildTwoProc(t)
 	tr := mpcp.NewTrace()
-	if _, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithTrace(tr), mpcp.WithHorizon(30)); err != nil {
+	if _, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithTrace(tr), mpcp.WithHorizon(30)); err != nil {
 		t.Fatal(err)
 	}
 	chart := tr.Gantt(sys, 0, 20)
@@ -190,7 +187,7 @@ func TestWorkloadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpcp.Simulate(sys, mpcp.MPCP())
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +215,7 @@ func TestRevalidate(t *testing.T) {
 	if err := mpcp.Revalidate(sys, false); err != nil {
 		t.Fatalf("revalidate: %v", err)
 	}
-	if _, err := mpcp.Simulate(sys, mpcp.MPCP()); err != nil {
+	if _, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -232,7 +229,7 @@ func TestWithStopOnMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpcp.Simulate(sys, mpcp.NoProtocol(), mpcp.WithStopOnMiss(), mpcp.WithHorizon(1000))
+	res, err := mpcp.Simulate(sys, mustProtocol(t, "none", mpcp.ProtocolOptions{}), mpcp.WithStopOnMiss(), mpcp.WithHorizon(1000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestDeprecatedAliases(t *testing.T) {
 		if !found {
 			t.Errorf("protocol %q lost its alias %q (aliases: %v)", canonical, alias, info.Aliases)
 		}
-		if _, err := NewProtocol(alias, nil); err != nil {
+		if _, err := NewProtocol(alias, ProtocolOptions{}); err != nil {
 			t.Errorf("NewProtocol(%q): %v", alias, err)
 		}
 	}
@@ -46,36 +46,33 @@ func TestDeprecatedAliases(t *testing.T) {
 // Name() resolves back through NewProtocol, so a protocol name read
 // from a trace can always be re-instantiated.
 func TestProtocolNamesRoundTrip(t *testing.T) {
-	sys := spinTestSystem(t)
 	for _, info := range Protocols() {
-		p, err := NewProtocol(info.Name, sys)
+		p, err := NewProtocol(info.Name, ProtocolOptions{})
 		if err != nil {
 			t.Fatalf("NewProtocol(%q): %v", info.Name, err)
 		}
-		if _, err := NewProtocol(p.Name(), sys); err != nil {
+		if _, err := NewProtocol(p.Name(), ProtocolOptions{}); err != nil {
 			t.Errorf("protocol %q: simulator name %q does not round-trip: %v", info.Name, p.Name(), err)
 		}
 	}
 }
 
-// TestSpinProtocolFacade: the MSRP and FMLP constructors build working
-// protocols that simulate a contended two-processor workload and keep
-// every deadline the analysis admits.
+// TestSpinProtocolFacade: NewProtocol builds working MSRP and FMLP
+// protocols that simulate a contended two-processor workload without
+// deadlock.
 func TestSpinProtocolFacade(t *testing.T) {
 	sys := spinTestSystem(t)
-	for _, tc := range []struct {
-		name  string
-		proto Protocol
-	}{
-		{"msrp", MSRP()},
-		{"fmlp", FMLP()},
-	} {
-		res, err := Simulate(sys, tc.proto)
+	for _, name := range []string{"msrp", "fmlp"} {
+		p, err := NewProtocol(name, ProtocolOptions{})
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatal(err)
+		}
+		res, err := Simulate(sys, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		if res.Deadlock {
-			t.Errorf("%s: deadlock at t=%d", tc.name, res.DeadlockAt)
+			t.Errorf("%s: deadlock at t=%d", name, res.DeadlockAt)
 		}
 	}
 }

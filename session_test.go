@@ -15,12 +15,12 @@ func TestSessionRunMatchesSimulate(t *testing.T) {
 	sys := buildTwoProc(t)
 
 	tr1 := mpcp.NewTrace()
-	res1, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithTrace(tr1), mpcp.WithJobs())
+	res1, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithTrace(tr1), mpcp.WithJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sess, err := mpcp.Start(sys, mpcp.MPCP(), mpcp.WithTrace(mpcp.NewTrace()), mpcp.WithJobs())
+	sess, err := mpcp.Start(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithTrace(mpcp.NewTrace()), mpcp.WithJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSessionRunMatchesSimulate(t *testing.T) {
 func TestSessionInteractiveStep(t *testing.T) {
 	sys := buildTwoProc(t)
 	const horizon = 50
-	sess, err := mpcp.Start(sys, mpcp.MPCP(),
+	sess, err := mpcp.Start(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}),
 		mpcp.WithHorizon(horizon), mpcp.WithReferenceStepper())
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +94,11 @@ func TestSessionInteractiveStep(t *testing.T) {
 func TestSessionFastPathDefault(t *testing.T) {
 	sys := buildTwoProc(t)
 
-	ref, err := mpcp.Simulate(sys, mpcp.MPCP(), mpcp.WithReferenceStepper())
+	ref, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}), mpcp.WithReferenceStepper())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := mpcp.Simulate(sys, mpcp.MPCP())
+	fast, err := mpcp.Simulate(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSessionFastPathDefault(t *testing.T) {
 func TestSessionMetrics(t *testing.T) {
 	sys := buildTwoProc(t)
 	reg := mpcp.NewMetricsRegistry()
-	sess, err := mpcp.Start(sys, mpcp.MPCP(),
+	sess, err := mpcp.Start(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}),
 		mpcp.WithTrace(mpcp.NewTrace()), mpcp.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestSessionSink(t *testing.T) {
 	sys := buildTwoProc(t)
 	var buf bytes.Buffer
 	sink := mpcp.NewStreamSink(&buf)
-	sess, err := mpcp.Start(sys, mpcp.MPCP(),
+	sess, err := mpcp.Start(sys, mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}),
 		mpcp.WithTrace(mpcp.NewTrace()), mpcp.WithSink(sink))
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestSessionSink(t *testing.T) {
 // TestSessionTraceNilWithoutWithTrace: a session without WithTrace
 // reports no trace.
 func TestSessionTraceNilWithoutWithTrace(t *testing.T) {
-	sess, err := mpcp.Start(buildTwoProc(t), mpcp.MPCP())
+	sess, err := mpcp.Start(buildTwoProc(t), mustProtocol(t, "mpcp", mpcp.ProtocolOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
