@@ -109,6 +109,32 @@ func TestKeptEvaluatorMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestKeptEvaluatorSimAllocs guards the point of keeping the engine and
+// the protocols in the evaluator: once a kept evaluator has run a
+// simulated point, running it again allocates only the point's
+// PointResult. Generation, bounds, verdicts and the confirmation
+// simulations all run in kept storage, on the sweep-sim shapes under
+// suspending (mpcp), agent-based (dpcp) and spinning (msrp, fmlp)
+// protocols.
+func TestKeptEvaluatorSimAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops random sources, which then allocate again")
+	}
+	_, simulated := perfbenchGrids(t)
+	ev := new(evaluator)
+	for _, pt := range simulated.Points() {
+		ev.evaluate(simulated, pt, newResult(pt), nil)
+	}
+	for _, pt := range simulated.Points() {
+		allocs := testing.AllocsPerRun(5, func() {
+			ev.evaluate(simulated, pt, newResult(pt), nil)
+		})
+		if allocs > 1 {
+			t.Errorf("%s: a kept evaluator makes %.1f allocations per simulated point, want at most 1 (its PointResult)", pt.Key, allocs)
+		}
+	}
+}
+
 // TestEvaluatePointDropsPanickedEvaluator: a point that panics records
 // the panic in its row, and the next point, evaluated by the same
 // goroutine, still matches a fresh evaluation.

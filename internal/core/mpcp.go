@@ -111,32 +111,41 @@ type Protocol struct {
 	nonPreempt  bool
 	suspendLong bool
 
-	tbl    *ceiling.Table // P_H, P_G, ceilings, gcs priorities (Section 4)
-	npPrio int            // P_G + P_H + 1, above every gcs priority
+	tbl    ceiling.Table // P_H, P_G, ceilings, gcs priorities (Section 4)
+	npPrio int           // P_G + P_H + 1, above every gcs priority
 
+	e      *sim.Engine // the engine of the run Init prepared
 	ix     *task.Index // resolves semaphore IDs to positions
-	locals []*pcp.Local
-	gsems  []*gsem                        // by semaphore position; nil for a local semaphore
-	csAt   map[csKey]task.CriticalSection // gcs's on remote semaphores
+	locals []pcp.Local
+	gsems  []gsem // by semaphore position
+
+	// remoteAt, procs and short are Init's placement of the global
+	// semaphores, by position: message based, synchronization
+	// processor, FMLP+'s short group.
+	remoteAt []bool
+	procs    []task.ProcID
+	short    []bool
+
+	// setLocal and onAgentDone are setLocalPrio and agentDone as the
+	// func values pcp.Local and SpawnAgent take, made once.
+	setLocal    func(*sim.Engine, *sim.Job, int)
+	onAgentDone func(*sim.Job)
 
 	// prios tracks pre-gcs effective priorities per job so nested
 	// global sections (when allowed) restore correctly.
 	prios pcp.PrioStacks
 }
 
-// gsem is one global semaphore. holder is the job in its gcs; for a
-// remote semaphore it is the job whose agent is executing.
+// gsem is one semaphore's global state, unused for a local semaphore.
+// holder is the job in its gcs; for a remote semaphore it is the job
+// whose agent is executing.
 type gsem struct {
+	global  bool
 	remote  bool
 	spin    bool        // waiters on another processor busy-wait
 	proc    task.ProcID // synchronization processor (remote only)
 	holder  *sim.Job
 	waiters pqueue.Queue[*sim.Job]
-}
-
-type csKey struct {
-	task  task.ID
-	start int
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
@@ -192,25 +201,35 @@ func (p *Protocol) Name() string { return p.name }
 // Init implements sim.Protocol. It computes P_H, P_G, the global priority
 // ceilings and the per-(task, semaphore) gcs execution priorities of
 // Section 4.4, and resolves each remote semaphore's synchronization
-// processor.
+// processor. It is re-entrant: each call rebuilds all the protocol's
+// state for e's run, in the storage of the last call.
 func (p *Protocol) Init(e *sim.Engine) error {
 	sys := e.Sys()
-	p.tbl = ceiling.Compute(sys, p.opts.GcsAtCeiling)
+	p.tbl.Build(sys, p.opts.GcsAtCeiling)
 	p.npPrio = p.tbl.PG + p.tbl.PH + 1
-	procs, err := ceiling.SyncProcs(nil, sys, ceiling.Remote(nil, sys, p.place, p.remote), p.assign)
+	p.remoteAt = ceiling.Remote(p.remoteAt, sys, p.place, p.remote)
+	procs, err := ceiling.SyncProcs(p.procs, sys, p.remoteAt, p.assign)
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.name, err)
 	}
-	p.ix = sys.Index()
-	p.gsems = make([]*gsem, len(sys.Sems))
-	p.csAt = make(map[csKey]task.CriticalSection)
+	p.procs = procs
+	p.short = ceiling.Split(p.short, sys)
+	p.e, p.ix = e, sys.Index()
 	p.prios.Reset()
-	short := ceiling.Split(nil, sys)
+	if p.setLocal == nil {
+		p.setLocal, p.onAgentDone = p.setLocalPrio, p.agentDone
+	}
+	if cap(p.gsems) < len(sys.Sems) {
+		p.gsems = make([]gsem, len(sys.Sems))
+	}
+	p.gsems = p.gsems[:len(sys.Sems)]
 	for k, sem := range sys.Sems {
+		g := &p.gsems[k]
+		g.waiters.Reset()
+		*g = gsem{global: sem.Global, waiters: g.waiters}
 		if sem.Global {
-			g := &gsem{spin: p.opts.Wait == Spin && (short[k] || !p.suspendLong)}
+			g.spin = p.opts.Wait == Spin && (p.short[k] || !p.suspendLong)
 			g.proc, g.remote = procs[k], procs[k] >= 0
-			p.gsems[k] = g
 		}
 	}
 
@@ -222,15 +241,15 @@ func (p *Protocol) Init(e *sim.Engine) error {
 			if !p.opts.AllowNestedGlobal && (cs.Nested || !cs.Outermost) {
 				return fmt.Errorf("%s: task %d has a nested global critical section on semaphore %d", p.name, t.ID, cs.Sem)
 			}
-			if p.gsems[cs.SemPos].remote {
-				p.csAt[csKey{task: t.ID, start: cs.StartSeg}] = cs
-			}
 		}
 	}
 
-	p.locals = make([]*pcp.Local, sys.NumProcs)
+	if cap(p.locals) < sys.NumProcs {
+		p.locals = make([]pcp.Local, sys.NumProcs)
+	}
+	p.locals = p.locals[:sys.NumProcs]
 	for i := range p.locals {
-		p.locals[i] = pcp.NewLocal(p.tbl, task.ProcID(i), p.setLocalPrio)
+		p.locals[i].Reset(&p.tbl, task.ProcID(i), p.setLocal)
 	}
 	return nil
 }
@@ -246,13 +265,13 @@ func (p *Protocol) setLocalPrio(e *sim.Engine, j *sim.Job, prio int) {
 }
 
 // Ceilings exposes the full priority structure computed at Init.
-func (p *Protocol) Ceilings() *ceiling.Table { return p.tbl }
+func (p *Protocol) Ceilings() *ceiling.Table { return &p.tbl }
 
 // SyncProc returns the synchronization processor of semaphore s and
 // whether s is handled remotely at all.
 func (p *Protocol) SyncProc(s task.SemID) (task.ProcID, bool) {
 	if k, ok := p.ix.SemPos(s); ok {
-		if g := p.gsems[k]; g != nil && g.remote {
+		if g := &p.gsems[k]; g.remote {
 			return g.proc, true
 		}
 	}
@@ -269,8 +288,8 @@ func (p *Protocol) OnRelease(e *sim.Engine, j *sim.Job) {
 // TryLock implements sim.Protocol.
 func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 	k, _ := p.ix.SemPos(s)
-	g := p.gsems[k]
-	if g == nil {
+	g := &p.gsems[k]
+	if !g.global {
 		return p.locals[j.Proc].TryLock(e, j, s)
 	}
 	if g.remote {
@@ -343,21 +362,32 @@ func (p *Protocol) requestRemote(e *sim.Engine, j *sim.Job, s task.SemID, g *gse
 // startAgent launches the gcs of parent on the synchronization processor
 // at the global priority ceiling of its semaphore, per [8].
 func (p *Protocol) startAgent(e *sim.Engine, g *gsem, parent *sim.Job) {
-	cs := p.csAt[csKey{task: parent.Task.ID, start: parent.PC}]
+	cs := p.section(parent)
 	g.holder = parent
 	interior := parent.Body[cs.StartSeg+1 : cs.EndSeg]
 	prio := p.tbl.GlobalAt(cs.SemPos)
-	agent := e.SpawnAgent(parent, interior, g.proc, prio, func(agent *sim.Job) {
-		p.agentDone(e, g, agent, cs)
-	})
+	agent := e.SpawnAgent(parent, interior, g.proc, prio, p.onAgentDone)
 	parent.ActiveAgent = agent
 	e.Grant(parent, cs.Sem, prio)
 }
 
-// agentDone resumes the parent past its gcs and starts the next queued
-// request, if any.
-func (p *Protocol) agentDone(e *sim.Engine, g *gsem, agent *sim.Job, cs task.CriticalSection) {
-	parent := agent.Parent
+// section returns the global critical section parent requests, or runs
+// remotely: the one whose Lock segment parent waits at.
+func (p *Protocol) section(parent *sim.Job) task.CriticalSection {
+	for _, cs := range p.ix.Sections(parent.TaskPos()) {
+		if cs.Global && cs.StartSeg == parent.PC {
+			return cs
+		}
+	}
+	panic(fmt.Sprintf("%s: %v waits at segment %d, which starts no global critical section", p.name, parent, parent.PC))
+}
+
+// agentDone resumes the parent of agent, whose gcs just ended, past the
+// gcs, and starts the next queued request on its semaphore, if any.
+func (p *Protocol) agentDone(agent *sim.Job) {
+	e, parent := p.e, agent.Parent
+	cs := p.section(parent)
+	g := &p.gsems[cs.SemPos]
 	parent.ActiveAgent = nil
 	e.JumpTo(parent, cs.EndSeg+1)
 	e.SetEffPrio(parent, parent.BasePrio)
@@ -375,8 +405,8 @@ func (p *Protocol) agentDone(e *sim.Engine, g *gsem, agent *sim.Job, cs task.Cri
 // Unlock implements sim.Protocol.
 func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	k, _ := p.ix.SemPos(s)
-	g := p.gsems[k]
-	if g == nil {
+	g := &p.gsems[k]
+	if !g.global {
 		p.locals[j.Proc].Unlock(e, j, s)
 		return
 	}

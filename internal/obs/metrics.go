@@ -26,30 +26,46 @@ const MetricsFormatVersion = 1
 
 const metricsFormatName = "mpcp-metrics"
 
-// Counter is a monotonically increasing integer.
+// Counter is a monotonically increasing integer. A nil *Counter, which
+// a nil Registry hands out, ignores updates and reads 0.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n; negative n is ignored to keep the counter monotone.
 func (c *Counter) Add(n int64) {
-	if n > 0 {
+	if c != nil && n > 0 {
 		c.v.Add(n)
 	}
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
-// Gauge is a last-written float value.
+// Gauge is a last-written float value. A nil *Gauge ignores updates and
+// reads 0.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // histogram bucket boundaries: value v lands in the first bucket with
 // v <= le. Boundaries are 0, 1, 2, 4, 8, ... so small tick counts stay
@@ -57,7 +73,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 const histBuckets = 32
 
 // Histogram records non-negative integer observations in exponential
-// buckets plus exact count, sum, min and max.
+// buckets plus exact count, sum, min and max. A nil *Histogram ignores
+// observations.
 type Histogram struct {
 	mu      sync.Mutex
 	count   int64
@@ -92,6 +109,9 @@ func bucketLE(i int) int64 {
 
 // Observe records one value. Negative values clamp to zero.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
@@ -109,9 +129,9 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // Registry holds named metrics. The zero value is not usable; call
-// NewRegistry. A nil *Registry is a valid no-op target: all lookup
-// methods return working instruments that simply are not exported,
-// so instrumented code needs no nil checks.
+// NewRegistry. A nil *Registry is a valid no-op target: every lookup
+// method returns a nil instrument, whose methods do nothing, so
+// instrumented code needs no nil checks and allocates nothing.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -131,7 +151,7 @@ func NewRegistry() *Registry {
 // Counter returns the counter with the given name, creating it if new.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return &Counter{}
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -146,7 +166,7 @@ func (r *Registry) Counter(name string) *Counter {
 // Gauge returns the gauge with the given name, creating it if new.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
-		return &Gauge{}
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -161,7 +181,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the histogram with the given name, creating it if new.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
-		return &Histogram{}
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

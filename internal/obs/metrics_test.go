@@ -84,6 +84,23 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 }
 
+// TestNilRegistryAllocatesNothing: with no registry configured, the
+// instrumentation of every simulated campaign trial (CollectSimSpeed)
+// and of every point (the campaign_point_us histogram) costs no
+// allocation, and the nil instruments read zero.
+func TestNilRegistryAllocatesNothing(t *testing.T) {
+	var reg *obs.Registry
+	if n := testing.AllocsPerRun(100, func() { obs.CollectSimSpeed(reg, 12000, 11400) }); n != 0 {
+		t.Errorf("CollectSimSpeed(nil, ...): %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { reg.Histogram("campaign_point_us").Observe(250) }); n != 0 {
+		t.Errorf("nil registry Histogram(...).Observe: %v allocations, want 0", n)
+	}
+	if c, g := reg.Counter("c").Value(), reg.Gauge("g").Value(); c != 0 || g != 0 {
+		t.Errorf("nil instruments read %d and %v, want 0", c, g)
+	}
+}
+
 // TestCollectTraceAvionics: collecting a real run produces consistent
 // per-processor and response metrics.
 func TestCollectTraceAvionics(t *testing.T) {

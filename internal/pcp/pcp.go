@@ -14,6 +14,7 @@ package pcp
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcp/internal/ceiling"
 	"mpcp/internal/sim"
@@ -36,6 +37,10 @@ type Local struct {
 	// setPrio applies a recomputed local effective priority; the owner
 	// decides whether it wins over other concerns (e.g. gcs priorities).
 	setPrio func(e *sim.Engine, j *sim.Job, prio int)
+
+	// eff is Recompute's scratch: the effective priorities of the jobs
+	// on the processor, by position in its job list.
+	eff []int
 }
 
 type heldSem struct {
@@ -54,11 +59,24 @@ type blockedJob struct {
 // invoked for every priority recomputation; pass nil for the default,
 // which calls Engine.SetEffPrio directly.
 func NewLocal(tbl *ceiling.Table, proc task.ProcID, setPrio func(e *sim.Engine, j *sim.Job, prio int)) *Local {
-	if setPrio == nil {
-		setPrio = func(e *sim.Engine, j *sim.Job, prio int) { e.SetEffPrio(j, prio) }
-	}
-	return &Local{proc: proc, tbl: tbl, setPrio: setPrio}
+	l := new(Local)
+	l.Reset(tbl, proc, setPrio)
+	return l
 }
+
+// Reset is NewLocal into l's storage: it forgets every held semaphore
+// and blocked job, keeping the storage for the next run.
+func (l *Local) Reset(tbl *ceiling.Table, proc task.ProcID, setPrio func(e *sim.Engine, j *sim.Job, prio int)) {
+	if setPrio == nil {
+		setPrio = setEffPrio
+	}
+	clear(l.held)
+	clear(l.blocked)
+	*l = Local{proc: proc, tbl: tbl, setPrio: setPrio, held: l.held[:0], blocked: l.blocked[:0], eff: l.eff[:0]}
+}
+
+// setEffPrio is NewLocal's default setPrio.
+func setEffPrio(e *sim.Engine, j *sim.Job, prio int) { e.SetEffPrio(j, prio) }
 
 // TryLock applies the ceiling test for job j requesting s. On success the
 // lock is completed and true is returned; on failure j is blocked, the
@@ -121,24 +139,29 @@ func (l *Local) Recompute(e *sim.Engine) {
 		}
 		return
 	}
-	eff := make(map[*sim.Job]int, len(jobs))
+	// Every job of a blocked entry is on this processor: a blocked job
+	// waits on it, and a holder locked through it.
+	l.eff = l.eff[:0]
 	for _, j := range jobs {
+		prio := 0 // an agent inherits from the jobs it blocks only
 		if !j.IsAgent() {
-			eff[j] = j.BasePrio
+			prio = j.BasePrio
 		}
+		l.eff = append(l.eff, prio)
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range l.blocked {
-			if eff[b.job] > eff[b.holder] {
-				eff[b.holder] = eff[b.job]
+			from, to := slices.Index(jobs, b.job), slices.Index(jobs, b.holder)
+			if l.eff[from] > l.eff[to] {
+				l.eff[to] = l.eff[from]
 				changed = true
 			}
 		}
 	}
-	for _, j := range jobs {
+	for k, j := range jobs {
 		if !j.IsAgent() {
-			l.setPrio(e, j, eff[j])
+			l.setPrio(e, j, l.eff[k])
 		}
 	}
 }

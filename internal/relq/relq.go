@@ -45,6 +45,9 @@ type Queue struct {
 //rtlint:hotpath
 func (q *Queue) Len() int { return len(q.h) }
 
+// Reset empties the queue, keeping its storage.
+func (q *Queue) Reset() { q.h = q.h[:0] }
+
 // Push schedules an entry.
 //
 //rtlint:hotpath

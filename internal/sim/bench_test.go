@@ -13,7 +13,7 @@ import (
 
 // benchSys generates the seed-1 default workload at the given shape; a
 // non-nil periods replaces the default period menu.
-func benchSys(b *testing.B, procs, tasksPerProc int, util float64, periods []int) *task.System {
+func benchSys(b testing.TB, procs, tasksPerProc int, util float64, periods []int) *task.System {
 	b.Helper()
 	cfg := workload.Default(1)
 	cfg.NumProcs = procs
@@ -102,36 +102,67 @@ var sweepSimPeriods = []int{400, 500, 600, 750, 800, 1000, 1200, 1500, 2000, 240
 // tick and the quiet span after it), steps/run how many Steps one
 // hyperperiod takes.
 func BenchmarkEngineSweepShape(b *testing.B) {
-	protos := []struct {
-		name string
-		mk   func() sim.Protocol
-	}{
-		{"mpcp", func() sim.Protocol { return core.New(core.Options{}) }},
-		{"msrp", func() sim.Protocol { return core.NewMSRP() }},
-	}
-	for _, shape := range []struct{ procs, tasks int }{{2, 3}, {4, 4}} {
-		for _, util := range []float64{0.3, 0.8} {
-			for _, p := range protos {
-				b.Run(fmt.Sprintf("%dx%d/u%.1f/%s", shape.procs, shape.tasks, util, p.name), func(b *testing.B) {
-					sys := benchSys(b, shape.procs, shape.tasks, util, sweepSimPeriods)
-					b.ReportAllocs()
-					b.ResetTimer()
-					steps := 0
-					for i := 0; i < b.N; i++ {
-						e, err := sim.New(sys, p.mk(), sim.Config{})
-						if err != nil {
-							b.Fatal(err)
-						}
-						for done := false; !done; steps++ {
-							if done, err = e.Step(); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-					b.ReportMetric(float64(steps)/float64(b.N), "steps/run")
-				})
+	for _, s := range sweepShapes {
+		b.Run(s.name(), func(b *testing.B) {
+			sys := benchSys(b, s.procs, s.tasks, s.util, sweepSimPeriods)
+			b.ReportAllocs()
+			b.ResetTimer()
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				e, err := sim.New(sys, s.mk(), sim.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += runSteps(b, e)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/run")
+		})
+	}
+}
+
+// sweepShape is one system BenchmarkEngineSweepShape simulates, with the
+// number of Steps its hyperperiod takes.
+type sweepShape struct {
+	procs, tasks int
+	util         float64
+	proto        string
+	mk           func() sim.Protocol
+	steps        int
+}
+
+func (s sweepShape) name() string {
+	return fmt.Sprintf("%dx%d/u%.1f/%s", s.procs, s.tasks, s.util, s.proto)
+}
+
+// sweepShapes are the eight systems of BenchmarkEngineSweepShape: 2
+// processors with 3 tasks each and 4 with 4, at utilisation 0.3 and 0.8,
+// under suspending MPCP and spinning MSRP.
+var sweepShapes = func() []sweepShape {
+	mpcp := func() sim.Protocol { return core.New(core.Options{}) }
+	msrp := func() sim.Protocol { return core.NewMSRP() }
+	return []sweepShape{
+		{2, 3, 0.3, "mpcp", mpcp, 248},
+		{2, 3, 0.3, "msrp", msrp, 248},
+		{2, 3, 0.8, "mpcp", mpcp, 248},
+		{2, 3, 0.8, "msrp", msrp, 248},
+		{4, 4, 0.3, "mpcp", mpcp, 1028},
+		{4, 4, 0.3, "msrp", msrp, 1030},
+		{4, 4, 0.8, "mpcp", mpcp, 1095},
+		{4, 4, 0.8, "msrp", msrp, 1092},
+	}
+}()
+
+// runSteps steps e to the end of its run and returns how many Steps it
+// took.
+func runSteps(tb testing.TB, e *sim.Engine) int {
+	tb.Helper()
+	steps := 0
+	for done := false; !done; steps++ {
+		var err error
+		if done, err = e.Step(); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	return steps
 }

@@ -40,7 +40,9 @@ type Protocol interface {
 	// Name identifies the protocol in output.
 	Name() string
 
-	// Init is called once before the run, after the system is validated.
+	// Init is called before each run, by New and by every Reset, after
+	// the system is validated. It must be re-entrant: each call rebuilds
+	// all the protocol's state for e's run.
 	Init(e *Engine) error
 
 	// OnRelease is called when a job is released. The protocol must set
@@ -194,7 +196,8 @@ func (r *Result) ResponsePercentile(id task.ID, p float64) (ticks int, ok bool) 
 	return responses[idx], true
 }
 
-// Engine drives one simulation run. Create with New, run with Run.
+// Engine drives one simulation run at a time. Create one with New, run
+// it with Run or Step, and re-arm it for the next run with Reset.
 // Protocols interact with the engine through its exported methods.
 //
 // Unless Config.RetainJobs is set, a job finished or aborted during a
@@ -239,12 +242,13 @@ type Engine struct {
 	reread  procList
 	scratch []*Job // deadline misses and abort victims of one sweep; empty between uses
 
-	stats    []TaskStats // Result.Stats by task position
-	nActive  int         // active jobs, agents included
-	segs     int         // body segments over the active jobs (settle's bound)
-	nWaiting int         // active jobs blocked or suspended
-	nBusy    int         // processors with an occupant
-	active   []*Job      // ActiveJobs' view, rebuilt when activeStale
+	stats     []TaskStats // Result.Stats by task position
+	procStats []ProcStats // Result.Procs by processor
+	nActive   int         // active jobs, agents included
+	segs      int         // body segments over the active jobs (settle's bound)
+	nWaiting  int         // active jobs blocked or suspended
+	nBusy     int         // processors with an occupant
+	active    []*Job      // ActiveJobs' view, rebuilt when activeStale
 	// activeStale records that the active set changed since active was
 	// last built.
 	activeStale bool
@@ -285,46 +289,88 @@ type procClock struct {
 	gcs, spin bool
 }
 
-// New prepares an engine. The system must already be validated.
+// New prepares an engine in fresh storage: it is new(Engine) reset onto
+// sys, as Reset describes. The system must already be validated.
 func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
+	e := new(Engine)
+	if err := e.Reset(sys, proto, cfg); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Reset re-arms e for a run of proto on sys under cfg, in the storage
+// of e's earlier runs: the job pointer slabs, every processor's job list
+// (an agent-grown capacity included), the release calendar, the
+// deadline heap, the segment-end tree, the processor sets, the Result
+// with its Stats map, and the job free list. The jobs still active when
+// the last run ended join the free list, unless that run kept them in
+// its Result (Config.RetainJobs). A Result is valid until the next
+// Reset, which overwrites it. Reset calls proto.Init, which must
+// therefore be re-entrant: each call rebuilds all the protocol's state
+// for the new run. The system must already be validated. After an
+// error, e must be reset again before it runs.
+func (e *Engine) Reset(sys *task.System, proto Protocol, cfg Config) error {
 	if !sys.Validated() {
-		return nil, errors.New("sim: system not validated")
+		return errors.New("sim: system not validated")
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = sys.MaxOffset() + sys.Hyperperiod()
 	}
+	e.reclaim()
+	old := *e
 	n, np := len(sys.Tasks), sys.NumProcs
-	// One allocation each for the job pointers (occupants, picks and
-	// every processor's job list), the statistics and the counters.
-	jobs := make([]*Job, 2*np+n)
-	taskStats := make([]TaskStats, n)
-	procStats := make([]ProcStats, np)
-	e := &Engine{
+	*e = Engine{
 		sys:       sys,
 		proto:     proto,
 		cfg:       cfg,
-		procs:     jobs[:np:np],
-		picks:     jobs[np : 2*np : 2*np],
-		clocks:    make([]procClock, np),
-		onProc:    make([][]*Job, np),
-		dirty:     newProcSet(np),
-		touched:   newProcList(np),
-		reread:    newProcList(np),
-		segEnds:   newSegTree(np),
-		deadlines: dlHeap{h: make([]deadline, 0, n)},
-		stats:     taskStats,
-		nextIdx:   make([]int, n),
+		clocks:    resize(old.clocks, np),
+		dirty:     old.dirty.rearm(np),
+		touched:   old.touched,
+		reread:    old.reread,
+		releases:  old.releases,
+		nextIdx:   resize(old.nextIdx, n),
+		segEnds:   old.segEnds,
+		deadlines: old.deadlines,
+		overdue:   old.overdue[:0],
+		scratch:   old.scratch[:0],
+		stats:     resize(old.stats, n),
+		procStats: resize(old.procStats, np),
+		active:    old.active[:0],
+		free:      old.free,
 		sink:      cfg.Sink,
-		result: &Result{
-			Protocol:   proto.Name(),
-			Horizon:    cfg.Horizon,
-			DeadlockAt: -1,
-			Stats:      make(map[task.ID]*TaskStats, n),
-			Procs:      make([]*ProcStats, np),
-		},
+		result:    old.result,
 	}
-	for p := range e.result.Procs {
-		e.result.Procs[p] = &procStats[p]
+	e.touched.rearm(np)
+	e.reread.rearm(np)
+	e.releases.Reset()
+	e.segEnds.rearm(np)
+	e.deadlines.reset()
+	e.slots(old, np)
+	if e.result == nil {
+		e.result = new(Result)
+	}
+	r := e.result
+	stats := r.Stats
+	if stats == nil {
+		stats = make(map[task.ID]*TaskStats, n)
+	}
+	clear(stats)
+	clear(r.Jobs)
+	procs := r.Procs
+	if cap(procs) < np {
+		procs = make([]*ProcStats, np)
+	}
+	*r = Result{
+		Protocol:   proto.Name(),
+		Horizon:    cfg.Horizon,
+		DeadlockAt: -1,
+		Stats:      stats,
+		Procs:      procs[:np],
+		Jobs:       r.Jobs[:0],
+	}
+	for p := range r.Procs {
+		r.Procs[p] = &e.procStats[p]
 		e.dirty.add(p)
 	}
 	seed := cfg.ReleaseSeed
@@ -332,27 +378,82 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 		seed = sys.ReleaseSeed
 	}
 	e.rel = relq.NewSource(seed)
-	// Each processor's list starts as a window of the slab sized to its
-	// tasks; an agent beyond that moves it to storage of its own.
-	perProc := make([]int, np)
-	for _, t := range sys.Tasks {
-		perProc[t.Proc]++
-	}
-	off := 2 * np
-	for p, k := range perProc {
-		e.onProc[p] = jobs[off : off : off+k]
-		off += k
-	}
 	for i, t := range sys.Tasks {
 		if r0 := t.Offset + e.rel.Jit(i, 0, t.Jitter); r0 < cfg.Horizon {
 			e.releases.Push(relq.Entry{Time: r0, Idx: i, Arrival: t.Offset})
 		}
-		e.result.Stats[t.ID] = &taskStats[i]
+		r.Stats[t.ID] = &e.stats[i]
 	}
 	if err := proto.Init(e); err != nil {
-		return nil, fmt.Errorf("sim: protocol init: %w", err)
+		return fmt.Errorf("sim: protocol init: %w", err)
 	}
-	return e, nil
+	return nil
+}
+
+// reclaim puts the jobs e's last run left active, or retired in a step
+// that did not reach its dispatch, on the free list, unless that run
+// kept its jobs in its Result, and drops every other pointer to them.
+func (e *Engine) reclaim() {
+	e.recycle()
+	for p, jobs := range e.onProc {
+		if !e.cfg.RetainJobs {
+			for _, j := range jobs {
+				j.next, e.free = e.free, j
+			}
+		}
+		clear(jobs)
+		e.onProc[p] = jobs[:0]
+	}
+	clear(e.procs)
+	clear(e.picks)
+	clear(e.overdue)
+	clear(e.scratch)
+	clear(e.active)
+}
+
+// slots gives e the job pointer storage of a system with np processors:
+// the occupants, the picks and every processor's job list. A list that
+// old's holds the processor's tasks keeps its storage, and so do the
+// occupants and picks when old's hold np; everything else gets a window
+// of one new slab, a list sized to its processor's tasks (an agent
+// beyond that moves it to storage of its own, which later runs keep).
+func (e *Engine) slots(old Engine, np int) {
+	ix := e.sys.Index()
+	if cap(old.onProc) >= np {
+		// A list beyond the last run's processors keeps its storage too.
+		e.onProc = old.onProc[:np]
+	} else {
+		e.onProc = make([][]*Job, np)
+		copy(e.onProc, old.onProc[:cap(old.onProc)])
+	}
+	need := 0
+	if cap(old.procs) < np {
+		need += 2 * np
+	}
+	for p := range e.onProc {
+		if k := len(ix.OnProc(task.ProcID(p))); cap(e.onProc[p]) < k {
+			need += k
+		}
+	}
+	var slab []*Job
+	if need > 0 {
+		slab = make([]*Job, need)
+	}
+	take := func(k int) []*Job {
+		w := slab[:k:k]
+		slab = slab[k:]
+		return w
+	}
+	if cap(old.procs) < np {
+		e.procs, e.picks = take(np), take(np)
+	} else {
+		e.procs, e.picks = old.procs[:np], old.picks[:np]
+	}
+	for p := range e.onProc {
+		if k := len(ix.OnProc(task.ProcID(p))); cap(e.onProc[p]) < k {
+			e.onProc[p] = take(k)[:0]
+		}
+	}
 }
 
 // emit forwards a trace event to the configured sink. It is small
@@ -397,7 +498,7 @@ func (e *Engine) Now() int { return e.now }
 
 // Run executes the simulation to completion and returns its result. It
 // is equivalent to calling Step until done. Run (or the final Step) can
-// only drive the engine once.
+// only drive the engine once per New or Reset.
 func (e *Engine) Run() (*Result, error) {
 	for {
 		done, err := e.Step()
@@ -511,7 +612,8 @@ func (e *Engine) seal() {
 // Steps, where it first charges every processor's and job's deferred
 // ticks up to Now, so every counter, and under RetainJobs every job's
 // waiting counters and SegLeft, equal the reference stepper's at the
-// same tick. After the run completes it is the final result.
+// same tick. After the run completes it is the final result. It is
+// valid until the next Reset, which overwrites it.
 func (e *Engine) Result() *Result {
 	e.flush()
 	return e.result

@@ -131,6 +131,10 @@ const (
 	waitPreempt                   // PreemptTicks
 )
 
+// TaskPos returns the position of the job's task in the system's task
+// list: the parent's, for an agent.
+func (j *Job) TaskPos() int { return j.ti }
+
 // IsAgent reports whether the job is a remote gcs agent.
 func (j *Job) IsAgent() bool { return j.Parent != nil }
 

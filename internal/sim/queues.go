@@ -5,11 +5,23 @@ import (
 	"math/bits"
 )
 
+// resize returns s with length n and zero elements, reusing its storage
+// when it has room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // procSet is a set of processors, one bit each. Iterating it with next
 // costs one word read per 64 processors, not one visit per processor.
 type procSet []uint64
 
-func newProcSet(n int) procSet { return make(procSet, (n+63)/64) }
+// rearm returns an empty set of n processors in s's storage.
+func (s procSet) rearm(n int) procSet { return resize(s, (n+63)/64) }
 
 //rtlint:hotpath
 func (s procSet) add(p int) { s[p>>6] |= 1 << (p & 63) }
@@ -54,15 +66,22 @@ type procList struct {
 	gen  uint32
 }
 
-func newProcList(n int) procList {
-	return procList{list: make([]int, 0, n), in: make([]uint32, n), gen: 1}
+// rearm empties s for n processors, keeping its storage when it has
+// room.
+func (s *procList) rearm(n int) {
+	if cap(s.in) < n {
+		*s = procList{list: make([]int, 0, n), in: make([]uint32, n), gen: 1}
+		return
+	}
+	s.list, s.in, s.gen = s.list[:0], s.in[:n], 1
+	clear(s.in)
 }
 
 //rtlint:hotpath
 func (s *procList) add(p int) {
 	if s.in[p] != s.gen {
 		s.in[p] = s.gen
-		s.list = append(s.list, p) //rtlint:allow allocbudget capacity is the processor count, reserved by newProcList
+		s.list = append(s.list, p) //rtlint:allow allocbudget capacity is the processor count, reserved by rearm
 	}
 }
 
@@ -105,16 +124,17 @@ type segTree struct {
 // none marks a processor whose occupant runs no compute segment.
 const none = math.MaxInt
 
-func newSegTree(procs int) segTree {
-	leaf := 1
-	for leaf < procs {
-		leaf *= 2
+// rearm empties s for procs processors, keeping its storage when it
+// has room.
+func (s *segTree) rearm(procs int) {
+	s.leaf = 1
+	for s.leaf < procs {
+		s.leaf *= 2
 	}
-	s := segTree{t: make([]int, 2*leaf), leaf: leaf}
+	s.t = resize(s.t, 2*s.leaf)
 	for i := range s.t {
 		s.t[i] = none
 	}
-	return s
 }
 
 // set makes p's segment end at tick at; none takes p out. The walk up
@@ -213,6 +233,12 @@ func (d *deadline) before(o *deadline) bool {
 // place; the engine drops stale entries off the top whenever the top
 // may have gone stale (prune), so the top is always pending.
 type dlHeap struct{ h []deadline }
+
+// reset empties q, keeping its storage.
+func (q *dlHeap) reset() {
+	clear(q.h)
+	q.h = q.h[:0]
+}
 
 // top returns the earliest pending deadline.
 //

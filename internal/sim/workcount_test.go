@@ -76,3 +76,30 @@ func TestStepWorkIndependentOfSystemSize(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepShapeSteps pins the work of a sweep-sim confirmation run: the
+// Steps one hyperperiod of each of BenchmarkEngineSweepShape's eight
+// systems takes. A Step is a dispatched tick plus the quiet span the
+// fast path coasts after it, so the count falls only when the fast path
+// coasts further, and rises when it stops short; it is exact on any
+// host. Each count holds on a fresh engine and on one engine reset
+// through all eight systems in turn.
+func TestSweepShapeSteps(t *testing.T) {
+	var kept sim.Engine
+	for _, s := range sweepShapes {
+		sys := benchSys(t, s.procs, s.tasks, s.util, sweepSimPeriods)
+		fresh, err := sim.New(sys, s.mk(), sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runSteps(t, fresh); got != s.steps {
+			t.Errorf("%s: %d steps on a fresh engine, want %d", s.name(), got, s.steps)
+		}
+		if err := kept.Reset(sys, s.mk(), sim.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := runSteps(t, &kept); got != s.steps {
+			t.Errorf("%s: %d steps on a reset engine, want %d", s.name(), got, s.steps)
+		}
+	}
+}
