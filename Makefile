@@ -130,10 +130,13 @@ rtvet:
 vet-alloc:
 	$(GO) run ./cmd/rtvet -escapes ./...
 
-# Lint gate: vet + domain analyzers + format check, plus staticcheck
-# when the binary is on PATH (CI installs it; locally it is optional and
-# never downloaded).
-lint: vet rtvet
+# Lint gate, the same steps as CI's lint job: vet, the domain
+# analyzers, the suppression audit (every //rtlint:allow carries a
+# reason), the hot-path escape cross-check, a format check, plus
+# staticcheck when the binary is on PATH (CI installs it; locally it is
+# optional and never downloaded).
+lint: vet rtvet vet-alloc
+	$(GO) run ./cmd/rtvet -suppressions ./...
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck > /dev/null 2>&1; then \

@@ -345,7 +345,7 @@ func checkAccounting(c *trialCtx) []string {
 	}
 
 	for _, j := range res.Jobs {
-		if j.IsAgent() || j.State != sim.StateFinished {
+		if j.IsAgent() || j.State() != sim.StateFinished {
 			continue
 		}
 		if rt := j.ResponseTime(); rt < j.Task.WCET() {

@@ -182,3 +182,56 @@ func TestInvalidSyncProcRejected(t *testing.T) {
 		t.Error("dpcp accepted an out-of-range synchronization processor")
 	}
 }
+
+// TestActiveAgentLink checks the agent link the engine keeps for DPCP:
+// between any two steps, a job's ActiveAgent is the active agent running
+// its gcs, which leaves it suspended, and nil when it has none, so also
+// once its agent has finished.
+func TestActiveAgentLink(t *testing.T) {
+	cfg := workload.Default(3)
+	cfg.NumProcs = 3
+	cfg.TasksPerProc = 3
+	cfg.UtilPerProc = 0.45
+	sys, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.New(sys, core.NewDPCP(nil), sim.Config{RetainJobs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agentOf := map[*sim.Job]*sim.Job{}
+	agents := 0 // agents seen active, summed over steps
+	for done := false; !done; {
+		if done, err = e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		clear(agentOf)
+		for _, j := range e.ActiveJobs() {
+			if j.IsAgent() {
+				agentOf[j.Parent] = j
+			}
+		}
+		agents += len(agentOf)
+		for _, j := range e.ActiveJobs() {
+			if j.IsAgent() {
+				continue
+			}
+			want := agentOf[j]
+			if got := j.ActiveAgent(); got != want {
+				t.Fatalf("t=%d: %v has active agent %v, want %v", e.Now(), j, got, want)
+			}
+			if want != nil && j.State() != sim.StateSuspended {
+				t.Fatalf("t=%d: %v is %v while its agent runs, want suspended", e.Now(), j, j.State())
+			}
+		}
+	}
+	for _, j := range e.Result().Jobs {
+		if j.State() == sim.StateFinished && j.ActiveAgent() != nil {
+			t.Errorf("finished %v keeps agent %v", j, j.ActiveAgent())
+		}
+	}
+	if agents == 0 {
+		t.Fatal("the run spawned no agents")
+	}
+}

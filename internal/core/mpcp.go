@@ -258,7 +258,7 @@ func (p *Protocol) Init(e *sim.Engine) error {
 // never overrides the fixed priority of a job inside a gcs (rule 3), nor
 // the non-preemptive level of a spinning job.
 func (p *Protocol) setLocalPrio(e *sim.Engine, j *sim.Job, prio int) {
-	if j.GCS > 0 || (p.nonPreempt && j.State == sim.StateSpinning) {
+	if j.GCS > 0 || (p.nonPreempt && j.State() == sim.StateSpinning) {
 		return
 	}
 	e.SetEffPrio(j, prio)
@@ -298,7 +298,7 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 
 	if g.holder == nil {
 		// Rule 5: granted by an atomic transaction on shared memory.
-		p.enterGcs(e, j, s, k, j.EffPrio)
+		p.enterGcs(e, j, s, k, j.EffPrio())
 		g.holder = j
 		return true
 	}
@@ -311,7 +311,7 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 		key = 0
 	}
 	g.waiters.Push(j, key)
-	p.prios.Push(j, j.EffPrio)
+	p.prios.Push(j, j.EffPrio())
 	if g.spin && g.holder.Proc != j.Proc {
 		e.SpinGlobal(j, s)
 		// Busy-wait at the gcs priority (or the non-preemptive level) so
@@ -331,7 +331,7 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 func (p *Protocol) enterGcs(e *sim.Engine, j *sim.Job, s task.SemID, k, prev int) {
 	p.prios.Push(j, prev)
 	e.CompleteLock(j, s)
-	if prio := p.gcsPrio(j, k); prio > j.EffPrio {
+	if prio := p.gcsPrio(j, k); prio > j.EffPrio() {
 		e.SetEffPrio(j, prio)
 	}
 }
@@ -366,8 +366,7 @@ func (p *Protocol) startAgent(e *sim.Engine, g *gsem, parent *sim.Job) {
 	g.holder = parent
 	interior := parent.Body[cs.StartSeg+1 : cs.EndSeg]
 	prio := p.tbl.GlobalAt(cs.SemPos)
-	agent := e.SpawnAgent(parent, interior, g.proc, prio, p.onAgentDone)
-	parent.ActiveAgent = agent
+	e.SpawnAgent(parent, interior, g.proc, prio, p.onAgentDone)
 	e.Grant(parent, cs.Sem, prio)
 }
 
@@ -375,11 +374,11 @@ func (p *Protocol) startAgent(e *sim.Engine, g *gsem, parent *sim.Job) {
 // remotely: the one whose Lock segment parent waits at.
 func (p *Protocol) section(parent *sim.Job) task.CriticalSection {
 	for _, cs := range p.ix.Sections(parent.TaskPos()) {
-		if cs.Global && cs.StartSeg == parent.PC {
+		if cs.Global && cs.StartSeg == parent.PC() {
 			return cs
 		}
 	}
-	panic(fmt.Sprintf("%s: %v waits at segment %d, which starts no global critical section", p.name, parent, parent.PC))
+	panic(fmt.Sprintf("%s: %v waits at segment %d, which starts no global critical section", p.name, parent, parent.PC()))
 }
 
 // agentDone resumes the parent of agent, whose gcs just ended, past the
@@ -388,7 +387,6 @@ func (p *Protocol) agentDone(agent *sim.Job) {
 	e, parent := p.e, agent.Parent
 	cs := p.section(parent)
 	g := &p.gsems[cs.SemPos]
-	parent.ActiveAgent = nil
 	e.JumpTo(parent, cs.EndSeg+1)
 	e.SetEffPrio(parent, parent.BasePrio)
 	e.MakeReady(parent)
@@ -438,7 +436,7 @@ func (p *Protocol) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 		prev = pre
 	}
 	p.enterGcs(e, next, s, k, prev)
-	e.Grant(next, s, next.EffPrio)
+	e.Grant(next, s, next.EffPrio())
 	e.MakeReady(next)
 }
 

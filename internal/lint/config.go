@@ -63,8 +63,7 @@ func (s Scoped) Applies(importPath string) bool {
 //   - protocontract verifies every sim.Protocol implementation against
 //     the engine's behavioural contract (acquire on true, block on
 //     false, release on every Unlock exit, Grant/MakeReady pairing,
-//     OnFinish cleanup, no package state, no direct writes to the
-//     sim.Job fields the dispatcher picks by). internal/conformance is
+//     OnFinish cleanup, no package state). internal/conformance is
 //     deliberately out of scope: its brokenProtocol is the runtime
 //     oracle's intentionally-violating fixture.
 //   - lockorder builds the interprocedural mutex acquisition graph over

@@ -31,10 +31,6 @@ import (
 //   - Protocol packages must not keep mutable package-level state; all
 //     protocol state lives on the Protocol value so concurrent sweeps
 //     stay independent. Blank interface-assertion vars are exempt.
-//   - Protocol packages must not write a sim.Job's State, EffPrio, PC or
-//     SegLeft directly. The engine services that change them mark the
-//     job's processor for the dispatcher to re-pick; a direct write
-//     leaves that processor running a stale pick.
 //
 // The path checks are may-analyses (facts union at joins), which keeps
 // them quiet on correct code at the cost of missing a leak that a
@@ -75,7 +71,6 @@ func runProtoContract(pass *Pass) {
 	}
 
 	for _, pkg := range pass.Pkgs {
-		checkJobWrites(pass, pkg)
 		impls := implementorsOf(pkg, iface)
 		if len(impls) == 0 {
 			continue
@@ -723,68 +718,4 @@ func (pr *protoProg) checkPackageState(pkg *Package) {
 			}
 		}
 	}
-}
-
-// dispatchFields are the sim.Job fields the dispatcher picks by. Only the
-// engine writes them: its services mark the job's processor dirty.
-var dispatchFields = map[string]string{
-	"State":   "MakeReady, BlockLocal, SuspendGlobal or SpinGlobal",
-	"EffPrio": "SetEffPrio",
-	"PC":      "CompleteLock or JumpTo",
-	"SegLeft": "CompleteLock or JumpTo",
-}
-
-// checkJobWrites flags assignments and increments outside the simulator
-// package whose target is one of a sim.Job's dispatchFields.
-func checkJobWrites(pass *Pass, pkg *Package) {
-	if pkg.Types == nil || pkg.Types.Path() == protoSimPath {
-		return
-	}
-	check := func(lhs ast.Expr) {
-		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		field, ok := pkg.Info.Uses[sel.Sel].(*types.Var)
-		if !ok || !field.IsField() || !isSimJobField(field) {
-			return
-		}
-		if svc, ok := dispatchFields[field.Name()]; ok {
-			pass.Reportf(lhs.Pos(), "direct write to sim.Job.%s bypasses the engine services (%s) that mark the processor for re-dispatch; the dispatcher would run a stale pick", field.Name(), svc)
-		}
-	}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					check(lhs)
-				}
-			case *ast.IncDecStmt:
-				check(n.X)
-			}
-			return true
-		})
-	}
-}
-
-// isSimJobField reports whether field is declared by the sim.Job struct.
-func isSimJobField(field *types.Var) bool {
-	if field.Pkg() == nil || field.Pkg().Path() != protoSimPath {
-		return false
-	}
-	tn, ok := field.Pkg().Scope().Lookup("Job").(*types.TypeName)
-	if !ok {
-		return false
-	}
-	st, ok := tn.Type().Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i) == field {
-			return true
-		}
-	}
-	return false
 }

@@ -85,15 +85,7 @@ func (p *leaky) Init(e *sim.Engine) error {
 	return nil
 }
 
-// OnRelease writes the dispatcher's fields directly instead of through
-// the engine services.
-func (p *leaky) OnRelease(e *sim.Engine, j *sim.Job) {
-	j.EffPrio = 3            // want `direct write to sim\.Job\.EffPrio bypasses the engine services \(SetEffPrio\)`
-	j.State = sim.StateReady // want `direct write to sim\.Job\.State bypasses`
-	j.PC++                   // want `direct write to sim\.Job\.PC bypasses`
-	j.SegLeft -= 1           // want `direct write to sim\.Job\.SegLeft bypasses`
-	j.BlockedTicks = 0
-}
+func (p *leaky) OnRelease(e *sim.Engine, j *sim.Job) { e.MakeReady(j) }
 
 func (p *leaky) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 	st := p.sems[s]

@@ -100,10 +100,10 @@ func crossCheck(t *testing.T, name string, sys *task.System, proto sim.Protocol)
 		window := endTick - a.Release
 		if a.Finish >= 0 {
 			window = a.Finish - a.Release
-			if j.State != sim.StateFinished || j.FinishTime != a.Finish {
-				t.Errorf("%s %v: finish %d, engine state %v at %d", name, j, a.Finish, j.State, j.FinishTime)
+			if j.State() != sim.StateFinished || j.FinishTime != a.Finish {
+				t.Errorf("%s %v: finish %d, engine state %v at %d", name, j, a.Finish, j.State(), j.FinishTime)
 			}
-		} else if j.State == sim.StateFinished && j.FinishTime < endTick {
+		} else if j.State() == sim.StateFinished && j.FinishTime < endTick {
 			t.Errorf("%s %v: engine finished at %d but attribution saw no finish", name, j, j.FinishTime)
 		}
 		if a.Span() != window {

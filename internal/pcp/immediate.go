@@ -64,10 +64,10 @@ func (p *Immediate) OnRelease(e *sim.Engine, j *sim.Job) {
 // reaches us would be executing at that ceiling and we would not be
 // running. The assertion guards the invariant.
 func (p *Immediate) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
-	p.prios.Push(j, j.EffPrio)
+	p.prios.Push(j, j.EffPrio())
 	e.CompleteLock(j, s)
 	k, _ := e.Sys().Index().SemPos(s)
-	if c := p.tbl.LocalAt(k); c > j.EffPrio {
+	if c := p.tbl.LocalAt(k); c > j.EffPrio() {
 		e.SetEffPrio(j, c)
 	}
 	return true

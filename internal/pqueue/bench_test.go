@@ -28,16 +28,3 @@ func BenchmarkPushPopOrdered(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkUpdate(b *testing.B) {
-	var q Queue[int]
-	items := make([]*Item[int], 64)
-	for i := range items {
-		items[i] = q.Push(i, i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Update(items[i%len(items)], i%128)
-	}
-}

@@ -2,6 +2,7 @@ package pqueue
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -14,12 +15,6 @@ func TestEmpty(t *testing.T) {
 	}
 	if _, ok := q.Pop(); ok {
 		t.Error("Pop on empty queue returned ok")
-	}
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue returned ok")
-	}
-	if _, ok := q.PeekPriority(); ok {
-		t.Error("PeekPriority on empty queue returned ok")
 	}
 }
 
@@ -51,69 +46,6 @@ func TestFCFSTieBreak(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	var q Queue[string]
-	a := q.Push("a", 3)
-	q.Push("b", 2)
-	q.Remove(a)
-	q.Remove(a) // double-remove is a no-op
-	got, ok := q.Pop()
-	if !ok || got != "b" {
-		t.Fatalf("Pop = %q, %v; want b", got, ok)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", q.Len())
-	}
-}
-
-func TestRemoveAfterPop(t *testing.T) {
-	var q Queue[string]
-	a := q.Push("a", 3)
-	if v, ok := q.Pop(); !ok || v != "a" {
-		t.Fatalf("Pop = %q, %v", v, ok)
-	}
-	q.Remove(a) // must not corrupt the (empty) heap
-	q.Push("b", 1)
-	if v, ok := q.Pop(); !ok || v != "b" {
-		t.Fatalf("Pop = %q, %v; want b", v, ok)
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	var q Queue[string]
-	a := q.Push("a", 1)
-	q.Push("b", 5)
-	q.Update(a, 10)
-	if v, _ := q.Pop(); v != "a" {
-		t.Fatalf("after Update, Pop = %q, want a", v)
-	}
-}
-
-func TestUpdatePreservesFCFSSeq(t *testing.T) {
-	var q Queue[string]
-	a := q.Push("a", 1)
-	q.Push("b", 5)
-	q.Update(a, 5) // same priority as b, but a was pushed first
-	if v, _ := q.Pop(); v != "a" {
-		t.Fatalf("Pop = %q, want a (older seq wins ties)", v)
-	}
-}
-
-func TestPeek(t *testing.T) {
-	var q Queue[int]
-	q.Push(41, 2)
-	q.Push(42, 8)
-	if v, ok := q.Peek(); !ok || v != 42 {
-		t.Fatalf("Peek = %d, %v; want 42", v, ok)
-	}
-	if p, ok := q.PeekPriority(); !ok || p != 8 {
-		t.Fatalf("PeekPriority = %d, %v; want 8", p, ok)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Peek consumed an item: Len = %d", q.Len())
-	}
-}
-
 // TestQuickPopOrder property: popping everything yields priorities in
 // non-increasing order, regardless of push order.
 func TestQuickPopOrder(t *testing.T) {
@@ -124,12 +56,12 @@ func TestQuickPopOrder(t *testing.T) {
 		}
 		last := int(1) << 30
 		for q.Len() > 0 {
-			p, _ := q.PeekPriority()
+			i, _ := q.Pop()
+			p := int(prios[i])
 			if p > last {
 				return false
 			}
 			last = p
-			q.Pop()
 		}
 		return true
 	}
@@ -138,37 +70,71 @@ func TestQuickPopOrder(t *testing.T) {
 	}
 }
 
-// TestQuickConservation property: every pushed value is popped exactly
-// once, interleaving removes.
+// TestQuickConservation property: under interleaved pushes and pops,
+// every pop returns what a reference model returns, a stable sort of the
+// queued values by priority, descending, and so every pushed value is
+// popped exactly once.
 func TestQuickConservation(t *testing.T) {
-	f := func(prios []int8, removeMask []bool) bool {
+	f := func(prios []int8, pops []bool) bool {
 		var q Queue[int]
-		items := make([]*Item[int], len(prios))
-		for i, p := range prios {
-			items[i] = q.Push(i, int(p))
-		}
-		removed := make(map[int]bool)
-		for i, it := range items {
-			if i < len(removeMask) && removeMask[i] {
-				q.Remove(it)
-				removed[i] = true
-			}
-		}
-		seen := make(map[int]bool)
-		for {
+		var model []int // queued push numbers, in pop order
+		check := func() bool {
 			v, ok := q.Pop()
-			if !ok {
-				break
+			if len(model) == 0 {
+				return !ok
 			}
-			if seen[v] || removed[v] {
+			want := model[0]
+			model = model[1:]
+			return ok && v == want
+		}
+		for i, p := range prios {
+			q.Push(i, int(p))
+			k := sort.Search(len(model), func(m int) bool { return int(prios[model[m]]) < int(p) })
+			model = slices.Insert(model, k, i)
+			if i < len(pops) && pops[i] && !check() {
 				return false
 			}
-			seen[v] = true
 		}
-		return len(seen) == len(prios)-len(removed)
+		for len(model) > 0 {
+			if !check() {
+				return false
+			}
+		}
+		return check() && q.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQueueAllocs guards what a value heap gives the wait queues: once
+// the queue has held its most values at once, a Push/Pop cycle
+// allocates nothing.
+func TestQueueAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not kept under the race detector, whose instrumentation may allocate")
+	}
+	var q Queue[*int]
+	v := new(int)
+	const depth = 16
+	for i := 0; i < depth; i++ {
+		q.Push(v, i)
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for k := 0; k < depth; k++ {
+			i++
+			q.Push(v, i%5)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm Push/Pop cycle makes %.1f allocations, want 0", allocs)
 	}
 }
 

@@ -49,11 +49,11 @@ var dispatchShapes = []struct {
 func fullScanPick(active []*sim.Job, p task.ProcID) *sim.Job {
 	var best *sim.Job
 	for _, j := range active {
-		if j.Proc != p || (j.State != sim.StateReady && j.State != sim.StateSpinning) {
+		if j.Proc != p || (j.State() != sim.StateReady && j.State() != sim.StateSpinning) {
 			continue
 		}
-		if best == nil || j.EffPrio > best.EffPrio ||
-			(j.EffPrio == best.EffPrio && sim.ReadySeq(j) < sim.ReadySeq(best)) {
+		if best == nil || j.EffPrio() > best.EffPrio() ||
+			(j.EffPrio() == best.EffPrio() && sim.ReadySeq(j) < sim.ReadySeq(best)) {
 			best = j
 		}
 	}
@@ -64,11 +64,11 @@ func fullScanPick(active []*sim.Job, p task.ProcID) *sim.Job {
 // j would do nothing: j is nil, spinning, or ready at a compute segment
 // with ticks left.
 func idleVisit(j *sim.Job) bool {
-	if j == nil || j.State == sim.StateSpinning {
+	if j == nil || j.State() == sim.StateSpinning {
 		return true
 	}
-	return j.State == sim.StateReady && j.PC < len(j.Body) &&
-		j.Body[j.PC].Kind == task.SegCompute && j.SegLeft > 0
+	return j.State() == sim.StateReady && j.PC() < len(j.Body) &&
+		j.Body[j.PC()].Kind == task.SegCompute && j.SegLeft() > 0
 }
 
 // checkDispatch holds the engine's per-processor bookkeeping to the
@@ -93,7 +93,7 @@ func checkDispatch(e *sim.Engine, procs int) error {
 			return fmt.Errorf("t=%d P%d: engine would dispatch %v, full scan picks %v", e.Now(), p, pick, want)
 		}
 		if cached && !idleVisit(pick) {
-			return fmt.Errorf("t=%d P%d: settle would skip %v at segment %d", e.Now(), p, pick, pick.PC)
+			return fmt.Errorf("t=%d P%d: settle would skip %v at segment %d", e.Now(), p, pick, pick.PC())
 		}
 	}
 	return nil

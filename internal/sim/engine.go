@@ -180,7 +180,7 @@ func (r *Result) ResponsePercentile(id task.ID, p float64) (ticks int, ok bool) 
 	}
 	var responses []int
 	for _, j := range r.Jobs {
-		if j.IsAgent() || j.Task.ID != id || j.State != StateFinished {
+		if j.IsAgent() || j.Task.ID != id || j.state != StateFinished {
 			continue
 		}
 		responses = append(responses, j.ResponseTime())
@@ -662,13 +662,13 @@ func (e *Engine) releaseJobs() {
 			Proc:        t.Proc,
 			Body:        t.Body,
 			BasePrio:    t.Priority,
-			EffPrio:     t.Priority,
-			State:       StateReady,
+			effPrio:     t.Priority,
+			state:       StateReady,
 			readySeq:    e.nextSeq(),
 			ti:          i,
 		}
 		if len(j.Body) > 0 && j.Body[0].Kind == task.SegCompute {
-			j.SegLeft = j.Body[0].Duration
+			j.segLeft = j.Body[0].Duration
 		}
 		k := e.nextIdx[i]
 		e.nextIdx[i]++
@@ -698,8 +698,9 @@ func (e *Engine) releaseJobs() {
 }
 
 // SpawnAgent creates an agent job executing body on proc at the given
-// fixed priority, on behalf of parent. Used by the message-based protocol
-// to run global critical sections on their synchronization processor.
+// fixed priority, on behalf of parent, and makes it parent's active
+// agent until it finishes. Used by the message-based protocol to run
+// global critical sections on their synchronization processor.
 func (e *Engine) SpawnAgent(parent *Job, body []task.Segment, proc task.ProcID, prio int, onDone func(*Job)) *Job {
 	j := e.newJob()
 	*j = Job{
@@ -710,8 +711,8 @@ func (e *Engine) SpawnAgent(parent *Job, body []task.Segment, proc task.ProcID, 
 		Proc:     proc,
 		Body:     body,
 		BasePrio: prio,
-		EffPrio:  prio,
-		State:    StateReady,
+		effPrio:  prio,
+		state:    StateReady,
 		Parent:   parent,
 		OnDone:   onDone,
 		readySeq: e.nextSeq(),
@@ -720,9 +721,10 @@ func (e *Engine) SpawnAgent(parent *Job, body []task.Segment, proc task.ProcID, 
 		CSDepth:  1,
 	}
 	if len(body) > 0 && body[0].Kind == task.SegCompute {
-		j.SegLeft = body[0].Duration
+		j.segLeft = body[0].Duration
 	}
 	j.AbsDeadline = parent.AbsDeadline
+	parent.activeAgent = j
 	e.addActive(j)
 	return j
 }
@@ -804,10 +806,10 @@ func (e *Engine) settle() {
 			if e.picks[p] != j {
 				e.picks[p] = j
 			}
-			if j == nil || j.State == StateSpinning {
+			if j == nil || j.state == StateSpinning {
 				continue
 			}
-			if e.advanceInstant(j) && (j.State != StateReady || j.SegLeft <= 0) {
+			if e.advanceInstant(j) && (j.state != StateReady || j.segLeft <= 0) {
 				// j moved and stopped short of a compute segment (or left
 				// the ready state): visit p again. A job that moved onto
 				// a compute segment is the pick a second visit would make
@@ -828,27 +830,27 @@ func (e *Engine) settle() {
 //rtlint:hotpath
 func (e *Engine) advanceInstant(j *Job) bool {
 	changed := false
-	for j.State == StateReady {
-		if j.PC >= len(j.Body) {
+	for j.state == StateReady {
+		if j.pc >= len(j.Body) {
 			e.finish(j)
 			return true
 		}
-		seg := j.Body[j.PC]
+		seg := j.Body[j.pc]
 		switch seg.Kind {
 		case task.SegCompute:
 			if seg.Duration == 0 {
-				j.PC++
+				j.pc++
 				e.loadSegment(j)
 				changed = true
 				continue
 			}
 			return changed
 		case task.SegLock:
-			pc := j.PC
+			pc := j.pc
 			if !e.proto.TryLock(e, j, seg.Sem) {
 				return true // blocked, suspended or spinning
 			}
-			if j.PC == pc && j.State == StateReady {
+			if j.pc == pc && j.state == StateReady {
 				// Protocol bug: claimed success without completing the
 				// lock (CompleteLock advances the PC). Fail loudly
 				// instead of spinning forever.
@@ -859,7 +861,7 @@ func (e *Engine) advanceInstant(j *Job) bool {
 			changed = true
 		case task.SegUnlock:
 			e.exitCS(j, seg.Sem)
-			j.PC++
+			j.pc++
 			e.loadSegment(j)
 			e.proto.Unlock(e, j, seg.Sem)
 			// The release may have readied a higher-priority job (queue
@@ -877,10 +879,10 @@ func (e *Engine) advanceInstant(j *Job) bool {
 //
 //rtlint:hotpath
 func (e *Engine) loadSegment(j *Job) {
-	if j.PC < len(j.Body) && j.Body[j.PC].Kind == task.SegCompute {
-		j.SegLeft = j.Body[j.PC].Duration
+	if j.pc < len(j.Body) && j.Body[j.pc].Kind == task.SegCompute {
+		j.segLeft = j.Body[j.pc].Duration
 	} else {
-		j.SegLeft = 0
+		j.segLeft = 0
 	}
 }
 
@@ -897,8 +899,8 @@ func (e *Engine) CompleteLock(j *Job, s task.SemID) {
 	if k, ok := e.sys.Index().SemPos(s); ok && e.sys.Sems[k].Global {
 		j.GCS++
 	}
-	if j.PC < len(j.Body) && j.Body[j.PC].Kind == task.SegLock && j.Body[j.PC].Sem == s {
-		j.PC++
+	if j.pc < len(j.Body) && j.Body[j.pc].Kind == task.SegLock && j.Body[j.pc].Sem == s {
+		j.pc++
 		e.loadSegment(j)
 	}
 	e.dirty.add(int(j.Proc))
@@ -942,6 +944,7 @@ func (e *Engine) finish(j *Job) {
 	j.FinishTime = e.now
 	e.removeActive(j)
 	if j.IsAgent() {
+		j.Parent.activeAgent = nil
 		if j.OnDone != nil {
 			j.OnDone(j)
 		}
@@ -1031,16 +1034,16 @@ func waits(s JobState) bool { return s == StateBlocked || s == StateSuspended }
 //
 //rtlint:hotpath
 func (e *Engine) setState(j *Job, s JobState) {
-	if j.State == s {
+	if j.state == s {
 		return
 	}
-	if waits(j.State) {
+	if waits(j.state) {
 		e.nWaiting--
 	}
 	if waits(s) {
 		e.nWaiting++
 	}
-	j.State = s
+	j.state = s
 	e.reread.add(int(j.Proc))
 }
 
@@ -1054,11 +1057,11 @@ func (e *Engine) pickRunnable(p task.ProcID) *Job {
 	jobs := e.onProc[p]
 	e.visits += 1 + len(jobs)
 	for _, j := range jobs {
-		if j.State != StateReady && j.State != StateSpinning {
+		if j.state != StateReady && j.state != StateSpinning {
 			continue
 		}
-		if best == nil || j.EffPrio > best.EffPrio ||
-			(j.EffPrio == best.EffPrio && j.readySeq < best.readySeq) {
+		if best == nil || j.effPrio > best.effPrio ||
+			(j.effPrio == best.effPrio && j.readySeq < best.readySeq) {
 			best = j
 		}
 	}
@@ -1112,7 +1115,7 @@ func (e *Engine) redispatch(p int) {
 	c := &e.clocks[p]
 	j, prev := e.picks[p], e.procs[p]
 	gcs := j != nil && j.GCS > 0
-	spin := j != nil && j.State == StateSpinning
+	spin := j != nil && j.state == StateSpinning
 	if j != prev || gcs != c.gcs || spin != c.spin {
 		e.chargeProc(p)
 		c.since = e.now
@@ -1123,13 +1126,13 @@ func (e *Engine) redispatch(p int) {
 			e.segEnds.set(p, none)
 		}
 	} else if j != prev || !e.segEnds.live(p, e.now) {
-		e.segEnds.set(p, e.now+j.SegLeft)
+		e.segEnds.set(p, e.now+j.segLeft)
 	}
 	if j == prev {
 		return
 	}
 	proc := task.ProcID(p)
-	if prev != nil && prev.State == StateReady {
+	if prev != nil && prev.state == StateReady {
 		e.result.Procs[p].Preemptions++
 		e.emit(trace.Event{Time: e.now, Kind: trace.EvPreempt, Task: prev.StatsTask(), Job: prev.Index, Proc: proc})
 	}
@@ -1156,7 +1159,7 @@ func (e *Engine) redispatch(p int) {
 //rtlint:hotpath
 func (e *Engine) emitRun(t int, p task.ProcID, j *Job) {
 	x := trace.Exec{Time: t, Proc: p, Task: j.StatsTask(), Job: j.Index}
-	if j.State != StateSpinning {
+	if j.state != StateSpinning {
 		x.InCS = j.CSDepth > 0
 		x.InGCS = j.GCS > 0
 	}
@@ -1189,7 +1192,7 @@ func (e *Engine) chargeProc(p int) {
 		ps.SpinTicks += q
 		j.SpinTicks += q
 	} else if e.segEnds.live(p, e.now) {
-		j.SegLeft = e.segEnds.at(p) - e.now
+		j.segLeft = e.segEnds.at(p) - e.now
 	}
 }
 
@@ -1209,14 +1212,14 @@ func (e *Engine) endSegments(afterTick bool) (halt bool) {
 	for p := e.segEnds.due(0, e.now); p >= 0; p = e.segEnds.due(p+1, e.now) {
 		e.visits++
 		j := e.procs[p]
-		j.PC++
+		j.pc++
 		e.loadSegment(j)
 		e.dirty.add(p)
 		if !afterTick {
 			continue
 		}
-		if j.SegLeft > 0 {
-			e.segEnds.set(p, e.now+j.SegLeft)
+		if j.segLeft > 0 {
+			e.segEnds.set(p, e.now+j.segLeft)
 		} else {
 			halt = true
 		}
@@ -1273,11 +1276,11 @@ func (e *Engine) waitClass(j *Job) waitKind {
 	if j.IsAgent() {
 		return waitNone
 	}
-	switch j.State {
+	switch j.state {
 	case StateBlocked:
 		return waitBlocked
 	case StateSuspended:
-		if j.ActiveAgent != nil && e.procs[int(j.ActiveAgent.Proc)] == j.ActiveAgent {
+		if j.activeAgent != nil && e.procs[int(j.activeAgent.Proc)] == j.activeAgent {
 			// The suspended job's own gcs is executing remotely on its
 			// behalf: that is work, not blocking.
 			return waitRemote
@@ -1333,7 +1336,7 @@ func (e *Engine) abortMissed() bool {
 		if !d.active() {
 			continue
 		}
-		if d.j.State == StateReady {
+		if d.j.state == StateReady {
 			victims = append(victims, d.j) //rtlint:allow allocbudget scratch capacity is reused from step to step
 		} else {
 			keep = append(keep, d) //rtlint:allow allocbudget filters overdue in place: keep never outgrows it
@@ -1370,7 +1373,7 @@ func sortBySeq(jobs []*Job) {
 // protocol's normal unlock path, and removes it from the system. The job
 // never counts as finished and accrues no response-time statistics.
 func (e *Engine) abortJob(j *Job) {
-	if j.State != StateReady || e.now < j.AbsDeadline {
+	if j.state != StateReady || e.now < j.AbsDeadline {
 		return
 	}
 	e.settleAccounts(j)
@@ -1447,10 +1450,10 @@ func (e *Engine) recordMisses() {
 // SetEffPrio changes j's effective priority, recording an inherit event
 // when the value changes.
 func (e *Engine) SetEffPrio(j *Job, prio int) {
-	if j.EffPrio == prio {
+	if j.effPrio == prio {
 		return
 	}
-	j.EffPrio = prio
+	j.effPrio = prio
 	e.dirty.add(int(j.Proc))
 	e.emit(trace.Event{Time: e.now, Kind: trace.EvInherit, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc, Prio: prio})
 }
@@ -1461,10 +1464,10 @@ func (e *Engine) SetEffPrio(j *Job, prio int) {
 // distinguish "still blocked" from "ready but displaced" without
 // re-running the protocol.
 func (e *Engine) MakeReady(j *Job) {
-	if j.State == StateFinished || j.State == StateAborted {
+	if j.state == StateFinished || j.state == StateAborted {
 		return
 	}
-	if j.State != StateReady {
+	if j.state != StateReady {
 		e.emit(trace.Event{Time: e.now, Kind: trace.EvReady, Task: j.StatsTask(), Job: j.Index, Proc: j.Proc})
 	}
 	e.setState(j, StateReady)
@@ -1501,7 +1504,7 @@ func (e *Engine) Grant(j *Job, s task.SemID, gcsPrio int) {
 // JumpTo moves j's program counter to pc (e.g. past a remotely executed
 // global critical section) and refreshes its segment accounting.
 func (e *Engine) JumpTo(j *Job, pc int) {
-	j.PC = pc
+	j.pc = pc
 	e.loadSegment(j)
 	e.dirty.add(int(j.Proc))
 }

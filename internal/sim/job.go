@@ -66,14 +66,17 @@ type Job struct {
 	Proc task.ProcID    // processor this job executes on
 	Body []task.Segment // usually Task.Body; agents carry a sub-slice
 
-	// Execution position: Body[PC] is the next segment; SegLeft is the
-	// remaining duration of Body[PC] when it is a compute segment.
-	PC      int
-	SegLeft int
+	// The dispatch state is the engine's: the services that change it
+	// (SetEffPrio, MakeReady, CompleteLock, JumpTo, ...) mark the job's
+	// processor for the dispatcher to re-pick. Execution position:
+	// Body[pc] is the next segment; segLeft is the remaining duration of
+	// Body[pc] when it is a compute segment.
+	pc      int
+	segLeft int
+	state   JobState
+	effPrio int // effective priority, set through SetEffPrio
 
-	State    JobState
 	BasePrio int // assigned priority (larger = higher)
-	EffPrio  int // effective priority, owned by the protocol
 
 	Held    []task.SemID // semaphores currently held, in acquisition order
 	CSDepth int          // current critical-section nesting depth
@@ -85,13 +88,12 @@ type Job struct {
 
 	// Agent linkage for the message-based protocol: an agent executes a
 	// gcs remotely on behalf of Parent; OnDone is invoked when it
-	// completes. Agents are excluded from task statistics. ActiveAgent on
-	// a suspended parent points at the agent currently executing its gcs;
-	// a protocol sets it when it spawns the agent and clears it when the
-	// agent finishes, which is when the engine re-reads it.
+	// completes. Agents are excluded from task statistics. activeAgent on
+	// a suspended parent points at the agent currently executing its gcs:
+	// SpawnAgent sets it, and the agent's finish clears it before OnDone.
 	Parent      *Job
 	OnDone      func(agent *Job)
-	ActiveAgent *Job
+	activeAgent *Job
 
 	readySeq uint64 // FCFS tie-break among equal effective priorities
 	seq      uint64 // admission number: the job's place in the active set
@@ -131,6 +133,25 @@ const (
 	waitPreempt                   // PreemptTicks
 )
 
+// State returns the job's lifecycle state.
+func (j *Job) State() JobState { return j.state }
+
+// EffPrio returns the job's effective priority: its base priority
+// unless the protocol set another through SetEffPrio.
+func (j *Job) EffPrio() int { return j.effPrio }
+
+// PC returns the position in Body of the job's next segment.
+func (j *Job) PC() int { return j.pc }
+
+// SegLeft returns the remaining duration of the compute segment at PC,
+// or 0 when the next segment is not compute. It is exact whenever the
+// job's waiting counters are.
+func (j *Job) SegLeft() int { return j.segLeft }
+
+// ActiveAgent returns the agent executing the gcs of a suspended job
+// under the message-based protocol, or nil when none is active.
+func (j *Job) ActiveAgent() *Job { return j.activeAgent }
+
 // TaskPos returns the position of the job's task in the system's task
 // list: the parent's, for an agent.
 func (j *Job) TaskPos() int { return j.ti }
@@ -157,7 +178,7 @@ func (j *Job) MeasuredBlocking() int {
 
 // ResponseTime returns finish minus release, or -1 if unfinished.
 func (j *Job) ResponseTime() int {
-	if j.State != StateFinished {
+	if j.state != StateFinished {
 		return -1
 	}
 	return j.FinishTime - j.Release

@@ -92,7 +92,7 @@ func (a *tickAccount) charge(e *sim.Engine) {
 		if j.GCS > 0 {
 			ps.GcsTicks++
 		}
-		if j.State == sim.StateSpinning {
+		if j.State() == sim.StateSpinning {
 			ps.SpinTicks++
 			of(j).Spin++
 		}
@@ -102,11 +102,11 @@ func (a *tickAccount) charge(e *sim.Engine) {
 			continue
 		}
 		running := occ[j.Proc]
-		switch j.State {
+		switch j.State() {
 		case sim.StateBlocked:
 			of(j).Blocked++
 		case sim.StateSuspended:
-			if ag := j.ActiveAgent; ag != nil && occ[ag.Proc] == ag {
+			if ag := j.ActiveAgent(); ag != nil && occ[ag.Proc] == ag {
 				of(j).RemoteExec++
 			} else {
 				of(j).Suspended++
@@ -217,9 +217,9 @@ func sameResult(fast, ref *sim.Result, acct *tickAccount) error {
 		if got := accountsOf(a); got != want {
 			return fmt.Errorf("job %v: waiting %+v, tick by tick %+v", a, got, want)
 		}
-		if a.State != b.State || a.PC != b.PC || a.SegLeft != b.SegLeft || a.Missed != b.Missed || a.FinishTime != b.FinishTime {
+		if a.State() != b.State() || a.PC() != b.PC() || a.SegLeft() != b.SegLeft() || a.Missed != b.Missed || a.FinishTime != b.FinishTime {
 			return fmt.Errorf("job %v: state %v pc %d left %d missed %v finish %d, reference %v %d %d %v %d",
-				a, a.State, a.PC, a.SegLeft, a.Missed, a.FinishTime, b.State, b.PC, b.SegLeft, b.Missed, b.FinishTime)
+				a, a.State(), a.PC(), a.SegLeft(), a.Missed, a.FinishTime, b.State(), b.PC(), b.SegLeft(), b.Missed, b.FinishTime)
 		}
 	}
 	return nil

@@ -120,7 +120,7 @@ func TestEngineMatchesEventDrivenOracle(t *testing.T) {
 		}
 		engine := make(map[task.ID][]int)
 		for _, j := range res.Jobs {
-			if j.State == sim.StateFinished {
+			if j.State() == sim.StateFinished {
 				engine[j.Task.ID] = append(engine[j.Task.ID], j.ResponseTime())
 			}
 		}

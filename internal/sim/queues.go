@@ -213,7 +213,7 @@ type deadline struct {
 //
 //rtlint:hotpath
 func (d *deadline) active() bool {
-	return d.j.seq == d.seq && d.j.State != StateFinished && d.j.State != StateAborted
+	return d.j.seq == d.seq && d.j.state != StateFinished && d.j.state != StateAborted
 }
 
 // pending reports whether the entry's job is still active, its deadline
@@ -318,7 +318,7 @@ func (q *dlHeap) due(i, now int, out []*Job) []*Job {
 	if i >= len(q.h) || q.h[i].at > now {
 		return out
 	}
-	if d := &q.h[i]; d.pending() && d.j.State == StateReady {
+	if d := &q.h[i]; d.pending() && d.j.state == StateReady {
 		out = append(out, d.j) //rtlint:allow allocbudget scratch capacity is reused from step to step
 	}
 	out = q.due(2*i+1, now, out)

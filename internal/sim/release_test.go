@@ -184,7 +184,7 @@ func TestOverloadAbortNeverExecutesPastDeadline(t *testing.T) {
 				continue
 			}
 			deadline[jobKey{j.Task.ID, j.Index}] = j.AbsDeadline
-			if j.State == sim.StateAborted {
+			if j.State() == sim.StateAborted {
 				aborted++
 			}
 		}

@@ -76,7 +76,7 @@ func resetRun(t *testing.T, cfg sim.Config, steps int, arm func(sim.Config) *sim
 		fmt.Fprintf(&buf, "p %d %+v\n", p, *ps)
 	}
 	for _, j := range res.Jobs {
-		fmt.Fprintf(&buf, "j %v agent=%t %d %d %d %v %d %t %d %d %d %d %d %d\n", j, j.IsAgent(), j.Release, j.AbsDeadline, j.PC, j.State,
+		fmt.Fprintf(&buf, "j %v agent=%t %d %d %d %v %d %t %d %d %d %d %d %d\n", j, j.IsAgent(), j.Release, j.AbsDeadline, j.PC(), j.State(),
 			j.FinishTime, j.Missed, j.BlockedTicks, j.SuspendedTicks, j.SpinTicks, j.InversionTicks, j.PreemptTicks, j.RemoteExecTicks)
 	}
 	return buf.Bytes()
